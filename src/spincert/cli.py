@@ -1,14 +1,17 @@
 """Batch verification driver: every area's exact certificates grouped
-into named suites, run concurrently, and assembled into one
-deterministic JSON report.
+into named suites, run one after another in suite-name order, and
+assembled into one deterministic JSON report.
 
 Report layout: a versioned top-level object (schema 1) holding one
 block per suite, ordered by suite name.  Each block records the
 conventions the computations were pinned to, a list of check reports
-(name, status, details), and wall-time fields.  Identical seeds and
-fixtures reproduce the JSON byte for byte once the stamped time fields
-are stripped.  The exit code is zero exactly when no check failed;
-skipped checks (cost guards) do not fail a run.
+(name, status, details), and wall-time fields.  A check that raises an
+unexpected exception is recorded with status "error" and the exception
+type, and counts as failed; the remaining checks still run.  Identical
+seeds and fixtures reproduce the JSON byte for byte once the stamped
+time fields are stripped.  The exit code is zero exactly when no check
+failed or errored; skipped checks (cost guards) do not fail a run.
+Out-of-range arguments raise ValueError before any suite runs.
 
 The --perturb flag injects a deliberately broken input into the suites
 that define a negative control (a rescaled connection component, a
@@ -22,7 +25,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import combinations
@@ -88,7 +90,13 @@ from .repsl2 import (
     moment_map,
     quadratic_matrix_det,
 )
-from .thetachar import CharClass, arf_model_crosscheck, enumerate_chars, parity_counts
+from .thetachar import (
+    GENUS_RANGE,
+    CharClass,
+    arf_model_crosscheck,
+    enumerate_chars,
+    parity_counts,
+)
 
 SUITES = ("clifford", "instanton", "nr", "odd", "parity", "repsl2", "theta")
 DEFAULT_SEED = 1729
@@ -137,6 +145,9 @@ def _run_check(name, fn):
     except (VerificationError, ValueError) as exc:
         details = {"error": str(exc)}
         status = "fail"
+    except Exception as exc:
+        details = {"error": str(exc), "type": type(exc).__name__}
+        status = "error"
     return {
         "name": name,
         "status": status,
@@ -148,7 +159,7 @@ def _run_check(name, fn):
 def _suite_block(name, conventions, named_checks):
     start = time.perf_counter()
     checks = [_run_check(n, fn) for n, fn in named_checks]
-    failed = [c["name"] for c in checks if c["status"] == "fail"]
+    failed = [c["name"] for c in checks if c["status"] in ("fail", "error")]
     return {
         "suite": name,
         "conventions": _jsonable(conventions),
@@ -467,9 +478,8 @@ def run_odd(opts):
         rng = random.Random(opts.seed)
         places = E.curve.all_standard_places()
         pool = list(combinations(range(8), 3))
-        wanted = max(0, opts.triples)
         chosen = [
-            pool[rng.randrange(len(pool))] for _ in range(wanted)
+            pool[rng.randrange(len(pool))] for _ in range(opts.triples)
         ]
         members = sorted(E.theta.members)
         complement = sorted(set(range(1, 7)) - set(members))
@@ -604,19 +614,28 @@ def run(
     branch_config = (
         BranchConfig(_csv_values(branch, Fraction, "branch")) if branch else None
     )
+    if isinstance(m, str):
+        m = _csv_values(m, int, "degree")
+    if isinstance(g, str):
+        g = _csv_values(g, int, "genus")
+    if any(d < 1 or d % 2 == 0 for d in m or ()):
+        raise ValueError("degrees must be odd and positive: %r" % (m,))
+    if any(x not in GENUS_RANGE for x in g or ()):
+        raise ValueError(
+            "genera must lie in %d..%d: %r" % (GENUS_RANGE[0], GENUS_RANGE[-1], g)
+        )
+    if triples < 0:
+        raise ValueError("triple count must be non-negative: %d" % triples)
     opts = _Options(
         seed=seed,
         triples=triples,
         perturb=perturb,
         fixture_curve=fixture_curve,
         branch_config=branch_config,
-        m=_csv_values(m, int, "degree") if isinstance(m, str) else m,
-        g=_csv_values(g, int, "genus") if isinstance(g, str) else g,
+        m=m,
+        g=g,
     )
-    with ThreadPoolExecutor(max_workers=len(selected)) as pool:
-        futures = {name: pool.submit(_RUNNERS[name], opts) for name in selected}
-        blocks = [futures[name].result() for name in selected]
-    blocks.sort(key=lambda b: b["suite"])
+    blocks = [_RUNNERS[name](opts) for name in selected]
     status = "pass" if all(b["status"] == "pass" for b in blocks) else "fail"
     report = {
         "schema": 1,

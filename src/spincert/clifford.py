@@ -206,10 +206,6 @@ class Multivector:
         return "<Multivector %s>" % self
 
 
-def mv_product(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
-
-
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Exterior product on the blade identification: disjoint blades only."""
     out = Multivector({})

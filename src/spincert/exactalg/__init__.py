@@ -1,9 +1,9 @@
 """Exact arithmetic substrate: scalars, sparse polynomials, rational
-functions, and fraction-free linear algebra."""
+functions, fraction-free linear algebra, and exact-vector helpers."""
 
-from .linalg import det, nullspace, rank, solve
+from .linalg import nullspace, proportional, rank, rational_content
 from .polys import MultiPoly, PolyRing
-from .ratfunc import RatFunc, ratfunc_parse
+from .ratfunc import RatFunc
 from .scalars import QI, QQ, Gaussian, format_gaussian, parse_gaussian
 
 __all__ = [
@@ -15,9 +15,8 @@ __all__ = [
     "PolyRing",
     "MultiPoly",
     "RatFunc",
-    "ratfunc_parse",
     "rank",
-    "det",
     "nullspace",
-    "solve",
+    "proportional",
+    "rational_content",
 ]

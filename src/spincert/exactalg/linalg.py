@@ -1,20 +1,23 @@
 """Exact linear algebra by fraction-free elimination.
 
-Rank, determinant, and nullspace are computed with the Bareiss scheme:
-cross-multiplication steps followed by an exact division by the previous
+Rank and nullspace are computed with the Bareiss scheme: cross-
+multiplication steps followed by an exact division by the previous
 pivot.  Division happens only by construction-guaranteed exact divisors,
 so the entries stay in the coefficient domain (scalars or polynomials)
 and never pick up spurious denominators mid-computation.
 
-Entries may be Fractions, Gaussians, MultiPolys over one ring, or
-RatFuncs over one ring; RatFunc rows are cleared to polynomials first.
-Nullspace vectors are returned over the entry domain (denominator-free
-in the polynomial case) and are checked against ``M v = 0`` exactly.
+Each call works over one entry domain: Fractions, Gaussians, or
+MultiPolys over one ring.  Nullspace vectors are returned over the entry
+domain (denominator-free in the polynomial case) and are checked against
+``M v = 0`` exactly.  The exact-vector helpers shared by the geometry
+layers live here too: the rational content of a vector and the
+cross-multiplication proportionality test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .polys import MultiPoly
 from .ratfunc import RatFunc
@@ -22,9 +25,7 @@ from .scalars import Gaussian
 
 
 def _is_zero(x):
-    if isinstance(x, (MultiPoly, RatFunc)):
-        return x.is_zero
-    if isinstance(x, Gaussian):
+    if isinstance(x, (MultiPoly, Gaussian)):
         return x.is_zero
     return x == 0
 
@@ -38,35 +39,10 @@ def _exact_div(a, b):
     return a / b
 
 
-def _clear_rows(rows):
-    """Turn RatFunc rows into MultiPoly rows by clearing denominators."""
-    out = []
-    for row in rows:
-        if not any(isinstance(x, RatFunc) for x in row):
-            out.append(list(row))
-            continue
-        ring = next(x.ring for x in row if isinstance(x, RatFunc))
-        entries = []
-        for x in row:
-            if isinstance(x, RatFunc):
-                entries.append(x)
-            elif isinstance(x, MultiPoly):
-                entries.append(RatFunc(x))
-            else:
-                entries.append(RatFunc(ring.const(x)))
-        common = ring.one()
-        for x in entries:
-            if not x.den.is_constant():
-                common = common * x.den
-        out.append([RatFunc(x.num * common, x.den).as_poly() for x in entries])
-    return out
-
-
 def _echelon(rows):
-    """Bareiss forward elimination.
+    """Bareiss forward elimination of a list of rows over one domain.
 
-    Returns (matrix, pivot columns, row permutation sign).  The input is a
-    list of lists over one domain; it is consumed.
+    Returns (matrix, pivot columns); the input rows are left untouched.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
@@ -74,7 +50,6 @@ def _echelon(rows):
     piv_cols = []
     prev = 1
     r = 0
-    sign = 1
     for c in range(ncols):
         p = None
         for i in range(r, nrows):
@@ -85,7 +60,6 @@ def _echelon(rows):
             continue
         if p != r:
             m[r], m[p] = m[p], m[r]
-            sign = -sign
         pivot = m[r][c]
         for i in range(r + 1, nrows):
             for j in range(c + 1, ncols):
@@ -97,14 +71,12 @@ def _echelon(rows):
         r += 1
         if r == nrows:
             break
-    return m, piv_cols, sign
+    return m, piv_cols
 
 
 def _zero_like(x):
     if isinstance(x, MultiPoly):
         return x.ring.zero()
-    if isinstance(x, RatFunc):
-        return RatFunc(x.ring.zero())
     if isinstance(x, Gaussian):
         return Gaussian(0)
     return Fraction(0)
@@ -121,22 +93,7 @@ def _one_like(x):
 def rank(rows):
     if not rows:
         return 0
-    _, piv, _ = _echelon(_clear_rows(rows))
-    return len(piv)
-
-
-def det(rows):
-    """Determinant of a square matrix, exactly."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    m, piv, sign = _echelon(_clear_rows(rows))
-    if len(piv) < n:
-        return _zero_like(m[0][0])
-    d = m[n - 1][piv[-1]]
-    return -d if sign < 0 else d
+    return len(_echelon(rows)[1])
 
 
 def _to_frac_field(x):
@@ -148,23 +105,23 @@ def _to_frac_field(x):
 def nullspace(rows):
     """Exact right-nullspace basis of the matrix.
 
-    Polynomial (or RatFunc) matrices yield denominator-free MultiPoly
-    vectors; scalar matrices yield scalar vectors.  Every vector is
-    verified against the original matrix before being returned.
+    Polynomial matrices yield denominator-free MultiPoly vectors; scalar
+    matrices yield scalar vectors.  Every vector is verified against the
+    matrix before being returned.
     """
     if not rows:
         return []
-    cleared = _clear_rows(rows)
-    ncols = len(cleared[0])
-    ech, piv_cols, _ = _echelon([list(r) for r in cleared])
+    ncols = len(rows[0])
+    ech, piv_cols = _echelon(rows)
     free_cols = [c for c in range(ncols) if c not in piv_cols]
     basis = []
-    polynomial = isinstance(cleared[0][0], MultiPoly)
-    one = _one_like(cleared[0][0])
+    sample = rows[0][0]
+    polynomial = isinstance(sample, MultiPoly)
+    one = _one_like(sample)
     for fc in free_cols:
         v = [None] * ncols
         for c in free_cols:
-            v[c] = _to_frac_field(one if c == fc else _zero_like(cleared[0][0]))
+            v[c] = _to_frac_field(one if c == fc else _zero_like(sample))
         for k in range(len(piv_cols) - 1, -1, -1):
             pc = piv_cols[k]
             acc = None
@@ -174,25 +131,33 @@ def nullspace(rows):
                 t = _to_frac_field(ech[k][j]) * v[j]
                 acc = t if acc is None else acc + t
             if acc is None:
-                v[pc] = _to_frac_field(_zero_like(cleared[0][0]))
+                v[pc] = _to_frac_field(_zero_like(sample))
             else:
                 v[pc] = -acc / _to_frac_field(ech[k][pc])
         if polynomial:
-            ring = cleared[0][0].ring
-            common = ring.one()
+            common = sample.ring.one()
             for x in v:
                 if not x.den.is_constant():
                     common = common * x.den
-            vec = []
-            for x in v:
-                scaled = RatFunc(x.num * common, x.den).as_poly()
-                vec.append(scaled)
-            vec = _strip_content(vec)
+            vec = _strip_content(
+                [RatFunc(x.num * common, x.den).as_poly() for x in v]
+            )
         else:
-            vec = [x for x in v]
+            vec = v
         _assert_in_kernel(rows, vec)
         basis.append(vec)
     return basis
+
+
+def rational_content(values) -> Fraction:
+    """Gcd of the numerators over the lcm of the denominators: the
+    positive c for which values / c is a primitive integer vector, or 0
+    when every value is zero."""
+    g, l = 0, 1
+    for c in values:
+        g = gcd(g, c.numerator)
+        l = lcm(l, c.denominator)
+    return Fraction(g, l)
 
 
 def _strip_content(vec):
@@ -201,22 +166,7 @@ def _strip_content(vec):
     ring = vec[0].ring
     if ring.field.name != "QQ":
         return vec
-    from math import gcd
-
-    nums, dens = [], []
-    for p in vec:
-        for c in p.terms.values():
-            nums.append(c.numerator)
-            dens.append(c.denominator)
-    if not nums:
-        return vec
-    g = 0
-    for n in nums:
-        g = gcd(g, n)
-    l = 1
-    for d in dens:
-        l = l * d // gcd(l, d)
-    content = Fraction(g, l)
+    content = rational_content(c for p in vec for c in p.terms.values())
     for p in vec:
         if not p.is_zero:
             if p.lead()[1] < 0:
@@ -228,66 +178,22 @@ def _strip_content(vec):
     return [MultiPoly(ring, {e: c * inv for e, c in p.terms.items()}) for p in vec]
 
 
+def proportional(u, v) -> bool:
+    """Whether two vectors over one domain are proportional, by exact
+    cross-multiplication; False when either is the zero vector."""
+    if all(_is_zero(c) for c in u) or all(_is_zero(c) for c in v):
+        return False
+    n = len(u)
+    return all(
+        u[i] * v[j] == u[j] * v[i] for i in range(n) for j in range(i + 1, n)
+    )
+
+
 def _assert_in_kernel(rows, vec):
     for row in rows:
         acc = None
         for a, b in zip(row, vec):
-            t = _mulmix(a, b)
-            acc = t if acc is None else _addmix(acc, t)
+            t = a * b
+            acc = t if acc is None else acc + t
         if acc is not None and not _is_zero(acc):
             raise AssertionError("nullspace vector fails M v = 0")
-
-
-def _mulmix(a, b):
-    if isinstance(a, RatFunc) and isinstance(b, MultiPoly):
-        return a * RatFunc(b)
-    if isinstance(b, RatFunc) and isinstance(a, MultiPoly):
-        return RatFunc(a) * b
-    return a * b
-
-
-def _addmix(a, b):
-    if isinstance(a, RatFunc) and isinstance(b, MultiPoly):
-        return a + RatFunc(b)
-    if isinstance(b, RatFunc) and isinstance(a, MultiPoly):
-        return RatFunc(a) + b
-    return a + b
-
-
-def solve(rows, rhs):
-    """Solve ``M x = rhs`` over a field; None when inconsistent.
-
-    Gaussian elimination with exact field division; intended for scalar
-    matrices (Fractions or Gaussians).  Underdetermined systems return one
-    solution with free variables set to zero.
-    """
-    nrows = len(rows)
-    if nrows == 0:
-        return []
-    ncols = len(rows[0])
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    piv = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if not _is_zero(aug[i][c])), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        pr = aug[r]
-        inv = pr[c]
-        for i in range(nrows):
-            if i == r or _is_zero(aug[i][c]):
-                continue
-            f = aug[i][c] / inv
-            aug[i] = [x - f * y for x, y in zip(aug[i], pr)]
-        piv.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if not _is_zero(aug[i][ncols]):
-            return None
-    x = [_zero_like(rows[0][0]) for _ in range(ncols)]
-    for i, c in piv:
-        x[c] = aug[i][ncols] / aug[i][c]
-    return x

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polys import MultiPoly, PolyRing
+from .polys import MultiPoly
 from .scalars import Gaussian
 
 _SCALARS = (int, Fraction, Gaussian)
@@ -176,9 +176,6 @@ class RatFunc:
             raise ZeroDivisionError("denominator vanishes at the point")
         return self.ring.field.div(self.num.eval(point), dv)
 
-    def to_json(self):
-        return {"num": self.num.to_str(), "den": self.den.to_str()}
-
     def __str__(self):
         if self.den.is_constant() and self.den.constant_value() == self.ring.field.one():
             return self.num.to_str()
@@ -186,8 +183,3 @@ class RatFunc:
 
     def __repr__(self):
         return "<RatFunc %s>" % self
-
-
-def ratfunc_parse(ring: PolyRing, data) -> RatFunc:
-    """Rebuild a RatFunc from the ``to_json`` dict form."""
-    return RatFunc(ring.parse(data["num"]), ring.parse(data["den"]))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from . import VerificationError
-from .exactalg import MultiPoly, PolyRing, QQ, RatFunc, nullspace
+from .exactalg import MultiPoly, PolyRing, QQ, RatFunc, nullspace, proportional
 from ._rtable_alt import ALT_TABLE
 
 _QP_NAMES = ("q1", "q2", "q3", "q4", "p1", "p2", "p3", "p4")
@@ -348,7 +348,7 @@ def _signed_permutation_candidate(gen):
             Q_RING.gen(w[a]) if flip * ratios[a] > 0 else -Q_RING.gen(w[a])
             for a in range(4)
         )
-        if proportional_over_q(gen, candidate):
+        if proportional(gen, candidate):
             return candidate
     return None
 
@@ -391,14 +391,9 @@ def _lift_to_qp(poly: MultiPoly) -> MultiPoly:
     return MultiPoly(QP_RING, terms)
 
 
-def proportional_over_q(gen, target) -> bool:
-    """Whether two 4-vectors of polynomials are proportional over the
-    fraction field, by cross-multiplication."""
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if gen[a] * target[b] != gen[b] * target[a]:
-                return False
-    return True
+# polynomial vectors are proportional over the fraction field exactly
+# when their cross products agree; the acceptance gate imports this name
+proportional_over_q = proportional
 
 
 def distinguished_vector_polys(ring=Q_RING):
@@ -428,11 +423,3 @@ def signed_permutation_record(table: RijTable = None) -> dict:
             pattern.append(("+" if coeff > 0 else "-") + Q_RING.names[exps.index(1)])
         images[i] = {"signed_permutation": True, "pattern": tuple(pattern)}
     return {"check": "kernel_symmetry_record", "images": images}
-
-
-def k2_section_eval(a0, a1, a2, config: BranchConfig, i: int) -> Fraction:
-    """Evaluation functional on quadratic-differential sections written
-    against the fixed polynomial frame: the value of a0 + a1 x + a2 x^2
-    at the i-th branch point."""
-    xi = config.point(i)
-    return Fraction(a0) + Fraction(a1) * xi + Fraction(a2) * xi * xi

@@ -17,10 +17,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
 
 from . import VerificationError
-from .exactalg import MultiPoly, PolyRing, QQ, nullspace, rank
+from .exactalg import (
+    MultiPoly,
+    PolyRing,
+    QQ,
+    nullspace,
+    proportional,
+    rank,
+    rational_content,
+)
 from .hyperell import (
     Divisor,
     FieldElem,
@@ -57,28 +64,12 @@ def segre_quadric_value(point):
 def _normalize(vec):
     """Scale to a primitive integer vector with positive leading entry."""
     vec = [Fraction(v) for v in vec]
-    if all(v == 0 for v in vec):
+    content = rational_content(vec)
+    if content == 0:
         raise ValueError("zero vector cannot be normalized")
-    den = 1
-    for v in vec:
-        den = lcm(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
-    if next(v for v in ints if v) < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
-
-
-def _proportional(u, v):
-    if all(c == 0 for c in u) or all(c == 0 for c in v):
-        return False
-    n = len(u)
-    return all(
-        u[i] * v[j] == u[j] * v[i] for i in range(n) for j in range(i + 1, n)
-    )
+    if next(v for v in vec if v) < 0:
+        content = -content
+    return tuple(v / content for v in vec)
 
 
 def sigma_place(place: Place) -> Place:
@@ -237,14 +228,14 @@ def _monomial_products(spin_cube_basis, canonical_basis, t_monos, s_monos):
     return prods
 
 
-def _relation_kernel(prods):
+def _relation_kernel(funcs):
     """Exact linear relations among a list of curve functions, found by
     clearing to a common polynomial denominator."""
     common = UPoly((1,))
-    for fe in prods:
+    for fe in funcs:
         common = common * fe.den
     cleared = []
-    for fe in prods:
+    for fe in funcs:
         q = _exact_quotient(common, fe.den)
         cleared.append((fe.a * q, fe.b * q))
     deg = max(max(a.degree, b.degree) for a, b in cleared)
@@ -301,25 +292,31 @@ def _lead_pair(funcs, place):
     return m, coeffs
 
 
+def _image_record(E: EmbeddedCurve, place: Place):
+    """(mt, ms, coords) at a place, computed once: the minimal orders of
+    the square-root-cube and canonical bases there and the normalized
+    Segre coordinates of the image."""
+    record = E._points.get(place)
+    if record is None:
+        if place.curve != E.curve:
+            raise ValueError("place belongs to a different curve")
+        mt, t_pair = _lead_pair(E.spin_cube_basis, place)
+        ms, s_pair = _lead_pair(E.canonical_basis, place)
+        coords = _normalize(
+            [t_pair[i] * s_pair[j] for i in (0, 1) for j in (0, 1)]
+        )
+        record = E._points[place] = (mt, ms, coords)
+    return record
+
+
 def embed_point(E: EmbeddedCurve, place: Place):
     """Exact Segre coordinates of a place's image, normalized."""
-    cached = E._points.get(place)
-    if cached is not None:
-        return cached[1]
-    if place.curve != E.curve:
-        raise ValueError("place belongs to a different curve")
-    mt, t_pair = _lead_pair(E.spin_cube_basis, place)
-    ms, s_pair = _lead_pair(E.canonical_basis, place)
-    coords = _normalize(
-        [t_pair[i] * s_pair[j] for i in (0, 1) for j in (0, 1)]
-    )
-    E._points[place] = (mt + ms, coords)
-    return coords
+    return _image_record(E, place)[2]
 
 
 def _min_val(E: EmbeddedCurve, place: Place) -> int:
-    embed_point(E, place)
-    return E._points[place][0]
+    mt, ms, _ = _image_record(E, place)
+    return mt + ms
 
 
 def embed(curve: HyperCurve, theta: CharClass) -> EmbeddedCurve:
@@ -351,20 +348,18 @@ def embed(curve: HyperCurve, theta: CharClass) -> EmbeddedCurve:
     segre = tuple(spin_cube[i] * canon[j] for i in (0, 1) for j in (0, 1))
     implicit = _implicit_equation(curve, spin_cube, canon)
     E = EmbeddedCurve(curve, theta, canon, spin_cube, segre, implicit)
-    for place in curve.all_standard_places():
-        embed_point(E, place)
     _check_base_point_free(E)
     return E
 
 
 def _check_base_point_free(E: EmbeddedCurve):
     """Neither linear system may vanish entirely at a distinguished
-    place: joint section vanishing order must be zero there."""
+    place: joint section vanishing order must be zero there.  Fills the
+    image cache at every distinguished place on the way."""
     theta_div = spin_power_divisor(E.curve, E.theta.members, 3)
     k_div = canonical_divisor(E.curve)
     for place in E.curve.all_standard_places():
-        mt, _ = _lead_pair(E.spin_cube_basis, place)
-        ms, _ = _lead_pair(E.canonical_basis, place)
+        mt, ms, _ = _image_record(E, place)
         if mt + theta_div.coeff(place) > 0 or ms + k_div.coeff(place) > 0:
             raise VerificationError("unexpected base point at %r" % (place,))
 
@@ -392,17 +387,7 @@ def _in_span(basis, func):
     """Exact coefficients writing func = a*basis[0] + b*basis[1], or
     None when func is outside the span."""
     b0, b1 = basis
-    common = b0.den * b1.den * func.den
-    cols = []
-    for fe in (b0, b1, func):
-        q = _exact_quotient(common, fe.den)
-        cols.append((fe.a * q, fe.b * q))
-    deg = max(max(a.degree, b.degree) for a, b in cols)
-    rows = []
-    for k in range(deg + 1):
-        rows.append([a.coeff(k) for a, _ in cols])
-        rows.append([b.coeff(k) for _, b in cols])
-    kernel = nullspace(rows)
+    kernel = _relation_kernel((b0, b1, func))
     if len(kernel) != 1:
         return None
     v = kernel[0]
@@ -443,7 +428,7 @@ def involution_matrix(E: EmbeddedCurve):
         v = embed_point(E, place)
         w = embed_point(E, sigma_place(place))
         mv = tuple(sum(M[r][c] * v[c] for c in range(4)) for r in range(4))
-        if not _proportional(mv, w):
+        if not proportional(mv, w):
             raise VerificationError("involution matrix fails at %r" % (place,))
     object.__setattr__(E, "_sigma", M)
     return M
@@ -485,7 +470,7 @@ def implicit_sigma_invariance(E: EmbeddedCurve) -> bool:
     rhs = list(E.implicit.terms.values())
     if set(transformed.terms) - set(E.implicit.terms):
         raise VerificationError("involution moved the implicit equation off itself")
-    if not _proportional(lhs, rhs):
+    if not proportional(lhs, rhs):
         raise VerificationError("involution rescales the implicit equation unevenly")
     return True
 
@@ -747,31 +732,6 @@ def involution_conjugation_check(E: EmbeddedCurve, triple: PointTriple) -> bool:
     if PlaneP3(moved) != sigma_plane:
         raise VerificationError("conjugated plane does not match")
     return True
-
-
-def four_triple_family(E: EmbeddedCurve, triple: PointTriple) -> dict:
-    """The four sign-mixed involution variants of a triple, each run
-    through the full report; degenerate variants (coincident places) are
-    flagged rather than verified.  Whether all four variants induce one
-    and the same rank-2 object is beyond this finite model; only their
-    per-triple certificates are compared."""
-    p, q, r = triple.places
-    variants = (
-        PointTriple((p, q, r)),
-        PointTriple((p, sigma_place(q), sigma_place(r))),
-        PointTriple((sigma_place(p), q, sigma_place(r))),
-        PointTriple((sigma_place(p), sigma_place(q), r)),
-    )
-    reports = []
-    for t in variants:
-        if not t.distinct:
-            reports.append({"triple": list(t.labels()), "degenerate": True})
-            continue
-        reports.append(triple_plane_report(E, t))
-    verdicts = {
-        rep["collinear"] for rep in reports if not rep.get("degenerate")
-    }
-    return {"reports": reports, "verdicts_agree": len(verdicts) <= 1}
 
 
 def even_theta_obstruction(E: EmbeddedCurve) -> bool:

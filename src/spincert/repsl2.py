@@ -298,11 +298,3 @@ def isotropy_check_m3() -> bool:
     if symplectic_form(basis[0], basis[3]) == 0:
         raise VerificationError("pairing degenerated off the subspace")
     return True
-
-
-def degree_bookkeeping(g: int, deg_l: int) -> int:
-    """Degree of the twist that pairs a line bundle against the spin
-    bundle's dual: g - 1 - deg_l."""
-    if g < 2:
-        raise ValueError("genus must be at least 2")
-    return g - 1 - deg_l

@@ -202,11 +202,3 @@ def arf_model_crosscheck(g: int, theta_parities=None) -> bool:
                     "parity mismatch on class %s" % sorted(c.members)
                 )
     return True
-
-
-def w2_parity_shift(rank: int, w2: int, base_parity: int) -> int:
-    """Predicted mod-2 section-count parity for an odd-rank twist: the
-    base parity shifted by the obstruction class bit."""
-    if rank % 2 == 0:
-        raise ValueError("rank must be odd")
-    return (int(base_parity) + int(w2)) % 2

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from spincert import cli
 from spincert.cli import (
     DEFAULT_SEED,
     SUITES,
@@ -63,6 +64,35 @@ class TestRun:
         first = json.dumps(_strip_times(run("nr", seed=3)[1]), sort_keys=True)
         second = json.dumps(_strip_times(run("nr", seed=3)[1]), sort_keys=True)
         assert first == second
+        # odd is the seeded suite: the seed picks its random triples
+        first = json.dumps(
+            _strip_times(run("odd", seed=3, triples=2)[1]), sort_keys=True
+        )
+        second = json.dumps(
+            _strip_times(run("odd", seed=3, triples=2)[1]), sort_keys=True
+        )
+        assert first == second
+
+    def test_unexpected_exception_is_recorded(self, monkeypatch):
+        def broken(g):
+            raise AssertionError("broken count at genus %d" % g)
+
+        monkeypatch.setattr(cli, "parity_counts", broken)
+        code, report = run("theta", g="1,2")
+        assert code == 1
+        assert report["status"] == "fail"
+        block = report["suites"][0]
+        assert block["status"] == "fail"
+        assert block["failed_checks"] == ["parity_counts_g1", "parity_counts_g2"]
+        for g in (1, 2):
+            errored = _check(block, "parity_counts_g%d" % g)
+            assert errored["status"] == "error"
+            assert errored["details"] == {
+                "error": "broken count at genus %d" % g,
+                "type": "AssertionError",
+            }
+            assert _check(block, "arf_crosscheck_g%d" % g)["status"] == "pass"
+        json.dumps(report)
 
     def test_reports_are_json_serializable(self):
         _, report = run("theta", g=(1, 2))
@@ -209,6 +239,23 @@ class TestMain:
             main(["run", "nosuch"])
         assert info.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "theta", "--g", "0"],
+            ["run", "theta", "--g=-1"],
+            ["run", "theta", "--g", "2,7"],
+            ["run", "repsl2", "--m", "0"],
+            ["run", "repsl2", "--m", "2"],
+            ["run", "odd", "--triples", "-3"],
+        ],
+    )
+    def test_bad_arguments_exit_two(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_fixture_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

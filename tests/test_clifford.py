@@ -25,7 +25,6 @@ from spincert.clifford import (
     identity_sandwich,
     is_asd,
     is_sd,
-    mv_product,
     sandwich_raw,
     sd_basis,
     star_blade,
@@ -353,10 +352,9 @@ def test_act_matches_matrix_product():
         assert rep.act(w, spinor) == expected
 
 
-def test_mv_product_alias_and_vector_grade_bookkeeping():
+def test_vector_grade_bookkeeping():
     a = Multivector.vector(1) + Multivector.vector(3, Fraction(1, 2))
     b = two_form(2, 3)
-    assert mv_product(a, b) == a * b
     assert volume().grades() == [4]
     assert (a * b).grades() == [1, 3]
     assert star_blade(VOLUME_MASK) == (0, 1)

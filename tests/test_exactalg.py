@@ -3,6 +3,7 @@ independent oracle, lazy rational-function identities, and the fraction-free
 linear algebra contracts."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -16,11 +17,11 @@ from spincert.exactalg import (
     MultiPoly,
     PolyRing,
     RatFunc,
-    det,
     nullspace,
     parse_gaussian,
+    proportional,
     rank,
-    solve,
+    rational_content,
 )
 
 RXY = PolyRing(QQ, ("x", "y"))
@@ -227,34 +228,6 @@ def test_rank_and_nullity_add_up():
             assert sum(a * b for a, b in zip(row, v)) == 0
 
 
-def test_det_frozen_values():
-    # 3x3 with known determinant -2, and a singular matrix
-    m = [
-        [Fraction(2), Fraction(0), Fraction(1)],
-        [Fraction(1), Fraction(1), Fraction(0)],
-        [Fraction(3), Fraction(1), Fraction(0)],
-    ]
-    assert det(m) == Fraction(-2)
-    s = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert det(s) == 0
-
-
-@given(st.lists(st.lists(rationals(), min_size=4, max_size=4), min_size=4, max_size=4))
-@settings(max_examples=25, deadline=None)
-def test_det_multiplicative(rows):
-    other = [
-        [Fraction(1), Fraction(1), Fraction(0), Fraction(2)],
-        [Fraction(0), Fraction(1), Fraction(0), Fraction(0)],
-        [Fraction(3), Fraction(0), Fraction(1), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(0), Fraction(1)],
-    ]
-    prod = [
-        [sum(rows[i][k] * other[k][j] for k in range(4)) for j in range(4)]
-        for i in range(4)
-    ]
-    assert det(prod) == det(rows) * det(other)
-
-
 def test_polynomial_matrix_nullspace():
     R = PolyRing(QQ, ("a", "b"))
     a, b = R.gens()
@@ -277,8 +250,50 @@ def test_gaussian_matrix_rank():
     assert len(ns) == 1
 
 
-def test_solve_small_system():
-    rows = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    x = solve(rows, [Fraction(5), Fraction(10)])
-    assert x == [Fraction(1), Fraction(3)]
-    assert solve([[Fraction(0)]], [Fraction(1)]) is None
+# ----------------------------------------------------------------------
+# exact-vector helpers
+# ----------------------------------------------------------------------
+
+
+@given(st.lists(rationals(), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_rational_content_gives_primitive_integer_vector(vec):
+    c = rational_content(vec)
+    if all(v == 0 for v in vec):
+        assert c == 0
+        return
+    # oracle: scale by the common denominator, then divide by the gcd
+    den = 1
+    for v in vec:
+        den = lcm(den, v.denominator)
+    g = 0
+    for v in vec:
+        g = gcd(g, int(v * den))
+    assert c == Fraction(g, den)
+    scaled = [v / c for v in vec]
+    assert all(x.denominator == 1 for x in scaled)
+    g = 0
+    for x in scaled:
+        g = gcd(g, x.numerator)
+    assert g == 1
+
+
+@given(st.lists(rationals(), min_size=2, max_size=5), rationals())
+@settings(max_examples=60, deadline=None)
+def test_proportional_scalar_vectors(vec, scale):
+    nonzero = any(v != 0 for v in vec)
+    assert proportional(vec, [scale * v for v in vec]) == (nonzero and scale != 0)
+    bumped = list(vec)
+    bumped[0] += 1
+    if nonzero and proportional(vec, bumped):
+        # only a vector supported on its first entry survives the bump
+        assert all(v == 0 for v in vec[1:])
+
+
+def test_proportional_polynomial_vectors():
+    x, y = RXY.gens()
+    u = [x, y, x * y]
+    assert proportional(u, [p * (x + 1) for p in u])
+    assert not proportional(u, [x, y, x * x])
+    assert not proportional(u, [RXY.zero()] * 3)
+    assert not proportional([RXY.zero()] * 3, [RXY.zero()] * 3)

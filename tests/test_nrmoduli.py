@@ -17,7 +17,6 @@ from spincert.nrmoduli import (
     distinguished_vector_polys,
     eval_at_branch,
     h_consistency,
-    k2_section_eval,
     kernel_at_branch,
     proportional_over_q,
     signed_permutation_record,
@@ -286,28 +285,3 @@ class TestKernelAtBranch:
     def test_index_validation(self, config):
         with pytest.raises(ValueError):
             kernel_at_branch(config, 0)
-
-
-class TestK2SectionEval:
-    def test_constant_section(self, config):
-        for i in range(1, 7):
-            assert k2_section_eval(1, 0, 0, config, i) == 1
-
-    def test_linear_section(self, config):
-        for i in range(1, 7):
-            assert k2_section_eval(0, 1, 0, config, i) == config.point(i)
-
-    def test_double_root_section(self, config):
-        for i in range(1, 7):
-            xi = config.point(i)
-            assert k2_section_eval(xi * xi, -2 * xi, 1, config, i) == 0
-
-    def test_linearity(self, config):
-        rng = random.Random(5)
-        for _ in range(10):
-            a = [Fraction(rng.randint(-9, 9)) for _ in range(3)]
-            b = [Fraction(rng.randint(-9, 9)) for _ in range(3)]
-            i = rng.randint(1, 6)
-            lhs = k2_section_eval(a[0] + b[0], a[1] + b[1], a[2] + b[2], config, i)
-            rhs = k2_section_eval(*a, config, i) + k2_section_eval(*b, config, i)
-            assert lhs == rhs

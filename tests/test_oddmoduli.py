@@ -27,7 +27,6 @@ from spincert.oddmoduli import (
     embed,
     embed_point,
     even_theta_obstruction,
-    four_triple_family,
     implicit_sigma_invariance,
     involution_conjugation_check,
     involution_matrix,
@@ -315,18 +314,6 @@ class TestFamilyAndConjugation:
     def test_conjugation_rejects_collinear(self, E, places):
         with pytest.raises(ValueError):
             involution_conjugation_check(E, triple_of(places, 0, 1, 2))
-
-    def test_family_generic(self, E, places):
-        fam = four_triple_family(E, triple_of(places, 0, 3, 6))
-        assert fam["verdicts_agree"] is True
-        assert len(fam["reports"]) == 4
-        assert not any(r.get("degenerate") for r in fam["reports"])
-
-    def test_family_flags_degenerate_variants(self, E, places):
-        fam = four_triple_family(E, triple_of(places, 6, 7, 3))
-        degenerate = [r for r in fam["reports"] if r.get("degenerate")]
-        assert len(degenerate) == 2
-        assert fam["verdicts_agree"] is True
 
 
 class TestEvenTheta:

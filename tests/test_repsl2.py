@@ -11,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spincert import VerificationError
-from spincert.exactalg import MultiPoly, PolyRing, QQ, det
+from spincert.exactalg import MultiPoly, PolyRing, QQ, rank
 from spincert.repsl2 import (
     GENERATORS,
     BinaryForm,
-    degree_bookkeeping,
     equivariance_check,
     generator_action,
     invariance_check,
@@ -67,7 +66,7 @@ def test_pairing_nondegenerate(m):
     for i in range(m + 1):
         for j in range(m + 1):
             assert mat[i][j] == -mat[j][i]
-    assert det(mat) != 0
+    assert rank(mat) == len(mat)
 
 
 def test_generator_frozen_actions():
@@ -191,11 +190,3 @@ def test_isotropy_certificate():
     b = [BinaryForm.basis_vector(3, j) for j in range(4)]
     assert symplectic_form(b[2], b[3]) == 0
     assert symplectic_form(b[0], b[3]) == 6
-
-
-def test_degree_bookkeeping():
-    assert degree_bookkeeping(2, 0) == 1
-    assert degree_bookkeeping(3, 1) == 1
-    assert degree_bookkeeping(2, 1) == 0
-    with pytest.raises(ValueError):
-        degree_bookkeeping(1, 0)

@@ -15,7 +15,6 @@ from spincert.thetachar import (
     parity,
     parity_counts,
     quad_form_counts,
-    w2_parity_shift,
 )
 
 CLOSED_COUNTS = {
@@ -122,12 +121,3 @@ def test_crosscheck_with_external_table():
         arf_model_crosscheck(2, bad)
     with pytest.raises(VerificationError):
         arf_model_crosscheck(2, {frozenset({1}): 1})
-
-
-def test_w2_parity_shift():
-    assert w2_parity_shift(3, 0, 0) == 0
-    assert w2_parity_shift(3, 0, 1) == 1
-    assert w2_parity_shift(3, 1, 0) == 1
-    assert w2_parity_shift(1, 1, 1) == 0
-    with pytest.raises(ValueError):
-        w2_parity_shift(2, 0, 0)
