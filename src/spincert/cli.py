@@ -52,6 +52,7 @@ from .hyperell import (
     rr_space,
     spin_power_divisor,
     standard_curve,
+    theta_complement_witness,
 )
 from .instanton import (
     Connection,
@@ -383,10 +384,22 @@ def run_parity(opts):
         want = {"trivial": 1, "canonical": 2, "spin_cube": 2, "spin_fifth": 4}
         return {"dimensions": dims, "expected": want, "passed": dims == want}
 
+    def complement_witnesses():
+        # theta_complement_witness raises unless div(h) = theta(T) - theta(T^c)
+        certified = []
+        for cls in enumerate_chars(2):
+            theta_complement_witness(curve, cls.members)
+            certified.append(sorted(cls.members))
+        return {"certified": certified, "passed": len(certified) == 16}
+
     return _suite_block(
         "parity",
         conventions,
-        [("three_way_class_table", three_way), ("rr_engine_dimensions", rr_dimensions)],
+        [
+            ("three_way_class_table", three_way),
+            ("rr_engine_dimensions", rr_dimensions),
+            ("theta_complement_witnesses", complement_witnesses),
+        ],
     )
 
 

@@ -1,8 +1,8 @@
 """Exact function-field computations on hyperelliptic curves y^2 = f(x)
-with distinct rational branch points: places and valuations via exact
-local power series, divisors, square-root divisor classes with explicit
-equivalence witnesses, and a Riemann-Roch space engine that re-checks
-the Riemann-Roch identity on every call.
+with distinct rational branch points: places with exact local power
+series, closed-form valuations, divisors, square-root divisor classes
+with explicit equivalence witnesses, and a Riemann-Roch space engine
+that re-checks the Riemann-Roch identity on every call.
 
 The model is the even one: deg f = 2g+2, monic-up-to-square leading
 coefficient, two rational places over x = infinity.  Divisor support is
@@ -15,7 +15,7 @@ arithmetic inside the rationals.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd as int_gcd, isqrt
+from math import comb, gcd as int_gcd, inf, isqrt
 
 from . import VerificationError
 
@@ -179,22 +179,18 @@ class UPoly:
             content = int_gcd(content, v)
         ints = [v // content for v in ints]
         a0, an = abs(ints[0]), abs(ints[-1])
+        # each root found is divided out, so later candidates meet a
+        # smaller cofactor and the search ends once p is a constant
         for pnum in _divisors(a0):
             for qden in _divisors(an):
                 for sign in (1, -1):
                     r = Fraction(sign * pnum, qden)
-                    if r in out:
+                    if r in out or p.eval(r) != 0:
                         continue
-                    if p.eval(r) == 0:
-                        mult = 0
-                        q = p
-                        while True:
-                            quo, rem = q.divmod(UPoly.x_minus(r))
-                            if not rem.is_zero:
-                                break
-                            mult += 1
-                            q = quo
-                        out[r] = mult
+                    mult, p = _root_order(p, r)
+                    out[r] = mult
+                    if p.degree < 1:
+                        return out
         return out
 
     def __repr__(self):
@@ -213,6 +209,25 @@ def _divisors(n):
                 out.append(n // k)
         k += 1
     return sorted(out)
+
+
+def _root_order(p: UPoly, x0):
+    """(k, q) with p = (x - x0)^k q and q(x0) != 0, by repeated
+    synthetic division; the zero polynomial has order infinity."""
+    if p.is_zero:
+        return inf, p
+    cs = p.coeffs
+    k = 0
+    while True:
+        acc = Fraction(0)
+        quo = []
+        for c in reversed(cs):
+            acc = acc * x0 + c
+            quo.append(acc)
+        if quo.pop():
+            return k, UPoly(cs) if k else p
+        cs = quo[::-1]
+        k += 1
 
 
 def rational_sqrt(v):
@@ -755,17 +770,52 @@ class FieldElem:
         return (num * den.invert()).truncate(prec)
 
     def valuation(self, place: Place) -> int:
+        """Order of h = (a + b y)/den at a place, in closed form from the
+        root orders of a, b, den and the norm N = a^2 - b^2 f; no series
+        is built (Cantor, "Computing in the Jacobian of a hyperelliptic
+        curve", Math. Comp. 48 (1987)).  ord is the order of x0 as a root;
+        a zero polynomial has infinite order and drops out of the minima.
+
+        - Branch place x0 (uniformizer y, so v(x - x0) = 2):
+          v = min(2 ord a, 2 ord b + 1) - 2 ord den.  The two terms have
+          different parities, so they never cancel.
+        - Split place (x0, y0) (uniformizer x - x0): take out the common
+          factor (x - x0)^k of a and b, leaving a', b'.  If
+          a'(x0) + b'(x0) y0 != 0 then v = k - ord den.  Otherwise the
+          conjugate a' - b' y is a unit there, so
+          v = k + ord N' - ord den with N' = a'^2 - b'^2 f.
+        - Infinite place of sign s (uniformizer 1/x, y ~ s lead_sqrt
+          x^(g+1)): if deg a != deg b + g + 1, or
+          a_lead + s lead_sqrt b_lead != 0, then
+          v = deg den - max(deg a, deg b + g + 1).  Otherwise the conjugate
+          keeps the full degree on this sheet and
+          v = deg den - (deg N - deg a).
+        """
         if self.is_zero:
             raise ValueError("zero element has no valuation")
-        bound = _valuation_bound(self, place)
-        prec = 16
-        while True:
-            series = self.expand_at(place, min(prec, bound + 1))
-            if series.coeffs:
-                return series.val()
-            if prec > bound:
-                raise VerificationError("valuation exceeds its norm bound")
-            prec *= 2
+        a, b, den = self.a, self.b, self.den
+        if place.kind == "branch":
+            x0 = place.key
+            ka, kb, kd = (_root_order(p, x0)[0] for p in (a, b, den))
+            return min(2 * ka, 2 * kb + 1) - 2 * kd
+        if place.kind == "split":
+            x0, y0 = place.key
+            (ka, qa), (kb, qb) = _root_order(a, x0), _root_order(b, x0)
+            kd = _root_order(den, x0)[0]
+            k = min(ka, kb)
+            lead = qa.eval(x0) if ka == k else 0
+            if kb == k:
+                lead += qb.eval(x0) * y0
+            if lead:
+                return k - kd
+            # ord N' = ord N - 2k
+            return _root_order(self.norm_pair()[0], x0)[0] - k - kd
+        da = a.degree if a.coeffs else -inf
+        db = b.degree + self.curve.genus + 1 if b.coeffs else -inf
+        top = max(da, db)
+        if da == db and a.lead() + place.key * self.curve.lead_sqrt * b.lead() == 0:
+            top = self.norm_pair()[0].degree - da
+        return den.degree - top
 
     def __repr__(self):
         return "FieldElem((%r) + (%r) y / (%r))" % (self.a, self.b, self.den)
@@ -776,15 +826,6 @@ def _prec_pad(h: FieldElem, place: Place) -> int:
     # a branch denominator; an underestimate fails loudly in truncate
     degs = max(h.a.degree, h.b.degree, h.den.degree, 0)
     return 4 * degs + 2 * h.curve.genus + 10
-
-
-def _valuation_bound(h: FieldElem, place: Place) -> int:
-    """An exponent strictly above any possible valuation of h at the
-    place, from degree bookkeeping of the norm."""
-    num, den = h.norm_pair()
-    deg_gap = max(num.degree, 0) + max(den.degree, 0)
-    per_place = 2 if place.kind == "branch" else 1
-    return per_place * (deg_gap + 2) + h.curve.f.degree + 4
 
 
 def divisor_of(h: FieldElem) -> Divisor:
@@ -832,18 +873,17 @@ def divisor_of(h: FieldElem) -> Divisor:
 
 
 def canonical_divisor(curve: HyperCurve) -> Divisor:
-    """Divisor of the differential dx/y, computed from local series."""
+    """Divisor of the differential dx/y.  v(dx) is read from the place
+    kind: 1 at a branch place, where x - x0 is a unit times t^2, and -2
+    at infinity, where x = 1/t."""
     cached = curve._cache["canonical"]
     if cached is not None:
         return cached
     out = {}
     y = FieldElem.y_function(curve)
     for place in curve.all_standard_places():
-        prec = curve.f.degree + 8
-        xs, _ = place.local_series(prec)
-        v_dx = xs.derivative().val()
-        v_y = y.valuation(place)
-        v = v_dx - v_y
+        v_dx = 1 if place.kind == "branch" else -2
+        v = v_dx - y.valuation(place)
         if v:
             out[place] = v
     div = Divisor(out)
@@ -1052,7 +1092,7 @@ def rr_space(curve: HyperCurve, divisor: Divisor, check_identity=True) -> RRSpac
     support is complete for this support class; the Riemann-Roch
     identity (against an independently computed L(K - D)) is asserted
     on every outer call, and each basis element's pole bounds and
-    off-support regularity are re-verified from local series.
+    off-support regularity are re-verified from their valuations.
     """
     from .exactalg import nullspace
 

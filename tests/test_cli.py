@@ -184,6 +184,18 @@ class TestCurveFixture:
         assert code == 0
         assert report["suites"][0]["conventions"]["curve"][0] == "0"
 
+    def test_odd_and_parity_on_second_curve(self, tmp_path):
+        path = tmp_path / "curve.txt"
+        path.write_text(_fixture_text((0, 1, 2, 3, 4, -14)))
+        for argv in (
+            ["run", "odd", "--seed", "3", "--triples", "2"],
+            ["run", "parity"],
+        ):
+            out = tmp_path / "report.json"
+            assert main(argv + ["--curve", str(path), "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert report["suites"][0]["conventions"]["curve"][1] == "336"
+
     def test_genus_mismatch(self, tmp_path):
         path = tmp_path / "curve.txt"
         path.write_text("3\n" + _fixture_text((-1, 0, 1, 2, 3, 4)).split("\n")[1])

@@ -1,7 +1,8 @@
 """Curve, place, divisor, and Riemann-Roch engine tests.
 
 Oracles: series coefficients against hand-derived reversion formulas
-evaluated with sympy derivatives; dimension ladders against the known
+evaluated with sympy derivatives; closed-form valuations against the
+series expansion they replaced; dimension ladders against the known
 gap sequences; divisor computations against frozen expected values; the
 16-class parity table against the combinatorial model.
 """
@@ -197,6 +198,120 @@ def test_split_place_valuations(curve_with_split_point):
     assert (y - 120).valuation(plus) == 1
     assert (y - 120).valuation(minus) == 0
     assert (y + 120).valuation(minus) == 1
+
+
+# The series valuation that the closed form replaced, kept as the test
+# oracle: expand at the place, doubling the precision until a term
+# shows, up to a bound from degree bookkeeping of the norm.
+def _series_valuation(h, place):
+    num, den = h.norm_pair()
+    deg_gap = max(num.degree, 0) + max(den.degree, 0)
+    per_place = 2 if place.kind == "branch" else 1
+    bound = per_place * (deg_gap + 2) + h.curve.f.degree + 4
+    prec = 16
+    while True:
+        series = h.expand_at(place, min(prec, bound + 1))
+        if series.coeffs:
+            return series.val()
+        if prec > bound:
+            raise VerificationError("valuation exceeds its norm bound")
+        prec *= 2
+
+
+# roots and split points of the curves the oracle test draws on
+ORACLE_CURVES = {
+    "standard": (range(6), ()),
+    "split": ((0, 1, 2, 3, 4, -14), ((6, 120), (6, -120))),
+    "genus3": (range(8), ()),
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_places():
+    """Per oracle curve: the branch places over the smallest and largest
+    root (one of them over x = 0), both infinite places and the split
+    places.  Their local series are computed once at precision 64, which
+    covers every expansion the oracle makes for the elements drawn
+    below; grown on demand, the cache would double past it."""
+    out = {}
+    for name, (roots, points) in ORACLE_CURVES.items():
+        c = HyperCurve.from_roots(roots)
+        places = [c.branch_place(1), c.branch_place(len(c.roots))]
+        places += [c.infinite_place(1), c.infinite_place(-1)]
+        places += [c.split_place(x0, y0) for x0, y0 in points]
+        for place in places:
+            place.local_series(64)
+        out[name] = places
+    return out
+
+
+def _sheet_cancellers(places):
+    """(a, b) pairs for a + b y that hit the rare branches: y -+ x^(g+1)
+    cancel their leading terms on one infinite sheet, y -+ y0 vanish on
+    one sheet over a split x-value."""
+    c = places[0].curve
+    one = UPoly((1,))
+    monomial = UPoly.x_minus(0) ** (c.genus + 1) * c.lead_sqrt
+    out = [(-monomial, one), (monomial, one)]
+    for place in places:
+        if place.kind == "split":
+            out.append((UPoly.const(-place.key[1]), one))
+    return out
+
+
+small_poly = st.lists(st.integers(min_value=-3, max_value=3), max_size=3).map(UPoly)
+shift = st.integers(min_value=0, max_value=1)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_valuation_matches_series_oracle(oracle_places, name, data):
+    places = oracle_places[name]
+    a, b = data.draw(small_poly), data.draw(small_poly)
+    den = data.draw(small_poly.filter(lambda p: not p.is_zero))
+    # powers of (x - x0) make a, b or den vanish over a finite place
+    ja, jb, jd = data.draw(shift), data.draw(shift), data.draw(shift)
+    if data.draw(st.booleans()):
+        # a multiple p (ca + cb y) of a sheet canceller
+        ca, cb = data.draw(st.sampled_from(_sheet_cancellers(places)))
+        a, b, jb = a * ca, a * cb, ja
+    finite_x = sorted(
+        {p.key[0] if p.kind == "split" else p.key for p in places if p.kind != "inf"}
+    )
+    xm = UPoly.x_minus(data.draw(st.sampled_from(finite_x)))
+    h = FieldElem(places[0].curve, a * xm**ja, b * xm**jb, den * xm**jd)
+    if h.is_zero:
+        return
+    for place in places:
+        assert h.valuation(place) == _series_valuation(h, place), place
+
+
+def test_valuation_rare_branches_frozen(curve, curve_with_split_point):
+    c = curve_with_split_point
+    plus, minus = c.split_place(6, 120), c.split_place(6, -120)
+    # y - x^3: leading terms cancel on the + sheet, where
+    # y = x^3 - 15/2 x^2 + ..., and add on the - sheet
+    cancel_inf = FieldElem(curve, UPoly((0, 0, 0, -1)), 1)
+    # (x - 6)^2 (y - 120): after the common factor, y - 120 vanishes on
+    # the (6, 120) sheet only, to the order of f - 120^2 at x = 6
+    sq = UPoly.x_minus(6) ** 2
+    cancel_split = FieldElem(c, sq * -120, sq)
+    # denominators vanishing at the place
+    pole_split = FieldElem(c, -120, 1, UPoly.x_minus(6))
+    pole_branch = FieldElem(curve, UPoly(), 1, UPoly.x_minus(0) ** 2)
+    cases = [
+        (cancel_inf, curve.infinite_place(1), -2),
+        (cancel_inf, curve.infinite_place(-1), -3),
+        (cancel_split, plus, 3),
+        (cancel_split, minus, 2),
+        (pole_split, plus, 0),
+        (pole_split, minus, -1),
+        (pole_branch, curve.branch_place(1), -3),
+    ]
+    for h, place, want in cases:
+        assert h.valuation(place) == want
+        assert _series_valuation(h, place) == want
 
 
 def test_split_place_rejects_bad_points(curve):
