@@ -228,9 +228,9 @@ def run_clifford(opts):
     )
 
 
-def _perturbed_connection():
-    base = bpst_connection()
-    comps = list(base.components)
+def _perturbed_connection(conn):
+    """The negative control: ``conn`` with its first component doubled."""
+    comps = list(conn.components)
     comps[0] = comps[0] * Fraction(2)
     return Connection(comps)
 
@@ -245,7 +245,9 @@ def _nonzero_form_keys(f):
 
 def run_instanton(opts):
     gamma_record = GammaRep().asd_action_record()
-    conn = _perturbed_connection() if opts.perturb else bpst_connection()
+    conn = bpst_connection()
+    if opts.perturb:
+        conn = _perturbed_connection(conn)
     conventions = {
         "asd_spinor_block": gamma_record["acts_on"],
         "perturbed_input": bool(opts.perturb),
@@ -270,7 +272,7 @@ def run_instanton(opts):
     def perturbed_control():
         if opts.perturb:
             return {"_skipped": True, "reason": "whole suite already perturbed"}
-        bad_conn = _perturbed_connection()
+        bad_conn = _perturbed_connection(conn)
         plus, _ = sd_asd_split(curvature(bad_conn))
         sd_keys = _nonzero_form_keys(plus)
         ym_keys = _nonzero_form_keys(yang_mills_residual(bad_conn))

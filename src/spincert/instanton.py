@@ -1,16 +1,25 @@
 """The standard charge-one anti-self-dual SU(2) connection on flat
-4-space in quaternionic form, with exact rational-function arithmetic,
-and certified production of coupled Dirac solutions by Clifford-acting
-its curvature on the flat affine spinor family.
+4-space in quaternionic form, and certified production of coupled Dirac
+solutions by Clifford-acting its curvature on the flat affine spinor
+family.
 
 Everything here is symbolic over the Gaussian rationals: connections and
-curvatures are 2x2 trace-free matrices of rational functions in the four
-coordinates, equalities are identities of rational functions, and every
-verification is exact.  Conventions (orientation, duality split, spin
-representation) are imported from the clifford module and never
-re-chosen here; the one deterministic escape hatch is an orientation
-relabel (swap the last two coordinates) if the quaternionic curvature
-were to come out self-dual under those conventions.
+curvatures are 2x2 trace-free matrices whose entries are functions of
+the four coordinates, and every verification is exact.  Every
+denominator that occurs is a power of rho = 1 + |x|^2, so an entry is
+stored as a pair (p, k) meaning p / rho^k with p in Q(i)[x1..x4].  Sums
+lift both numerators to the larger power, products add the powers, and
+the derivative is
+
+    d_i (p / rho^k) = (d_i p * rho - k * p * d_i rho) / rho^(k+1),
+
+which is just d_i p when k = 0.  Since rho^k is a nonzero polynomial,
+an entry is zero exactly when p is the zero polynomial, so no gcd or
+trial division is ever needed.  Conventions (orientation, duality
+split, spin representation) are imported from the clifford module and
+never re-chosen here; the one deterministic escape hatch is an
+orientation relabel (swap the last two coordinates) if the quaternionic
+curvature were to come out self-dual under those conventions.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from itertools import combinations
 
 from . import VerificationError
 from .clifford import GammaRep, Multivector, star_blade
-from .exactalg import Gaussian, MultiPoly, PolyRing, QI, RatFunc, rank
+from .exactalg import Gaussian, MultiPoly, PolyRing, QI, rank
 
 R4 = PolyRing(QI, ("x1", "x2", "x3", "x4"))
 RHO = R4.one() + sum((R4.gen(i) * R4.gen(i) for i in range(4)), R4.zero())
@@ -29,19 +38,121 @@ GAMMA = GammaRep()
 
 _SCALARS = (int, Fraction, Gaussian)
 
+# rho^0 and rho^1; higher powers are appended on first use
+_RHO_POWERS = [R4.one(), RHO]
+
+
+def _rho_pow(n):
+    while len(_RHO_POWERS) <= n:
+        _RHO_POWERS.append(_RHO_POWERS[-1] * RHO)
+    return _RHO_POWERS[n]
+
+
+class _RhoFrac:
+    """The entry p / rho^k, k >= 0; zero is stored with k = 0.
+
+    The pair is not reduced (p may be a multiple of rho), so equality is
+    a zero test on the difference."""
+
+    __slots__ = ("p", "k")
+
+    def __init__(self, p, k=0):
+        self.p = p
+        self.k = k if p.terms else 0
+
+    @property
+    def is_zero(self):
+        return not self.p.terms
+
+    def _lifted(self, k):
+        return self.p if k == self.k else self.p * _rho_pow(k - self.k)
+
+    def __add__(self, other):
+        try:
+            other = _as_rf(other)
+        except TypeError:
+            return NotImplemented
+        if not self.p.terms:
+            return other
+        if not other.p.terms:
+            return self
+        k = max(self.k, other.k)
+        return _RhoFrac(self._lifted(k) + other._lifted(k), k)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _RhoFrac(-self.p, self.k)
+
+    def __sub__(self, other):
+        try:
+            other = _as_rf(other)
+        except TypeError:
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        try:
+            other = _as_rf(other)
+        except TypeError:
+            return NotImplemented
+        return _RhoFrac(self.p * other.p, self.k + other.k)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """Division by a nonzero constant (k = 0, constant p) only."""
+        try:
+            other = _as_rf(other)
+        except TypeError:
+            return NotImplemented
+        if other.k or not other.p.is_constant():
+            raise ValueError("entries divide only by constants")
+        if other.is_zero:
+            raise ZeroDivisionError("division by zero")
+        return _RhoFrac(self.p * (1 / other.p.constant_value()), self.k)
+
+    def __eq__(self, other):
+        try:
+            other = _as_rf(other)
+        except TypeError:
+            return NotImplemented
+        return (self - other).is_zero
+
+    def derivative(self, var):
+        dp = self.p.derivative(var)
+        if not self.k:
+            return _RhoFrac(dp)
+        k_d_rho = R4.gen(var) * (2 * self.k)  # d_i rho = 2 x_i
+        return _RhoFrac(dp * RHO - self.p * k_d_rho, self.k + 1)
+
+    def eval(self, point):
+        value = self.p.eval(point)
+        if not self.k:
+            return value
+        r = RHO.eval(point)
+        if r.is_zero:
+            raise ZeroDivisionError("rho vanishes at the point")
+        return value / r**self.k
+
+    def __repr__(self):
+        return "<(%s) / rho^%d>" % (self.p.to_str(), self.k)
+
 
 def _as_rf(v):
-    if isinstance(v, RatFunc):
+    if isinstance(v, _RhoFrac):
         return v
     if isinstance(v, MultiPoly):
-        return RatFunc(v)
+        if v.ring != R4:
+            raise ValueError("entries live in the coordinate ring R4")
+        return _RhoFrac(v)
     if isinstance(v, _SCALARS):
-        return RatFunc.from_scalar(R4, v)
+        return _RhoFrac(R4.const(v))
     raise TypeError("cannot use %r as a matrix entry" % (v,))
 
 
 class Mat2:
-    """A 2x2 matrix of rational functions in the four coordinates."""
+    """A 2x2 matrix of p / rho^k entries in the four coordinates."""
 
     __slots__ = ("rows",)
 
@@ -129,13 +240,13 @@ class Mat2:
         return Mat2(tuple(tuple(v.derivative(var) for v in row) for row in self.rows))
 
     def subs_vars(self, assignment):
-        """Substitute polynomials for variables in every entry."""
+        """Substitute polynomials for variables in every entry; the
+        substitution must fix rho, as a coordinate permutation does."""
+        if RHO.subs(assignment) != RHO:
+            raise ValueError("the substitution does not fix rho")
         return Mat2(
             tuple(
-                tuple(
-                    RatFunc(v.num.subs(assignment), v.den.subs(assignment))
-                    for v in row
-                )
+                tuple(_RhoFrac(v.p.subs(assignment), v.k) for v in row)
                 for row in self.rows
             )
         )
@@ -143,20 +254,12 @@ class Mat2:
     def eval(self, point):
         return tuple(tuple(v.eval(point) for v in row) for row in self.rows)
 
-    def inverse(self):
-        d = self.det()
-        if d.is_zero:
-            raise ZeroDivisionError("singular matrix")
-        a, b = self.rows[0]
-        c, e = self.rows[1]
-        return Mat2(((e / d, -b / d), (-c / d, a / d)))
-
     def __repr__(self):
         return "Mat2(%s)" % (self.rows,)
 
 
 def _const(re=0, im=0):
-    return RatFunc(R4.const(Gaussian(re, im)))
+    return _RhoFrac(R4.const(Gaussian(re, im)))
 
 
 _M0 = Mat2(((0, 0), (0, 0)))
@@ -277,8 +380,8 @@ def bpst_connection() -> Connection:
     conj_units = (-mi, -mj, -mk, m1)
     x = Mat2.zero()
     for i, q in enumerate(units):
-        x = x + q * RatFunc(R4.gen(i))
-    inv_rho = RatFunc(R4.one(), RHO)
+        x = x + q * R4.gen(i)
+    inv_rho = _RhoFrac(R4.one(), 1)
     comps = tuple(traceless_part(x * qc) * inv_rho for qc in conj_units)
     conn = Connection(comps)
     plus, minus = sd_asd_split(curvature(conn))
@@ -300,7 +403,7 @@ def bpst_connection() -> Connection:
 # flat affine spinor family
 # ----------------------------------------------------------------------
 
-_RF0 = RatFunc(R4.zero())
+_RF0 = _RhoFrac(R4.zero())
 
 
 def _zero_spinor():
@@ -324,7 +427,7 @@ def _gamma_linear_column(col):
             g = GAMMA.gamma[mu][r][col]
             if not g.is_zero:
                 p = p + R4.gen(mu) * g
-        comps.append(RatFunc(p))
+        comps.append(_RhoFrac(p))
     return tuple(comps)
 
 
@@ -488,20 +591,6 @@ def coupled_dirac(a, field: CoupledField) -> CoupledField:
                 if not g[r][c].is_zero:
                     out[r] = out[r] + theta[c] * g[r][c]
     return CoupledField(out)
-
-
-def gauge_conjugate(a, g: Mat2) -> Connection:
-    """Conjugate a connection by a constant invertible matrix."""
-    ginv = g.inverse()
-    return Connection(
-        tuple(g * m * ginv for m in _components(a)),
-        relabeled=getattr(a, "relabeled", False),
-    )
-
-
-def gauge_conjugate_field(field: CoupledField, g: Mat2) -> CoupledField:
-    ginv = g.inverse()
-    return CoupledField(tuple(g * m * ginv for m in field.components))
 
 
 # ----------------------------------------------------------------------

@@ -100,6 +100,77 @@ class TestRun:
 
 
 class TestNegativeControls:
+    def test_instanton_report_frozen(self):
+        code, report = run("instanton")
+        assert code == 0
+        sd_keys = ["1,2", "1,3", "1,4", "2,3", "2,4", "3,4"]
+        assert _strip_times(report) == {
+            "schema": 1,
+            "seed": DEFAULT_SEED,
+            "status": "pass",
+            "suites": [
+                {
+                    "suite": "instanton",
+                    "conventions": {
+                        "asd_spinor_block": "S+",
+                        "perturbed_input": False,
+                    },
+                    "status": "pass",
+                    "failed_checks": [],
+                    "checks": [
+                        {
+                            "name": "anti_self_dual_curvature",
+                            "status": "pass",
+                            "details": {
+                                "self_dual_part_components": [],
+                                "passed": True,
+                            },
+                        },
+                        {
+                            "name": "bianchi_identity",
+                            "status": "pass",
+                            "details": {"nonzero_components": [], "passed": True},
+                        },
+                        {
+                            "name": "yang_mills_equations",
+                            "status": "pass",
+                            "details": {"nonzero_components": [], "passed": True},
+                        },
+                        {
+                            "name": "coupled_dirac_solutions",
+                            "status": "pass",
+                            "details": {
+                                "check": "curvature_dirac_solutions",
+                                "convention_record": {
+                                    "acts_on": "S+",
+                                    "relabeled": False,
+                                },
+                                "connection_asd": True,
+                                "degenerate": False,
+                                "residual_zero": [True, True, True, True],
+                                "independent_count": 4,
+                                "passed": True,
+                            },
+                        },
+                        {
+                            "name": "perturbed_control",
+                            "status": "pass",
+                            "details": {
+                                "self_dual_part_components": sd_keys,
+                                "yang_mills_components": [
+                                    "1,2,3",
+                                    "1,2,4",
+                                    "1,3,4",
+                                    "2,3,4",
+                                ],
+                                "passed": True,
+                            },
+                        },
+                    ],
+                }
+            ],
+        }
+
     def test_perturbed_instanton_names_components(self):
         code, report = run("instanton", perturb=True)
         assert code == 1

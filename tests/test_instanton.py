@@ -1,12 +1,17 @@
 """Charge-one anti-self-dual connection: construction, curvature,
 duality split, the affine spinor family, and the exact coupled Dirac
-certificates with their negative controls."""
+certificates with their negative controls.  The p / rho^k entry type is
+checked against RatFunc as an independent oracle."""
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spincert.clifford import Multivector
+from spincert.clifford import Multivector, star_blade
 from spincert.exactalg import Gaussian, MultiPoly, QI, RatFunc, rank
 from spincert.instanton import (
     GAMMA,
@@ -16,6 +21,7 @@ from spincert.instanton import (
     CoupledField,
     Mat2,
     _EVAL_POINTS,
+    _RhoFrac,
     asd_check,
     bianchi_residual,
     bpst_connection,
@@ -25,8 +31,6 @@ from spincert.instanton import (
     curvature_acts,
     flat_dirac,
     form_is_zero,
-    gauge_conjugate,
-    gauge_conjugate_field,
     quaternion_units,
     sd_asd_split,
     twistor_basis,
@@ -51,23 +55,44 @@ def curv(conn):
 
 
 def _x(i):
-    return RatFunc(R4.gen(i - 1))
+    return _RhoFrac(R4.gen(i - 1))
 
 
 def _inv_rho():
-    return RatFunc(R4.one(), RHO)
+    return _RhoFrac(R4.one(), 1)
 
 
 def _conj_transpose(m: Mat2) -> Mat2:
     def conj_rf(v):
-        def conj_poly(p):
-            return MultiPoly(p.ring, {e: c.conjugate() for e, c in p.terms.items()})
-
-        return RatFunc(conj_poly(v.num), conj_poly(v.den))
+        # rho has real coefficients, so only the numerator is conjugated
+        return _RhoFrac(
+            MultiPoly(v.p.ring, {e: c.conjugate() for e, c in v.p.terms.items()}),
+            v.k,
+        )
 
     r = m.rows
     return Mat2(((conj_rf(r[0][0]), conj_rf(r[1][0])),
                  (conj_rf(r[0][1]), conj_rf(r[1][1]))))
+
+
+def _inverse(m: Mat2) -> Mat2:
+    """Inverse of a matrix with constant nonzero determinant."""
+    d = m.det()
+    (a, b), (c, e) = m.rows
+    return Mat2(((e / d, -b / d), (-c / d, a / d)))
+
+
+def gauge_conjugate(a: Connection, g: Mat2) -> Connection:
+    """Conjugate a connection by a constant invertible matrix."""
+    ginv = _inverse(g)
+    return Connection(
+        tuple(g * m * ginv for m in a.components), relabeled=a.relabeled
+    )
+
+
+def gauge_conjugate_field(field: CoupledField, g: Mat2) -> CoupledField:
+    ginv = _inverse(g)
+    return CoupledField(tuple(g * m * ginv for m in field.components))
 
 
 def test_bpst_components_frozen(conn):
@@ -91,7 +116,7 @@ def test_bpst_is_su2_valued_and_regular(conn):
         assert m.eval(origin) == ((Gaussian(0), Gaussian(0)), (Gaussian(0), Gaussian(0)))
         for row in m.rows:
             for v in row:
-                assert v.den == R4.one() or v.den == RHO
+                assert v.k in (0, 1)
 
 
 def test_connection_rejects_traceful_components():
@@ -104,22 +129,22 @@ def test_curvature_zero_and_abelian_oracle():
     assert form_is_zero(curvature(zero_connection()))
     h = R4.gen(1) * R4.gen(1)
     diag = Mat2(((Gaussian(0, 1), 0), (0, Gaussian(0, -1))))
-    a1 = diag * RatFunc(h)
+    a1 = diag * _RhoFrac(h)
     a = Connection((a1, Mat2.zero(), Mat2.zero(), Mat2.zero()))
     f = curvature(a)
-    hprime = RatFunc(h.derivative(1))
+    hprime = _RhoFrac(h.derivative(1))
     assert (f[(1, 2)] - diag * (-hprime)).is_zero
     for key in ((1, 3), (1, 4), (2, 3), (2, 4), (3, 4)):
         assert f[key].is_zero
 
 
 def test_bianchi_holds_for_arbitrary_connection():
-    a1 = Mat2(((Gaussian(0, 1), 0), (0, Gaussian(0, -1)))) * RatFunc(
+    a1 = Mat2(((Gaussian(0, 1), 0), (0, Gaussian(0, -1)))) * _RhoFrac(
         R4.gen(0) * R4.gen(0)
     )
-    a2 = MJ * RatFunc(R4.gen(2))
-    a3 = MK * RatFunc(R4.gen(0) * R4.gen(3))
-    a4 = MI * RatFunc(R4.gen(1) + R4.one())
+    a2 = MJ * _RhoFrac(R4.gen(2))
+    a3 = MK * _RhoFrac(R4.gen(0) * R4.gen(3))
+    a4 = MI * _RhoFrac(R4.gen(1) + R4.one())
     a = Connection((a1, a2, a3, a4))
     assert all(m.is_zero for m in bianchi_residual(a).values())
 
@@ -138,7 +163,7 @@ def test_bpst_curvature_is_anti_self_dual(conn, curv):
         assert (starred[key] + m).is_zero
         assert ((plus[key] + m) - curv[key]).is_zero
     two = Fraction(2)
-    inv2 = RatFunc(R4.one(), RHO * RHO)
+    inv2 = _RhoFrac(R4.one(), 2)
     assert (curv[(1, 2)] - MK * (-two) * inv2).is_zero
     assert (curv[(3, 4)] - MK * two * inv2).is_zero
 
@@ -171,12 +196,12 @@ def test_flat_dirac_of_linear_field_is_minus_four_constants():
         d = flat_dirac(s.components)
         for r in range(4):
             want = Gaussian(-4) * s.psi1[r]
-            assert (d[r] - RatFunc(R4.const(want))).is_zero
+            assert (d[r] - _RhoFrac(R4.const(want))).is_zero
 
 
 def test_twistor_residual_rejects_quadratic_field():
-    quad = RatFunc(R4.gen(0) * R4.gen(0))
-    zero = RatFunc(R4.zero())
+    quad = _RhoFrac(R4.gen(0) * R4.gen(0))
+    zero = _RhoFrac(R4.zero())
     res = twistor_residual((quad, zero, zero, zero))
     assert any(not v.is_zero for comp in res for v in comp)
     res0 = twistor_residual((zero, zero, zero, zero))
@@ -194,7 +219,7 @@ def test_coupled_dirac_flat_cases():
     tensored = CoupledField(tuple(diag * v for v in lin.components))
     got = coupled_dirac(zero_connection(), tensored)
     want = CoupledField(
-        tuple(diag * RatFunc(R4.const(Gaussian(-4) * s)) for s in lin.psi1)
+        tuple(diag * _RhoFrac(R4.const(Gaussian(-4) * s)) for s in lin.psi1)
     )
     assert (got - want).is_zero
 
@@ -253,7 +278,7 @@ def test_gauge_covariance_with_constant_unitary(conn, curv):
     a = Gaussian(Fraction(1, 3), Fraction(2, 3))
     b = Gaussian(Fraction(2, 3))
     g = Mat2(((a, b), (-b.conjugate(), a.conjugate())))
-    assert (g.det() - RatFunc(R4.one())).is_zero
+    assert (g.det() - _RhoFrac(R4.one())).is_zero
 
     sols = twistor_basis()
     psi = curvature_acts(curv, sols[1].components)
@@ -270,3 +295,267 @@ def test_curvature_action_lands_in_active_chirality_block(curv):
         assert any(not coupled.components[r].is_zero for r in active)
         for r in inactive:
             assert coupled.components[r].is_zero
+
+
+# ----------------------------------------------------------------------
+# the p / rho^k entry type against RatFunc(p, rho^k)
+# ----------------------------------------------------------------------
+
+# 1 + i^2 = 0, so rho vanishes here
+_RHO_ROOT = (Gaussian(0, 1), 0, 0, 0)
+
+
+@lru_cache(maxsize=None)
+def _rho_power(k):
+    return RHO**k
+
+
+def _oracle(v):
+    return RatFunc(v.p, _rho_power(v.k))
+
+
+def _equals_oracle(v, want):
+    """v == want, exactly; compares numerators when the oracle's
+    denominator is the same power of rho, to skip cross-multiplying."""
+    den = _rho_power(v.k)
+    if want.den == den:
+        return v.p == want.num
+    return RatFunc(v.p, den) == want
+
+
+def _small_polys():
+    coeff = st.builds(Gaussian, st.integers(-3, 3), st.integers(-3, 3))
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * 4), coeff)
+    return st.lists(term, max_size=3).map(
+        lambda ts: sum((MultiPoly(R4, {e: c}) for e, c in ts), R4.zero())
+    )
+
+
+@st.composite
+def _entries(draw):
+    """p / rho^k with k in 0..3; p is sometimes a multiple of rho."""
+    p = draw(_small_polys())
+    if draw(st.booleans()):
+        p = p * RHO
+    return _RhoFrac(p, draw(st.integers(0, 3)))
+
+
+@st.composite
+def _entry_pairs(draw):
+    """(a, b) where b is drawn afresh, or is +-a over a higher rho power,
+    so that equal values and zero sums and differences are reached."""
+    a = draw(_entries())
+    if draw(st.booleans()):
+        return a, draw(_entries())
+    j = draw(st.integers(0, 2))
+    b = _RhoFrac(a.p * _rho_power(j), a.k + j)
+    return a, (-b if draw(st.booleans()) else b)
+
+
+@given(_entry_pairs(), st.integers(0, 3))
+@settings(max_examples=50, deadline=None)
+def test_rho_entries_match_ratfunc_oracle(pair, var):
+    a, b = pair
+    oa, ob = _oracle(a), _oracle(b)
+    d, od = a.derivative(var), oa.derivative(var)
+    results = ((a + b, oa + ob), (a - b, oa - ob), (a * b, oa * ob), (d, od))
+    for got, want in results:
+        assert _equals_oracle(got, want)
+        assert got.is_zero == want.is_zero
+    assert (a == b) == (oa == ob)
+    for point in _EVAL_POINTS:
+        va, vb = oa.eval(point), ob.eval(point)
+        assert a.eval(point) == va and b.eval(point) == vb
+        assert (a + b).eval(point) == va + vb
+        assert (a - b).eval(point) == va - vb
+        assert (a * b).eval(point) == va * vb
+        assert d.eval(point) == od.eval(point)
+    if a.k:
+        with pytest.raises(ZeroDivisionError):
+            a.eval(_RHO_ROOT)
+        with pytest.raises(ZeroDivisionError):
+            oa.eval(_RHO_ROOT)
+    else:
+        assert a.eval(_RHO_ROOT) == oa.eval(_RHO_ROOT)
+
+
+def test_rho_entry_divides_only_by_nonzero_constants():
+    v = _RhoFrac(R4.gen(0), 2)
+    half = v / _RhoFrac(R4.const(2))
+    assert _oracle(half) == RatFunc(R4.gen(0), RHO * RHO * 2)
+    with pytest.raises(ZeroDivisionError):
+        v / _RhoFrac(R4.zero())
+    with pytest.raises(ValueError):
+        v / _RhoFrac(R4.gen(1))
+    with pytest.raises(ValueError):
+        v / _RhoFrac(R4.one(), 1)
+
+
+# ----------------------------------------------------------------------
+# frozen oracle: the BPST computation on RatFunc entries
+# ----------------------------------------------------------------------
+# A transcription of the construction with RatFunc entries on plain 2x2
+# tuples; every entry it produces must equal the p / rho^k result.
+
+
+def _rc(re=0, im=0):
+    return RatFunc(R4.const(Gaussian(re, im)))
+
+
+def _oadd(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _oscale(a, s):
+    return tuple(tuple(x * s for x in row) for row in a)
+
+
+def _omul(a, b):
+    return tuple(
+        tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2))
+        for i in range(2)
+    )
+
+
+def _ocomm(a, b):
+    return _oadd(_omul(a, b), _oscale(_omul(b, a), -1))
+
+
+def _oderiv(a, i):
+    return tuple(tuple(x.derivative(i) for x in row) for row in a)
+
+
+def _ozero():
+    return ((_rc(), _rc()), (_rc(), _rc()))
+
+
+def _oracle_bpst(scale_first=1):
+    mi = ((_rc(), _rc(0, -1)), (_rc(0, -1), _rc()))
+    mj = ((_rc(), _rc(-1)), (_rc(1), _rc()))
+    mk = ((_rc(0, -1), _rc()), (_rc(), _rc(0, 1)))
+    m1 = ((_rc(1), _rc()), (_rc(), _rc(1)))
+    x = _ozero()
+    for i, q in enumerate((mi, mj, mk, m1)):
+        x = _oadd(x, _oscale(q, RatFunc(R4.gen(i))))
+    inv_rho = RatFunc(R4.one(), RHO)
+    comps = []
+    for qc in (_oscale(mi, -1), _oscale(mj, -1), _oscale(mk, -1), m1):
+        m = _omul(x, qc)
+        half_trace = (m[0][0] + m[1][1]) * Fraction(1, 2)
+        traceless = _oadd(m, _oscale(m1, -half_trace))
+        comps.append(_oscale(traceless, inv_rho))
+    comps[0] = _oscale(comps[0], scale_first)
+    return comps
+
+
+def _ocurvature(comps):
+    return {
+        (m, n): _oadd(
+            _oadd(_oderiv(comps[n - 1], m - 1), _oscale(_oderiv(comps[m - 1], n - 1), -1)),
+            _ocomm(comps[m - 1], comps[n - 1]),
+        )
+        for m, n in combinations(range(1, 5), 2)
+    }
+
+
+def _mask(m, n):
+    return (1 << (m - 1)) | (1 << (n - 1))
+
+
+def _ostar(f):
+    out = {}
+    for (m, n), mat in f.items():
+        comp, s = star_blade(_mask(m, n))
+        key = tuple(i + 1 for i in range(4) if comp >> i & 1)
+        out[key] = _oscale(mat, s)
+    return out
+
+
+def _ocovariant_d(comps, g2):
+    def d_dir(i, m):
+        return _oadd(_oderiv(m, i - 1), _ocomm(comps[i - 1], m))
+
+    return {
+        (lam, mu, nu): _oadd(
+            _oadd(d_dir(lam, g2[(mu, nu)]), _oscale(d_dir(mu, g2[(lam, nu)]), -1)),
+            d_dir(nu, g2[(lam, mu)]),
+        )
+        for lam, mu, nu in combinations(range(1, 5), 3)
+    }
+
+
+def _ocurvature_acts(f, psi):
+    out = [_ozero() for _ in range(4)]
+    for (m, n), mat in f.items():
+        phi = GAMMA.act(Multivector.blade(_mask(m, n)), psi)
+        for r in range(4):
+            if not phi[r].is_zero:
+                out[r] = _oadd(out[r], _oscale(mat, phi[r]))
+    return out
+
+
+def _ocoupled_dirac(comps, field):
+    out = [_ozero() for _ in range(4)]
+    for i in range(4):
+        theta = [_oadd(_oderiv(m, i), _ocomm(comps[i], m)) for m in field]
+        g = GAMMA.gamma[i]
+        for r in range(4):
+            for c in range(4):
+                if not g[r][c].is_zero:
+                    out[r] = _oadd(out[r], _oscale(theta[c], g[r][c]))
+    return out
+
+
+def _assert_mat_equal(got: Mat2, want):
+    for i in range(2):
+        for j in range(2):
+            assert _equals_oracle(got.entry(i, j), want[i][j])
+
+
+def _nonzero(mats):
+    return any(not x.is_zero for m in mats for row in m for x in row)
+
+
+@pytest.mark.parametrize("scale_first", [1, 2], ids=["bpst", "perturbed"])
+def test_bpst_matches_ratfunc_transcription(conn, scale_first):
+    assert conn.relabeled is False
+    comps = list(conn.components)
+    comps[0] = comps[0] * Fraction(scale_first)
+    a = Connection(comps)
+    ocomps = _oracle_bpst(scale_first)
+    for got, want in zip(a.components, ocomps):
+        _assert_mat_equal(got, want)
+
+    f, of = curvature(a), _ocurvature(ocomps)
+    for key in of:
+        _assert_mat_equal(f[key], of[key])
+    obianchi = _ocovariant_d(ocomps, of)
+    for key, m in bianchi_residual(a).items():
+        _assert_mat_equal(m, obianchi[key])
+    oym = _ocovariant_d(ocomps, _ostar(of))
+    for key, m in yang_mills_residual(a).items():
+        _assert_mat_equal(m, oym[key])
+
+    dirac_values = []
+    for s in twistor_basis():
+        field = curvature_acts(f, s.components)
+        ofield = _ocurvature_acts(of, tuple(_oracle(v) for v in s.components))
+        for got, want in zip(field.components, ofield):
+            _assert_mat_equal(got, want)
+        odirac = _ocoupled_dirac(ocomps, ofield)
+        for got, want in zip(coupled_dirac(a, field).components, odirac):
+            _assert_mat_equal(got, want)
+        dirac_values.extend(odirac)
+    # the control leaves nonzero Yang-Mills and Dirac values to compare
+    assert _nonzero(oym.values()) == (scale_first != 1)
+    assert _nonzero(dirac_values) == (scale_first != 1)
+
+
+def test_subs_vars_takes_only_rho_fixing_substitutions(conn):
+    swap = {2: R4.gen(3), 3: R4.gen(2)}
+    m = conn.components[0].subs_vars(swap)
+    # A_1 = (-x4 i - x3 j + x2 k) / rho with x3 and x4 exchanged
+    want = (MI * (-_x(3)) + MJ * (-_x(4)) + MK * _x(2)) * _inv_rho()
+    assert (m - want).is_zero
+    with pytest.raises(ValueError):
+        conn.components[0].subs_vars({0: R4.gen(0) * 2})
