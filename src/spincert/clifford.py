@@ -405,8 +405,8 @@ class GammaRep:
         """Apply a represented multivector to a length-4 spinor.
 
         Spinor entries may be any values multipliable by Gaussian
-        coefficients (Gaussians themselves, or rational functions over a
-        Gaussian coefficient ring)."""
+        coefficients (Gaussians themselves, or the p / rho^k entries of
+        the instanton module)."""
         m = self.rep(w)
         out = []
         for r in range(4):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import QI, QQ, Gaussian
+from .scalars import Gaussian
 
 _SCALARS = (int, Fraction, Gaussian)
 
@@ -160,25 +160,12 @@ class MultiPoly:
             raise ValueError("not a constant polynomial")
         return next(iter(self.terms.values()))
 
-    def total_degree(self):
-        if self.is_zero:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def degree_in(self, var):
-        if self.is_zero:
-            return -1
-        return max(e[var] for e in self.terms)
-
     def lead(self):
         """Leading (exps, coeff) under descending lex order; error on zero."""
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
         exps = max(self.terms)
         return exps, self.terms[exps]
-
-    def coeff_of(self, exps):
-        return self.terms.get(tuple(exps), self.ring.field.zero())
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -250,12 +237,13 @@ class MultiPoly:
             raise ValueError("only nonnegative integer powers")
         out = self.ring.one()
         base = self
-        while n:
+        while True:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         other = self._check(other)

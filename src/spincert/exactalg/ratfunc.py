@@ -44,10 +44,6 @@ class RatFunc:
     def ring(self):
         return self.num.ring
 
-    @classmethod
-    def from_scalar(cls, ring, c):
-        return cls(ring.const(c))
-
     @property
     def is_zero(self):
         return self.num.is_zero

@@ -104,12 +104,13 @@ class UPoly:
             raise ValueError("negative power")
         out = UPoly((1,))
         base = self
-        while n:
+        while True:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -304,10 +305,6 @@ class LSeries:
             return NotImplemented
         return self + (-other)
 
-    def scale(self, c):
-        c = _fr(c)
-        return LSeries({e: v * c for e, v in self.coeffs.items()}, self.prec)
-
     def shift(self, k):
         return LSeries({e + k: c for e, c in self.coeffs.items()}, self.prec + k)
 
@@ -374,11 +371,6 @@ class LSeries:
                 acc += s[j] * s[k - j]
             s[k] = (u[k] - acc) / (2 * s[0])
         return LSeries({k + v // 2: c for k, c in enumerate(s)}, rel + v // 2)
-
-    def derivative(self):
-        return LSeries(
-            {e - 1: c * e for e, c in self.coeffs.items() if e != 0}, self.prec - 1
-        )
 
     def __repr__(self):
         items = " + ".join(
@@ -1158,44 +1150,6 @@ def _verify_membership(curve, divisor, d, basis):
                 raise VerificationError(
                     "basis element violates bound at %r" % (place,)
                 )
-
-
-def rr_space_split(curve: HyperCurve, divisor: Divisor):
-    """(even_dim, odd_dim, total_dim) for a sheet-involution-invariant
-    divisor.  The +1 eigenspace is the a(x)/d subspace and the -1
-    eigenspace the b(x)y/d subspace; their dimensions are computed by
-    restricting the constraint system to each block and must sum to the
-    full dimension."""
-    from .exactalg import nullspace
-
-    branch, split, inf = _group_divisor(curve, divisor)
-    if inf[1] != inf[-1]:
-        raise ValueError("divisor is not involution invariant")
-    for x0, ys in split.items():
-        if len(ys) != 2 or len(set(ys.values())) != 1:
-            raise ValueError("divisor is not involution invariant")
-    full = rr_space(curve, divisor)
-    d, na, nb, rows = _rr_system(curve, divisor)
-    ncols = (na + 1) + (nb + 1 if nb >= 0 else 0)
-    even = _block_nullity(rows, ncols, range(na + 1), nullspace)
-    odd = (
-        _block_nullity(rows, ncols, range(na + 1, ncols), nullspace)
-        if nb >= 0
-        else 0
-    )
-    if even + odd != full.dimension:
-        raise VerificationError("involution split does not fill the space")
-    return even, odd, full.dimension
-
-
-def _block_nullity(rows, ncols, cols, nullspace):
-    cols = list(cols)
-    if not cols:
-        return 0
-    if not rows:
-        return len(cols)
-    sub = [[row[c] for c in cols] for row in rows]
-    return len(nullspace(sub))
 
 
 def h0_all_theta(curve: HyperCurve):

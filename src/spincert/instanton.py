@@ -17,9 +17,7 @@ which is just d_i p when k = 0.  Since rho^k is a nonzero polynomial,
 an entry is zero exactly when p is the zero polynomial, so no gcd or
 trial division is ever needed.  Conventions (orientation, duality
 split, spin representation) are imported from the clifford module and
-never re-chosen here; the one deterministic escape hatch is an
-orientation relabel (swap the last two coordinates) if the quaternionic
-curvature were to come out self-dual under those conventions.
+never re-chosen here.
 """
 
 from __future__ import annotations
@@ -239,18 +237,6 @@ class Mat2:
     def derivative(self, var):
         return Mat2(tuple(tuple(v.derivative(var) for v in row) for row in self.rows))
 
-    def subs_vars(self, assignment):
-        """Substitute polynomials for variables in every entry; the
-        substitution must fix rho, as a coordinate permutation does."""
-        if RHO.subs(assignment) != RHO:
-            raise ValueError("the substitution does not fix rho")
-        return Mat2(
-            tuple(
-                tuple(_RhoFrac(v.p.subs(assignment), v.k) for v in row)
-                for row in self.rows
-            )
-        )
-
     def eval(self, point):
         return tuple(tuple(v.eval(point) for v in row) for row in self.rows)
 
@@ -285,9 +271,9 @@ def traceless_part(m: Mat2) -> Mat2:
 class Connection:
     """Four trace-free matrix components; an exact gauge potential."""
 
-    __slots__ = ("components", "relabeled")
+    __slots__ = ("components",)
 
-    def __init__(self, components, relabeled=False):
+    def __init__(self, components):
         comps = tuple(components)
         if len(comps) != 4:
             raise ValueError("a connection has four components")
@@ -297,7 +283,6 @@ class Connection:
             if not m.trace().is_zero:
                 raise ValueError("connection components must be trace-free")
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "relabeled", bool(relabeled))
 
     def __setattr__(self, name, value):
         raise AttributeError("Connection is immutable")
@@ -371,9 +356,8 @@ def asd_check(f: dict) -> bool:
 def bpst_connection() -> Connection:
     """The quaternionic charge-one connection Im(X qbar_mu)/(1+|x|^2).
 
-    The curvature is computed and its duality type checked; if it came
-    out self-dual under the fixed conventions the coordinate relabel
-    x3 <-> x4 would be applied once and recorded on the result.
+    The curvature is computed and must come out anti-self-dual under the
+    fixed conventions.
     """
     mi, mj, mk, m1 = quaternion_units()
     units = (mi, mj, mk, m1)
@@ -384,19 +368,9 @@ def bpst_connection() -> Connection:
     inv_rho = _RhoFrac(R4.one(), 1)
     comps = tuple(traceless_part(x * qc) * inv_rho for qc in conj_units)
     conn = Connection(comps)
-    plus, minus = sd_asd_split(curvature(conn))
-    if form_is_zero(plus):
-        return conn
-    if form_is_zero(minus):
-        swap = {2: R4.gen(3), 3: R4.gen(2)}
-        swapped = [m.subs_vars(swap) for m in comps]
-        swapped[2], swapped[3] = swapped[3], swapped[2]
-        conn = Connection(swapped, relabeled=True)
-        plus, _ = sd_asd_split(curvature(conn))
-        if not form_is_zero(plus):
-            raise VerificationError("relabel did not produce an anti-self-dual field")
-        return conn
-    raise VerificationError("curvature is neither self-dual nor anti-self-dual")
+    if not asd_check(curvature(conn)):
+        raise VerificationError("curvature is not anti-self-dual")
+    return conn
 
 
 # ----------------------------------------------------------------------
@@ -429,10 +403,6 @@ def _gamma_linear_column(col):
                 p = p + R4.gen(mu) * g
         comps.append(_RhoFrac(p))
     return tuple(comps)
-
-
-def _basis_spinor(col):
-    return tuple(_const(1) if r == col else _RF0 for r in range(4))
 
 
 def flat_dirac(components):
@@ -618,19 +588,18 @@ def independent_count(fields) -> int:
     return rank(rows)
 
 
-def verify_curvature_dirac_solutions(a, allow_non_asd=False) -> dict:
+def verify_curvature_dirac_solutions(a) -> dict:
     """Act the curvature on the affine family and certify that every
     produced field solves the coupled Dirac equation, with the count of
     independent solutions.
 
-    Raises ValueError on a non-anti-self-dual input unless
-    ``allow_non_asd`` is set (the flag exists so negative controls can
-    report their nonzero residuals instead of erroring out).
+    A curvature that is not anti-self-dual is reported, not rejected:
+    the check then fails, and a negative control still shows its nonzero
+    residuals.  ``relabeled`` is always false; it records that the
+    coordinates are used as given.
     """
     f = curvature(a)
     is_asd = asd_check(f)
-    if not is_asd and not allow_non_asd:
-        raise ValueError("curvature is not anti-self-dual")
     degenerate = form_is_zero(f)
     produced = []
     residual_zero = []
@@ -644,7 +613,7 @@ def verify_curvature_dirac_solutions(a, allow_non_asd=False) -> dict:
         "check": "curvature_dirac_solutions",
         "convention_record": {
             "acts_on": GAMMA.asd_action_record()["acts_on"],
-            "relabeled": getattr(a, "relabeled", False),
+            "relabeled": False,
         },
         "connection_asd": is_asd,
         "degenerate": degenerate,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from . import VerificationError
-from .exactalg import MultiPoly, PolyRing, QQ, RatFunc, nullspace, proportional
+from .exactalg import MultiPoly, PolyRing, QQ, nullspace, proportional
 from ._rtable_alt import ALT_TABLE
 
 _QP_NAMES = ("q1", "q2", "q3", "q4", "p1", "p2", "p3", "p4")
@@ -199,17 +199,23 @@ def h_consistency(
     table: RijTable = None,
     reference_table: RijTable = None,
 ) -> bool:
-    """The two displayed forms of the quadratic differential agree as a
-    rational function in all nine variables: the partial-fraction sum
-    over pairs equals the polynomial sum divided by the curve's y^2.
+    """The two displayed forms of the quadratic differential agree: the
+    partial-fraction sum over pairs of Q_ij / ((x - x_i)(x - x_j)) equals
+    the polynomial sum of cofactor_ij * Q'_ij divided by the curve's y^2,
+    where cofactor_ij = y^2 / ((x - x_i)(x - x_j)).  Since y^2 is a
+    nonzero polynomial, the identity is checked after multiplying it
+    through by y^2, as the polynomial identity
 
-    The partial-fraction side is built from ``table`` (default: the
-    parsed primary transcription) and the polynomial side from
-    ``reference_table`` (default: the independently keyed copy), so the
-    identity doubles as an end-to-end transcription check: one sign slip
-    in either copy breaks it.  Sums run over unordered pairs; the
-    ordered-sum convention differs by an overall factor of two on both
-    sides, which cancels.
+        sum over pairs of cofactor_ij * (Q_ij - Q'_ij) = 0
+
+    in all nine variables.
+
+    Q comes from ``table`` (default: the parsed primary transcription)
+    and Q' from ``reference_table`` (default: the independently keyed
+    copy), so the identity doubles as an end-to-end transcription check:
+    one sign slip in either copy breaks it.  Sums run over unordered
+    pairs; the ordered-sum convention differs by an overall factor of
+    two on both sides, which cancels.
     """
     if table is None:
         table = build_r_table()
@@ -218,21 +224,15 @@ def h_consistency(
     ring = QPX_RING
     x = ring.gen(8)
     lin_factors = {i: x - config.point(i) for i in range(1, 7)}
-    y2 = ring.one()
-    for i in range(1, 7):
-        y2 = y2 * lin_factors[i]
-    partial = RatFunc.from_scalar(ring, 0)
-    polynomial = ring.zero()
+    total = ring.zero()
     for (i, j) in table.pairs:
-        partial = partial + RatFunc(
-            table.quadratic(i, j, ring), lin_factors[i] * lin_factors[j]
-        )
         cofactor = ring.one()
         for k in range(1, 7):
             if k != i and k != j:
                 cofactor = cofactor * lin_factors[k]
-        polynomial = polynomial + cofactor * reference_table.quadratic(i, j, ring)
-    return partial == RatFunc(polynomial, y2)
+        diff = table.quadratic(i, j, ring) - reference_table.quadratic(i, j, ring)
+        total = total + cofactor * diff
+    return total.is_zero
 
 
 def eval_at_branch(config: BranchConfig, i: int, table: RijTable = None) -> MultiPoly:
@@ -264,12 +264,12 @@ DISTINGUISHED_SUBSTITUTION = (
 )
 
 
-def _substitution_polys(ring):
-    out = {}
-    for b, (name, sgn) in enumerate(DISTINGUISHED_SUBSTITUTION):
+def distinguished_vector_polys(ring=Q_RING):
+    subs = []
+    for name, sgn in DISTINGUISHED_SUBSTITUTION:
         poly = ring.gen(ring.var_index(name))
-        out[4 + b] = poly if sgn == 1 else -poly
-    return out
+        subs.append(poly if sgn == 1 else -poly)
+    return tuple(subs)
 
 
 def verify_distinguished_covector(table: RijTable = None) -> dict:
@@ -278,7 +278,7 @@ def verify_distinguished_covector(table: RijTable = None) -> dict:
     cotangent vector: its pairing with q vanishes identically."""
     if table is None:
         table = build_r_table()
-    subs = _substitution_polys(QP_RING)
+    subs = {4 + b: poly for b, poly in enumerate(distinguished_vector_polys(QP_RING))}
     residuals = {}
     for j in range(2, 7):
         l = table.linear_form(1, j)
@@ -389,19 +389,6 @@ def kernel_at_branch(config: BranchConfig, i: int, table: RijTable = None) -> di
 def _lift_to_qp(poly: MultiPoly) -> MultiPoly:
     terms = {exps + (0, 0, 0, 0): c for exps, c in poly.terms.items()}
     return MultiPoly(QP_RING, terms)
-
-
-# polynomial vectors are proportional over the fraction field exactly
-# when their cross products agree; the acceptance gate imports this name
-proportional_over_q = proportional
-
-
-def distinguished_vector_polys(ring=Q_RING):
-    subs = []
-    for name, sgn in DISTINGUISHED_SUBSTITUTION:
-        poly = ring.gen(ring.var_index(name))
-        subs.append(poly if sgn == 1 else -poly)
-    return tuple(subs)
 
 
 def signed_permutation_record(table: RijTable = None) -> dict:

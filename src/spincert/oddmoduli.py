@@ -15,7 +15,6 @@ as primitive integer vectors with positive leading entry.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from . import VerificationError
@@ -368,16 +367,6 @@ def standard_embedding() -> EmbeddedCurve:
     return embed(standard_curve(), CharClass(2, (1, 2, 3)))
 
 
-def random_curve_embedding(seed) -> EmbeddedCurve:
-    """Fresh genus-2 fixture: six distinct small integer branch points
-    drawn from the seed, with a random even square-root class."""
-    rng = random.Random(seed)
-    pts = rng.sample(range(-12, 13), 6)
-    curve = HyperCurve.from_roots(sorted(pts))
-    members = tuple(sorted(rng.sample(range(1, 7), 3)))
-    return embed(curve, CharClass(2, members))
-
-
 # ----------------------------------------------------------------------
 # the involution as a projective matrix
 # ----------------------------------------------------------------------
@@ -450,29 +439,6 @@ def quadric_congruence_scale(M) -> Fraction:
             if mtqm[i][j] != scale * SEGRE_QUADRIC[i][j]:
                 raise VerificationError("quadric congruence fails at %d,%d" % (i, j))
     return scale
-
-
-def implicit_sigma_invariance(E: EmbeddedCurve) -> bool:
-    """The implicit (2,3) equation composed with the involution's factor
-    actions is proportional to itself."""
-    involution_matrix(E)
-    s_cube = [_in_span(E.spin_cube_basis, g.conjugate()) for g in E.spin_cube_basis]
-    s_canon = [_in_span(E.canonical_basis, h.conjugate()) for h in E.canonical_basis]
-    subs = {}
-    for idx, action in ((0, s_cube), (2, s_canon)):
-        for i in (0, 1):
-            poly = TS_RING.zero()
-            for k in (0, 1):
-                poly = poly + TS_RING.const(action[i][k]) * TS_RING.gen(idx + k)
-            subs[idx + i] = poly
-    transformed = E.implicit.subs(subs)
-    lhs = [transformed.terms.get(e, Fraction(0)) for e in E.implicit.terms]
-    rhs = list(E.implicit.terms.values())
-    if set(transformed.terms) - set(E.implicit.terms):
-        raise VerificationError("involution moved the implicit equation off itself")
-    if not proportional(lhs, rhs):
-        raise VerificationError("involution rescales the implicit equation unevenly")
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -587,28 +553,6 @@ def plane_curve_divisor(E: EmbeddedCurve, plane: PlaneP3) -> PlaneSection:
     return PlaneSection(plane, div, total, total - div.degree, place_data)
 
 
-def _taylor_rows(E: EmbeddedCurve, place: Place, depth: int):
-    vals = [z.valuation(place) for z in E.segre_functions]
-    m = min(vals)
-    series = [z.expand_at(place, m + depth) for z in E.segre_functions]
-    return [[s.coeff(m + k) for s in series] for k in range(depth)]
-
-
-def osculating_plane(E: EmbeddedCurve, place: Place, extra: Place) -> PlaneP3:
-    """A plane meeting the curve with multiplicity at least two at one
-    place and passing through a second: two local Laurent conditions
-    plus one incidence row."""
-    if place == extra:
-        raise ValueError("tangency point and extra point must differ")
-    rows = _taylor_rows(E, place, 2) + [list(embed_point(E, extra))]
-    kernel = nullspace(rows)
-    if len(kernel) != 1:
-        raise VerificationError(
-            "tangency system has dimension %d" % len(kernel)
-        )
-    return PlaneP3(kernel[0])
-
-
 # ----------------------------------------------------------------------
 # triple reports
 # ----------------------------------------------------------------------
@@ -716,22 +660,6 @@ def field_elem_label(h: FieldElem) -> str:
         return "(%s)" % ",".join(str(c) for c in p.coeffs) if not p.is_zero else "0"
 
     return "(%s + %s*y)/%s" % (poly(h.a), poly(h.b), poly(h.den))
-
-
-def involution_conjugation_check(E: EmbeddedCurve, triple: PointTriple) -> bool:
-    """The plane through the full involution image of a non-collinear
-    triple equals the matrix transform of the original plane."""
-    plane = plane_through(E, triple)
-    if isinstance(plane, Collinear):
-        raise ValueError("triple is collinear")
-    sigma_plane = plane_through(E, triple, apply_sigma=True)
-    M = involution_matrix(E)
-    moved = tuple(
-        sum(plane.coeffs[r] * M[r][c] for r in range(4)) for c in range(4)
-    )
-    if PlaneP3(moved) != sigma_plane:
-        raise VerificationError("conjugated plane does not match")
-    return True
 
 
 def even_theta_obstruction(E: EmbeddedCurve) -> bool:

@@ -196,32 +196,6 @@ def moment_map(u: BinaryForm, v: BinaryForm) -> BinaryForm:
     return transvectant(u, v, u.degree - 1)
 
 
-def top_transvectant_constant(m: int) -> Fraction:
-    """The single constant c with (m-fold transvectant) = c * pairing,
-    certified on every basis pair; returns c (equal to m factorial)."""
-    if m % 2 == 0:
-        raise ValueError("pairing requires odd degree")
-    basis = [BinaryForm.basis_vector(m, j) for j in range(m + 1)]
-    c = None
-    for i in range(m + 1):
-        for j in range(m + 1):
-            w = symplectic_form(basis[i], basis[j])
-            t = transvectant(basis[i], basis[j], m).coeffs[0]
-            if w != 0 and c is None:
-                c = Fraction(t, 1) / w
-    if c is None or c == 0:
-        raise VerificationError("degenerate pairing")
-    for i in range(m + 1):
-        for j in range(m + 1):
-            w = symplectic_form(basis[i], basis[j])
-            t = transvectant(basis[i], basis[j], m).coeffs[0]
-            if t != c * w:
-                raise VerificationError(
-                    "top transvectant is not proportional at pair (%d, %d)" % (i, j)
-                )
-    return c
-
-
 def quadratic_to_matrix(q: BinaryForm):
     """Fixed identification of quadratics with trace-free 2x2 matrices."""
     if q.degree != 2:

@@ -88,12 +88,6 @@ def enumerate_chars(g: int):
     return out
 
 
-def parity(c: CharClass, g: int) -> str:
-    if c.g != g:
-        raise ValueError("genus mismatch")
-    return c.parity
-
-
 def parity_counts(g: int):
     """(odd, even) class counts; matches 2^(g-1)(2^g - 1) and
     2^(g-1)(2^g + 1)."""

@@ -20,7 +20,7 @@ from spincert.clifford import (
     sd_basis,
     vector_basis,
 )
-from spincert.exactalg import PolyRing, QQ
+from spincert.exactalg import PolyRing, QQ, proportional as proportional_over_q
 from spincert.hyperell import (
     Divisor,
     canonical_divisor,
@@ -45,7 +45,6 @@ from spincert.nrmoduli import (
     distinguished_vector_polys,
     h_consistency,
     kernel_at_branch,
-    proportional_over_q,
     standard_branch_config,
     verify_distinguished_covector,
 )

@@ -23,6 +23,7 @@ from spincert.exactalg import (
     rank,
     rational_content,
 )
+from spincert.hyperell import UPoly
 
 RXY = PolyRing(QQ, ("x", "y"))
 RQI = PolyRing(QI, ("x", "y"))
@@ -159,6 +160,36 @@ def test_subs_and_eval():
     p = x * x + 2 * y
     assert p.subs({0: y}) == y * y + 2 * y
     assert p.eval([Fraction(3), Fraction(1, 2)]) == Fraction(10)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [RXY.one() + RXY.gen(0) - RXY.gen(1) * 2, UPoly((1, -2, 3))],
+    ids=["MultiPoly", "UPoly"],
+)
+def test_pow_matches_repeated_products_and_stops_squaring(p, monkeypatch):
+    cls = type(p)
+    mul = cls.__mul__
+    counts = {"square": 0, "product": 0}
+
+    def counting_mul(a, b):
+        counts["square" if a is b else "product"] += 1
+        return mul(a, b)
+
+    expected = p**0
+    for n in range(10):
+        monkeypatch.setattr(cls, "__mul__", counting_mul)
+        counts.update(square=0, product=0)
+        got = p**n
+        monkeypatch.setattr(cls, "__mul__", mul)
+        assert got == expected
+        # one squaring per exponent bit below the top one, one product
+        # per set bit: p**8 squares three times and multiplies once
+        assert counts == {
+            "square": max(n.bit_length() - 1, 0),
+            "product": bin(n).count("1"),
+        }
+        expected = expected * p
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,6 @@ from spincert.hyperell import (
     poly_at_series,
     rational_sqrt,
     rr_space,
-    rr_space_split,
     spin_power_divisor,
     standard_curve,
     theta_complement_witness,
@@ -487,21 +486,12 @@ def test_square_root_classes_are_self_dual(curve):
         assert rec["dual_dim"] == rec["dim"]
 
 
-def test_involution_split_dimensions(curve):
-    k = canonical_divisor(curve)
-    assert rr_space_split(curve, k) == (2, 0, 2)
-    assert rr_space_split(curve, k.scale(2)) == (3, 0, 3)
-    assert rr_space_split(curve, k.scale(3)) == (4, 1, 5)
-    with pytest.raises(ValueError):
-        rr_space_split(curve, Divisor.of_place(curve.infinite_place(1)))
-
-
 def test_involution_split_with_split_support(curve_with_split_point):
     c = curve_with_split_point
     d = Divisor(
         {c.split_place(6, 120): 1, c.split_place(6, -120): 1}
     )
-    assert rr_space_split(c, d) == (2, 0, 2)
+    assert rr_space(c, d).dimension == 2
     inv = FieldElem(c, UPoly((1,)), den=UPoly.x_minus(6))
     assert (divisor_of(inv) + d).is_effective()
 
@@ -534,7 +524,6 @@ def test_half_canonical_multiples(curve):
     targets = [one, x, y_over_u, x * y_over_u]
     for t in targets:
         assert (divisor_of(t) + d52).is_effective()
-    assert rr_space_split(curve, d52) == (2, 2, 4)
 
     with pytest.raises(ValueError):
         spin_power_divisor(curve, {1, 2, 3}, 2)

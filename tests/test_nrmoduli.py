@@ -6,11 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from spincert.exactalg import RatFunc, proportional
 from spincert.nrmoduli import (
     BranchConfig,
     Q_RING,
     QP_RING,
+    QPX_RING,
     _parse_linear,
     alt_r_table,
     build_r_table,
@@ -18,7 +22,6 @@ from spincert.nrmoduli import (
     eval_at_branch,
     h_consistency,
     kernel_at_branch,
-    proportional_over_q,
     signed_permutation_record,
     standard_branch_config,
     transcription_crosscheck,
@@ -118,6 +121,33 @@ class TestBranchConfig:
             config.point(7)
 
 
+_PAIRS = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+
+
+def _h_consistency_ratfunc(config, table, reference_table):
+    """Oracle: the identity in its rational-function form, the partial
+    fractions of ``table`` against the polynomial sum of
+    ``reference_table`` over y^2."""
+    ring = QPX_RING
+    x = ring.gen(8)
+    lin_factors = {i: x - config.point(i) for i in range(1, 7)}
+    y2 = ring.one()
+    for i in range(1, 7):
+        y2 = y2 * lin_factors[i]
+    partial = RatFunc(ring.zero())
+    polynomial = ring.zero()
+    for (i, j) in table.pairs:
+        partial = partial + RatFunc(
+            table.quadratic(i, j, ring), lin_factors[i] * lin_factors[j]
+        )
+        cofactor = ring.one()
+        for k in range(1, 7):
+            if k != i and k != j:
+                cofactor = cofactor * lin_factors[k]
+        polynomial = polynomial + cofactor * reference_table.quadratic(i, j, ring)
+    return partial == RatFunc(polynomial, y2)
+
+
 class TestHConsistency:
     def test_standard_config(self, config):
         assert h_consistency(config) is True
@@ -133,6 +163,29 @@ class TestHConsistency:
     def test_sign_flip_breaks_identity(self, config, table):
         assert h_consistency(config, table=table.perturbed(1, 4)) is False
         assert h_consistency(config, reference_table=alt_r_table().perturbed(3, 6)) is False
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        points=st.lists(
+            st.fractions(min_value=-20, max_value=20, max_denominator=7),
+            min_size=6,
+            max_size=6,
+            unique=True,
+        ),
+        flip=st.none() | st.sampled_from(_PAIRS),
+        reference_flip=st.none() | st.sampled_from(_PAIRS),
+    )
+    @example(points=list(range(6)), flip=(2, 5), reference_flip=(2, 5))
+    def test_matches_rational_function_form(self, points, flip, reference_flip):
+        config = BranchConfig(points)
+        table, reference = build_r_table(), alt_r_table()
+        if flip is not None:
+            table = table.perturbed(*flip)
+        if reference_flip is not None:
+            reference = reference.perturbed(*reference_flip)
+        want = _h_consistency_ratfunc(config, table, reference)
+        assert want is (flip == reference_flip)
+        assert h_consistency(config, table, reference) is want
 
     def test_numeric_sampling(self, config, table):
         # secondary oracle: plain Fraction arithmetic straight off the
@@ -249,7 +302,7 @@ class TestKernelAtBranch:
     def test_branch_one_generator(self, config, table):
         report = kernel_at_branch(config, 1, table)
         gen = tuple(Q_RING.parse(s) for s in report["generator"])
-        assert proportional_over_q(gen, distinguished_vector_polys())
+        assert proportional(gen, distinguished_vector_polys())
         assert report["reduced_generator"] == ("1*q2", "-1*q1", "1*q4", "-1*q3")
 
     def test_generators_solve_numeric_samples(self, config, table):

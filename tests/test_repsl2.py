@@ -2,7 +2,6 @@
 symbolic differentiation oracle, pairing and contraction certificates,
 and the frozen proportionality constant."""
 
-from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -10,8 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincert import VerificationError
-from spincert.exactalg import MultiPoly, PolyRing, QQ, rank
+from spincert.exactalg import PolyRing, QQ, rank
 from spincert.repsl2 import (
     GENERATORS,
     BinaryForm,
@@ -24,7 +22,6 @@ from spincert.repsl2 import (
     quadratic_matrix_det,
     quadratic_to_matrix,
     symplectic_form,
-    top_transvectant_constant,
     transvectant,
 )
 
@@ -175,7 +172,13 @@ def test_equivariance_of_zero_input():
 
 @pytest.mark.parametrize("m", [1, 3, 5, 7])
 def test_top_transvectant_constant(m):
-    assert top_transvectant_constant(m) == factorial(m)
+    # the m-fold transvectant of two degree-m forms is m! times their
+    # symplectic pairing, on every pair of basis forms
+    basis = [BinaryForm.basis_vector(m, j) for j in range(m + 1)]
+    for u in basis:
+        for v in basis:
+            t = transvectant(u, v, m).coeffs[0]
+            assert t == factorial(m) * symplectic_form(u, v)
 
 
 def test_transvectant_order_bounds():

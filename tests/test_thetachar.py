@@ -12,7 +12,6 @@ from spincert.thetachar import (
     all_quad_forms,
     arf_model_crosscheck,
     enumerate_chars,
-    parity,
     parity_counts,
     quad_form_counts,
 )
@@ -67,14 +66,12 @@ def test_charclass_rejects_bad_subsets():
 
 
 def test_parity_frozen_examples():
-    assert parity(CharClass(2, {1}), 2) == "odd"
-    assert parity(CharClass(2, {1, 2, 3}), 2) == "even"
+    assert CharClass(2, {1}).parity == "odd"
+    assert CharClass(2, {1, 2, 3}).parity == "even"
     g1 = enumerate_chars(1)
     odd_classes = [c for c in g1 if c.parity == "odd"]
     assert len(odd_classes) == 1
     assert odd_classes[0].members == frozenset()
-    with pytest.raises(ValueError):
-        parity(CharClass(2, {1}), 3)
 
 
 @pytest.mark.parametrize("g", range(1, 7))
