@@ -7,7 +7,10 @@ block per suite, ordered by suite name.  Each block records the
 conventions the computations were pinned to, a list of check reports
 (name, status, details), and wall-time fields.  A check that raises an
 unexpected exception is recorded with status "error" and the exception
-type, and counts as failed; the remaining checks still run.  Identical
+type, and counts as failed; the remaining checks still run.  A suite
+whose setup raises (before any check runs) becomes a block with status
+"error", the exception in its details and no checks, and the remaining
+suites still run.  Identical
 seeds and fixtures reproduce the JSON byte for byte once the stamped
 time fields are stripped.  The exit code is zero exactly when no check
 failed or errored; skipped checks (cost guards) do not fail a run.
@@ -155,6 +158,23 @@ def _run_check(name, fn):
         "details": _jsonable(details),
         "elapsed_ms": round((time.perf_counter() - start) * 1000, 3),
     }
+
+
+def _run_suite(name, opts):
+    """One suite's block; an exception from the runner's setup becomes a
+    block with status "error" and no checks."""
+    start = time.perf_counter()
+    try:
+        return _RUNNERS[name](opts)
+    except Exception as exc:
+        return {
+            "suite": name,
+            "status": "error",
+            "details": {"error": str(exc), "type": type(exc).__name__},
+            "failed_checks": [],
+            "checks": [],
+            "elapsed_ms": round((time.perf_counter() - start) * 1000, 3),
+        }
 
 
 def _suite_block(name, conventions, named_checks):
@@ -647,7 +667,7 @@ def run(
         m=m,
         g=g,
     )
-    blocks = [_RUNNERS[name](opts) for name in selected]
+    blocks = [_run_suite(name, opts) for name in selected]
     status = "pass" if all(b["status"] == "pass" for b in blocks) else "fail"
     report = {
         "schema": 1,

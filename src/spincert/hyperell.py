@@ -1,8 +1,12 @@
 """Exact function-field computations on hyperelliptic curves y^2 = f(x)
-with distinct rational branch points: places with exact local power
-series, closed-form valuations, divisors, square-root divisor classes
-with explicit equivalence witnesses, and a Riemann-Roch space engine
-that re-checks the Riemann-Roch identity on every call.
+with distinct rational branch points: places, closed-form valuations and
+leading Laurent coefficients, divisors, square-root divisor classes with
+explicit equivalence witnesses, and a Riemann-Roch space engine that
+re-checks the Riemann-Roch identity on every call.
+
+Exact local power series (``Place.local_series``, ``FieldElem.expand_at``)
+serve only the split and infinity constraint rows of the Riemann-Roch
+system; the tests use them as the oracle for the closed forms.
 
 The model is the even one: deg f = 2g+2, monic-up-to-square leading
 coefficient, two rational places over x = infinity.  Divisor support is
@@ -188,7 +192,7 @@ class UPoly:
                     r = Fraction(sign * pnum, qden)
                     if r in out or p.eval(r) != 0:
                         continue
-                    mult, p = _root_order(p, r)
+                    mult, p, _ = _root_order(p, r)
                     out[r] = mult
                     if p.degree < 1:
                         return out
@@ -213,10 +217,11 @@ def _divisors(n):
 
 
 def _root_order(p: UPoly, x0):
-    """(k, q) with p = (x - x0)^k q and q(x0) != 0, by repeated
-    synthetic division; the zero polynomial has order infinity."""
+    """(k, q, q(x0)) with p = (x - x0)^k q and q(x0) != 0, by repeated
+    synthetic division (the last remainder is q(x0)); the zero
+    polynomial has order infinity."""
     if p.is_zero:
-        return inf, p
+        return inf, p, Fraction(0)
     cs = p.coeffs
     k = 0
     while True:
@@ -225,8 +230,9 @@ def _root_order(p: UPoly, x0):
         for c in reversed(cs):
             acc = acc * x0 + c
             quo.append(acc)
-        if quo.pop():
-            return k, UPoly(cs) if k else p
+        rem = quo.pop()
+        if rem:
+            return k, UPoly(cs) if k else p, rem
         cs = quo[::-1]
         k += 1
 
@@ -396,15 +402,17 @@ def poly_at_series(p: UPoly, s: LSeries) -> LSeries:
 class HyperCurve:
     """y^2 = f(x) with deg f = 2g+2, distinct rational roots, and a
     rational square leading coefficient (two rational places over
-    infinity)."""
+    infinity).  ``slopes`` maps each root x0 to f'(x0), the slope in
+    x - x0 = y^2/f'(x0) + O(y^4) at its branch place."""
 
-    __slots__ = ("f", "genus", "roots", "lead_sqrt", "_cache")
+    __slots__ = ("f", "genus", "roots", "lead_sqrt", "slopes", "_cache")
 
     def __init__(self, f: UPoly):
         if f.is_zero or f.degree < 4 or f.degree % 2:
             raise ValueError("f must have even degree at least 4")
         genus = f.degree // 2 - 1
-        if not f.gcd(f.derivative()) == UPoly((1,)):
+        df = f.derivative()
+        if not f.gcd(df) == UPoly((1,)):
             raise ValueError("f must be squarefree")
         roots = f.rational_roots()
         if sum(roots.values()) != f.degree:
@@ -416,6 +424,7 @@ class HyperCurve:
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "roots", tuple(sorted(roots)))
         object.__setattr__(self, "lead_sqrt", ls)
+        object.__setattr__(self, "slopes", {r: df.eval(r) for r in roots})
         object.__setattr__(self, "_cache", {"series": {}, "canonical": None})
 
     def __setattr__(self, name, value):
@@ -516,7 +525,7 @@ class Place:
         f = self.curve.f
         if self.kind == "branch":
             x0 = self.key
-            f1 = f.derivative().eval(x0)
+            f1 = self.curve.slopes[x0]
             u = LSeries({2: Fraction(1) / f1}, prec)
             shifted = UPoly(tuple(_taylor(f, x0)))
             for m in range(3, prec):
@@ -761,53 +770,75 @@ class FieldElem:
         den = den.truncate(min(den.prec, work))
         return (num * den.invert()).truncate(prec)
 
-    def valuation(self, place: Place) -> int:
-        """Order of h = (a + b y)/den at a place, in closed form from the
-        root orders of a, b, den and the norm N = a^2 - b^2 f; no series
-        is built (Cantor, "Computing in the Jacobian of a hyperelliptic
-        curve", Math. Comp. 48 (1987)).  ord is the order of x0 as a root;
-        a zero polynomial has infinite order and drops out of the minima.
+    def leading_term(self, place: Place):
+        """(v, c) with h = c t^v + O(t^(v+1)) for h = (a + b y)/den in the
+        local uniformizer t of the place (the one ``Place.local_series``
+        uses), in closed form from root orders, cofactor values and the
+        norm N = a^2 - b^2 f; no series is built (Cantor, "Computing in the
+        Jacobian of a hyperelliptic curve", Math. Comp. 48 (1987)).  ord is
+        the order of x0 as a root and q the cofactor left after dividing
+        (x - x0)^ord out; a zero polynomial has infinite order and drops
+        out of the minima.  The numerator a + b y is treated below; den
+        contributes its own order and leading value, which are subtracted
+        and divided out.
 
-        - Branch place x0 (uniformizer y, so v(x - x0) = 2):
-          v = min(2 ord a, 2 ord b + 1) - 2 ord den.  The two terms have
-          different parities, so they never cancel.
+        - Branch place x0 (uniformizer y, x - x0 = y^2/f'(x0) + O(y^4)):
+          (x - x0)^k q leads with q(x0)/f'(x0)^k at order 2k, so a leads at
+          2 ord a and b y at 2 ord b + 1.  The two orders have different
+          parities, so they never cancel.
         - Split place (x0, y0) (uniformizer x - x0): take out the common
-          factor (x - x0)^k of a and b, leaving a', b'.  If
-          a'(x0) + b'(x0) y0 != 0 then v = k - ord den.  Otherwise the
-          conjugate a' - b' y is a unit there, so
-          v = k + ord N' - ord den with N' = a'^2 - b'^2 f.
+          factor (x - x0)^k of a and b, leaving a', b'.  If the sheet value
+          a'(x0) + b'(x0) y0 is nonzero it leads at order k.  Otherwise the
+          conjugate a' - b' y is a unit there with value 2 a'(x0), and
+          N' = a'^2 - b'^2 f = N/(x - x0)^(2k) has the cofactor q_N of N,
+          so a + b y leads with q_N(x0)/(2 a'(x0)) at order k + ord N'.
         - Infinite place of sign s (uniformizer 1/x, y ~ s lead_sqrt
-          x^(g+1)): if deg a != deg b + g + 1, or
-          a_lead + s lead_sqrt b_lead != 0, then
-          v = deg den - max(deg a, deg b + g + 1).  Otherwise the conjugate
-          keeps the full degree on this sheet and
-          v = deg den - (deg N - deg a).
+          x^(g+1)): a leads with lc(a) at order -deg a, b y with
+          s lead_sqrt lc(b) at order -(deg b + g + 1); at equal orders the
+          two add.  If that sum cancels, the conjugate keeps the full
+          degree on this sheet with lead 2 lc(a), and a + b y leads with
+          lc(N)/(2 lc(a)) at order -(deg N - deg a).
         """
         if self.is_zero:
             raise ValueError("zero element has no valuation")
         a, b, den = self.a, self.b, self.den
         if place.kind == "branch":
             x0 = place.key
-            ka, kb, kd = (_root_order(p, x0)[0] for p in (a, b, den))
-            return min(2 * ka, 2 * kb + 1) - 2 * kd
+            (ka, _, ca), (kb, _, cb), (kd, _, cd) = (
+                _root_order(p, x0) for p in (a, b, den)
+            )
+            if 2 * ka < 2 * kb + 1:
+                v, k, lead = 2 * ka, ka, ca
+            else:
+                v, k, lead = 2 * kb + 1, kb, cb
+            return v - 2 * kd, lead * self.curve.slopes[x0] ** (kd - k) / cd
         if place.kind == "split":
             x0, y0 = place.key
-            (ka, qa), (kb, qb) = _root_order(a, x0), _root_order(b, x0)
-            kd = _root_order(den, x0)[0]
+            (ka, _, ca), (kb, _, cb), (kd, _, cd) = (
+                _root_order(p, x0) for p in (a, b, den)
+            )
             k = min(ka, kb)
-            lead = qa.eval(x0) if ka == k else 0
-            if kb == k:
-                lead += qb.eval(x0) * y0
-            if lead:
-                return k - kd
-            # ord N' = ord N - 2k
-            return _root_order(self.norm_pair()[0], x0)[0] - k - kd
+            ca = ca if ka == k else 0
+            lead = ca + (cb * y0 if kb == k else 0)
+            if not lead:
+                # ord N' = ord N - 2k, and a'(x0) = ca is nonzero here
+                kn, _, cn = _root_order(self.norm_pair()[0], x0)
+                k, lead = kn - k, cn / (2 * ca)
+            return k - kd, lead / cd
         da = a.degree if a.coeffs else -inf
         db = b.degree + self.curve.genus + 1 if b.coeffs else -inf
         top = max(da, db)
-        if da == db and a.lead() + place.key * self.curve.lead_sqrt * b.lead() == 0:
-            top = self.norm_pair()[0].degree - da
-        return den.degree - top
+        lead = (a.lead() if da == top else 0) + (
+            place.key * self.curve.lead_sqrt * b.lead() if db == top else 0
+        )
+        if not lead:
+            n = self.norm_pair()[0]
+            top, lead = n.degree - da, n.lead() / (2 * a.lead())
+        return den.degree - top, lead / den.lead()
+
+    def valuation(self, place: Place) -> int:
+        """Order of h at a place: the order part of ``leading_term``."""
+        return self.leading_term(place)[0]
 
     def __repr__(self):
         return "FieldElem((%r) + (%r) y / (%r))" % (self.a, self.b, self.den)

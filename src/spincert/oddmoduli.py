@@ -228,11 +228,15 @@ def _monomial_products(spin_cube_basis, canonical_basis, t_monos, s_monos):
 
 
 def _relation_kernel(funcs):
-    """Exact linear relations among a list of curve functions, found by
-    clearing to a common polynomial denominator."""
+    """Exact linear relations among a list of curve functions: the
+    kernel of the coefficient rows of a and b once every function is
+    cleared to the lcm of the denominators.  Any common multiple gives
+    the same kernel, and ``nullspace`` returns its canonical basis; the
+    lcm keeps the cleared polynomials at the smallest degree (the twelve
+    products of the implicit equation share one denominator)."""
     common = UPoly((1,))
     for fe in funcs:
-        common = common * fe.den
+        common = common * _exact_quotient(fe.den, common.gcd(fe.den))
     cleared = []
     for fe in funcs:
         q = _exact_quotient(common, fe.den)
@@ -284,11 +288,12 @@ def _implicit_equation(curve, spin_cube_basis, canonical_basis):
 
 def _lead_pair(funcs, place):
     """Leading Laurent coefficients of a pair of functions at their
-    joint minimal order; the projective coordinates of the image."""
-    vals = [h.valuation(place) for h in funcs]
-    m = min(vals)
-    coeffs = [h.expand_at(place, m + 1).coeff(m) for h in funcs]
-    return m, coeffs
+    joint minimal order; the projective coordinates of the image.  Each
+    order and lead is the closed form of ``FieldElem.leading_term``; a
+    function of higher order contributes 0."""
+    terms = [h.leading_term(place) for h in funcs]
+    m = min(v for v, _ in terms)
+    return m, [c if v == m else Fraction(0) for v, c in terms]
 
 
 def _image_record(E: EmbeddedCurve, place: Place):

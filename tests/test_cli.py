@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from spincert import cli
+from spincert import VerificationError, cli
 from spincert.cli import (
     DEFAULT_SEED,
     SUITES,
@@ -96,6 +96,48 @@ class TestRun:
 
     def test_reports_are_json_serializable(self):
         _, report = run("theta", g=(1, 2))
+        json.dumps(report)
+
+
+class TestSetupGuard:
+    """An exception raised while a suite sets up, before its checks run,
+    becomes a suite block with status "error"; the run goes on and exits
+    1.  ``embed`` is the odd suite's setup."""
+
+    @staticmethod
+    def break_embed(monkeypatch, exc_type):
+        def broken(curve, theta):
+            raise exc_type("embedding broke")
+
+        monkeypatch.setattr(cli, "embed", broken)
+
+    @pytest.mark.parametrize(
+        "exc_type", [VerificationError, ArithmeticError, ValueError]
+    )
+    def test_setup_exception_is_an_errored_suite(self, exc_type, monkeypatch, capsys):
+        self.break_embed(monkeypatch, exc_type)
+        assert main(["run", "odd", "--triples", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["status"] == "fail"
+        assert _strip_times(report["suites"]) == [
+            {
+                "suite": "odd",
+                "status": "error",
+                "details": {"error": "embedding broke", "type": exc_type.__name__},
+                "failed_checks": [],
+                "checks": [],
+            }
+        ]
+
+    def test_other_suites_still_run_under_run_all(self, monkeypatch):
+        self.break_embed(monkeypatch, VerificationError)
+        code, report = run("all")
+        assert code == 1
+        assert report["status"] == "fail"
+        statuses = {block["suite"]: block["status"] for block in report["suites"]}
+        assert statuses == {s: "error" if s == "odd" else "pass" for s in SUITES}
         json.dumps(report)
 
 

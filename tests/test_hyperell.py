@@ -1,10 +1,11 @@
 """Curve, place, divisor, and Riemann-Roch engine tests.
 
 Oracles: series coefficients against hand-derived reversion formulas
-evaluated with sympy derivatives; closed-form valuations against the
-series expansion they replaced; dimension ladders against the known
-gap sequences; divisor computations against frozen expected values; the
-16-class parity table against the combinatorial model.
+evaluated with sympy derivatives; closed-form valuations and leading
+coefficients against the series expansion they replaced; dimension
+ladders against the known gap sequences; divisor computations against
+frozen expected values; the 16-class parity table against the
+combinatorial model.
 """
 
 from fractions import Fraction
@@ -262,11 +263,10 @@ small_poly = st.lists(st.integers(min_value=-3, max_value=3), max_size=3).map(UP
 shift = st.integers(min_value=0, max_value=1)
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
-@settings(max_examples=15, deadline=None)
-@given(data=st.data())
-def test_valuation_matches_series_oracle(oracle_places, name, data):
-    places = oracle_places[name]
+def _draw_element(data, places):
+    """A small element (a + b y)/den on the places' curve, drawn so that
+    its numerator or denominator often vanishes at one of the finite
+    places and, half the time, it is a multiple of a sheet canceller."""
     a, b = data.draw(small_poly), data.draw(small_poly)
     den = data.draw(small_poly.filter(lambda p: not p.is_zero))
     # powers of (x - x0) make a, b or den vanish over a finite place
@@ -279,11 +279,33 @@ def test_valuation_matches_series_oracle(oracle_places, name, data):
         {p.key[0] if p.kind == "split" else p.key for p in places if p.kind != "inf"}
     )
     xm = UPoly.x_minus(data.draw(st.sampled_from(finite_x)))
-    h = FieldElem(places[0].curve, a * xm**ja, b * xm**jb, den * xm**jd)
+    return FieldElem(places[0].curve, a * xm**ja, b * xm**jb, den * xm**jd)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_valuation_matches_series_oracle(oracle_places, name, data):
+    places = oracle_places[name]
+    h = _draw_element(data, places)
     if h.is_zero:
         return
     for place in places:
         assert h.valuation(place) == _series_valuation(h, place), place
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_leading_term_matches_series_oracle(oracle_places, name, data):
+    # the series to precision v + 1 must be exactly lead * t^v
+    places = oracle_places[name]
+    h = _draw_element(data, places)
+    if h.is_zero:
+        return
+    for place in places:
+        v, lead = h.leading_term(place)
+        assert h.expand_at(place, v + 1).coeffs == {v: lead}, place
 
 
 def test_valuation_rare_branches_frozen(curve, curve_with_split_point):
@@ -311,6 +333,33 @@ def test_valuation_rare_branches_frozen(curve, curve_with_split_point):
     for h, place, want in cases:
         assert h.valuation(place) == want
         assert _series_valuation(h, place) == want
+
+
+def test_leading_term_rare_branches_frozen(curve, curve_with_split_point):
+    c = curve_with_split_point
+    plus, minus = c.split_place(6, 120), c.split_place(6, -120)
+    # y - x^3 on the + sheet: N = x^6 - f = 15 x^5 + ..., so the lead is
+    # lc(N)/(2 lc(a)) = 15/(2 * -1); on the - sheet y - x^3 ~ -2 x^3
+    cancel_inf = FieldElem(curve, UPoly((0, 0, 0, -1)), 1)
+    # (x - 6)^2 (y - 120): y - 120 = y'(6) t + ... on the + sheet with
+    # y'(6) = f'(6)/240 = 21600/240 = 90, and -240 + ... on the - sheet
+    sq = UPoly.x_minus(6) ** 2
+    cancel_split = FieldElem(c, sq * -120, sq)
+    pole_split = FieldElem(c, -120, 1, UPoly.x_minus(6))
+    # y/x^2 at x = 0: x = y^2/f'(0) + ..., f'(0) = -120
+    pole_branch = FieldElem(curve, UPoly(), 1, UPoly.x_minus(0) ** 2)
+    cases = [
+        (cancel_inf, curve.infinite_place(1), (-2, Fraction(-15, 2))),
+        (cancel_inf, curve.infinite_place(-1), (-3, -2)),
+        (cancel_split, plus, (3, 90)),
+        (cancel_split, minus, (2, -240)),
+        (pole_split, plus, (0, 90)),
+        (pole_split, minus, (-1, -240)),
+        (pole_branch, curve.branch_place(1), (-3, 14400)),
+    ]
+    for h, place, (v, lead) in cases:
+        assert h.leading_term(place) == (v, lead)
+        assert h.expand_at(place, v + 1).coeffs == {v: lead}
 
 
 def test_split_place_rejects_bad_points(curve):

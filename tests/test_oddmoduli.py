@@ -8,15 +8,23 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spincert.exactalg import MultiPoly
+from spincert.exactalg import MultiPoly, nullspace
 from spincert.hyperell import (
+    FieldElem,
     HyperCurve,
+    UPoly,
     rr_space,
     standard_curve,
     theta_divisor,
 )
 from spincert.oddmoduli import (
+    S_MONOS,
+    T_MONOS,
+    _degree_monos,
+    _monomial_products,
+    _relation_kernel,
     Collinear,
     PlaneP3,
     PointTriple,
@@ -362,3 +370,88 @@ class TestRandomEmbedding:
         report = triple_plane_report(E3, branches)
         assert report["collinear"] is True
         assert report["square_root_identification"]["confirmed"] is True
+
+
+class TestRelationKernel:
+    """The lcm-cleared kernel against the product-cleared one it
+    replaced: both clear to a common multiple of the denominators, so
+    ``nullspace`` must return the same canonical basis."""
+
+    @staticmethod
+    def product_cleared_kernel(funcs):
+        common = UPoly((1,))
+        for fe in funcs:
+            common = common * fe.den
+        cleared = []
+        for fe in funcs:
+            q, r = common.divmod(fe.den)
+            assert r.is_zero
+            cleared.append((fe.a * q, fe.b * q))
+        deg = max(max(a.degree, b.degree) for a, b in cleared)
+        rows = []
+        for k in range(deg + 1):
+            rows.append([a.coeff(k) for a, _ in cleared])
+            rows.append([b.coeff(k) for _, b in cleared])
+        return nullspace(rows)
+
+    @pytest.mark.parametrize("fixture", ["E", "split_E"])
+    def test_embed_systems_match_product_clearing(self, fixture, request):
+        E = request.getfixturevalue(fixture)
+        spin, canon = E.spin_cube_basis, E.canonical_basis
+        systems = [
+            _monomial_products(spin, canon, T_MONOS, S_MONOS),
+            _monomial_products(spin, canon, _degree_monos(2), _degree_monos(2)),
+            _monomial_products(spin, canon, _degree_monos(1), _degree_monos(3)),
+        ]
+        # the _in_span systems of involution_matrix
+        for basis in (spin, canon):
+            systems += [(basis[0], basis[1], g.conjugate()) for g in basis]
+        dims = []
+        for funcs in systems:
+            kernel = _relation_kernel(funcs)
+            assert kernel == self.product_cleared_kernel(funcs)
+            dims.append(len(kernel))
+        assert dims[:3] == [1, 0, 0]
+        assert dims[3:] == [1, 1, 1, 1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_shared_factor_denominators_match_product_clearing(self, data):
+        curve = standard_curve()
+        # denominators built from a common pool of factors, so they
+        # differ but often share some
+        pool = [UPoly.x_minus(r) for r in (0, 1, -2)]
+        coeffs = st.lists(st.integers(min_value=-3, max_value=3), max_size=3)
+
+        def draw_den():
+            den = UPoly.const(data.draw(st.sampled_from((1, 2, -3))))
+            for factor in pool:
+                den = den * factor ** data.draw(st.integers(min_value=0, max_value=2))
+            return den
+
+        funcs = [
+            FieldElem(
+                curve, UPoly(data.draw(coeffs)), UPoly(data.draw(coeffs)), draw_den()
+            )
+            for _ in range(data.draw(st.integers(min_value=1, max_value=4)))
+        ]
+        if data.draw(st.booleans()):
+            # a combination of the others, over a further shared factor,
+            # so the kernel is not empty
+            combo = FieldElem(curve, UPoly())
+            for fe in funcs:
+                combo = combo + data.draw(st.integers(min_value=-2, max_value=2)) * fe
+            extra = draw_den()
+            funcs.append(
+                FieldElem(curve, combo.a * extra, combo.b * extra, combo.den * extra)
+            )
+        assert _relation_kernel(funcs) == self.product_cleared_kernel(funcs)
+
+
+@pytest.mark.parametrize("roots", [(0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, -14)])
+def test_embed_builds_no_branch_place_series(roots):
+    # leading coefficients come from the closed form, so embedding a
+    # fresh curve never expands a series at a branch place
+    curve = HyperCurve.from_roots(roots)
+    embed(curve, CharClass(2, (1, 2, 3)))
+    assert "branch" not in {kind for kind, _ in curve._cache["series"]}
