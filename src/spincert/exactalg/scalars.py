@@ -1,8 +1,13 @@
 """Exact scalar arithmetic over the rationals and the Gaussian rationals.
 
-Rational scalars are plain ``fractions.Fraction`` values.  Gaussian scalars
-are pairs of Fractions ``re + im*i`` with ``i**2 == -1``.  Every operation
-is exact; nothing here ever rounds.
+Rational scalars are plain ``fractions.Fraction`` values.  A Gaussian
+scalar ``(a + b*i)/d`` with ``i**2 == -1`` is three Python ints in normal
+form: ``d > 0`` and ``gcd(a, b, d) == 1``.  Arithmetic works on the ints
+directly: a product is four integer products reduced by one gcd, which
+is skipped when the denominator is 1, a sum of equal denominators adds
+the numerators, and a quotient multiplies by the conjugate over the
+integer norm.  No Fraction is built on the way; ``re`` and ``im`` are
+derived on demand.  Every operation is exact; nothing here ever rounds.
 
 The two coefficient fields are exposed as the singletons ``QQ`` and ``QI``.
 A field object knows how to coerce, format, and parse its elements, which
@@ -13,76 +18,136 @@ arithmetic through ordinary operators.
 from __future__ import annotations
 
 from fractions import Fraction
-
-_RAT_TYPES = (int, Fraction)
+from math import gcd
 
 
 class Gaussian:
-    """A Gaussian rational ``re + im*i`` with exact Fraction components."""
+    """The Gaussian rational ``(a + b*i)/d``, stored as the integer
+    triple ``(a, b, d)`` in normal form: ``d > 0`` and
+    ``gcd(a, b, d) == 1``, so zero is ``(0, 0, 1)`` and equal values have
+    equal triples.  ``re`` and ``im`` are derived, read-only Fractions
+    ``a/d`` and ``b/d``.  On the real axis equality and hashing agree
+    with ``int`` and ``Fraction``.
 
-    __slots__ = ("re", "im")
+    Like ``Fraction``, the class is immutable by convention: its public
+    attributes are read-only and no method changes the private slots."""
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re = Fraction(re)
+            im = Fraction(im)
+            dr, di = re.denominator, im.denominator
+            # over the lcm of two reduced denominators the triple is
+            # already in normal form
+            d = dr * di // gcd(dr, di)
+            a = re.numerator * (d // dr)
+            b = im.numerator * (d // di)
+        self._a = a
+        self._b = b
+        self._d = d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Gaussian scalars are immutable")
+    @property
+    def re(self):
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._d)
 
     @property
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def conjugate(self):
-        return Gaussian(self.re, -self.im)
+        return _gauss(self._a, -self._b, self._d)
 
     def norm2(self):
         # re^2 + im^2, a nonnegative rational; zero iff self is zero
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     def __add__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return Gaussian(self.re + other.re, self.im + other.im)
+        if type(other) is not Gaussian:
+            other = _as_gaussian(other)
+            if other is None:
+                return NotImplemented
+        d = self._d
+        d2 = other._d
+        if d == d2:
+            a = self._a + other._a
+            b = self._b + other._b
+        else:
+            a = self._a * d2 + other._a * d
+            b = self._b * d2 + other._b * d
+            d *= d2
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a //= g
+                b //= g
+                d //= g
+        return _gauss(a, b, d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return Gaussian(self.re - other.re, self.im - other.im)
+        if type(other) is not Gaussian:
+            other = _as_gaussian(other)
+            if other is None:
+                return NotImplemented
+        return self + _gauss(-other._a, -other._b, other._d)
 
     def __rsub__(self, other):
         other = _as_gaussian(other)
         if other is None:
             return NotImplemented
-        return other - self
+        return other + _gauss(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return Gaussian(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not Gaussian:
+            other = _as_gaussian(other)
+            if other is None:
+                return NotImplemented
+        a1, b1 = self._a, self._b
+        a2, b2 = other._a, other._b
+        a = a1 * a2 - b1 * b2
+        b = a1 * b2 + b1 * a2
+        d = self._d * other._d
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a //= g
+                b //= g
+                d //= g
+        return _gauss(a, b, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        n = other.norm2()
-        if n == 0:
+        if type(other) is not Gaussian:
+            other = _as_gaussian(other)
+            if other is None:
+                return NotImplemented
+        a1, b1 = self._a, self._b
+        a2, b2, d2 = other._a, other._b, other._d
+        n = a2 * a2 + b2 * b2
+        if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        c = other.conjugate()
-        return Gaussian(
-            (self.re * c.re - self.im * c.im) / n,
-            (self.re * c.im + self.im * c.re) / n,
-        )
+        # multiply by the conjugate d2 * (a2 - b2*i) over the integer norm
+        a = (a1 * a2 + b1 * b2) * d2
+        b = (b1 * a2 - a1 * b2) * d2
+        d = self._d * n
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a //= g
+                b //= g
+                d //= g
+        return _gauss(a, b, d)
 
     def __rtruediv__(self, other):
         other = _as_gaussian(other)
@@ -95,29 +160,35 @@ class Gaussian:
             raise ValueError("only nonnegative integer powers")
         out = Gaussian(1)
         base = self
-        while n:
+        while True:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def __neg__(self):
-        return Gaussian(-self.re, -self.im)
+        return _gauss(-self._a, -self._b, self._d)
 
     def __eq__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not Gaussian:
+            other = _as_gaussian(other)
+            if other is None:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        a, b, d = self._a, self._b, self._d
+        if d == 1:
+            # an int hashes as the Fraction of the same value
+            return hash((a, b)) if b else hash(a)
+        if b:
+            return hash((Fraction(a, d), Fraction(b, d)))
+        return hash(Fraction(a, d))
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self._a or self._b)
 
     def __str__(self):
         return format_gaussian(self)
@@ -126,29 +197,46 @@ class Gaussian:
         return "Gaussian(%r, %r)" % (str(self.re), str(self.im))
 
 
+_new = object.__new__
+
+
+def _gauss(a, b, d):
+    """The Gaussian with triple (a, b, d), already in normal form."""
+    z = _new(Gaussian)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
 def _as_gaussian(v):
+    if type(v) is int:
+        return _gauss(v, 0, 1)
     if isinstance(v, Gaussian):
         return v
-    if isinstance(v, _RAT_TYPES):
-        return Gaussian(v)
+    if isinstance(v, int):
+        return _gauss(int(v), 0, 1)
+    if isinstance(v, Fraction):
+        return _gauss(v.numerator, 0, v.denominator)
     return None
 
 
 def format_gaussian(z: Gaussian) -> str:
     """Canonical text form, e.g. ``3/2``, ``-i``, ``1/2+3i``, ``2-1/3i``."""
-    if z.im == 0:
-        return str(z.re)
-    if z.im == 1:
+    re, im = z.re, z.im
+    if im == 0:
+        return str(re)
+    if im == 1:
         im = "i"
-    elif z.im == -1:
+    elif im == -1:
         im = "-i"
     else:
-        im = "%si" % z.im
-    if z.re == 0:
+        im = "%si" % im
+    if re == 0:
         return im
     if not im.startswith("-"):
         im = "+" + im
-    return "%s%s" % (z.re, im)
+    return "%s%s" % (re, im)
 
 
 def parse_gaussian(text: str) -> Gaussian:
@@ -228,11 +316,12 @@ class GaussianField:
         return Gaussian(0, 1)
 
     def coerce(self, v):
-        if isinstance(v, Gaussian):
+        if type(v) is Gaussian:
             return v
-        if isinstance(v, _RAT_TYPES):
-            return Gaussian(v)
-        raise TypeError("cannot coerce %r into QI" % (v,))
+        z = _as_gaussian(v)
+        if z is None:
+            raise TypeError("cannot coerce %r into QI" % (v,))
+        return z
 
     def is_zero(self, v):
         return v.is_zero

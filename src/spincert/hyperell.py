@@ -511,12 +511,13 @@ class Place:
     def local_series(self, prec):
         """(x-series, y-series) in the local uniformizer, checked to
         satisfy the curve equation to precision.  Cached per curve; a
-        result may carry more precision than requested."""
+        result may carry more precision than requested: the cache grows
+        to the smallest power of two >= max(prec, 32)."""
         cache = self.curve._cache["series"]
         hit = cache.get((self.kind, self.key))
         if hit is not None and hit[0] >= prec:
             return hit[1], hit[2]
-        compute_at = max(prec, 2 * hit[0] if hit else 0, 32)
+        compute_at = 1 << (max(prec, 32) - 1).bit_length()
         xs, ys = self._compute_series(compute_at)
         cache[(self.kind, self.key)] = (compute_at, xs, ys)
         return xs, ys

@@ -269,9 +269,12 @@ def traceless_part(m: Mat2) -> Mat2:
 
 
 class Connection:
-    """Four trace-free matrix components; an exact gauge potential."""
+    """Four trace-free matrix components; an exact gauge potential.
 
-    __slots__ = ("components",)
+    The connection is immutable, so its curvature is built on the first
+    call of :func:`curvature` and kept in a private slot."""
+
+    __slots__ = ("components", "_curvature")
 
     def __init__(self, components):
         comps = tuple(components)
@@ -283,6 +286,7 @@ class Connection:
             if not m.trace().is_zero:
                 raise ValueError("connection components must be trace-free")
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "_curvature", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Connection is immutable")
@@ -302,8 +306,19 @@ def _components(a):
 
 
 def curvature(a) -> dict:
-    """F_{mu nu} = d_mu A_nu - d_nu A_mu + [A_mu, A_nu], keys (mu, nu)."""
-    comps = _components(a)
+    """F_{mu nu} = d_mu A_nu - d_nu A_mu + [A_mu, A_nu], keys (mu, nu).
+
+    A :class:`Connection` builds its curvature once and every call hands
+    out a fresh dict of the same (immutable) matrices; a bare component
+    tuple is computed on each call."""
+    if isinstance(a, Connection):
+        if a._curvature is None:
+            object.__setattr__(a, "_curvature", _curvature_of(a.components))
+        return dict(a._curvature)
+    return _curvature_of(_components(a))
+
+
+def _curvature_of(comps) -> dict:
     out = {}
     for m in range(1, 5):
         for n in range(m + 1, 5):

@@ -1,13 +1,15 @@
-"""Substrate checks: scalar field axioms, polynomial arithmetic against an
-independent oracle, lazy rational-function identities, and the fraction-free
-linear algebra contracts."""
+"""Substrate checks: scalar field axioms, the integer-triple Gaussian
+against the pair-of-Fractions class it replaced, polynomial arithmetic
+against an independent oracle, lazy rational-function identities, and the
+fraction-free linear algebra contracts."""
 
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from gaussian_oracle import Gaussian as FracPairGaussian
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from spincert.exactalg import (
@@ -81,6 +83,114 @@ def test_gaussian_text_roundtrip(a):
 def test_gaussian_zero_division():
     with pytest.raises(ZeroDivisionError):
         Gaussian(1) / Gaussian(0)
+
+
+# Differential test of the integer-triple Gaussian against the
+# pair-of-Fractions class it replaced.  Components have small numerators
+# and denominators from a few shared values, and the second operand is
+# often derived from the first, so draws hit d = 1, equal and unequal
+# denominators, cancellation to zero, gcd reductions and division by 0.
+
+
+def small_fractions():
+    return st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6)))
+
+
+@st.composite
+def gaussian_pairs(draw):
+    x = (draw(small_fractions()), draw(small_fractions()))
+    mode = draw(st.sampled_from(("free", "negated", "same", "conjugate", "zero")))
+    if mode == "free":
+        y = (draw(small_fractions()), draw(small_fractions()))
+    elif mode == "negated":
+        y = (-x[0], -x[1])
+    elif mode == "same":
+        y = x
+    elif mode == "conjugate":
+        y = (x[0], -x[1])
+    else:
+        y = (Fraction(0), Fraction(0))
+    return x, y
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def _assert_matches(got, want):
+    """``got`` (integer-triple class) equals ``want`` (oracle) by value,
+    and is in normal form."""
+    if want is ZeroDivisionError:
+        assert got is ZeroDivisionError
+        return
+    assert type(got) is Gaussian
+    assert (got.re, got.im) == (want.re, want.im)
+    assert got._d > 0 and gcd(got._a, got._b, got._d) == 1
+
+
+@given(gaussian_pairs(), st.integers(-3, 3), small_fractions(), st.integers(0, 5))
+@settings(max_examples=300, deadline=None)
+def test_gaussian_matches_fraction_pair_oracle(pair, k, q, n):
+    (xr, xi), (yr, yi) = pair
+    x, y = Gaussian(xr, xi), Gaussian(yr, yi)
+    ox, oy = FracPairGaussian(xr, xi), FracPairGaussian(yr, yi)
+    _assert_matches(x, ox)
+    _assert_matches(y, oy)
+    binary = (
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: a * b,
+        lambda a, b: a / b,
+    )
+    for op in binary:
+        _assert_matches(_outcome(lambda: op(x, y)), _outcome(lambda: op(ox, oy)))
+        for r in (k, q):
+            _assert_matches(_outcome(lambda: op(x, r)), _outcome(lambda: op(ox, r)))
+            _assert_matches(_outcome(lambda: op(r, x)), _outcome(lambda: op(r, ox)))
+    _assert_matches(-x, -ox)
+    _assert_matches(x.conjugate(), ox.conjugate())
+    _assert_matches(x**n, ox**n)
+    assert type(x.norm2()) is Fraction and x.norm2() == ox.norm2()
+    assert x.is_zero == ox.is_zero and bool(x) == bool(ox)
+    assert (x == y) == (ox == oy)
+    assert hash(x) == hash(ox)
+    for r in (k, q):
+        assert (x == r) == (ox == r) and (r == x) == (r == ox)
+        if x == r:
+            assert hash(x) == hash(r)
+    # text: the same canonical string, read back to the same value, and
+    # the constructor's other inputs (ints, strings) give the same value
+    assert str(x) == str(ox) and repr(x) == repr(ox)
+    _assert_matches(parse_gaussian(str(x)), ox)
+    _assert_matches(Gaussian(str(xr), str(xi)), ox)
+    _assert_matches(Gaussian(k, n), FracPairGaussian(k, n))
+
+
+_PAIR_BRANCHES = {
+    "integral": lambda x, y: x._d == y._d == 1,
+    "equal_denominators": lambda x, y: x._d == y._d != 1,
+    "unequal_denominators": lambda x, y: x._d != y._d,
+    "sum_cancels": lambda x, y: not x.is_zero and (x + y).is_zero,
+    "sum_reduces": lambda x, y: (x + y)._d < max(x._d, y._d),
+    "product_reduces": lambda x, y: (x * y)._d < x._d * y._d,
+    "quotient_reduces": lambda x, y: (
+        not y.is_zero and (x / y)._d < x._d * (y._a * y._a + y._b * y._b)
+    ),
+    "zero_division": lambda x, y: y.is_zero,
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_PAIR_BRANCHES))
+def test_gaussian_pairs_reach_every_branch(branch):
+    holds = _PAIR_BRANCHES[branch]
+    find(
+        gaussian_pairs(),
+        lambda pair: holds(Gaussian(*pair[0]), Gaussian(*pair[1])),
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -164,8 +274,12 @@ def test_subs_and_eval():
 
 @pytest.mark.parametrize(
     "p",
-    [RXY.one() + RXY.gen(0) - RXY.gen(1) * 2, UPoly((1, -2, 3))],
-    ids=["MultiPoly", "UPoly"],
+    [
+        RXY.one() + RXY.gen(0) - RXY.gen(1) * 2,
+        UPoly((1, -2, 3)),
+        Gaussian(Fraction(1, 2), -1),
+    ],
+    ids=["MultiPoly", "UPoly", "Gaussian"],
 )
 def test_pow_matches_repeated_products_and_stops_squaring(p, monkeypatch):
     cls = type(p)

@@ -157,6 +157,23 @@ def test_local_series_satisfy_curve_equation(curve, curve_with_split_point):
         assert defect.truncate(min(defect.prec, 10)).is_plainly_zero
 
 
+@pytest.mark.parametrize(
+    "requests, cached",
+    [((20, 40, 41, 70), (32, 64, 64, 128)), ((40, 41, 81, 100), (64, 64, 128, 128))],
+    ids=["from_20", "from_40"],
+)
+def test_local_series_cache_grows_to_powers_of_two(requests, cached):
+    """The cache holds the smallest power of two >= max(prec, 32), so a
+    request just above a cached precision does not double it again."""
+    c = HyperCurve.from_roots(range(6))
+    place = c.infinite_place(1)
+    for prec, want in zip(requests, cached):
+        xs, ys = place.local_series(prec)
+        hit = c._cache["series"][(place.kind, place.key)]
+        assert hit[0] == want
+        assert xs is hit[1] and ys is hit[2]
+
+
 # ----------------------------------------------------------------------
 # places and valuations
 # ----------------------------------------------------------------------
@@ -232,7 +249,7 @@ def oracle_places():
     root (one of them over x = 0), both infinite places and the split
     places.  Their local series are computed once at precision 64, which
     covers every expansion the oracle makes for the elements drawn
-    below; grown on demand, the cache would double past it."""
+    below, so no drawn example pays for growing the cache."""
     out = {}
     for name, (roots, points) in ORACLE_CURVES.items():
         c = HyperCurve.from_roots(roots)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincert import VerificationError, instanton
+from spincert import VerificationError, cli, instanton
 from spincert.clifford import Multivector, star_blade
 from spincert.exactalg import Gaussian, MultiPoly, RatFunc, rank
 from spincert.instanton import (
@@ -169,6 +169,34 @@ def test_bpst_rejects_curvature_that_is_not_anti_self_dual(monkeypatch):
     monkeypatch.setattr(instanton, "asd_check", lambda f: False)
     with pytest.raises(VerificationError):
         bpst_connection()
+
+
+def test_run_instanton_builds_each_curvature_once(monkeypatch, tmp_path):
+    body = instanton._curvature_of
+    built = []
+
+    def counting(comps):
+        built.append(comps)
+        return body(comps)
+
+    monkeypatch.setattr(instanton, "_curvature_of", counting)
+    assert cli.main(["run", "instanton", "--out", str(tmp_path / "r.json")]) == 0
+    # the BPST connection and the perturbed control's connection, one
+    # build each, though the suite asks for a curvature seven times
+    assert len(built) == 2 and built[0] is not built[1]
+
+    # a Connection hands out copies of the curvature it built for its
+    # anti-self-duality check; a bare component tuple is not cached
+    built.clear()
+    conn = bpst_connection()
+    first = curvature(conn)
+    first.clear()
+    again = curvature(conn)
+    assert len(again) == 6 and asd_check(again)
+    assert len(built) == 1
+    curvature(conn.components)
+    curvature(conn.components)
+    assert len(built) == 3
 
 
 def test_duality_split_of_zero():
