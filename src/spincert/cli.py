@@ -31,6 +31,7 @@ import time
 from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 import random
 
 from . import VerificationError
@@ -614,17 +615,6 @@ def _csv_values(text, conv, what):
         raise ValueError("malformed %s list: %r" % (what, text)) from None
 
 
-class _Options:
-    def __init__(self, seed, triples, perturb, fixture_curve, branch_config, m, g):
-        self.seed = seed
-        self.triples = triples
-        self.perturb = perturb
-        self.fixture_curve = fixture_curve
-        self.branch_config = branch_config
-        self.m = m
-        self.g = g
-
-
 def run(
     suite,
     seed=DEFAULT_SEED,
@@ -658,7 +648,7 @@ def run(
         )
     if triples < 0:
         raise ValueError("triple count must be non-negative: %d" % triples)
-    opts = _Options(
+    opts = SimpleNamespace(
         seed=seed,
         triples=triples,
         perturb=perturb,

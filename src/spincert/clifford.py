@@ -347,6 +347,15 @@ def _mat_scale(c, a):
 _ZERO4 = tuple(tuple(_g() for _ in range(4)) for _ in range(4))
 _ID4 = tuple(tuple(_g(1 if i == j else 0) for j in range(4)) for i in range(4))
 
+# the 2x2 matrices of the quaternion units i, j, k, 1, as Gaussian rows;
+# the one convention both this module and the instanton module build on
+QUATERNION_UNITS = (
+    ((_g(), _g(0, -1)), (_g(0, -1), _g())),
+    ((_g(), _g(-1)), (_g(1), _g())),
+    ((_g(0, -1), _g()), (_g(), _g(0, 1))),
+    ((_g(1), _g()), (_g(), _g(1))),
+)
+
 
 class GammaRep:
     """Exact 4x4 matrices over the Gaussian rationals representing the
@@ -356,22 +365,13 @@ class GammaRep:
     S+ and the negative block S-."""
 
     def __init__(self):
-        i = _g(0, 1)
         o = _g()
-        l = _g(1)
-        mi = ((o, -i), (-i, o))
-        mj = ((o, -l), (l, o))
-        mk = ((-i, o), (o, i))
-        m1 = ((l, o), (o, l))
-        units = (mi, mj, mk, m1)
-        conj = (
-            tuple(tuple(-x for x in row) for row in mi),
-            tuple(tuple(-x for x in row) for row in mj),
-            tuple(tuple(-x for x in row) for row in mk),
-            m1,
-        )
+        mi, mj, mk, m1 = QUATERNION_UNITS
+        conj = tuple(
+            tuple(tuple(-x for x in row) for row in q) for q in (mi, mj, mk)
+        ) + (m1,)
         gammas = []
-        for q, qc in zip(units, conj):
+        for q, qc in zip(QUATERNION_UNITS, conj):
             gm = [[o] * 4 for _ in range(4)]
             for r in range(2):
                 for c in range(2):

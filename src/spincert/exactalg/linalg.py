@@ -7,11 +7,13 @@ so the entries stay in the coefficient domain (scalars or polynomials)
 and never pick up spurious denominators mid-computation.
 
 Each call works over one entry domain: Fractions, Gaussians, or
-MultiPolys over one ring.  Nullspace vectors are returned over the entry
-domain (denominator-free in the polynomial case) and are checked against
-``M v = 0`` exactly.  The exact-vector helpers shared by the geometry
-layers live here too: the rational content of a vector and the
-cross-multiplication proportionality test.
+MultiPolys over one ring.  Entries answer for themselves: ``not x`` is
+the zero test, and zero and one come from a sample entry.  Nullspace
+vectors are returned over the entry domain (denominator-free in the
+polynomial case) and are checked against ``M v = 0`` exactly.  The
+exact-vector helpers shared by the geometry layers live here too: the
+rational content of a vector and the cross-multiplication
+proportionality test.
 """
 
 from __future__ import annotations
@@ -21,13 +23,6 @@ from math import gcd, lcm
 
 from .polys import MultiPoly
 from .ratfunc import RatFunc
-from .scalars import Gaussian
-
-
-def _is_zero(x):
-    if isinstance(x, (MultiPoly, Gaussian)):
-        return x.is_zero
-    return x == 0
 
 
 def _exact_div(a, b):
@@ -53,7 +48,7 @@ def _echelon(rows):
     for c in range(ncols):
         p = None
         for i in range(r, nrows):
-            if not _is_zero(m[i][c]):
+            if m[i][c]:
                 p = i
                 break
         if p is None:
@@ -61,33 +56,18 @@ def _echelon(rows):
         if p != r:
             m[r], m[p] = m[p], m[r]
         pivot = m[r][c]
+        zero = pivot * 0
         for i in range(r + 1, nrows):
             for j in range(c + 1, ncols):
                 t = pivot * m[i][j] - m[i][c] * m[r][j]
                 m[i][j] = _exact_div(t, prev) if prev != 1 else t
-            m[i][c] = _zero_like(pivot)
+            m[i][c] = zero
         prev = pivot
         piv_cols.append(c)
         r += 1
         if r == nrows:
             break
     return m, piv_cols
-
-
-def _zero_like(x):
-    if isinstance(x, MultiPoly):
-        return x.ring.zero()
-    if isinstance(x, Gaussian):
-        return Gaussian(0)
-    return Fraction(0)
-
-
-def _one_like(x):
-    if isinstance(x, MultiPoly):
-        return x.ring.one()
-    if isinstance(x, Gaussian):
-        return Gaussian(1)
-    return Fraction(1)
 
 
 def rank(rows):
@@ -117,21 +97,22 @@ def nullspace(rows):
     basis = []
     sample = rows[0][0]
     polynomial = isinstance(sample, MultiPoly)
-    one = _one_like(sample)
+    zero = _to_frac_field(sample * 0)
+    one = zero + 1
     for fc in free_cols:
         v = [None] * ncols
         for c in free_cols:
-            v[c] = _to_frac_field(one if c == fc else _zero_like(sample))
+            v[c] = one if c == fc else zero
         for k in range(len(piv_cols) - 1, -1, -1):
             pc = piv_cols[k]
             acc = None
             for j in range(pc + 1, ncols):
-                if _is_zero(ech[k][j]):
+                if not ech[k][j]:
                     continue
                 t = _to_frac_field(ech[k][j]) * v[j]
                 acc = t if acc is None else acc + t
             if acc is None:
-                v[pc] = _to_frac_field(_zero_like(sample))
+                v[pc] = zero
             else:
                 v[pc] = -acc / _to_frac_field(ech[k][pc])
         if polynomial:
@@ -181,7 +162,7 @@ def _strip_content(vec):
 def proportional(u, v) -> bool:
     """Whether two vectors over one domain are proportional, by exact
     cross-multiplication; False when either is the zero vector."""
-    if all(_is_zero(c) for c in u) or all(_is_zero(c) for c in v):
+    if not any(u) or not any(v):
         return False
     n = len(u)
     return all(
@@ -195,5 +176,5 @@ def _assert_in_kernel(rows, vec):
         for a, b in zip(row, vec):
             t = a * b
             acc = t if acc is None else acc + t
-        if acc is not None and not _is_zero(acc):
+        if acc:
             raise AssertionError("nullspace vector fails M v = 0")

@@ -2,7 +2,9 @@
 
 A polynomial is a map from exponent vectors (one integer per ring
 variable) to nonzero coefficients in the ring's scalar field.  Zero
-coefficients are never stored, so the zero test is "no terms".
+coefficients are never stored, so ``not p`` (no terms) is the zero test,
+as ``not c`` is for a coefficient.  The ring's field only coerces and
+parses coefficients; they divide and format through their own operators.
 
 Exact division (`exact_div`) runs multivariate division against a single
 divisor under the lexicographic term order and reports failure instead of
@@ -59,7 +61,7 @@ class PolyRing:
 
     def const(self, c):
         c = self.field.coerce(c)
-        if self.field.is_zero(c):
+        if not c:
             return MultiPoly(self, {})
         return MultiPoly(self, {(0,) * self.nvars: c})
 
@@ -123,7 +125,7 @@ class MultiPoly:
         nv = ring.nvars
         for exps, c in terms.items():
             c = ring.field.coerce(c)
-            if ring.field.is_zero(c):
+            if not c:
                 continue
             if len(exps) != nv:
                 raise ValueError("exponent arity mismatch")
@@ -149,6 +151,9 @@ class MultiPoly:
     @property
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def is_constant(self):
         return all(all(e == 0 for e in exps) for exps in self.terms)
@@ -184,12 +189,11 @@ class MultiPoly:
         other = self._check(other)
         if other is None:
             return NotImplemented
-        field = self.ring.field
         out = dict(self.terms)
         for exps, c in other.terms.items():
             acc = out.get(exps)
             s = c if acc is None else acc + c
-            if field.is_zero(s):
+            if not s:
                 out.pop(exps, None)
             else:
                 out[exps] = s
@@ -216,7 +220,6 @@ class MultiPoly:
         other = self._check(other)
         if other is None:
             return NotImplemented
-        field = self.ring.field
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -224,7 +227,7 @@ class MultiPoly:
                 p = c1 * c2
                 acc = out.get(e)
                 s = p if acc is None else acc + p
-                if field.is_zero(s):
+                if not s:
                     out.pop(e, None)
                 else:
                     out[e] = s
@@ -261,7 +264,6 @@ class MultiPoly:
             raise TypeError("bad divisor")
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        field = self.ring.field
         lexp, lc = divisor.lead()
         rem = dict(self.terms)
         quot = {}
@@ -270,12 +272,12 @@ class MultiPoly:
             qexp = tuple(a - b for a, b in zip(rexp, lexp))
             if any(e < 0 for e in qexp):
                 return None
-            qc = field.div(rem[rexp], lc)
+            qc = rem[rexp] / lc
             quot[qexp] = qc
             for dexp, dc in divisor.terms.items():
                 e = tuple(a + b for a, b in zip(qexp, dexp))
-                s = rem.get(e, field.zero()) - qc * dc
-                if field.is_zero(s):
+                s = rem.get(e, 0) - qc * dc
+                if not s:
                     rem.pop(e, None)
                 else:
                     rem[e] = s
@@ -330,7 +332,6 @@ class MultiPoly:
     def to_str(self):
         if self.is_zero:
             return "0"
-        field = self.ring.field
         parts = []
         for exps in sorted(self.terms, reverse=True):
             c = self.terms[exps]
@@ -339,7 +340,7 @@ class MultiPoly:
                 for i, k in enumerate(exps)
                 if k
             )
-            ctext = field.to_str(c)
+            ctext = str(c)
             if any(ch in ctext[1:] for ch in "+-") or ctext.endswith("i"):
                 ctext = "(%s)" % ctext
             parts.append("%s*%s" % (ctext, mono) if mono else ctext)

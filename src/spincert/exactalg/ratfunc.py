@@ -59,10 +59,7 @@ class RatFunc:
                 raise ValueError("not a polynomial")
             return q
         c = self.den.constant_value()
-        f = self.ring.field
-        return MultiPoly(
-            self.ring, {e: f.div(v, c) for e, v in self.num.terms.items()}
-        )
+        return MultiPoly(self.ring, {e: v / c for e, v in self.num.terms.items()})
 
     # ------------------------------------------------------------------
 
@@ -168,9 +165,9 @@ class RatFunc:
 
     def eval(self, point):
         dv = self.den.eval(point)
-        if self.ring.field.is_zero(dv):
+        if not dv:
             raise ZeroDivisionError("denominator vanishes at the point")
-        return self.ring.field.div(self.num.eval(point), dv)
+        return self.num.eval(point) / dv
 
     def __str__(self):
         if self.den.is_constant() and self.den.constant_value() == self.ring.field.one():

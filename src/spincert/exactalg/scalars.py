@@ -10,9 +10,9 @@ integer norm.  No Fraction is built on the way; ``re`` and ``im`` are
 derived on demand.  Every operation is exact; nothing here ever rounds.
 
 The two coefficient fields are exposed as the singletons ``QQ`` and ``QI``.
-A field object knows how to coerce, format, and parse its elements, which
-is what the polynomial layer needs; the elements themselves carry the
-arithmetic through ordinary operators.
+A field object only coerces and parses its elements and names its zero
+and one; the elements answer for themselves through ordinary operators:
+``not v`` is the zero test, ``a / b`` divides and ``str(v)`` formats.
 """
 
 from __future__ import annotations
@@ -285,15 +285,6 @@ class RationalField:
             return v.re
         raise TypeError("cannot coerce %r into QQ" % (v,))
 
-    def is_zero(self, v):
-        return v == 0
-
-    def div(self, a, b):
-        return a / b
-
-    def to_str(self, v):
-        return str(v)
-
     def parse(self, text):
         return Fraction(text.strip())
 
@@ -312,9 +303,6 @@ class GaussianField:
     def one(self):
         return Gaussian(1)
 
-    def i(self):
-        return Gaussian(0, 1)
-
     def coerce(self, v):
         if type(v) is Gaussian:
             return v
@@ -322,15 +310,6 @@ class GaussianField:
         if z is None:
             raise TypeError("cannot coerce %r into QI" % (v,))
         return z
-
-    def is_zero(self, v):
-        return v.is_zero
-
-    def div(self, a, b):
-        return a / b
-
-    def to_str(self, v):
-        return format_gaussian(v)
 
     def parse(self, text):
         return parse_gaussian(text)

@@ -13,7 +13,10 @@ coefficient, two rational places over x = infinity.  Divisor support is
 restricted to rational places (branch places, the two infinite places,
 and split places over rational non-branch x with square f-value); that
 covers every computation this package needs while keeping all
-arithmetic inside the rationals.
+arithmetic inside the rationals.  ``HyperCurve.places_over`` is the one
+place that lists the rational places over an x-value, and
+``branch_product`` the one builder of prod (x - x_i) over a branch
+subset, the witness polynomial of the square-root classes.
 """
 
 from __future__ import annotations
@@ -190,12 +193,13 @@ class UPoly:
             for qden in _divisors(an):
                 for sign in (1, -1):
                     r = Fraction(sign * pnum, qden)
-                    if r in out or p.eval(r) != 0:
+                    if r in out:
                         continue
                     mult, p, _ = _root_order(p, r)
-                    out[r] = mult
-                    if p.degree < 1:
-                        return out
+                    if mult:
+                        out[r] = mult
+                        if p.degree < 1:
+                            return out
         return out
 
     def __repr__(self):
@@ -462,6 +466,19 @@ class HyperCurve:
             raise ValueError("point is not a smooth affine non-branch point")
         return Place(self, "split", (x0, y0))
 
+    def places_over(self, x0):
+        """The rational places over a finite x-value: the branch place
+        when f(x0) = 0, both split places when f(x0) is a nonzero
+        rational square, and () otherwise."""
+        x0 = _fr(x0)
+        fx = self.f.eval(x0)
+        if fx == 0:
+            return (Place(self, "branch", x0),)
+        y0 = rational_sqrt(fx)
+        if y0 is None:
+            return ()
+        return (Place(self, "split", (x0, y0)), Place(self, "split", (x0, -y0)))
+
     def all_standard_places(self):
         n = len(self.roots)
         return tuple(self.branch_place(i) for i in range(1, n + 1)) + (
@@ -499,7 +516,8 @@ class Place:
         )
 
     def __hash__(self):
-        return hash((self.curve, self.kind, self.key))
+        # equal places have equal (kind, key); the curve is left to __eq__
+        return hash((self.kind, self.key))
 
     def __repr__(self):
         if self.kind == "branch":
@@ -564,16 +582,22 @@ class Place:
         return xs, ys
 
 
+def _shift_row(x0, j, n):
+    """The coefficient of (x - x0)^j in each of x^0, ..., x^n: C(k, j)
+    x0^(k-j), and 0 for k < j (so x0 = 0 meets no negative power)."""
+    return [
+        Fraction(comb(k, j)) * x0 ** (k - j) if k >= j else Fraction(0)
+        for k in range(n + 1)
+    ]
+
+
 def _taylor(p: UPoly, x0):
     """Coefficients of p(x0 + t) in t, exact."""
     n = max(p.degree, 0)
-    out = [Fraction(0)] * (n + 1)
-    for k, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        for j in range(k + 1):
-            out[j] += c * comb(k, j) * x0 ** (k - j)
-    return out
+    return [
+        sum(c * s for c, s in zip(p.coeffs, _shift_row(x0, j, n)))
+        for j in range(n + 1)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -598,10 +622,6 @@ class Divisor:
 
     def __setattr__(self, name, value):
         raise AttributeError("Divisor is immutable")
-
-    @classmethod
-    def of_place(cls, place, n=1):
-        return cls({place: n})
 
     def coeff(self, place):
         return self.coeffs.get(place, 0)
@@ -742,7 +762,7 @@ class FieldElem:
     def inverse(self):
         if self.is_zero:
             raise ZeroDivisionError("inverting zero")
-        num = self.a * self.a - self.b * self.b * self.curve.f
+        num = self.norm_pair()[0]
         return FieldElem(self.curve, self.a * self.den, -self.b * self.den, num)
 
     def __truediv__(self, other):
@@ -866,26 +886,14 @@ def divisor_of(h: FieldElem) -> Divisor:
         if sum(roots.values()) != max(poly.degree, 0):
             raise ValueError("support is not rational: %r" % poly)
         support_x.update(roots)
-    out = {}
+    places = []
     for x0 in support_x:
-        if curve.f.eval(x0) == 0:
-            i = curve.roots.index(x0) + 1
-            places = [curve.branch_place(i)]
-        else:
-            y0 = rational_sqrt(curve.f.eval(x0))
-            if y0 is None:
-                raise ValueError("support over x=%s is not rational" % x0)
-            places = [curve.split_place(x0, y0), curve.split_place(x0, -y0)]
-        for p in places:
-            v = h.valuation(p)
-            if v:
-                out[p] = v
-    for sign in (1, -1):
-        p = curve.infinite_place(sign)
-        v = h.valuation(p)
-        if v:
-            out[p] = v
-    div = Divisor(out)
+        over = curve.places_over(x0)
+        if not over:
+            raise ValueError("support over x=%s is not rational" % x0)
+        places.extend(over)
+    places += [curve.infinite_place(1), curve.infinite_place(-1)]
+    div = Divisor({p: h.valuation(p) for p in places})
     if div.degree != 0:
         raise VerificationError("computed divisor has nonzero degree %d" % div.degree)
     return div
@@ -932,22 +940,24 @@ def theta_divisor(curve: HyperCurve, t) -> Divisor:
     m, rem = divmod(g - 1 - len(tset), 2)
     if rem:
         raise ValueError("unbalanced subset size")
-    out = {}
-    for i in sorted(tset):
-        out[curve.branch_place(i)] = 1
-    if m:
-        out[curve.infinite_place(1)] = m
-        out[curve.infinite_place(-1)] = m
+    out = {curve.branch_place(i): 1 for i in sorted(tset)}
+    out[curve.infinite_place(1)] = out[curve.infinite_place(-1)] = m
     div = Divisor(out)
-    witness = FieldElem(curve, UPoly((1,)))
-    for i in sorted(tset):
-        witness = witness * FieldElem(
-            curve, UPoly.x_minus(curve.roots[i - 1])
-        )
+    witness = FieldElem(curve, branch_product(curve, tset))
     doubling = div.scale(2) - canonical_divisor(curve)
     if divisor_of(witness) != doubling:
         raise VerificationError("doubling witness failed for T=%s" % sorted(tset))
     return div
+
+
+def branch_product(curve: HyperCurve, t) -> UPoly:
+    """The polynomial prod over i in t of (x - x_i), x_i the i-th branch
+    point (1-based); its divisor is twice the branch places over t minus
+    |t| times the two infinite places."""
+    out = UPoly((1,))
+    for i in sorted(t):
+        out = out * UPoly.x_minus(curve.roots[i - 1])
+    return out
 
 
 def theta_complement_witness(curve: HyperCurve, t) -> FieldElem:
@@ -956,10 +966,7 @@ def theta_complement_witness(curve: HyperCurve, t) -> FieldElem:
     g = curve.genus
     tset = frozenset(int(i) for i in t)
     comp = frozenset(range(1, 2 * g + 3)) - tset
-    h = FieldElem(curve, UPoly((1,)))
-    for i in sorted(tset):
-        h = h * FieldElem(curve, UPoly.x_minus(curve.roots[i - 1]))
-    h = h / FieldElem.y_function(curve)
+    h = FieldElem(curve, branch_product(curve, tset)) / FieldElem.y_function(curve)
     want = theta_divisor(curve, tset) - theta_divisor(curve, comp)
     if divisor_of(h) != want:
         raise VerificationError("complement witness failed for T=%s" % sorted(tset))
@@ -1022,7 +1029,8 @@ def _group_divisor(curve, divisor):
 
 def _rr_system(curve: HyperCurve, divisor: Divisor):
     """Denominator, degree bounds, and constraint rows for the L(D)
-    ansatz h = (a(x) + b(x) y)/d(x)."""
+    ansatz h = (a(x) + b(x) y)/d(x); a row is the a-coefficients of
+    x^0..x^na followed by the b-coefficients of x^0..x^nb."""
     g = curve.genus
     branch, split, inf = _group_divisor(curve, divisor)
     d = UPoly((1,))
@@ -1039,56 +1047,41 @@ def _rr_system(curve: HyperCurve, divisor: Divisor):
     n_inf = max(inf[1], inf[-1], 0)
     na = d.degree + n_inf
     nb = na - (g + 1)
-    ncols = (na + 1) + (nb + 1 if nb >= 0 else 0)
+    zero_a = [Fraction(0)] * (na + 1)
+    zero_b = [Fraction(0)] * (nb + 1)
 
     rows = []
-
-    def a_col(k):
-        return k
-
-    def b_col(k):
-        return na + 1 + k
 
     # branch constraints: the even and odd parts cannot cancel, so the
     # pole bound splits into independent order conditions on a and b
     for x0, n in branch.items():
         c = 2 * branch_e[x0] - n
-        need_a = max(_ceil_div(c, 2), 0)
-        need_b = max(_ceil_div(c - 1, 2), 0)
-        for j in range(need_a):
-            row = [Fraction(0)] * ncols
-            for k in range(j, na + 1):
-                row[a_col(k)] = Fraction(comb(k, j)) * x0 ** (k - j)
-            rows.append(row)
+        rows += [_shift_row(x0, j, na) + zero_b for j in range(_ceil_div(c, 2))]
         if nb >= 0:
-            for j in range(need_b):
-                row = [Fraction(0)] * ncols
-                for k in range(j, nb + 1):
-                    row[b_col(k)] = Fraction(comb(k, j)) * x0 ** (k - j)
-                rows.append(row)
+            rows += [
+                zero_a + _shift_row(x0, j, nb) for j in range(_ceil_div(c - 1, 2))
+            ]
 
     # split constraints: leading series coefficients on each sheet over
-    # the x-value, including the sheet absent from the divisor
+    # the x-value, including the sheet absent from the divisor; the b y
+    # part is the Cauchy product of b's shifted coefficients with y's
     for x0, ys in split.items():
         e = split_e[x0]
         y0ref = next(iter(ys))
-        sheets = {y0ref: ys.get(y0ref, 0), -y0ref: ys.get(-y0ref, 0)}
-        for y0, n in sheets.items():
-            c = e - n
+        for y0 in (y0ref, -y0ref):
+            c = e - ys.get(y0, 0)
             if c <= 0:
                 continue
             place = curve.split_place(x0, y0)
             _, yseries = place.local_series(c + curve.f.degree + 6)
+            yc = [yseries.coeff(j) for j in range(c)]
+            shifts = [_shift_row(x0, j, na) for j in range(c)]
             for j in range(c):
-                row = [Fraction(0)] * ncols
-                for k in range(j, na + 1):
-                    row[a_col(k)] += Fraction(comb(k, j)) * x0 ** (k - j)
-                if nb >= 0:
-                    for k in range(nb + 1):
-                        for jj in range(0, min(k, j) + 1):
-                            coeff_b = Fraction(comb(k, jj)) * x0 ** (k - jj)
-                            row[b_col(k)] += coeff_b * yseries.coeff(j - jj)
-                rows.append(row)
+                b = [
+                    sum(shifts[jj][k] * yc[j - jj] for jj in range(j + 1))
+                    for k in range(nb + 1)
+                ]
+                rows.append(shifts[j] + b)
 
     # infinity constraints: Laurent coefficients below the allowed pole
     for sign in (1, -1):
@@ -1098,13 +1091,10 @@ def _rr_system(curve: HyperCurve, divisor: Divisor):
         place = curve.infinite_place(sign)
         _, yseries = place.local_series(na + curve.f.degree + 6)
         for j in range(-na, -na + c_needed):
-            row = [Fraction(0)] * ncols
-            if 0 <= -j <= na:
-                row[a_col(-j)] += 1
-            if nb >= 0:
-                for k in range(nb + 1):
-                    row[b_col(k)] += yseries.coeff(j + k)
-            rows.append(row)
+            a = list(zero_a)
+            if j <= 0:
+                a[-j] += 1
+            rows.append(a + [yseries.coeff(j + k) for k in range(nb + 1)])
 
     return d, na, nb, rows
 
@@ -1163,15 +1153,11 @@ def _verify_membership(curve, divisor, d, basis):
     """Each basis element obeys every pole bound and has no pole off the
     support; candidate poles only at zeros of d and infinity."""
     candidates = set(divisor.support)
-    for x0, mult in d.rational_roots().items():
-        if curve.f.eval(x0) == 0:
-            candidates.add(curve.branch_place(curve.roots.index(x0) + 1))
-        else:
-            y0 = rational_sqrt(curve.f.eval(x0))
-            if y0 is None:
-                raise VerificationError("denominator root not rational on the curve")
-            candidates.add(curve.split_place(x0, y0))
-            candidates.add(curve.split_place(x0, -y0))
+    for x0 in d.rational_roots():
+        over = curve.places_over(x0)
+        if not over:
+            raise VerificationError("denominator root not rational on the curve")
+        candidates.update(over)
     candidates.add(curve.infinite_place(1))
     candidates.add(curve.infinite_place(-1))
     for h in basis:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import VerificationError
-from .clifford import GammaRep, Multivector, star_blade
+from .clifford import QUATERNION_UNITS, GammaRep, Multivector, star_blade
 from .exactalg import Gaussian, MultiPoly, PolyRing, QI, rank
 
 R4 = PolyRing(QI, ("x1", "x2", "x3", "x4"))
@@ -244,20 +244,14 @@ class Mat2:
         return "Mat2(%s)" % (self.rows,)
 
 
-def _const(re=0, im=0):
-    return _RhoFrac(R4.const(Gaussian(re, im)))
-
-
 _M0 = Mat2(((0, 0), (0, 0)))
 _M1 = Mat2(((1, 0), (0, 1)))
 
 
 def quaternion_units():
-    """The matrix images of i, j, k, 1 used throughout this module."""
-    mi = Mat2(((_const(), _const(0, -1)), (_const(0, -1), _const())))
-    mj = Mat2(((_const(), _const(-1)), (_const(1), _const())))
-    mk = Mat2(((_const(0, -1), _const()), (_const(), _const(0, 1))))
-    return mi, mj, mk, _M1
+    """The matrix images of i, j, k, 1 used throughout this module: the
+    clifford module's ``QUATERNION_UNITS`` as p / rho^0 entries."""
+    return tuple(Mat2(q) for q in QUATERNION_UNITS)
 
 
 def commutator(a: Mat2, b: Mat2) -> Mat2:

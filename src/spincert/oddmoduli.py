@@ -33,9 +33,9 @@ from .hyperell import (
     HyperCurve,
     Place,
     UPoly,
+    branch_product,
     canonical_divisor,
     divisor_of,
-    rational_sqrt,
     rr_space,
     spin_power_divisor,
     standard_curve,
@@ -544,11 +544,7 @@ def plane_curve_divisor(E: EmbeddedCurve, plane: PlaneP3) -> PlaneSection:
     for r in num.rational_roots():
         if r in E.curve.roots:
             continue
-        y0 = rational_sqrt(E.curve.f.eval(r))
-        if y0 is None or y0 == 0:
-            continue
-        for sgn in (1, -1):
-            pl = E.curve.split_place(r, sgn * y0)
+        for pl in E.curve.places_over(r):
             v = h.valuation(pl)
             if v:
                 entries[pl] = v
@@ -566,14 +562,8 @@ def plane_curve_divisor(E: EmbeddedCurve, plane: PlaneP3) -> PlaneSection:
 def _twist_divisor(E: EmbeddedCurve, triple: PointTriple) -> Divisor:
     """Divisor representing the triple's bundle twisted down by the
     square root: (p+q+r) - canonical + theta representative."""
-    d = Divisor()
-    for p in triple.places:
-        d = d + Divisor.of_place(p)
-    return (
-        d
-        - canonical_divisor(E.curve)
-        + theta_divisor(E.curve, E.theta.members)
-    )
+    d = Divisor({p: 1 for p in triple.places})
+    return d - canonical_divisor(E.curve) + theta_divisor(E.curve, E.theta.members)
 
 
 def triple_plane_report(E: EmbeddedCurve, triple: PointTriple) -> dict:
@@ -614,23 +604,19 @@ def triple_plane_report(E: EmbeddedCurve, triple: PointTriple) -> dict:
         report["sigma_plane"] = [int(c) for c in sigma_plane.coeffs]
         report["intersection_degree"] = section.degree
     else:
-        witness = _square_root_identification(E, triple, sections)
+        witness = _square_root_identification(E, sections)
         report["square_root_identification"] = witness
     return report
 
 
-def _square_root_identification(E, triple, twist_space) -> dict:
+def _square_root_identification(E, twist_space) -> dict:
     """Certificate that a collinear triple's twist is the square-root
-    class: the degree-0 difference divisor is principal, with the
+    class: the degree-0 difference twist - 2 theta is principal, with the
     function exhibited and its divisor re-verified.  The identification
     carries the canonical sections onto the twist's sections; the image
     of the constant is reported as the distinguished section."""
-    d = Divisor()
-    for p in triple.places:
-        d = d + Divisor.of_place(p)
     theta = theta_divisor(E.curve, E.theta.members)
-    kdiv = canonical_divisor(E.curve)
-    diff = d - theta - kdiv
+    diff = twist_space.divisor - theta.scale(2)
     space = rr_space(E.curve, diff)
     if space.dimension != 1:
         raise VerificationError(
@@ -639,12 +625,7 @@ def _square_root_identification(E, triple, twist_space) -> dict:
     w = space.basis[0]
     if divisor_of(w) != -diff:
         raise VerificationError("identification witness has the wrong divisor")
-    doubling = FieldElem(E.curve, UPoly((1,)))
-    for i in sorted(E.theta.members):
-        doubling = doubling * FieldElem(
-            E.curve, UPoly.x_minus(E.curve.roots[i - 1])
-        )
-    carrier = w / doubling
+    carrier = w / FieldElem(E.curve, branch_product(E.curve, E.theta.members))
     for h in E.canonical_basis:
         if _in_span(twist_space.basis, carrier * h) is None:
             raise VerificationError(

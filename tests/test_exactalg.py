@@ -257,6 +257,8 @@ def test_exact_div_reports_failure():
 def test_poly_text_roundtrip(p, pg):
     assert RXY.parse(p.to_str()) == p
     assert RQI.parse(pg.to_str()) == pg
+    for poly in (p, pg, p - p):
+        assert bool(poly) == (not poly.is_zero)
 
 
 def test_ring_mismatch_raises():

@@ -1,0 +1,52 @@
+"""Frozen CLI reports: each run's JSON report, with the volatile
+``generated`` and ``elapsed_ms`` fields removed, must equal its checked-in
+golden file byte for byte, and the run must exit with the recorded code.
+
+The golden files under ``tests/golden`` were written by
+``spincert run ... --out`` and then stripped of those two fields; a
+change to a report's contents has to update them on purpose."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from spincert.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+FIXTURE = str(GOLDEN / "curve_roots_0_1_2_3_4_-14.txt")
+
+RUNS = [
+    ("run_all_seed1729", ["run", "all", "--seed", "1729"], 0),
+    (
+        "run_odd_fixture_seed3_triples2",
+        ["run", "odd", "--curve", FIXTURE, "--seed", "3", "--triples", "2"],
+        0,
+    ),
+    ("run_parity_fixture", ["run", "parity", "--curve", FIXTURE], 0),
+]
+
+
+def _strip_times(obj):
+    if isinstance(obj, dict):
+        return {
+            k: _strip_times(v)
+            for k, v in obj.items()
+            if k not in ("generated", "elapsed_ms")
+        }
+    if isinstance(obj, list):
+        return [_strip_times(v) for v in obj]
+    return obj
+
+
+def stripped_report_text(path):
+    report = json.loads(Path(path).read_text(encoding="utf-8"))
+    return json.dumps(_strip_times(report), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name, argv, code", RUNS, ids=[r[0] for r in RUNS])
+def test_report_matches_golden(name, argv, code, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == code
+    want = (GOLDEN / (name + ".json")).read_text(encoding="utf-8")
+    assert stripped_report_text(out) == want

@@ -14,8 +14,10 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import rr_system_oracle
 from spincert import VerificationError
 from spincert.hyperell import (
+    _rr_system,
     Divisor,
     FieldElem,
     HyperCurve,
@@ -386,6 +388,33 @@ def test_split_place_rejects_bad_points(curve):
         curve.split_place(6, 7)  # 7^2 != f(6)
 
 
+def test_places_over_frozen(curve, curve_with_split_point):
+    c = curve_with_split_point
+    assert curve.places_over(0) == (curve.branch_place(1),)
+    assert c.places_over(Fraction(-14)) == (c.branch_place(1),)
+    assert c.places_over(6) == (c.split_place(6, 120), c.split_place(6, -120))
+    assert curve.places_over(6) == ()  # f(6) = 720 is not a square
+    assert curve.places_over(Fraction(1, 2)) == ()  # f(1/2) < 0
+
+
+def test_place_hash_is_kind_and_key(curve, curve_with_split_point):
+    twin = standard_curve()
+    assert twin is not curve
+    p, q = curve.branch_place(2), twin.branch_place(2)
+    assert p == q and hash(p) == hash(q)
+    assert {p: 1}[q] == 1
+    # ("branch", 1) and ("inf", 1) on a different curve: same kind and
+    # key, different place
+    other = curve_with_split_point
+    assert other.branch_place(3).key == p.key
+    for mine, theirs in (
+        (p, other.branch_place(3)),
+        (curve.infinite_place(1), other.infinite_place(1)),
+    ):
+        assert mine != theirs
+        assert len({mine, theirs}) == 2
+
+
 def test_nonsquare_lead_curve_is_rejected():
     f = UPoly((1,))
     for r in range(6):
@@ -446,8 +475,8 @@ def test_divisor_of_rejects_irrational_support(curve):
 
 
 def test_divisor_arithmetic(curve):
-    p = Divisor.of_place(curve.branch_place(1), 2)
-    q = Divisor.of_place(curve.infinite_place(1), -1)
+    p = Divisor({curve.branch_place(1): 2})
+    q = Divisor({curve.infinite_place(1): -1})
     d = p + q
     assert d.degree == 1
     assert (d - d) == Divisor()
@@ -475,7 +504,7 @@ def test_canonical_divisor_small_genus(curve):
 
 
 def test_theta_divisor_frozen_and_parity(curve):
-    assert theta_divisor(curve, {1}) == Divisor.of_place(curve.branch_place(1))
+    assert theta_divisor(curve, {1}) == Divisor({curve.branch_place(1): 1})
     t123 = theta_divisor(curve, {1, 2, 3})
     assert t123 == Divisor(
         {
@@ -511,6 +540,43 @@ def test_theta_complement_equivalence(curve):
 # ----------------------------------------------------------------------
 
 
+# divisor coefficients by place, for the standard curve ("std", roots
+# 0..5) and the curve with split points over x = 6 ("split")
+_RR_ROW_CASES = {
+    "branch_at_zero": ("std", lambda c: {c.branch_place(1): -3, c.branch_place(4): 2}),
+    "branch_mixed": ("std", lambda c: {c.branch_place(2): 3, c.branch_place(5): -4}),
+    "branch_few_columns": ("std", lambda c: {c.branch_place(1): -1}),
+    "split_both_sheets": (
+        "split",
+        lambda c: {c.split_place(6, 120): 2, c.split_place(6, -120): -1},
+    ),
+    "split_one_sheet": ("split", lambda c: {c.split_place(6, 120): 3}),
+    "split_zero_pole": (
+        "split",
+        lambda c: {c.split_place(6, -120): -2, c.infinite_place(1): 4},
+    ),
+    "split_and_branch": (
+        "split",
+        lambda c: {c.split_place(6, 120): 1, c.branch_place(2): -3},
+    ),
+    "inf_asymmetric": ("std", lambda c: {c.infinite_place(1): 3, c.infinite_place(-1): 1}),
+    "inf_negative_side": (
+        "std",
+        lambda c: {c.infinite_place(1): -1, c.infinite_place(-1): 4, c.branch_place(3): 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RR_ROW_CASES))
+def test_rr_rows_match_frozen_builder(curve, curve_with_split_point, name):
+    which, coeffs = _RR_ROW_CASES[name]
+    c = curve if which == "std" else curve_with_split_point
+    d = Divisor(coeffs(c))
+    assert rr_system_oracle._rr_system(c, d)[3], "the case builds no rows"
+    for div in (d, canonical_divisor(c) - d):
+        assert _rr_system(c, div) == rr_system_oracle._rr_system(c, div)
+
+
 def test_rr_zero_divisor_is_constants(curve):
     space = rr_space(curve, Divisor())
     assert space.dimension == 1
@@ -519,14 +585,14 @@ def test_rr_zero_divisor_is_constants(curve):
 
 
 def test_gap_ladder_at_branch_point(curve):
-    p = Divisor.of_place(curve.branch_place(2))
+    p = Divisor({curve.branch_place(2): 1})
     dims = [rr_space(curve, p.scale(n)).dimension for n in range(7)]
     assert dims == [1, 1, 2, 2, 3, 4, 5]
 
 
 def test_gap_ladder_at_ordinary_point(curve_with_split_point):
     c = curve_with_split_point
-    p = Divisor.of_place(c.split_place(6, 120))
+    p = Divisor({c.split_place(6, 120): 1})
     dims = [rr_space(c, p.scale(n)).dimension for n in range(7)]
     assert dims == [1, 1, 1, 2, 3, 4, 5]
 
@@ -618,7 +684,7 @@ def test_sweep_requires_genus_two():
 
 
 def test_divisor_on_wrong_curve_rejected(curve, curve_with_split_point):
-    alien = Divisor.of_place(curve_with_split_point.branch_place(1))
+    alien = Divisor({curve_with_split_point.branch_place(1): 1})
     with pytest.raises(ValueError):
         rr_space(curve, alien)
 
