@@ -632,14 +632,21 @@ def run(
         selected = [suite]
     else:
         raise ValueError("unknown suite: %r" % (suite,))
-    fixture_curve = load_curve_fixture(curve) if curve else None
+    # a given but empty value is an error, not a request for the default
+    fixture_curve = load_curve_fixture(curve) if curve is not None else None
     branch_config = (
-        BranchConfig(_csv_values(branch, Fraction, "branch")) if branch else None
+        BranchConfig(_csv_values(branch, Fraction, "branch"))
+        if branch is not None
+        else None
     )
     if isinstance(m, str):
         m = _csv_values(m, int, "degree")
     if isinstance(g, str):
         g = _csv_values(g, int, "genus")
+    if m is not None and not m:
+        raise ValueError("empty degree list")
+    if g is not None and not g:
+        raise ValueError("empty genus list")
     if any(d < 1 or d % 2 == 0 for d in m or ()):
         raise ValueError("degrees must be odd and positive: %r" % (m,))
     if any(x not in GENUS_RANGE for x in g or ()):

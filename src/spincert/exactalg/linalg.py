@@ -1,18 +1,24 @@
 """Exact linear algebra by fraction-free elimination.
 
-Rank and nullspace are computed with the Bareiss scheme: cross-
-multiplication steps followed by an exact division by the previous
-pivot.  Division happens only by construction-guaranteed exact divisors,
-so the entries stay in the coefficient domain (scalars or polynomials)
-and never pick up spurious denominators mid-computation.
+Rank and nullspace are computed with the Bareiss scheme (Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22 (1968)): cross-multiplication steps
+followed by an exact division by the previous pivot.  Division happens
+only by construction-guaranteed exact divisors, so the entries stay in
+the coefficient domain (integers, Gaussians or polynomials) and never
+pick up spurious denominators mid-computation.
 
-Each call works over one entry domain: Fractions, Gaussians, or
-MultiPolys over one ring.  Entries answer for themselves: ``not x`` is
-the zero test, and zero and one come from a sample entry.  Nullspace
-vectors are returned over the entry domain (denominator-free in the
-polynomial case) and are checked against ``M v = 0`` exactly.  The
-exact-vector helpers shared by the geometry layers live here too: the
-rational content of a vector and the cross-multiplication
+Each call works over one entry domain: rationals (Fractions and ints),
+Gaussians, or MultiPolys over one ring.  Rational rows are cleared to
+integer rows before elimination, each scaled by the lcm of its own
+denominators; that leaves the rank, the pivot columns and the kernel
+unchanged, and the elimination divides exactly with ``//``.  Entries
+answer for themselves: ``not x`` is the zero test, and zero and one come
+from a sample entry.  Nullspace vectors are returned over the entry
+domain (Fractions for rational rows, denominator-free in the polynomial
+case) and are checked against ``M v = 0`` on the original rows exactly.
+The exact-vector helpers shared by the geometry layers live here too:
+the rational content of a vector and the cross-multiplication
 proportionality test.
 """
 
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import floordiv
 
 from .polys import MultiPoly
 from .ratfunc import RatFunc
@@ -34,12 +41,25 @@ def _exact_div(a, b):
     return a / b
 
 
+def _integer_row(row):
+    """A rational row times the lcm of its denominators: an integer row
+    with the same zero pattern and the same span."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
 def _echelon(rows):
-    """Bareiss forward elimination of a list of rows over one domain.
+    """Bareiss forward elimination of a list of rows over one domain;
+    rational rows are eliminated as their integer multiples.
 
     Returns (matrix, pivot columns); the input rows are left untouched.
     """
-    m = [list(r) for r in rows]
+    if rows and rows[0] and isinstance(rows[0][0], (int, Fraction)):
+        m = [_integer_row(r) for r in rows]
+        div = floordiv
+    else:
+        m = [list(r) for r in rows]
+        div = _exact_div
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     piv_cols = []
@@ -55,13 +75,16 @@ def _echelon(rows):
             continue
         if p != r:
             m[r], m[p] = m[p], m[r]
-        pivot = m[r][c]
+        top = m[r]
+        pivot = top[c]
         zero = pivot * 0
         for i in range(r + 1, nrows):
+            row = m[i]
+            lead = row[c]
             for j in range(c + 1, ncols):
-                t = pivot * m[i][j] - m[i][c] * m[r][j]
-                m[i][j] = _exact_div(t, prev) if prev != 1 else t
-            m[i][c] = zero
+                t = pivot * row[j] - lead * top[j]
+                row[j] = div(t, prev) if prev != 1 else t
+            row[c] = zero
         prev = pivot
         piv_cols.append(c)
         r += 1
@@ -97,7 +120,8 @@ def nullspace(rows):
     basis = []
     sample = rows[0][0]
     polynomial = isinstance(sample, MultiPoly)
-    zero = _to_frac_field(sample * 0)
+    # Fraction zero for integer rows too, so their vectors stay exact
+    zero = Fraction(0) if isinstance(sample, int) else _to_frac_field(sample * 0)
     one = zero + 1
     for fc in free_cols:
         v = [None] * ncols

@@ -19,6 +19,7 @@ bit-exact inverse on canonical output.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .scalars import Gaussian
 
@@ -223,7 +224,7 @@ class MultiPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 p = c1 * c2
                 acc = out.get(e)
                 s = p if acc is None else acc + p

@@ -4,6 +4,14 @@ leading Laurent coefficients, divisors, square-root divisor classes with
 explicit equivalence witnesses, and a Riemann-Roch space engine that
 re-checks the Riemann-Roch identity on every call.
 
+Polynomials in x (``UPoly``) run on an integer kernel: integer
+numerators over one positive common denominator, kept in normal form,
+so a sum or product is an integer loop plus one lcm or gcd and a value
+p(r/s) is one homogeneous Horner pass over the integers.  Root orders
+divide a root r/s out exactly by the primitive factor s x - r, whose
+integer quotient Gauss's lemma guarantees.  Fractions appear only where
+a coefficient or a value is read out.
+
 Exact local power series (``Place.local_series``, ``FieldElem.expand_at``)
 serve only the split and infinity constraint rows of the Riemann-Roch
 system; the tests use them as the oracle for the closed forms.
@@ -22,7 +30,7 @@ subset, the witness polynomial of the square-root classes.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd as int_gcd, inf, isqrt
+from math import comb, gcd as int_gcd, inf, isqrt, lcm
 
 from . import VerificationError
 
@@ -40,18 +48,33 @@ def _fr(v):
 
 
 class UPoly:
-    """Dense rational polynomial, coefficients ascending."""
+    """Dense rational polynomial: integer numerators n_0..n_d (ascending)
+    over one positive common denominator, in normal form (no trailing
+    zero numerator, gcd(n_0, ..., n_d, den) = 1, zero is ((), 1)), so
+    equal polynomials have equal fields.  Sums and products are integer
+    loops plus one lcm or gcd; ``coeffs`` is the derived tuple of
+    Fractions.  Immutable by convention: the public attributes are
+    read-only properties and the private slots are never rewritten."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
-        cs = [_fr(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = tuple(coeffs)
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError("expected a rational scalar, got %r" % (c,))
+        # the lcm of reduced denominators leaves numerators coprime to it
+        den = lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        while num and not num[-1]:
+            num.pop()
+        self._num = tuple(num)
+        self._den = den if num else 1
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UPoly is immutable")
+    @property
+    def coeffs(self):
+        d = self._den
+        return tuple(Fraction(n, d) for n in self._num)
 
     @classmethod
     def const(cls, c):
@@ -59,50 +82,55 @@ class UPoly:
 
     @classmethod
     def x_minus(cls, r):
-        return cls((-_fr(r), Fraction(1)))
+        r = _fr(r)
+        return _upoly((-r.numerator, r.denominator), r.denominator)
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self._num
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def lead(self):
-        if self.is_zero:
+        if not self._num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     def coeff(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        if 0 <= k < len(self._num):
+            return Fraction(self._num[k], self._den)
+        return Fraction(0)
 
     def __add__(self, other):
         if not isinstance(other, UPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly(tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
+        return _sum(self._num, self._den, other._num, other._den)
 
     def __neg__(self):
-        return UPoly(tuple(-c for c in self.coeffs))
+        return _upoly(tuple(-c for c in self._num), self._den)
 
     def __sub__(self, other):
         if not isinstance(other, UPoly):
             return NotImplemented
-        return self + (-other)
+        return _sum(self._num, self._den, [-c for c in other._num], other._den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return UPoly(tuple(c * other for c in self.coeffs))
+            k = other.numerator
+            return _normal([c * k for c in self._num], self._den * other.denominator)
         if not isinstance(other, UPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        a, b = self._num, other._num
+        if not a or not b:
             return UPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UPoly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _normal(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -124,36 +152,31 @@ class UPoly:
             other = UPoly((other,))
         if not isinstance(other, UPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def eval(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """p(x) at a rational x = r/s, by one homogeneous Horner pass
+        over the integers: sum n_k r^k s^(d-k) over den s^d."""
+        if not self._num:
+            return Fraction(0)
+        h, sd = _horner(self._num, x.numerator, x.denominator)
+        return Fraction(h, self._den * sd)
 
     def derivative(self):
-        return UPoly(tuple(c * k for k, c in enumerate(self.coeffs) if k))
+        return _normal([k * c for k, c in enumerate(self._num)][1:], self._den)
 
     def divmod(self, other):
-        if other.is_zero:
+        if not other._num:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
+        if len(self._num) < len(other._num):
             return UPoly(), self
-        quo = [Fraction(0)] * (dq + 1)
-        lead = other.lead()
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return UPoly(quo), UPoly(rem)
+        quo, rem, scale = _pseudo_divmod(self._num, other._num)
+        # scale a = quo b + rem with self = a/da and other = b/db
+        den = self._den * scale
+        return _normal([c * other._den for c in quo], den), _normal(rem, den)
 
     def gcd(self, other):
         a, b = self, other
@@ -165,36 +188,28 @@ class UPoly:
 
     def rational_roots(self):
         """All rational roots with multiplicities; complete by the
-        rational-root bound on the integer-scaled polynomial."""
-        if self.is_zero:
+        rational-root bound on the integer numerators (a root r/s in
+        lowest terms has r | n_0 and s | n_d)."""
+        if not self._num:
             raise ValueError("zero polynomial")
         out = {}
-        p = self
+        num = self._num
         zero_mult = 0
-        while not p.is_zero and p.coeff(0) == 0:
-            p = UPoly(p.coeffs[1:])
+        while not num[zero_mult]:
             zero_mult += 1
         if zero_mult:
             out[Fraction(0)] = zero_mult
-        if p.degree < 1:
+        if len(num) - zero_mult < 2:
             return out
-        scale = 1
-        for c in p.coeffs:
-            scale = scale * c.denominator // int_gcd(scale, c.denominator)
-        ints = [int(c * scale) for c in p.coeffs]
-        content = 0
-        for v in ints:
-            content = int_gcd(content, v)
-        ints = [v // content for v in ints]
-        a0, an = abs(ints[0]), abs(ints[-1])
+        p = _upoly(num[zero_mult:], self._den)
         # each root found is divided out, so later candidates meet a
         # smaller cofactor and the search ends once p is a constant
-        for pnum in _divisors(a0):
-            for qden in _divisors(an):
+        for pnum in _divisors(abs(num[zero_mult])):
+            for qden in _divisors(abs(num[-1])):
+                if int_gcd(pnum, qden) != 1:
+                    continue
                 for sign in (1, -1):
                     r = Fraction(sign * pnum, qden)
-                    if r in out:
-                        continue
                     mult, p, _ = _root_order(p, r)
                     if mult:
                         out[r] = mult
@@ -204,6 +219,83 @@ class UPoly:
 
     def __repr__(self):
         return "UPoly(%r)" % (self.coeffs,)
+
+
+def _upoly(num, den):
+    """A UPoly from a numerator tuple and denominator already in normal
+    form."""
+    p = object.__new__(UPoly)
+    p._num = num
+    p._den = den
+    return p
+
+
+def _normal(num, den):
+    """A UPoly num/den in normal form, from a list of ints and den > 0."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return UPoly()
+    if den != 1:
+        g = int_gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return _upoly(tuple(num), den)
+
+
+def _sum(a, da, b, db):
+    """a/da + b/db for integer numerator sequences over positive
+    denominators, as a UPoly in normal form."""
+    if da != db:
+        den = lcm(da, db)
+        a = [c * (den // da) for c in a]
+        b = [c * (den // db) for c in b]
+    else:
+        den = da
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _normal(out, den)
+
+
+def _horner(num, r, s):
+    """(sum n_k r^k s^(d-k), s^d) for numerators n_0..n_d, d >= 0: the
+    homogenised value at r/s, so that p(r/s) = h/(den s^d)."""
+    it = reversed(num)
+    acc = next(it)
+    sd = 1
+    for c in it:
+        sd *= s
+        acc = acc * r + c * sd
+    return acc, sd
+
+
+def _pseudo_divmod(a, b):
+    """(q, r, scale) with scale a = q b + r over the integers, scale > 0
+    and len(r) = len(b) - 1, for len(a) >= len(b); each step scales
+    only by what the divisor's leading coefficient lacks."""
+    lb = b[-1]
+    nb = len(b) - 1
+    rem = list(a)
+    quo = [0] * (len(a) - nb)
+    scale = 1
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + nb]
+        if not c:
+            continue
+        m = abs(lb) // int_gcd(c, lb)
+        if m != 1:
+            rem = [v * m for v in rem]
+            quo = [v * m for v in quo]
+            scale *= m
+        q = c * m // lb
+        quo[k] = q
+        for j, v in enumerate(b, k):
+            rem[j] -= q * v
+    return quo, rem[:nb], scale
 
 
 def _divisors(n):
@@ -221,24 +313,31 @@ def _divisors(n):
 
 
 def _root_order(p: UPoly, x0):
-    """(k, q, q(x0)) with p = (x - x0)^k q and q(x0) != 0, by repeated
-    synthetic division (the last remainder is q(x0)); the zero
-    polynomial has order infinity."""
-    if p.is_zero:
+    """(k, q, q(x0)) with p = (x - x0)^k q and q(x0) != 0; the zero
+    polynomial has order infinity.  With x0 = r/s in lowest terms the
+    root test is the integer Horner pass of ``_horner``, and a root is
+    divided out exactly by s x - r: by Gauss's lemma that primitive
+    factor leaves an integer quotient, so q = s^k Q/den for the integer
+    quotient Q after k divisions."""
+    if not p._num:
         return inf, p, Fraction(0)
-    cs = p.coeffs
+    r, s = x0.numerator, x0.denominator
+    num = p._num
     k = 0
     while True:
-        acc = Fraction(0)
-        quo = []
-        for c in reversed(cs):
-            acc = acc * x0 + c
+        h, sd = _horner(num, r, s)
+        if h:
+            break
+        acc, quo = 0, []
+        for c in reversed(num[1:]):
+            acc = (c + r * acc) // s
             quo.append(acc)
-        rem = quo.pop()
-        if rem:
-            return k, UPoly(cs) if k else p, rem
-        cs = quo[::-1]
+        num = quo[::-1]
         k += 1
+    if not k:
+        return 0, p, Fraction(h, p._den * sd)
+    sk = s**k
+    return k, _normal([c * sk for c in num], p._den), Fraction(h * sk, p._den * sd)
 
 
 def rational_sqrt(v):

@@ -382,6 +382,41 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "repsl2", "--m", ","],
+            ["run", "repsl2", "--m", ""],
+            ["run", "theta", "--g", ","],
+            ["run", "theta", "--g", ""],
+            ["run", "nr", "--branch", ""],
+            ["run", "parity", "--curve", ""],
+        ],
+    )
+    def test_empty_values_exit_two(self, argv, capsys):
+        # a flag given with no value is bad input, not the default
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_empty_lists_rejected_by_run(self):
+        with pytest.raises(ValueError):
+            run("repsl2", m=())
+        with pytest.raises(ValueError):
+            run("theta", g=())
+
+    def test_omitted_lists_run_the_defaults(self, capsys):
+        assert main(["run", "repsl2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["suites"][0]["conventions"]["degrees"] == [1, 3, 5]
+        assert main(["run", "theta"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        names = [c["name"] for c in report["suites"][0]["checks"]]
+        assert [n for n in names if n.startswith("parity_counts")] == [
+            "parity_counts_g%d" % g for g in range(1, 7)
+        ]
+
     def test_fixture_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("2\nbroken\n")

@@ -1,11 +1,13 @@
 """Substrate checks: scalar field axioms, the integer-triple Gaussian
 against the pair-of-Fractions class it replaced, polynomial arithmetic
-against an independent oracle, lazy rational-function identities, and the
-fraction-free linear algebra contracts."""
+against an independent oracle, lazy rational-function identities, the
+fraction-free linear algebra contracts, and integer Bareiss on rational
+rows against the Fraction elimination it replaced."""
 
 from fractions import Fraction
 from math import gcd, lcm
 
+import echelon_oracle
 import pytest
 import sympy
 from gaussian_oracle import Gaussian as FracPairGaussian
@@ -25,6 +27,7 @@ from spincert.exactalg import (
     rank,
     rational_content,
 )
+from spincert.exactalg.linalg import _echelon
 from spincert.hyperell import UPoly
 
 RXY = PolyRing(QQ, ("x", "y"))
@@ -395,6 +398,102 @@ def test_gaussian_matrix_rank():
     assert rank(rows) == 1
     ns = nullspace(rows)
     assert len(ns) == 1
+
+
+def matrix_entries():
+    # zeros, ints and proper fractions, as the rational callers mix them
+    return st.one_of(
+        st.just(Fraction(0)),
+        st.integers(-9, 9),
+        st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 7))),
+    )
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rational matrices up to 20 x 20, sometimes of ints only: free or
+    rank-deficient (a product through k < min(n, m) columns), then
+    decorated with zero rows, zero columns, duplicate rows and
+    integer-only rows."""
+    # small sizes and the largest both come up often; no system that
+    # ``run all`` solves has more than 20 rows
+    sizes = st.one_of(st.integers(1, 6), st.integers(1, 20), st.just(20))
+    nrows, ncols = draw(sizes), draw(sizes)
+    entries = draw(st.sampled_from((matrix_entries(), st.integers(-9, 9))))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(nrows, ncols) - 1))
+        a = [draw(st.lists(entries, min_size=k, max_size=k)) for _ in range(nrows)]
+        b = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(k)]
+        rows = [
+            [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(ncols)]
+            for i in range(nrows)
+        ]
+    else:
+        rows = [
+            draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)
+        ]
+    decorations = st.sampled_from(("zero_row", "zero_col", "duplicate_row", "int_row"))
+    for op in draw(st.lists(decorations, max_size=4)):
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, ncols - 1))
+        if op == "zero_row":
+            rows[i] = [0] * ncols
+        elif op == "zero_col":
+            for row in rows:
+                row[j] = Fraction(0)
+        elif op == "duplicate_row":
+            rows[i] = list(rows[j % nrows])
+        else:
+            rows[i] = draw(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols))
+    return rows
+
+
+@given(rational_matrices())
+@settings(max_examples=80, deadline=None)
+def test_integer_bareiss_matches_fraction_oracle(rows):
+    before = [list(r) for r in rows]
+    fraction_rows = [[Fraction(x) for x in r] for r in rows]
+    ech, pivots = _echelon(rows)
+    want_ech, want_pivots = echelon_oracle._echelon(fraction_rows)
+    assert rows == before  # the input rows are left untouched
+    assert pivots == want_pivots
+    assert all(type(x) is int for r in ech for x in r)
+    # each pivot row is a multiple of the Fraction pivot row, so back
+    # substitution gives the same kernel
+    for k in range(len(pivots)):
+        assert proportional(ech[k], want_ech[k])
+    assert rank(rows) == echelon_oracle.rank(fraction_rows) == len(want_pivots)
+    got = nullspace(rows)
+    assert got == echelon_oracle.nullspace(fraction_rows)
+    assert all(type(x) is Fraction for v in got for x in v)
+
+
+_MATRIX_BRANCHES = {
+    "zero_row": lambda rows: any(not any(r) for r in rows),
+    "zero_column": lambda rows: any(not any(col) for col in zip(*rows)),
+    "duplicate_rows": lambda rows: any(
+        any(rows[i]) and rows[i] == rows[j]
+        for i in range(len(rows))
+        for j in range(i)
+    ),
+    "integer_only_row": lambda rows: any(
+        any(r) and all(type(x) is int for x in r) for r in rows
+    ),
+    "integer_only_matrix": lambda rows: len(rows) > 1
+    and all(type(x) is int for r in rows for x in r),
+    "rank_deficient": lambda rows: 0 < rank(rows) < min(len(rows), len(rows[0])),
+    "full_rank_square": lambda rows: len(rows) == len(rows[0]) == rank(rows) > 2,
+    "twenty_by_twenty": lambda rows: len(rows) == len(rows[0]) == 20,
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_MATRIX_BRANCHES))
+def test_rational_matrices_reach_every_branch(branch):
+    holds = _MATRIX_BRANCHES[branch]
+    find(
+        rational_matrices(),
+        holds,
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -1,22 +1,26 @@
 """Curve, place, divisor, and Riemann-Roch engine tests.
 
-Oracles: series coefficients against hand-derived reversion formulas
-evaluated with sympy derivatives; closed-form valuations and leading
-coefficients against the series expansion they replaced; dimension
-ladders against the known gap sequences; divisor computations against
-frozen expected values; the 16-class parity table against the
-combinatorial model.
+Oracles: the integer-numerator ``UPoly`` and its root orders against the
+Fraction-tuple class they replaced; series coefficients against
+hand-derived reversion formulas evaluated with sympy derivatives;
+closed-form valuations and leading coefficients against the series
+expansion they replaced; dimension ladders against the known gap
+sequences; divisor computations against frozen expected values; the
+16-class parity table against the combinatorial model.
 """
 
 from fractions import Fraction
+from math import gcd, inf, lcm
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 import rr_system_oracle
+import upoly_oracle
 from spincert import VerificationError
 from spincert.hyperell import (
+    _root_order,
     _rr_system,
     Divisor,
     FieldElem,
@@ -81,6 +85,229 @@ def test_rational_roots_found_with_multiplicity():
     roots = p.rational_roots()
     assert roots == {Fraction(2): 3, Fraction(-1, 3): 1}
     assert UPoly((0, 0, 5)).rational_roots() == {Fraction(0): 2}
+
+
+# ----------------------------------------------------------------------
+# the integer kernel against the Fraction-tuple oracle
+# ----------------------------------------------------------------------
+
+FracUPoly = upoly_oracle.UPoly
+
+
+def upoly_scalars():
+    # ints, integral Fractions and proper fractions, zero included
+    return st.one_of(
+        st.integers(-6, 6),
+        st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6))),
+    )
+
+
+def coeff_lists():
+    return st.lists(upoly_scalars(), max_size=6)
+
+
+@st.composite
+def upoly_pairs(draw):
+    """Two coefficient lists: unrelated, one a rational multiple of the
+    other, the same, the negation, sharing a common factor, or zero."""
+    a = draw(coeff_lists())
+    mode = draw(
+        st.sampled_from(("free", "scaled", "same", "negated", "common", "zero"))
+    )
+    if mode == "free":
+        b = draw(coeff_lists())
+    elif mode == "scaled":
+        k = draw(upoly_scalars().filter(bool))
+        b = [c * k for c in a]
+    elif mode == "same":
+        b = list(a)
+    elif mode == "negated":
+        b = [-c for c in a]
+    elif mode == "common":
+        g = FracUPoly(draw(coeff_lists()))
+        a = (FracUPoly(a) * g).coeffs
+        b = (FracUPoly(draw(coeff_lists())) * g).coeffs
+    else:
+        b = []
+    return list(a), list(b)
+
+
+def _assert_normal(p):
+    """Integer numerators over a positive denominator, no trailing zero,
+    numerators and denominator coprime; zero is ((), 1)."""
+    num, den = p._num, p._den
+    assert type(num) is tuple and all(type(c) is int for c in num)
+    assert type(den) is int and den > 0
+    assert not num or num[-1] != 0
+    assert gcd(den, *num) == 1
+
+
+def _assert_upoly(got, want):
+    """``got`` (integer kernel) equals ``want`` (oracle) coefficient by
+    coefficient, and is in normal form."""
+    assert type(got) is UPoly
+    assert got.coeffs == want.coeffs
+    assert all(type(c) is Fraction for c in got.coeffs)
+    _assert_normal(got)
+
+
+@given(upoly_pairs(), upoly_scalars(), st.integers(0, 4))
+@settings(max_examples=300, deadline=None)
+def test_upoly_matches_fraction_oracle(pair, c, n):
+    a, b = pair
+    p, q = UPoly(a), UPoly(b)
+    op, oq = FracUPoly(a), FracUPoly(b)
+    _assert_upoly(p, op)
+    _assert_upoly(q, oq)
+    _assert_upoly(p + q, op + oq)
+    _assert_upoly(p - q, op - oq)
+    _assert_upoly(p * q, op * oq)
+    _assert_upoly(p * c, op * c)
+    _assert_upoly(c * p, c * op)
+    _assert_upoly(-p, -op)
+    _assert_upoly(p**n, op**n)
+    _assert_upoly(p.derivative(), op.derivative())
+    if q.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            p.divmod(q)
+    else:
+        for got, want in zip(p.divmod(q), op.divmod(oq)):
+            _assert_upoly(got, want)
+    _assert_upoly(p.gcd(q), op.gcd(oq))
+    got, want = p.eval(c), op.eval(c)
+    assert type(got) is Fraction and got == want
+    assert p.is_zero == op.is_zero and p.degree == op.degree
+    assert [p.coeff(k) for k in range(-1, 8)] == [op.coeff(k) for k in range(-1, 8)]
+    if not p.is_zero:
+        assert p.lead() == op.lead() and type(p.lead()) is Fraction
+    assert (p == q) == (op == oq)
+    assert (p == c) == (op == c)
+    assert hash(p) == hash(op)
+    assert repr(p) == repr(op)
+
+
+@given(coeff_lists(), upoly_scalars().filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_upoly_equal_from_differently_scaled_inputs(a, k):
+    p = UPoly(a)
+    scaled = UPoly([c * k for c in a]) * (1 / Fraction(k))
+    padded = UPoly(list(a) + [0, Fraction(0)])
+    fractions = UPoly([Fraction(c) for c in a])
+    for q in (scaled, padded, fractions):
+        assert q == p and hash(q) == hash(p)
+        assert (q._num, q._den) == (p._num, p._den)
+        _assert_normal(q)
+    assert hash(p) == hash(FracUPoly(a))
+
+
+@st.composite
+def rooted_polys(draw):
+    """(coefficients, x0) for c (x - x0)^k q at a rational x0 whose
+    denominator may exceed 1, q drawn freely (it may vanish at x0 too,
+    or be zero)."""
+    x0 = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 5)))
+    k = draw(st.integers(0, 3))
+    c = draw(upoly_scalars().filter(bool))
+    p = FracUPoly((c,)) * FracUPoly((-x0, 1)) ** k * FracUPoly(draw(coeff_lists()))
+    if draw(st.booleans()) and x0.denominator == 1:
+        x0 = int(x0)
+    return list(p.coeffs), x0
+
+
+@given(rooted_polys())
+@settings(max_examples=300, deadline=None)
+def test_root_order_matches_fraction_oracle(case):
+    a, x0 = case
+    k, q, value = _root_order(UPoly(a), x0)
+    ok, oq, ovalue = upoly_oracle._root_order(FracUPoly(a), x0)
+    assert k == ok
+    _assert_upoly(q, oq)
+    assert type(value) is Fraction and value == ovalue
+    if k != inf:
+        assert UPoly.x_minus(x0) ** k * q == UPoly(a)
+
+
+def test_root_order_of_zero_is_infinite():
+    k, q, value = _root_order(UPoly(), Fraction(2, 3))
+    assert (k, q, value) == (inf, UPoly(), 0)
+
+
+@st.composite
+def split_products(draw):
+    """c prod (s_i x - r_i)^(m_i), c not an integer, sometimes times an
+    irreducible quadratic; returns (coefficients, expected roots)."""
+    c = draw(
+        st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from((2, 3, 4, 6)))
+        .filter(lambda f: f.denominator > 1)
+    )
+    p = FracUPoly((c,))
+    want = {}
+    for r, s, m in draw(
+        st.lists(
+            st.tuples(st.integers(-8, 8), st.integers(1, 6), st.integers(1, 3)),
+            max_size=4,
+        )
+    ):
+        p = p * FracUPoly((-r, s)) ** m
+        want[Fraction(r, s)] = want.get(Fraction(r, s), 0) + m
+    p = p * FracUPoly(draw(st.sampled_from(((1,), (1, 0, 1), (-2, 0, 1), (3, 1, 1)))))
+    return list(p.coeffs), want
+
+
+@given(split_products())
+@settings(max_examples=200, deadline=None)
+def test_rational_roots_match_fraction_oracle(case):
+    a, want = case
+    got = UPoly(a).rational_roots()
+    assert got == want
+    # the same roots, found in the same order
+    assert list(got.items()) == list(FracUPoly(a).rational_roots().items())
+
+
+_UPOLY_BRANCHES = {
+    "integral": lambda p, q: p._den == q._den == 1 and p.degree > 0 < q.degree,
+    "equal_denominators": lambda p, q: p._den == q._den != 1,
+    "unequal_denominators": lambda p, q: p._den != q._den,
+    "sum_cancels": lambda p, q: not p.is_zero and (p + q).is_zero,
+    "sum_reduces": lambda p, q: 0 < (p + q)._den < lcm(p._den, q._den),
+    "product_reduces": lambda p, q: 0 < (p * q)._den < p._den * q._den,
+    "divisor_lead_not_unit": lambda p, q: (
+        p.degree > q.degree > 0 and abs(q._num[-1]) > 1 and not p.divmod(q)[1].is_zero
+    ),
+    "nontrivial_gcd": lambda p, q: p.gcd(q).degree > 0 and p != q,
+    "zero_operand": lambda p, q: q.is_zero and not p.is_zero,
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_UPOLY_BRANCHES))
+def test_upoly_pairs_reach_every_branch(branch):
+    holds = _UPOLY_BRANCHES[branch]
+    find(
+        upoly_pairs(),
+        lambda pair: holds(UPoly(pair[0]), UPoly(pair[1])),
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
+
+
+_ROOT_BRANCHES = {
+    "root_with_denominator": lambda a, x0: (
+        Fraction(x0).denominator > 1 and 0 < _root_order(UPoly(a), x0)[0] < inf
+    ),
+    "repeated_root": lambda a, x0: 2 <= _root_order(UPoly(a), x0)[0] < inf,
+    "not_a_root": lambda a, x0: _root_order(UPoly(a), x0)[0] == 0,
+    "zero_polynomial": lambda a, x0: _root_order(UPoly(a), x0)[0] == inf,
+    "integer_root": lambda a, x0: type(x0) is int and 0 < _root_order(UPoly(a), x0)[0] < inf,
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_ROOT_BRANCHES))
+def test_rooted_polys_reach_every_branch(branch):
+    holds = _ROOT_BRANCHES[branch]
+    find(
+        rooted_polys(),
+        lambda case: holds(*case),
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
 
 
 def test_rational_sqrt():
