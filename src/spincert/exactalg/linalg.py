@@ -16,7 +16,9 @@ unchanged, and the elimination divides exactly with ``//``.  Entries
 answer for themselves: ``not x`` is the zero test, and zero and one come
 from a sample entry.  Nullspace vectors are returned over the entry
 domain (Fractions for rational rows, denominator-free in the polynomial
-case) and are checked against ``M v = 0`` on the original rows exactly.
+case) and are checked against ``M v = 0`` exactly: rational rows as
+their integer multiples against each vector cleared of denominators,
+other rows as given.
 The exact-vector helpers shared by the geometry layers live here too:
 the rational content of a vector and the cross-multiplication
 proportionality test.
@@ -48,13 +50,17 @@ def _integer_row(row):
     return [x.numerator * (den // x.denominator) for x in row]
 
 
+def _is_rational(rows):
+    return bool(rows and rows[0]) and isinstance(rows[0][0], (int, Fraction))
+
+
 def _echelon(rows):
     """Bareiss forward elimination of a list of rows over one domain;
     rational rows are eliminated as their integer multiples.
 
     Returns (matrix, pivot columns); the input rows are left untouched.
     """
-    if rows and rows[0] and isinstance(rows[0][0], (int, Fraction)):
+    if _is_rational(rows):
         m = [_integer_row(r) for r in rows]
         div = floordiv
     else:
@@ -149,8 +155,8 @@ def nullspace(rows):
             )
         else:
             vec = v
-        _assert_in_kernel(rows, vec)
         basis.append(vec)
+    _assert_in_kernel(rows, basis)
     return basis
 
 
@@ -194,11 +200,19 @@ def proportional(u, v) -> bool:
     )
 
 
-def _assert_in_kernel(rows, vec):
-    for row in rows:
-        acc = None
-        for a, b in zip(row, vec):
-            t = a * b
-            acc = t if acc is None else acc + t
-        if acc:
-            raise AssertionError("nullspace vector fails M v = 0")
+def _assert_in_kernel(rows, vectors):
+    """M v = 0 exactly for each vector.  Rational rows are checked as
+    their integer multiples (``_integer_row``) against each vector times
+    the lcm of its denominators, so the check runs on integers; a nonzero
+    multiple of M v is zero exactly when M v is."""
+    if _is_rational(rows):
+        rows = [_integer_row(r) for r in rows]
+        vectors = [_integer_row(v) for v in vectors]
+    for vec in vectors:
+        for row in rows:
+            acc = None
+            for a, b in zip(row, vec):
+                t = a * b
+                acc = t if acc is None else acc + t
+            if acc:
+                raise AssertionError("nullspace vector fails M v = 0")

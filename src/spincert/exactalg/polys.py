@@ -297,17 +297,22 @@ class MultiPoly:
 
     def subs(self, assignment):
         """Substitute polynomials for variables; ``assignment`` maps
-        variable index to a MultiPoly of the same ring."""
-        out = self.ring.zero()
+        variable index to a MultiPoly of the same ring.  Each power of a
+        variable's image is built once per call, however many terms
+        share it."""
+        ring = self.ring
+        powers = {}
+        out = ring.zero()
         for exps, c in self.terms.items():
-            term = self.ring.const(c)
+            term = ring.const(c)
             for i, k in enumerate(exps):
                 if k == 0:
                     continue
-                if i in assignment:
-                    term = term * (assignment[i] ** k)
-                else:
-                    term = term * (self.ring.gen(i) ** k)
+                power = powers.get((i, k))
+                if power is None:
+                    base = assignment[i] if i in assignment else ring.gen(i)
+                    power = powers[(i, k)] = base**k
+                term = term * power
             out = out + term
         return out
 

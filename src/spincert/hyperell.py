@@ -12,9 +12,11 @@ divide a root r/s out exactly by the primitive factor s x - r, whose
 integer quotient Gauss's lemma guarantees.  Fractions appear only where
 a coefficient or a value is read out.
 
-Exact local power series (``Place.local_series``, ``FieldElem.expand_at``)
-serve only the split and infinity constraint rows of the Riemann-Roch
-system; the tests use them as the oracle for the closed forms.
+The split and infinity rows of the Riemann-Roch system read the first
+few coefficients of y in a local uniformizer from a checked truncated
+square root of a polynomial (``_sqrt_head``).  The exact local power
+series (``Place.local_series``, ``FieldElem.expand_at``) serve no
+computation; the tests use them as the oracle for the closed forms.
 
 The model is the even one: deg f = 2g+2, monic-up-to-square leading
 coefficient, two rational places over x = infinity.  Divisor support is
@@ -690,6 +692,24 @@ def _shift_row(x0, j, n):
     ]
 
 
+def _sqrt_head(u, s0, c):
+    """[s_0, ..., s_(c-1)] with s^2 = u (mod t^c) for the given nonzero
+    s_0, c >= 1, where u(t) is given by its coefficients u_0, u_1, ...
+    (missing ones are 0): the exact recurrence 2 s_0 s_k = u_k - sum over
+    0 < j < k of s_j s_(k-j).  The identity is re-checked on the result,
+    so an s_0 that does not square to u_0 raises."""
+    u = list(u[:c]) + [Fraction(0)] * (c - len(u))
+    if not s0:
+        raise VerificationError("truncated square root needs s_0 != 0")
+    s = [s0]
+    for k in range(1, c):
+        s.append((u[k] - sum(s[j] * s[k - j] for j in range(1, k))) / (2 * s0))
+    for k in range(c):
+        if sum(s[j] * s[k - j] for j in range(k + 1)) != u[k]:
+            raise VerificationError("s^2 differs from u at t^%d" % k)
+    return s
+
+
 def _taylor(p: UPoly, x0):
     """Coefficients of p(x0 + t) in t, exact."""
     n = max(p.degree, 0)
@@ -1161,9 +1181,10 @@ def _rr_system(curve: HyperCurve, divisor: Divisor):
                 zero_a + _shift_row(x0, j, nb) for j in range(_ceil_div(c - 1, 2))
             ]
 
-    # split constraints: leading series coefficients on each sheet over
-    # the x-value, including the sheet absent from the divisor; the b y
-    # part is the Cauchy product of b's shifted coefficients with y's
+    # split constraints: leading coefficients in t = x - x0 on each sheet
+    # over the x-value, including the sheet absent from the divisor; y is
+    # the square root of f(x0 + t) through y0, and the b y part is the
+    # Cauchy product of b's shifted coefficients with y's
     for x0, ys in split.items():
         e = split_e[x0]
         y0ref = next(iter(ys))
@@ -1171,9 +1192,8 @@ def _rr_system(curve: HyperCurve, divisor: Divisor):
             c = e - ys.get(y0, 0)
             if c <= 0:
                 continue
-            place = curve.split_place(x0, y0)
-            _, yseries = place.local_series(c + curve.f.degree + 6)
-            yc = [yseries.coeff(j) for j in range(c)]
+            curve.split_place(x0, y0)  # validates the point
+            yc = _sqrt_head(_taylor(curve.f, x0), y0, c)
             shifts = [_shift_row(x0, j, na) for j in range(c)]
             for j in range(c):
                 b = [
@@ -1182,18 +1202,20 @@ def _rr_system(curve: HyperCurve, divisor: Divisor):
                 ]
                 rows.append(shifts[j] + b)
 
-    # infinity constraints: Laurent coefficients below the allowed pole
+    # infinity constraints: Laurent coefficients of x^-na .. x^(c-1-na)
+    # in t = 1/x vanish.  There y = s(t) t^-(g+1) with s the square root
+    # of rev f(t) = t^(2g+2) f(1/t) through sign lead_sqrt, so b's x^k
+    # meets s_(r+k-nb) in row r; z pads s with nb leading zeros
     for sign in (1, -1):
-        c_needed = n_inf - inf[sign]
-        if c_needed <= 0:
+        c = n_inf - inf[sign]
+        if c <= 0:
             continue
-        place = curve.infinite_place(sign)
-        _, yseries = place.local_series(na + curve.f.degree + 6)
-        for j in range(-na, -na + c_needed):
+        z = zero_b[1:] + _sqrt_head(curve.f.coeffs[::-1], curve.lead_sqrt * sign, c)
+        for r in range(c):
             a = list(zero_a)
-            if j <= 0:
-                a[-j] += 1
-            rows.append(a + [yseries.coeff(j + k) for k in range(nb + 1)])
+            if r <= na:
+                a[na - r] += 1
+            rows.append(a + [z[r + k] for k in range(nb + 1)])
 
     return d, na, nb, rows
 

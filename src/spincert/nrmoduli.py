@@ -67,9 +67,11 @@ def _parse_linear(text: str):
 
 class RijTable:
     """The fifteen signed quadratic forms r_{ij} = sign * l_{ij}^2 on
-    the eight cotangent coordinates, indexed by unordered branch pairs."""
+    the eight cotangent coordinates, indexed by unordered branch pairs.
+    The table is immutable, so the kernel generator at each branch is
+    solved on first use and kept in a private slot."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_kernels")
 
     def __init__(self, entries):
         pairs = {(i, j) for i in range(1, 7) for j in range(i + 1, 7)}
@@ -86,6 +88,7 @@ class RijTable:
                 raise ValueError("grid entries must be -1, 0, or 1")
             clean[key] = (sign, grid)
         object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "_kernels", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("RijTable is immutable")
@@ -302,8 +305,15 @@ def verify_distinguished_covector(table: RijTable = None) -> dict:
 
 
 def _kernel_generator(i: int, table: RijTable):
-    """Solve the 5x4 system over Q[q1..q4] in the fiber coordinates and
-    return the unique kernel vector (up to scale)."""
+    """The unique kernel vector (up to scale) of the 5x4 system over
+    Q[q1..q4] in the fiber coordinates, solved once per table."""
+    gen = table._kernels.get(i)
+    if gen is None:
+        gen = table._kernels[i] = _solve_kernel(i, table)
+    return gen
+
+
+def _solve_kernel(i: int, table: RijTable):
     rows = []
     for j in range(1, 7):
         if j == i:

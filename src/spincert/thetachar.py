@@ -20,20 +20,26 @@ GENUS_RANGE = range(1, 7)
 
 
 class CharClass:
-    """A square-root class: reduced branch-label subset at a fixed genus."""
+    """A square-root class: reduced branch-label subset at a fixed genus.
+    The genus must lie in ``GENUS_RANGE`` and the labels must be distinct
+    integers in 1..2g+2; anything else is a ValueError, not a coercion."""
 
     __slots__ = ("g", "members")
 
     def __init__(self, g, members):
-        ms = frozenset(int(i) for i in members)
+        if not isinstance(g, int) or g not in GENUS_RANGE:
+            raise ValueError("supported genus range is 1..6")
+        labels = list(members)
         n = 2 * g + 2
-        if not all(1 <= i <= n for i in ms):
-            raise ValueError("labels must lie in 1..%d" % n)
+        if not all(isinstance(i, int) and 1 <= i <= n for i in labels):
+            raise ValueError("labels must be integers in 1..%d" % n)
+        ms = frozenset(labels)
+        if len(ms) != len(labels):
+            raise ValueError("labels must be distinct")
         if len(ms) % 2 != (g + 1) % 2:
             raise ValueError("subset size must be congruent to g+1 mod 2")
-        ms = _reduce(ms, g)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "members", ms)
+        object.__setattr__(self, "members", _reduce(ms, g))
 
     def __setattr__(self, name, value):
         raise AttributeError("CharClass is immutable")
@@ -68,8 +74,20 @@ def _reduce(t: frozenset, g: int) -> frozenset:
     return t if 1 in t else comp
 
 
+def _reduced_class(g, members):
+    """A CharClass from a subset already known to be valid and reduced,
+    without the constructor's checks."""
+    c = object.__new__(CharClass)
+    object.__setattr__(c, "g", g)
+    object.__setattr__(c, "members", frozenset(members))
+    return c
+
+
 def enumerate_chars(g: int):
-    """All 2^(2g) classes, as reduced representatives."""
+    """All 2^(2g) classes, as reduced representatives: the subsets of
+    size below g+1 (smaller than their complements) and those of size
+    g+1 that contain label 1, each of a size congruent to g+1 mod 2, so
+    every generated subset is already reduced."""
     if g not in GENUS_RANGE:
         raise ValueError("supported genus range is 1..6")
     n = 2 * g + 2
@@ -77,10 +95,10 @@ def enumerate_chars(g: int):
     out = []
     size = (g + 1) % 2
     while size < g + 1:
-        out.extend(CharClass(g, c) for c in combinations(labels, size))
+        out.extend(_reduced_class(g, c) for c in combinations(labels, size))
         size += 2
     out.extend(
-        CharClass(g, (1,) + rest) for rest in combinations(range(2, n + 1), g)
+        _reduced_class(g, (1,) + rest) for rest in combinations(range(2, n + 1), g)
     )
     expected = 1 << (2 * g)
     if len(out) != expected or len(set(out)) != expected:

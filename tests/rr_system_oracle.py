@@ -1,7 +1,9 @@
 """The Riemann-Roch row builder ``hyperell._rr_system`` as it stood
 before its binomial rows came from one ``_shift_row`` helper, kept
 unchanged as the oracle for ``test_hyperell.py``: the rows it builds
-must equal the current builder's exactly, entry for entry."""
+must equal the current builder's exactly, entry for entry.  It reads y
+from ``Place.local_series``, so it is also the oracle for the truncated
+square roots the current builder reads instead."""
 
 from __future__ import annotations
 

@@ -9,6 +9,7 @@ from math import gcd, lcm
 
 import echelon_oracle
 import pytest
+import subs_oracle
 import sympy
 from gaussian_oracle import Gaussian as FracPairGaussian
 from hypothesis import Phase, find, given, settings
@@ -27,7 +28,7 @@ from spincert.exactalg import (
     rank,
     rational_content,
 )
-from spincert.exactalg.linalg import _echelon
+from spincert.exactalg.linalg import _assert_in_kernel, _echelon
 from spincert.hyperell import UPoly
 
 RXY = PolyRing(QQ, ("x", "y"))
@@ -277,6 +278,58 @@ def test_subs_and_eval():
     assert p.eval([Fraction(3), Fraction(1, 2)]) == Fraction(10)
 
 
+R3 = PolyRing(QQ, ("x", "y", "z"))
+R3I = PolyRing(QI, ("x", "y", "z"))
+
+
+@st.composite
+def substitutions(draw):
+    """(p, assignment) over Q or Q(i) in three variables: images for a
+    random subset of the variables, so some stay unassigned, and
+    exponents up to 3, so terms often share a (variable, exponent)."""
+    ring = draw(st.sampled_from((R3, R3I)))
+    p = draw(polys(ring, max_terms=6, max_exp=3))
+    assigned = draw(st.sets(st.integers(0, 2)))
+    return p, {i: draw(polys(ring, max_terms=3, max_exp=2)) for i in sorted(assigned)}
+
+
+@given(substitutions())
+@settings(max_examples=80, deadline=None)
+def test_subs_matches_per_term_oracle(case):
+    p, assignment = case
+    assert p.subs(assignment) == subs_oracle.subs(p, assignment)
+
+
+def _shared_powers(p, assignment):
+    seen = {}
+    for exps in p.terms:
+        for i, k in enumerate(exps):
+            if k and i in assignment:
+                seen[(i, k)] = seen.get((i, k), 0) + 1
+    return max(seen.values(), default=0) >= 2
+
+
+_SUBS_BRANCHES = {
+    "gaussian_ring": lambda p, a: p.ring is R3I and _shared_powers(p, a),
+    "rational_ring": lambda p, a: p.ring is R3 and _shared_powers(p, a),
+    "unassigned_variable": lambda p, a: any(
+        k and i not in a for exps in p.terms for i, k in enumerate(exps)
+    ),
+    "zero_image": lambda p, a: any(not q for q in a.values())
+    and any(exps[i] for exps in p.terms for i in a),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_SUBS_BRANCHES))
+def test_substitutions_reach_every_branch(branch):
+    holds = _SUBS_BRANCHES[branch]
+    find(
+        substitutions(),
+        lambda case: holds(*case),
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
+
+
 @pytest.mark.parametrize(
     "p",
     [
@@ -398,6 +451,38 @@ def test_gaussian_matrix_rank():
     assert rank(rows) == 1
     ns = nullspace(rows)
     assert len(ns) == 1
+
+
+def _kernel_cases():
+    i, one = Gaussian(0, 1), Gaussian(1)
+    a, b = RXY.gens()
+    return {
+        "rational": (
+            [[Fraction(1, 2), Fraction(2, 3), -1, 5], [3, Fraction(1, 7), 2, 0]],
+            Fraction(1, 3),
+        ),
+        "integer": ([[1, 2, 3], [4, 5, 6]], 1),
+        "gaussian": ([[one, i, one + i], [i, -one, i - one]], i),
+        "polynomial": ([[a, b, RXY.zero()], [RXY.zero(), a, b]], RXY.one()),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_kernel_cases()))
+def test_kernel_check_rejects_a_perturbed_entry(name):
+    # every column is nonzero, so moving any one entry of a kernel
+    # vector leaves the kernel
+    rows, bump = _kernel_cases()[name]
+    basis = nullspace(rows)
+    assert basis
+    _assert_in_kernel(rows, basis)
+    for vec in basis:
+        for j in range(len(vec)):
+            bad = list(vec)
+            bad[j] = bad[j] + bump
+            with pytest.raises(AssertionError):
+                _assert_in_kernel(rows, [bad])
+            with pytest.raises(AssertionError):
+                _assert_in_kernel(rows, basis + [bad])
 
 
 def matrix_entries():

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from spincert.cli import main
+from spincert.hyperell import Place
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURE = str(GOLDEN / "curve_roots_0_1_2_3_4_-14.txt")
@@ -50,3 +51,15 @@ def test_report_matches_golden(name, argv, code, tmp_path):
     assert main(argv + ["--out", str(out)]) == code
     want = (GOLDEN / (name + ".json")).read_text(encoding="utf-8")
     assert stripped_report_text(out) == want
+
+
+@pytest.mark.parametrize("name, argv, code", RUNS, ids=[r[0] for r in RUNS])
+def test_run_builds_no_local_series(name, argv, code, tmp_path, monkeypatch):
+    # the Riemann-Roch rows read truncated square roots, so no
+    # production run expands a place's local series
+    calls = []
+    monkeypatch.setattr(
+        Place, "_compute_series", lambda self, prec: calls.append((self, prec))
+    )
+    assert main(argv + ["--out", str(tmp_path / "report.json")]) == code
+    assert calls == []

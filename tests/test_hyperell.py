@@ -4,7 +4,8 @@ Oracles: the integer-numerator ``UPoly`` and its root orders against the
 Fraction-tuple class they replaced; series coefficients against
 hand-derived reversion formulas evaluated with sympy derivatives;
 closed-form valuations and leading coefficients against the series
-expansion they replaced; dimension ladders against the known gap
+expansion they replaced; Riemann-Roch rows against the series-fed row
+builder in ``rr_system_oracle``; dimension ladders against the known gap
 sequences; divisor computations against frozen expected values; the
 16-class parity table against the combinatorial model.
 """
@@ -20,8 +21,10 @@ import rr_system_oracle
 import upoly_oracle
 from spincert import VerificationError
 from spincert.hyperell import (
+    _group_divisor,
     _root_order,
     _rr_system,
+    _sqrt_head,
     Divisor,
     FieldElem,
     HyperCurve,
@@ -802,6 +805,100 @@ def test_rr_rows_match_frozen_builder(curve, curve_with_split_point, name):
     assert rr_system_oracle._rr_system(c, d)[3], "the case builds no rows"
     for div in (d, canonical_divisor(c) - d):
         assert _rr_system(c, div) == rr_system_oracle._rr_system(c, div)
+
+
+# the curves the row draws run on: the standard curve, the fixture with
+# split places over x = 6, and a genus-3 curve whose split places lie
+# over x = 7/2; each with the places a drawn divisor may use
+def _row_curve(roots, split_x):
+    c = HyperCurve.from_roots(roots)
+    places = [c.branch_place(1), c.branch_place(2), c.branch_place(len(c.roots))]
+    places += [c.infinite_place(1), c.infinite_place(-1)]
+    if split_x is not None:
+        places += c.places_over(split_x)
+    return c, places
+
+
+ROW_CURVES = {
+    "standard": _row_curve(range(6), None),
+    "split": _row_curve((0, 1, 2, 3, 4, -14), 6),
+    "genus3": _row_curve(range(8), Fraction(7, 2)),
+}
+
+
+def row_divisors(name):
+    c, places = ROW_CURVES[name]
+    coeffs = st.dictionaries(
+        st.sampled_from(places), st.integers(-3, 3), min_size=1, max_size=4
+    )
+    return coeffs.map(Divisor)
+
+
+def _root_blocks(c, div):
+    """The row blocks of ``_rr_system`` that read a truncated square
+    root, as (kind, c) pairs: one per sheet over a split x-value and
+    one per infinite place with c >= 1 coefficients to read."""
+    _, split, inf_coeffs = _group_divisor(c, div)
+    blocks = []
+    for ys in split.values():
+        e = max(max(ys.values()), 0)
+        y0 = next(iter(ys))
+        cs = [e - ys.get(s, 0) for s in (y0, -y0)]
+        sheets = sum(1 for k in cs if k > 0)
+        if sheets:
+            blocks.append(("split_%d_sheets" % sheets, max(cs)))
+    n_inf = max(inf_coeffs[1], inf_coeffs[-1], 0)
+    for sign in (1, -1):
+        if n_inf - inf_coeffs[sign] >= 1:
+            blocks.append(("inf_%+d" % sign, n_inf - inf_coeffs[sign]))
+    return blocks
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CURVES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rr_rows_match_series_builder(name, data):
+    c = ROW_CURVES[name][0]
+    div = data.draw(row_divisors(name))
+    assert _rr_system(c, div) == rr_system_oracle._rr_system(c, div)
+
+
+_ROW_BRANCHES = {
+    "split_one_sheet": ("split", lambda kinds: "split_1_sheets" in kinds),
+    "split_both_sheets": ("split", lambda kinds: "split_2_sheets" in kinds),
+    "split_two_terms": ("split", lambda kinds: kinds.get("split_1_sheets", 0) >= 2),
+    "genus3_split": ("genus3", lambda kinds: any(k.startswith("split") for k in kinds)),
+    "inf_plus": ("standard", lambda kinds: "inf_+1" in kinds),
+    "inf_minus": ("standard", lambda kinds: "inf_-1" in kinds),
+    "inf_both": ("genus3", lambda kinds: "inf_+1" in kinds and "inf_-1" in kinds),
+    "inf_three_terms": ("standard", lambda kinds: kinds.get("inf_+1", 0) >= 3),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_ROW_BRANCHES))
+def test_row_divisors_reach_every_branch(branch):
+    name, holds = _ROW_BRANCHES[branch]
+    c = ROW_CURVES[name][0]
+    find(
+        row_divisors(name),
+        lambda div: holds(dict(_root_blocks(c, div))),
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
+
+
+def test_sqrt_head_frozen():
+    # sqrt(1 + t) = 1 + t/2 - t^2/8 + ..., and the root of 4 + t^2
+    # through -2 is -2 - t^2/4
+    assert _sqrt_head([1, 1], 1, 3) == [1, Fraction(1, 2), Fraction(-1, 8)]
+    assert _sqrt_head([4, 0, 1], -2, 4) == [-2, 0, Fraction(-1, 4), 0]
+    assert _sqrt_head([9, 5, 7], 3, 1) == [3]
+    # an s_0 that does not square to u_0, and a zero s_0, are refused
+    with pytest.raises(VerificationError):
+        _sqrt_head([4, 1], 3, 1)
+    with pytest.raises(VerificationError):
+        _sqrt_head([4, 1], Fraction(5, 2), 2)
+    with pytest.raises(VerificationError):
+        _sqrt_head([0, 1], 0, 2)
 
 
 def test_rr_zero_divisor_is_constants(curve):

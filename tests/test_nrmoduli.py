@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spincert.exactalg import RatFunc, proportional
+from spincert import nrmoduli
+from spincert.cli import main
+from spincert.exactalg import RatFunc, nullspace, proportional
 from spincert.nrmoduli import (
     BranchConfig,
     Q_RING,
@@ -338,3 +340,22 @@ class TestKernelAtBranch:
     def test_index_validation(self, config):
         with pytest.raises(ValueError):
             kernel_at_branch(config, 0)
+
+    @pytest.mark.parametrize("flags", [[], ["--perturb"]], ids=["plain", "perturb"])
+    def test_run_nr_solves_each_kernel_once(self, flags, tmp_path, monkeypatch):
+        # branch_kernels and kernel_symmetry_record share one table, so
+        # each of the six branch systems is solved once per run
+        solves = []
+
+        def counting_nullspace(rows):
+            solves.append(len(rows))
+            return nullspace(rows)
+
+        monkeypatch.setattr(nrmoduli, "nullspace", counting_nullspace)
+        main(["run", "nr", *flags, "--out", str(tmp_path / "nr.json")])
+        assert solves == [5] * 6
+
+    def test_perturbed_table_starts_unsolved(self, config, table):
+        kernel_at_branch(config, 1, table)
+        assert 1 in table._kernels
+        assert table.perturbed(1, 4)._kernels == {}

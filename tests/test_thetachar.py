@@ -7,6 +7,7 @@ import pytest
 
 from spincert import VerificationError
 from spincert.thetachar import (
+    GENUS_RANGE,
     CharClass,
     QuadFormGF2,
     all_quad_forms,
@@ -63,6 +64,29 @@ def test_charclass_rejects_bad_subsets():
         CharClass(2, {1, 2})
     with pytest.raises(ValueError):
         CharClass(2, {7})
+
+
+@pytest.mark.parametrize("g", GENUS_RANGE)
+def test_enumerated_classes_pass_the_validating_constructor(g):
+    for c in enumerate_chars(g):
+        checked = CharClass(g, c.members)
+        assert type(c) is CharClass
+        assert c == checked and c.members == checked.members
+
+
+@pytest.mark.parametrize(
+    "g, members",
+    [
+        (2, (1.9, 2, 3)),  # a non-integer label, once truncated to 1
+        (2, (1, 1, 2, 3)),  # a repeated label, once read as {1, 2, 3}
+        (2, ("1",)),
+        (0, (1,)),  # genus outside GENUS_RANGE, once accepted
+        (7, ()),
+    ],
+)
+def test_charclass_rejects_what_it_used_to_coerce(g, members):
+    with pytest.raises(ValueError):
+        CharClass(g, members)
 
 
 def test_parity_frozen_examples():
