@@ -200,9 +200,8 @@ def _suite_block(name, conventions, named_checks):
 def run_clifford(opts):
     gamma = GammaRep()
     pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
-    star_square = all(
-        (hodge_star(hodge_star(two_form(i, j))) - two_form(i, j)).is_zero
-        for i, j in pairs
+    star_square = not any(
+        hodge_star(hodge_star(two_form(i, j))) - two_form(i, j) for i, j in pairs
     )
     conventions = {
         "generator_square": -1,
@@ -216,7 +215,7 @@ def run_clifford(opts):
         for e in vector_basis():
             for w in asd_basis():
                 identity_decomposition(e, w)
-                if not decomposition_defect(e, w).is_zero:
+                if decomposition_defect(e, w):
                     raise VerificationError("defect nonzero on a checked pair")
                 count += 1
         return {"pairs": count, "passed": count == 12}
@@ -230,7 +229,7 @@ def run_clifford(opts):
         zero_defects = []
         for e in vector_basis():
             for w in sd_basis():
-                if decomposition_defect(e, w).is_zero:
+                if not decomposition_defect(e, w):
                     zero_defects.append([str(e), str(w)])
         return {
             "pairs": 12,
@@ -257,11 +256,7 @@ def _perturbed_connection(conn):
 
 
 def _nonzero_form_keys(f):
-    return [
-        ",".join(str(x) for x in key)
-        for key, m in sorted(f.items())
-        if not m.is_zero
-    ]
+    return [",".join(str(x) for x in key) for key, m in sorted(f.items()) if m]
 
 
 def run_instanton(opts):
@@ -647,6 +642,11 @@ def run(
         raise ValueError("empty degree list")
     if g is not None and not g:
         raise ValueError("empty genus list")
+    # a repeated value would list one check name twice in a suite
+    if m is not None and len(set(m)) != len(m):
+        raise ValueError("repeated degree: %r" % (m,))
+    if g is not None and len(set(g)) != len(g):
+        raise ValueError("repeated genus: %r" % (g,))
     if any(d < 1 or d % 2 == 0 for d in m or ()):
         raise ValueError("degrees must be odd and positive: %r" % (m,))
     if any(x not in GENUS_RANGE for x in g or ()):

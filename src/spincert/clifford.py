@@ -37,12 +37,6 @@ def blade_indices(mask):
     return tuple(i + 1 for i in range(DIM) if mask >> i & 1)
 
 
-def blade_name(mask):
-    if mask == 0:
-        return "1"
-    return "e" + "".join(str(i) for i in blade_indices(mask))
-
-
 def grade(mask):
     return bin(mask).count("1")
 
@@ -97,7 +91,7 @@ class Multivector:
                 raise ValueError("blade mask out of range")
             if isinstance(c, _SCALARS) and not isinstance(c, Gaussian):
                 c = Gaussian(c)
-            if not c.is_zero:
+            if c:
                 clean[mask] = c
         object.__setattr__(self, "coeffs", clean)
 
@@ -109,18 +103,13 @@ class Multivector:
         return cls({mask: c})
 
     @classmethod
-    def scalar(cls, c):
-        return cls({0: c})
-
-    @classmethod
     def vector(cls, i, c=1):
         if not 1 <= i <= DIM:
             raise ValueError("generator index out of range")
         return cls({1 << (i - 1): c})
 
-    @property
-    def is_zero(self):
-        return not self.coeffs
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def grades(self):
         return sorted({grade(m) for m in self.coeffs})
@@ -128,18 +117,15 @@ class Multivector:
     def grade_project(self, k):
         return Multivector({m: c for m, c in self.coeffs.items() if grade(m) == k})
 
-    def coeff(self, mask):
-        return self.coeffs.get(mask, Gaussian(0))
-
     def __add__(self, other):
         if isinstance(other, _SCALARS):
-            other = Multivector.scalar(other)
+            other = Multivector({0: other})
         if not isinstance(other, Multivector):
             return NotImplemented
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             s = out.get(m, Gaussian(0)) + c
-            if s.is_zero:
+            if not s:
                 out.pop(m, None)
             else:
                 out[m] = s
@@ -152,7 +138,7 @@ class Multivector:
 
     def __sub__(self, other):
         if isinstance(other, _SCALARS):
-            other = Multivector.scalar(other)
+            other = Multivector({0: other})
         if not isinstance(other, Multivector):
             return NotImplemented
         return self + (-other)
@@ -173,7 +159,7 @@ class Multivector:
                 if s < 0:
                     c = -c
                 acc = out.get(m, Gaussian(0)) + c
-                if acc.is_zero:
+                if not acc:
                     out.pop(m, None)
                 else:
                     out[m] = acc
@@ -186,7 +172,7 @@ class Multivector:
 
     def __eq__(self, other):
         if isinstance(other, _SCALARS):
-            other = Multivector.scalar(other)
+            other = Multivector({0: other})
         if not isinstance(other, Multivector):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -195,11 +181,12 @@ class Multivector:
         return hash(frozenset(self.coeffs.items()))
 
     def __str__(self):
-        if self.is_zero:
+        if not self:
             return "0"
         parts = []
         for m in sorted(self.coeffs):
-            parts.append("(%s)%s" % (self.coeffs[m], blade_name(m)))
+            name = "e" + "".join(str(i) for i in blade_indices(m)) if m else "1"
+            parts.append("(%s)%s" % (self.coeffs[m], name))
         return " + ".join(parts)
 
     def __repr__(self):
@@ -224,10 +211,6 @@ def hodge_star(w: Multivector) -> Multivector:
         comp, s = star_blade(mask)
         out[comp] = c * s
     return Multivector(out)
-
-
-def volume() -> Multivector:
-    return Multivector.blade(VOLUME_MASK)
 
 
 def vector_basis():
@@ -256,11 +239,7 @@ def sd_basis():
 
 
 def is_asd(w: Multivector) -> bool:
-    return w.grades() in ([], [2]) and (hodge_star(w) + w).is_zero
-
-
-def is_sd(w: Multivector) -> bool:
-    return w.grades() in ([], [2]) and (hodge_star(w) - w).is_zero
+    return w.grades() in ([], [2]) and not (hodge_star(w) + w)
 
 
 def identity_decomposition(a: Multivector, w: Multivector):
@@ -281,9 +260,9 @@ def identity_decomposition(a: Multivector, w: Multivector):
     part3 = prod.grade_project(3)
     part1 = prod.grade_project(1)
     wedge_part = wedge(a, w)
-    if not (part3 - wedge_part).is_zero:
+    if part3 - wedge_part:
         raise VerificationError("grade-3 part differs from the exterior product")
-    if not (part1 + hodge_star(wedge_part)).is_zero:
+    if part1 + hodge_star(wedge_part):
         raise VerificationError("grade-1 part differs from minus the dual")
     return part3, part1
 
@@ -315,7 +294,7 @@ def identity_sandwich(w: Multivector) -> Multivector:
     if not is_asd(w):
         raise ValueError("argument must be an antiselfdual 2-form")
     out = sandwich_raw(w)
-    if not out.is_zero:
+    if out:
         raise VerificationError("generator sandwich sum is nonzero: %s" % out)
     return out
 
@@ -413,7 +392,7 @@ class GammaRep:
             acc = None
             for c in range(4):
                 coef = m[r][c]
-                if coef.is_zero:
+                if not coef:
                     continue
                 t = coef * spinor[c]
                 acc = t if acc is None else acc + t
@@ -422,20 +401,10 @@ class GammaRep:
             out.append(acc)
         return tuple(out)
 
-    def anticommutator_defect(self, i, j):
-        """gamma_i gamma_j + gamma_j gamma_i + 2 delta_ij, which must be 0."""
-        a = _mat_add(
-            _mat_mul(self.gamma[i - 1], self.gamma[j - 1]),
-            _mat_mul(self.gamma[j - 1], self.gamma[i - 1]),
-        )
-        if i == j:
-            a = _mat_add(a, _mat_scale(_g(2), _ID4))
-        return a
-
     def chirality_signs(self):
         diag = [self.gamma5[k][k] for k in range(4)]
-        off_ok = all(
-            self.gamma5[r][c].is_zero for r in range(4) for c in range(4) if r != c
+        off_ok = not any(
+            self.gamma5[r][c] for r in range(4) for c in range(4) if r != c
         )
         if not off_ok:
             raise VerificationError("chirality operator is not diagonal")
@@ -460,8 +429,8 @@ class GammaRep:
         acted = set()
         for w in asd_basis():
             m = self.rep(w)
-            pos_nonzero = any(not m[r][c].is_zero for r in pos for c in range(4))
-            neg_nonzero = any(not m[r][c].is_zero for r in neg for c in range(4))
+            pos_nonzero = any(m[r][c] for r in pos for c in range(4))
+            neg_nonzero = any(m[r][c] for r in neg for c in range(4))
             acted.add((pos_nonzero, neg_nonzero))
         if acted == {(True, False)}:
             return {"acts_on": "S+", "annihilates": "S-"}

@@ -4,14 +4,12 @@ functions, fraction-free linear algebra, and exact-vector helpers."""
 from .linalg import nullspace, proportional, rank, rational_content
 from .polys import MultiPoly, PolyRing
 from .ratfunc import RatFunc
-from .scalars import QI, QQ, Gaussian, format_gaussian, parse_gaussian
+from .scalars import QI, QQ, Gaussian
 
 __all__ = [
     "QQ",
     "QI",
     "Gaussian",
-    "format_gaussian",
-    "parse_gaussian",
     "PolyRing",
     "MultiPoly",
     "RatFunc",

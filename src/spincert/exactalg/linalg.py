@@ -179,7 +179,7 @@ def _strip_content(vec):
         return vec
     content = rational_content(c for p in vec for c in p.terms.values())
     for p in vec:
-        if not p.is_zero:
+        if p:
             if p.lead()[1] < 0:
                 content = -content
             break

@@ -3,8 +3,8 @@
 A polynomial is a map from exponent vectors (one integer per ring
 variable) to nonzero coefficients in the ring's scalar field.  Zero
 coefficients are never stored, so ``not p`` (no terms) is the zero test,
-as ``not c`` is for a coefficient.  The ring's field only coerces and
-parses coefficients; they divide and format through their own operators.
+as ``not c`` is for a coefficient.  The ring's field only coerces
+coefficients; they divide and format through their own operators.
 
 Exact division (`exact_div`) runs multivariate division against a single
 divisor under the lexicographic term order and reports failure instead of
@@ -13,7 +13,7 @@ producing a remainder; for an exact multiple it always succeeds.
 Canonical text form: terms sorted by exponent vector, descending
 lexicographic in variable order, each as ``coeff*mono`` with explicit
 rational (or Gaussian rational) coefficients.  ``PolyRing.parse`` is a
-bit-exact inverse on canonical output.
+bit-exact inverse on the canonical output of rational polynomials.
 """
 
 from __future__ import annotations
@@ -73,14 +73,12 @@ class PolyRing:
         e[i] = 1
         return MultiPoly(self, {tuple(e): self.field.one()})
 
-    def gens(self):
-        return tuple(self.gen(i) for i in range(self.nvars))
-
     def var_index(self, name):
         return self.names.index(name)
 
     def parse(self, text):
-        """Parse the canonical text form produced by ``MultiPoly.to_str``."""
+        """Parse the canonical text form that ``MultiPoly.to_str`` gives a
+        polynomial with rational coefficients."""
         s = text.strip()
         if s == "0":
             return self.zero()
@@ -95,17 +93,17 @@ class PolyRing:
     def _parse_term(self, raw):
         if raw.startswith("("):
             close = raw.index(")")
-            coeff = self.field.parse(raw[1:close])
+            coeff = Fraction(raw[1:close])
             rest = raw[close + 1 :]
             if rest.startswith("*"):
                 rest = rest[1:]
         else:
             head, sep, tail = raw.partition("*")
             if head and (head[0].isdigit() or head[0] in "+-"):
-                coeff = self.field.parse(head)
+                coeff = Fraction(head)
                 rest = tail if sep else ""
             else:
-                coeff = self.field.one()
+                coeff = 1
                 rest = raw
         exps = [0] * self.nvars
         if rest:
@@ -149,10 +147,6 @@ class MultiPoly:
     # structure
     # ------------------------------------------------------------------
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -160,7 +154,7 @@ class MultiPoly:
         return all(all(e == 0 for e in exps) for exps in self.terms)
 
     def constant_value(self):
-        if self.is_zero:
+        if not self:
             return self.ring.field.zero()
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
@@ -168,7 +162,7 @@ class MultiPoly:
 
     def lead(self):
         """Leading (exps, coeff) under descending lex order; error on zero."""
-        if self.is_zero:
+        if not self:
             raise ValueError("zero polynomial has no leading term")
         exps = max(self.terms)
         return exps, self.terms[exps]
@@ -263,7 +257,7 @@ class MultiPoly:
         divisor = self._check(divisor)
         if divisor is None:
             raise TypeError("bad divisor")
-        if divisor.is_zero:
+        if not divisor:
             raise ZeroDivisionError("polynomial division by zero")
         lexp, lc = divisor.lead()
         rem = dict(self.terms)
@@ -336,7 +330,7 @@ class MultiPoly:
     # ------------------------------------------------------------------
 
     def to_str(self):
-        if self.is_zero:
+        if not self:
             return "0"
         parts = []
         for exps in sorted(self.terms, reverse=True):

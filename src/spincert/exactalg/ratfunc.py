@@ -30,9 +30,9 @@ class RatFunc:
             den = num.ring.one()
         if not isinstance(den, MultiPoly) or den.ring != num.ring:
             raise ValueError("denominator ring mismatch")
-        if den.is_zero:
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
+        if not num:
             den = num.ring.one()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -44,9 +44,8 @@ class RatFunc:
     def ring(self):
         return self.num.ring
 
-    @property
-    def is_zero(self):
-        return self.num.is_zero
+    def __bool__(self):
+        return bool(self.num)
 
     def is_polynomial(self):
         return self.den.is_constant()
@@ -115,11 +114,11 @@ class RatFunc:
         a, b = self.num, self.den
         c, d = other.num, other.den
         # opportunistic diagonal cancellation keeps denominator powers flat
-        if not a.is_zero and not d.is_constant():
+        if a and not d.is_constant():
             q = a.exact_div(d)
             if q is not None:
                 a, d = q, d.ring.one()
-        if not c.is_zero and not b.is_constant():
+        if c and not b.is_constant():
             q = c.exact_div(b)
             if q is not None:
                 c, b = q, b.ring.one()
@@ -131,7 +130,7 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.is_zero:
+        if not other:
             raise ZeroDivisionError("division by zero rational function")
         return self * RatFunc(other.den, other.num)
 
@@ -145,7 +144,7 @@ class RatFunc:
         if not isinstance(n, int):
             raise ValueError("integer powers only")
         if n < 0:
-            if self.is_zero:
+            if not self:
                 raise ZeroDivisionError("negative power of zero")
             return RatFunc(self.den ** (-n), self.num ** (-n))
         return RatFunc(self.num**n, self.den**n)
@@ -154,7 +153,7 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return (self.num * other.den - other.num * self.den).is_zero
+        return not (self.num * other.den - other.num * self.den)
 
     def __hash__(self):
         raise TypeError("RatFunc is not hashable (equality is semantic)")

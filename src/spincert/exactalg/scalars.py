@@ -6,13 +6,13 @@ form: ``d > 0`` and ``gcd(a, b, d) == 1``.  Arithmetic works on the ints
 directly: a product is four integer products reduced by one gcd, which
 is skipped when the denominator is 1, a sum of equal denominators adds
 the numerators, and a quotient multiplies by the conjugate over the
-integer norm.  No Fraction is built on the way; ``re`` and ``im`` are
-derived on demand.  Every operation is exact; nothing here ever rounds.
+integer norm.  No Fraction is built on the way.  Every operation is
+exact; nothing here ever rounds.
 
 The two coefficient fields are exposed as the singletons ``QQ`` and ``QI``.
-A field object only coerces and parses its elements and names its zero
-and one; the elements answer for themselves through ordinary operators:
-``not v`` is the zero test, ``a / b`` divides and ``str(v)`` formats.
+A field object only coerces its elements and names its zero and one;
+the elements answer for themselves through ordinary operators: ``not v``
+is the zero test, ``a / b`` divides and ``str(v)`` formats.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ class Gaussian:
     """The Gaussian rational ``(a + b*i)/d``, stored as the integer
     triple ``(a, b, d)`` in normal form: ``d > 0`` and
     ``gcd(a, b, d) == 1``, so zero is ``(0, 0, 1)`` and equal values have
-    equal triples.  ``re`` and ``im`` are derived, read-only Fractions
-    ``a/d`` and ``b/d``.  On the real axis equality and hashing agree
-    with ``int`` and ``Fraction``.
+    equal triples.  On the real axis equality and hashing agree with
+    ``int`` and ``Fraction``.
 
     Like ``Fraction``, the class is immutable by convention: its public
     attributes are read-only and no method changes the private slots."""
@@ -49,26 +48,6 @@ class Gaussian:
         self._a = a
         self._b = b
         self._d = d
-
-    @property
-    def re(self):
-        return Fraction(self._a, self._d)
-
-    @property
-    def im(self):
-        return Fraction(self._b, self._d)
-
-    @property
-    def is_zero(self):
-        return not (self._a or self._b)
-
-    def conjugate(self):
-        return _gauss(self._a, -self._b, self._d)
-
-    def norm2(self):
-        # re^2 + im^2, a nonnegative rational; zero iff self is zero
-        a, b, d = self._a, self._b, self._d
-        return Fraction(a * a + b * b, d * d)
 
     def __add__(self, other):
         if type(other) is not Gaussian:
@@ -191,10 +170,25 @@ class Gaussian:
         return bool(self._a or self._b)
 
     def __str__(self):
-        return format_gaussian(self)
+        """Canonical text form, e.g. ``3/2``, ``-i``, ``1/2+3i``, ``2-1/3i``."""
+        re, im = Fraction(self._a, self._d), Fraction(self._b, self._d)
+        if im == 0:
+            return str(re)
+        if im == 1:
+            im = "i"
+        elif im == -1:
+            im = "-i"
+        else:
+            im = "%si" % im
+        if re == 0:
+            return im
+        if not im.startswith("-"):
+            im = "+" + im
+        return "%s%s" % (re, im)
 
     def __repr__(self):
-        return "Gaussian(%r, %r)" % (str(self.re), str(self.im))
+        a, b, d = self._a, self._b, self._d
+        return "Gaussian('%s', '%s')" % (Fraction(a, d), Fraction(b, d))
 
 
 _new = object.__new__
@@ -221,50 +215,6 @@ def _as_gaussian(v):
     return None
 
 
-def format_gaussian(z: Gaussian) -> str:
-    """Canonical text form, e.g. ``3/2``, ``-i``, ``1/2+3i``, ``2-1/3i``."""
-    re, im = z.re, z.im
-    if im == 0:
-        return str(re)
-    if im == 1:
-        im = "i"
-    elif im == -1:
-        im = "-i"
-    else:
-        im = "%si" % im
-    if re == 0:
-        return im
-    if not im.startswith("-"):
-        im = "+" + im
-    return "%s%s" % (re, im)
-
-
-def parse_gaussian(text: str) -> Gaussian:
-    """Inverse of :func:`format_gaussian` on canonical strings."""
-    s = text.strip()
-    if not s.endswith("i"):
-        return Gaussian(Fraction(s))
-    body = s[:-1]
-    # split the imaginary tail from an optional real head at the last
-    # top-level sign that is not the leading sign of the string
-    cut = -1
-    for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "+-/":
-            cut = k
-            break
-    if cut <= 0:
-        re_part, im_part = "0", body
-    else:
-        re_part, im_part = body[:cut], body[cut:]
-    if im_part in ("", "+"):
-        im = Fraction(1)
-    elif im_part == "-":
-        im = Fraction(-1)
-    else:
-        im = Fraction(im_part)
-    return Gaussian(Fraction(re_part), im)
-
-
 class RationalField:
     """The field of rationals; elements are ``fractions.Fraction``."""
 
@@ -281,12 +231,9 @@ class RationalField:
             return v
         if isinstance(v, int):
             return Fraction(v)
-        if isinstance(v, Gaussian) and v.im == 0:
-            return v.re
+        if isinstance(v, Gaussian) and not v._b:
+            return Fraction(v._a, v._d)
         raise TypeError("cannot coerce %r into QQ" % (v,))
-
-    def parse(self, text):
-        return Fraction(text.strip())
 
     def __repr__(self):
         return "QQ"
@@ -310,9 +257,6 @@ class GaussianField:
         if z is None:
             raise TypeError("cannot coerce %r into QI" % (v,))
         return z
-
-    def parse(self, text):
-        return parse_gaussian(text)
 
     def __repr__(self):
         return "QI"

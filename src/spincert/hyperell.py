@@ -87,9 +87,8 @@ class UPoly:
         r = _fr(r)
         return _upoly((-r.numerator, r.denominator), r.denominator)
 
-    @property
-    def is_zero(self):
-        return not self._num
+    def __bool__(self):
+        return bool(self._num)
 
     @property
     def degree(self):
@@ -182,9 +181,9 @@ class UPoly:
 
     def gcd(self, other):
         a, b = self, other
-        while not b.is_zero:
+        while b:
             a, b = b, a.divmod(b)[1]
-        if a.is_zero:
+        if not a:
             return a
         return a * (Fraction(1) / a.lead())
 
@@ -513,7 +512,7 @@ class HyperCurve:
     __slots__ = ("f", "genus", "roots", "lead_sqrt", "slopes", "_cache")
 
     def __init__(self, f: UPoly):
-        if f.is_zero or f.degree < 4 or f.degree % 2:
+        if not f or f.degree < 4 or f.degree % 2:
             raise ValueError("f must have even degree at least 4")
         genus = f.degree // 2 - 1
         df = f.derivative()
@@ -552,8 +551,9 @@ class HyperCurve:
 
     def branch_place(self, i):
         """Place over the i-th branch point, 1-based in root order."""
-        if not 1 <= i <= len(self.roots):
-            raise ValueError("branch index out of range")
+        n = len(self.roots)
+        if type(i) is not int or not 1 <= i <= n:
+            raise ValueError("branch index must be an integer in 1..%d" % n)
         return Place(self, "branch", self.roots[i - 1])
 
     def infinite_place(self, sign):
@@ -725,7 +725,8 @@ def _taylor(p: UPoly, x0):
 
 
 class Divisor:
-    """Finite integer combination of places."""
+    """Finite integer combination of places; a coefficient that is not an
+    int (a bool, a float, a Fraction) is a ValueError."""
 
     __slots__ = ("coeffs",)
 
@@ -734,7 +735,8 @@ class Divisor:
         for place, n in (coeffs or {}).items():
             if not isinstance(place, Place):
                 raise TypeError("divisor support must be places")
-            n = int(n)
+            if type(n) is not int:
+                raise ValueError("divisor coefficients must be integers: %r" % (n,))
             if n:
                 cs[place] = n
         object.__setattr__(self, "coeffs", cs)
@@ -804,7 +806,7 @@ class FieldElem:
         den = UPoly((1,)) if den is None else (
             den if isinstance(den, UPoly) else UPoly.const(den)
         )
-        if den.is_zero:
+        if not den:
             raise ZeroDivisionError("zero denominator")
         object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "a", a)
@@ -815,16 +817,11 @@ class FieldElem:
         raise AttributeError("FieldElem is immutable")
 
     @classmethod
-    def x_function(cls, curve):
-        return cls(curve, UPoly((0, 1)))
-
-    @classmethod
     def y_function(cls, curve):
         return cls(curve, UPoly(), UPoly((1,)))
 
-    @property
-    def is_zero(self):
-        return self.a.is_zero and self.b.is_zero
+    def __bool__(self):
+        return bool(self.a or self.b)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -879,7 +876,7 @@ class FieldElem:
         return num, self.den * self.den
 
     def inverse(self):
-        if self.is_zero:
+        if not self:
             raise ZeroDivisionError("inverting zero")
         num = self.norm_pair()[0]
         return FieldElem(self.curve, self.a * self.den, -self.b * self.den, num)
@@ -939,7 +936,7 @@ class FieldElem:
           degree on this sheet with lead 2 lc(a), and a + b y leads with
           lc(N)/(2 lc(a)) at order -(deg N - deg a).
         """
-        if self.is_zero:
+        if not self:
             raise ValueError("zero element has no valuation")
         a, b, den = self.a, self.b, self.den
         if place.kind == "branch":
@@ -995,7 +992,7 @@ def divisor_of(h: FieldElem) -> Divisor:
     """Full divisor of a nonzero element whose zeros and poles all lie
     over rational x-values at rational points; raises otherwise.  The
     result is certified by a total-degree-zero check."""
-    if h.is_zero:
+    if not h:
         raise ValueError("zero element has no divisor")
     curve = h.curve
     num, den = h.norm_pair()
@@ -1050,10 +1047,7 @@ def theta_divisor(curve: HyperCurve, t) -> Divisor:
     of the two infinite places.  The doubling relation against the
     canonical divisor is certified by an explicit function."""
     g = curve.genus
-    tset = frozenset(int(i) for i in t)
-    n = 2 * g + 2
-    if not all(1 <= i <= n for i in tset):
-        raise ValueError("branch labels out of range")
+    tset = _branch_subset(curve, t)
     if len(tset) % 2 != (g + 1) % 2:
         raise ValueError("subset size has the wrong parity")
     m, rem = divmod(g - 1 - len(tset), 2)
@@ -1069,6 +1063,19 @@ def theta_divisor(curve: HyperCurve, t) -> Divisor:
     return div
 
 
+def _branch_subset(curve: HyperCurve, t) -> frozenset:
+    """The branch labels t as a set; they must be distinct integers in
+    1..2g+2, and anything else is a ValueError, not a coercion."""
+    labels = list(t)
+    n = 2 * curve.genus + 2
+    if not all(type(i) is int and 1 <= i <= n for i in labels):
+        raise ValueError("branch labels must be integers in 1..%d" % n)
+    tset = frozenset(labels)
+    if len(tset) != len(labels):
+        raise ValueError("branch labels must be distinct")
+    return tset
+
+
 def branch_product(curve: HyperCurve, t) -> UPoly:
     """The polynomial prod over i in t of (x - x_i), x_i the i-th branch
     point (1-based); its divisor is twice the branch places over t minus
@@ -1082,9 +1089,8 @@ def branch_product(curve: HyperCurve, t) -> UPoly:
 def theta_complement_witness(curve: HyperCurve, t) -> FieldElem:
     """The function with divisor theta(T) - theta(T^c); certifies that
     complementary subsets give the same class."""
-    g = curve.genus
-    tset = frozenset(int(i) for i in t)
-    comp = frozenset(range(1, 2 * g + 3)) - tset
+    tset = _branch_subset(curve, t)
+    comp = frozenset(range(1, 2 * curve.genus + 3)) - tset
     h = FieldElem(curve, branch_product(curve, tset)) / FieldElem.y_function(curve)
     want = theta_divisor(curve, tset) - theta_divisor(curve, comp)
     if divisor_of(h) != want:
@@ -1282,7 +1288,7 @@ def _verify_membership(curve, divisor, d, basis):
     candidates.add(curve.infinite_place(1))
     candidates.add(curve.infinite_place(-1))
     for h in basis:
-        if h.is_zero:
+        if not h:
             raise VerificationError("zero vector in basis")
         for place in candidates:
             if h.valuation(place) < -divisor.coeff(place):

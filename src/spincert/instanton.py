@@ -36,15 +36,6 @@ GAMMA = GammaRep()
 
 _SCALARS = (int, Fraction, Gaussian)
 
-# rho^0 and rho^1; higher powers are appended on first use
-_RHO_POWERS = [R4.one(), RHO]
-
-
-def _rho_pow(n):
-    while len(_RHO_POWERS) <= n:
-        _RHO_POWERS.append(_RHO_POWERS[-1] * RHO)
-    return _RHO_POWERS[n]
-
 
 class _RhoFrac:
     """The entry p / rho^k, k >= 0; zero is stored with k = 0.
@@ -58,12 +49,11 @@ class _RhoFrac:
         self.p = p
         self.k = k if p.terms else 0
 
-    @property
-    def is_zero(self):
-        return not self.p.terms
+    def __bool__(self):
+        return bool(self.p.terms)
 
     def _lifted(self, k):
-        return self.p if k == self.k else self.p * _rho_pow(k - self.k)
+        return self.p if k == self.k else self.p * RHO ** (k - self.k)
 
     def __add__(self, other):
         try:
@@ -98,24 +88,12 @@ class _RhoFrac:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        """Division by a nonzero constant (k = 0, constant p) only."""
-        try:
-            other = _as_rf(other)
-        except TypeError:
-            return NotImplemented
-        if other.k or not other.p.is_constant():
-            raise ValueError("entries divide only by constants")
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero")
-        return _RhoFrac(self.p * (1 / other.p.constant_value()), self.k)
-
     def __eq__(self, other):
         try:
             other = _as_rf(other)
         except TypeError:
             return NotImplemented
-        return (self - other).is_zero
+        return not (self - other)
 
     def derivative(self, var):
         dp = self.p.derivative(var)
@@ -129,7 +107,7 @@ class _RhoFrac:
         if not self.k:
             return value
         r = RHO.eval(point)
-        if r.is_zero:
+        if not r:
             raise ZeroDivisionError("rho vanishes at the point")
         return value / r**self.k
 
@@ -174,15 +152,11 @@ class Mat2:
     def entry(self, i, j):
         return self.rows[i][j]
 
-    @property
-    def is_zero(self):
-        return all(v.is_zero for row in self.rows for v in row)
+    def __bool__(self):
+        return any(v for row in self.rows for v in row)
 
     def trace(self):
         return self.rows[0][0] + self.rows[1][1]
-
-    def det(self):
-        return self.rows[0][0] * self.rows[1][1] - self.rows[0][1] * self.rows[1][0]
 
     def __add__(self, other):
         if not isinstance(other, Mat2):
@@ -237,9 +211,6 @@ class Mat2:
     def derivative(self, var):
         return Mat2(tuple(tuple(v.derivative(var) for v in row) for row in self.rows))
 
-    def eval(self, point):
-        return tuple(tuple(v.eval(point) for v in row) for row in self.rows)
-
     def __repr__(self):
         return "Mat2(%s)" % (self.rows,)
 
@@ -277,17 +248,13 @@ class Connection:
         for m in comps:
             if not isinstance(m, Mat2):
                 raise TypeError("components must be Mat2")
-            if not m.trace().is_zero:
+            if m.trace():
                 raise ValueError("connection components must be trace-free")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "_curvature", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Connection is immutable")
-
-
-def zero_connection() -> Connection:
-    return Connection((Mat2.zero(),) * 4)
 
 
 def _components(a):
@@ -354,7 +321,7 @@ def sd_asd_split(f: dict):
 
 
 def form_is_zero(f: dict) -> bool:
-    return all(m.is_zero for m in f.values())
+    return not any(f.values())
 
 
 def asd_check(f: dict) -> bool:
@@ -393,10 +360,6 @@ def _zero_spinor():
     return (_RF0,) * 4
 
 
-def _spinor_is_zero(s) -> bool:
-    return all(v.is_zero for v in s)
-
-
 def _spinor_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
@@ -408,7 +371,7 @@ def _gamma_linear_column(col):
         p = R4.zero()
         for mu in range(4):
             g = GAMMA.gamma[mu][r][col]
-            if not g.is_zero:
+            if g:
                 p = p + R4.gen(mu) * g
         comps.append(_RhoFrac(p))
     return tuple(comps)
@@ -451,10 +414,10 @@ class TwistorSpinor:
         p2 = tuple(Gaussian(0) if v is None else v for v in psi2)
         field = _zero_spinor()
         for col in range(4):
-            if not p1[col].is_zero:
+            if p1[col]:
                 lin = _gamma_linear_column(col)
                 field = _spinor_add(field, tuple(v * p1[col] for v in lin))
-            if not p2[col].is_zero:
+            if p2[col]:
                 const_part = tuple(
                     _as_rf(p2[col]) if r == col else _RF0 for r in range(4)
                 )
@@ -463,7 +426,7 @@ class TwistorSpinor:
         object.__setattr__(self, "psi2", p2)
         object.__setattr__(self, "components", field)
         for res in twistor_residual(field):
-            if not _spinor_is_zero(res):
+            if any(res):
                 raise VerificationError("affine field fails the twistor equation")
 
     def __setattr__(self, name, value):
@@ -490,7 +453,7 @@ def twistor_basis():
         sols.append(TwistorSpinor(zero4, psi2))
     for s in sols:
         for idx in other:
-            if not s.components[idx].is_zero:
+            if s.components[idx]:
                 raise VerificationError("family leaks outside its chirality block")
     return tuple(sols)
 
@@ -512,33 +475,15 @@ class CoupledField:
         for m in comps:
             if not isinstance(m, Mat2):
                 raise TypeError("components must be Mat2")
-            if not m.trace().is_zero:
+            if m.trace():
                 raise ValueError("matrix factor must be trace-free")
         object.__setattr__(self, "components", comps)
 
     def __setattr__(self, name, value):
         raise AttributeError("CoupledField is immutable")
 
-    @property
-    def is_zero(self):
-        return all(m.is_zero for m in self.components)
-
-    def __add__(self, other):
-        if not isinstance(other, CoupledField):
-            return NotImplemented
-        return CoupledField(
-            tuple(a + b for a, b in zip(self.components, other.components))
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, CoupledField):
-            return NotImplemented
-        return CoupledField(
-            tuple(a - b for a, b in zip(self.components, other.components))
-        )
-
-    def scale(self, s):
-        return CoupledField(tuple(m * s for m in self.components))
+    def __bool__(self):
+        return any(self.components)
 
 
 def curvature_acts(f: dict, psi) -> CoupledField:
@@ -549,7 +494,7 @@ def curvature_acts(f: dict, psi) -> CoupledField:
         blade = Multivector.blade(_pair_mask(m, n))
         phi = GAMMA.act(blade, psi_t)
         for r in range(4):
-            if not phi[r].is_zero:
+            if phi[r]:
                 comps[r] = comps[r] + mat * phi[r]
     return CoupledField(comps)
 
@@ -567,7 +512,7 @@ def coupled_dirac(a, field: CoupledField) -> CoupledField:
         g = GAMMA.gamma[i]
         for r in range(4):
             for c in range(4):
-                if not g[r][c].is_zero:
+                if g[r][c]:
                     out[r] = out[r] + theta[c] * g[r][c]
     return CoupledField(out)
 
@@ -616,7 +561,7 @@ def verify_curvature_dirac_solutions(a) -> dict:
         coupled = curvature_acts(f, psi.components)
         res = coupled_dirac(a, coupled)
         produced.append(coupled)
-        residual_zero.append(res.is_zero)
+        residual_zero.append(not res)
     count = 0 if degenerate else independent_count(produced)
     return {
         "check": "curvature_dirac_solutions",

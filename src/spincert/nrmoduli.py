@@ -235,7 +235,7 @@ def h_consistency(
                 cofactor = cofactor * lin_factors[k]
         diff = table.quadratic(i, j, ring) - reference_table.quadratic(i, j, ring)
         total = total + cofactor * diff
-    return total.is_zero
+    return not total
 
 
 def eval_at_branch(config: BranchConfig, i: int, table: RijTable = None) -> MultiPoly:
@@ -289,13 +289,13 @@ def verify_distinguished_covector(table: RijTable = None) -> dict:
     incidence = QP_RING.zero()
     for a in range(4):
         incidence = incidence + QP_RING.gen(a) * subs[4 + a]
-    nonzero = [pair for pair, poly in residuals.items() if not poly.is_zero]
+    nonzero = [pair for pair, poly in residuals.items() if poly]
     report = {
         "check": "distinguished_covector",
         "substitution": "(q2, -q1, q4, -q3)",
-        "vanishing": {"%d%d" % pair: poly.is_zero for pair, poly in residuals.items()},
-        "incidence_zero": incidence.is_zero,
-        "passed": not nonzero and incidence.is_zero,
+        "vanishing": {"%d%d" % pair: not poly for pair, poly in residuals.items()},
+        "incidence_zero": not incidence,
+        "passed": not nonzero and not incidence,
     }
     if not report["passed"]:
         raise VerificationError(
@@ -377,11 +377,11 @@ def kernel_at_branch(config: BranchConfig, i: int, table: RijTable = None) -> di
     incidence = Q_RING.zero()
     for a in range(4):
         incidence = incidence + Q_RING.gen(a) * gen[a]
-    if not incidence.is_zero:
+    if incidence:
         raise VerificationError("kernel generator is not a cotangent vector")
     lifted = {4 + b: _lift_to_qp(gen[b]) for b in range(4)}
     quad = eval_at_branch(config, i, table).subs(lifted)
-    if not quad.is_zero:
+    if quad:
         raise VerificationError("generator does not annihilate the quadratic form")
     report = {
         "branch": i,

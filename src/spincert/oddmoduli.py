@@ -56,10 +56,6 @@ SEGRE_QUADRIC = (
 )
 
 
-def segre_quadric_value(point):
-    return point[0] * point[3] - point[1] * point[2]
-
-
 def _normalize(vec):
     """Scale to a primitive integer vector with positive leading entry."""
     vec = [Fraction(v) for v in vec]
@@ -204,7 +200,7 @@ def _fe_power(fe: FieldElem, n: int) -> FieldElem:
 
 def _exact_quotient(num: UPoly, den: UPoly) -> UPoly:
     q, r = num.divmod(den)
-    if not r.is_zero:
+    if r:
         raise VerificationError("denominator fails to divide the cleared product")
     return q
 
@@ -281,7 +277,7 @@ def _implicit_equation(curve, spin_cube_basis, canonical_basis):
             if coeffs[k]:
                 terms[(a0, a1, b0, b1)] = coeffs[k]
             k += 1
-    if not total.is_zero:
+    if total:
         raise VerificationError("implicit equation fails on the parametrization")
     return MultiPoly(TS_RING, terms)
 
@@ -505,7 +501,7 @@ def plane_curve_divisor(E: EmbeddedCurve, plane: PlaneP3) -> PlaneSection:
     for c, z in zip(plane.coeffs, E.segre_functions):
         if c:
             h = h + c * z
-    if h.is_zero:
+    if not h:
         raise ValueError("plane pulls back to the zero function")
     place_data = {}
     entries = {}
@@ -643,7 +639,7 @@ def field_elem_label(h: FieldElem) -> str:
     coefficient tuples."""
 
     def poly(p):
-        return "(%s)" % ",".join(str(c) for c in p.coeffs) if not p.is_zero else "0"
+        return "(%s)" % ",".join(str(c) for c in p.coeffs) if p else "0"
 
     return "(%s + %s*y)/%s" % (poly(h.a), poly(h.b), poly(h.den))
 

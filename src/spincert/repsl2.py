@@ -58,13 +58,8 @@ class BinaryForm:
     def basis_vector(cls, m, j):
         return cls(tuple(1 if i == j else 0 for i in range(m + 1)))
 
-    @classmethod
-    def zero(cls, m):
-        return cls((0,) * (m + 1))
-
-    @property
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+    def __bool__(self):
+        return any(self.coeffs)
 
     def __add__(self, other):
         if not isinstance(other, BinaryForm):
@@ -79,9 +74,6 @@ class BinaryForm:
         if other.degree != self.degree:
             raise ValueError("degree mismatch")
         return BinaryForm(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, c):
-        return BinaryForm(tuple(a * c for a in self.coeffs))
 
     def __eq__(self, other):
         if not isinstance(other, BinaryForm):
@@ -136,14 +128,6 @@ def symplectic_form(u: BinaryForm, v: BinaryForm):
     return acc
 
 
-def pairing_matrix(m: int):
-    """Matrix of the pairing on the coefficient basis; antisymmetric."""
-    if m % 2 == 0:
-        raise ValueError("pairing requires odd degree")
-    basis = [BinaryForm.basis_vector(m, j) for j in range(m + 1)]
-    return [[symplectic_form(basis[i], basis[j]) for j in range(m + 1)] for i in range(m + 1)]
-
-
 def _d_first(a, m):
     return tuple(a[j] * (m - j) for j in range(m))
 
@@ -196,16 +180,9 @@ def moment_map(u: BinaryForm, v: BinaryForm) -> BinaryForm:
     return transvectant(u, v, u.degree - 1)
 
 
-def quadratic_to_matrix(q: BinaryForm):
-    """Fixed identification of quadratics with trace-free 2x2 matrices."""
-    if q.degree != 2:
-        raise ValueError("expected a quadratic")
-    c0, c1, c2 = q.coeffs
-    half = Fraction(1, 2)
-    return ((c1 * half, c0), (c2 * (-1), c1 * (-half)))
-
-
 def quadratic_matrix_det(q: BinaryForm):
+    """Determinant of the trace-free matrix [[c1/2, c0], [-c2, -c1/2]]
+    that the fixed identification gives the quadratic q."""
     c0, c1, c2 = q.coeffs
     return c0 * c2 - c1 * c1 * Fraction(1, 4)
 
@@ -245,7 +222,7 @@ def equivariance_check(m: int) -> dict:
                     u, generator_action(x, v)
                 )
                 rhs = generator_action(x, moment_map(u, v))
-                if not (lhs - rhs).is_zero:
+                if lhs - rhs:
                     failures.append({"generator": x, "pair": [i, j]})
     return {
         "check": "contraction_equivariance",

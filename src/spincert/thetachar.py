@@ -59,10 +59,6 @@ class CharClass:
     def parity_bit(self):
         return ((self.g + 1 - len(self.members)) // 2) % 2
 
-    @property
-    def parity(self):
-        return "odd" if self.parity_bit else "even"
-
 
 def _reduce(t: frozenset, g: int) -> frozenset:
     full = frozenset(range(1, 2 * g + 3))
@@ -134,13 +130,6 @@ class QuadFormGF2:
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadFormGF2 is immutable")
-
-    @staticmethod
-    def pairing(u, v):
-        acc = 0
-        for i in range(0, len(u), 2):
-            acc ^= (u[i] & v[i + 1]) ^ (u[i + 1] & v[i])
-        return acc
 
     def value(self, u):
         support = [i for i, b in enumerate(u) if b]

@@ -85,15 +85,15 @@ def test_criterion_1_clifford_grade_identities():
     for a in vectors:
         for w in antiselfdual:
             part3, part1 = identity_decomposition(a, w)
-            assert (part3 + part1 - a * w).is_zero
-            assert decomposition_defect(a, w).is_zero
+            assert not (part3 + part1 - a * w)
+            assert not decomposition_defect(a, w)
             pairs += 1
     assert pairs == 12
     for w in antiselfdual:
-        assert identity_sandwich(w).is_zero
+        assert not identity_sandwich(w)
     for w in sd_basis():
         for a in vectors:
-            assert not decomposition_defect(a, w).is_zero
+            assert decomposition_defect(a, w)
     _budget(start, 1.0, "criterion 1")
     print("criterion 1 (clifford grade identities, 12 pairs + controls): PASS")
 

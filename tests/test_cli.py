@@ -374,6 +374,9 @@ class TestMain:
             ["run", "repsl2", "--m", "0"],
             ["run", "repsl2", "--m", "2"],
             ["run", "odd", "--triples", "-3"],
+            ["run", "theta", "--g", "1,1"],
+            ["run", "repsl2", "--m", "1,1"],
+            ["run", "theta", "--g", "2,6,2"],
         ],
     )
     def test_bad_arguments_exit_two(self, argv, capsys):

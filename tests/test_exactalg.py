@@ -23,7 +23,6 @@ from spincert.exactalg import (
     PolyRing,
     RatFunc,
     nullspace,
-    parse_gaussian,
     proportional,
     rank,
     rational_content,
@@ -41,6 +40,11 @@ def rationals():
 
 def gaussians():
     return st.builds(Gaussian, rationals(), rationals())
+
+
+def _parts(z):
+    """(a/d, b/d) for the Gaussian (a + b*i)/d, read off its triple."""
+    return Fraction(z._a, z._d), Fraction(z._b, z._d)
 
 
 def polys(ring=RXY, max_terms=5, max_exp=4):
@@ -73,15 +77,10 @@ def test_gaussian_field_axioms(a, b, c):
 def test_gaussian_inverse_and_conjugate(a):
     i = Gaussian(0, 1)
     assert i * i == -1
-    assert a * a.conjugate() == Gaussian(a.norm2())
-    if not a.is_zero:
+    re, im = _parts(a)
+    assert a * Gaussian(re, -im) == re * re + im * im
+    if a:
         assert a * (Gaussian(1) / a) == 1
-
-
-@given(gaussians())
-@settings(max_examples=60, deadline=None)
-def test_gaussian_text_roundtrip(a):
-    assert parse_gaussian(str(a)) == a
 
 
 def test_gaussian_zero_division():
@@ -131,7 +130,7 @@ def _assert_matches(got, want):
         assert got is ZeroDivisionError
         return
     assert type(got) is Gaussian
-    assert (got.re, got.im) == (want.re, want.im)
+    assert _parts(got) == (want.re, want.im)
     assert got._d > 0 and gcd(got._a, got._b, got._d) == 1
 
 
@@ -155,20 +154,17 @@ def test_gaussian_matches_fraction_pair_oracle(pair, k, q, n):
             _assert_matches(_outcome(lambda: op(x, r)), _outcome(lambda: op(ox, r)))
             _assert_matches(_outcome(lambda: op(r, x)), _outcome(lambda: op(r, ox)))
     _assert_matches(-x, -ox)
-    _assert_matches(x.conjugate(), ox.conjugate())
     _assert_matches(x**n, ox**n)
-    assert type(x.norm2()) is Fraction and x.norm2() == ox.norm2()
-    assert x.is_zero == ox.is_zero and bool(x) == bool(ox)
+    assert bool(x) == bool(ox) == (not ox.is_zero)
     assert (x == y) == (ox == oy)
     assert hash(x) == hash(ox)
     for r in (k, q):
         assert (x == r) == (ox == r) and (r == x) == (r == ox)
         if x == r:
             assert hash(x) == hash(r)
-    # text: the same canonical string, read back to the same value, and
-    # the constructor's other inputs (ints, strings) give the same value
+    # text: the same canonical string, and the constructor's other inputs
+    # (ints, strings) give the same value
     assert str(x) == str(ox) and repr(x) == repr(ox)
-    _assert_matches(parse_gaussian(str(x)), ox)
     _assert_matches(Gaussian(str(xr), str(xi)), ox)
     _assert_matches(Gaussian(k, n), FracPairGaussian(k, n))
 
@@ -177,13 +173,13 @@ _PAIR_BRANCHES = {
     "integral": lambda x, y: x._d == y._d == 1,
     "equal_denominators": lambda x, y: x._d == y._d != 1,
     "unequal_denominators": lambda x, y: x._d != y._d,
-    "sum_cancels": lambda x, y: not x.is_zero and (x + y).is_zero,
+    "sum_cancels": lambda x, y: bool(x) and not x + y,
     "sum_reduces": lambda x, y: (x + y)._d < max(x._d, y._d),
     "product_reduces": lambda x, y: (x * y)._d < x._d * y._d,
     "quotient_reduces": lambda x, y: (
-        not y.is_zero and (x / y)._d < x._d * (y._a * y._a + y._b * y._b)
+        bool(y) and (x / y)._d < x._d * (y._a * y._a + y._b * y._b)
     ),
-    "zero_division": lambda x, y: y.is_zero,
+    "zero_division": lambda x, y: not y,
 }
 
 
@@ -245,13 +241,13 @@ def test_poly_derivation_property(p, q):
 @given(polys(), polys())
 @settings(max_examples=40, deadline=None)
 def test_exact_div_of_product(p, q):
-    if q.is_zero:
+    if not q:
         return
     assert (p * q).exact_div(q) == p
 
 
 def test_exact_div_reports_failure():
-    x, y = RXY.gens()
+    x, y = RXY.gen(0), RXY.gen(1)
     assert (x * x + y).exact_div(x - y) is None
     assert (x * x - y * y).exact_div(x - y) == x + y
 
@@ -260,9 +256,8 @@ def test_exact_div_reports_failure():
 @settings(max_examples=40, deadline=None)
 def test_poly_text_roundtrip(p, pg):
     assert RXY.parse(p.to_str()) == p
-    assert RQI.parse(pg.to_str()) == pg
     for poly in (p, pg, p - p):
-        assert bool(poly) == (not poly.is_zero)
+        assert bool(poly) == (poly != poly.ring.zero())
 
 
 def test_ring_mismatch_raises():
@@ -272,7 +267,7 @@ def test_ring_mismatch_raises():
 
 
 def test_subs_and_eval():
-    x, y = RXY.gens()
+    x, y = RXY.gen(0), RXY.gen(1)
     p = x * x + 2 * y
     assert p.subs({0: y}) == y * y + 2 * y
     assert p.eval([Fraction(3), Fraction(1, 2)]) == Fraction(10)
@@ -370,23 +365,23 @@ def test_pow_matches_repeated_products_and_stops_squaring(p, monkeypatch):
 
 
 def test_ratfunc_lazy_zero():
-    x, y = RXY.gens()
+    x, y = RXY.gen(0), RXY.gen(1)
     r = RatFunc(x * x - y * y, x - y) - RatFunc(x + y)
-    assert r.is_zero
+    assert not r
     # denominators are not forced coprime to numerators
     s = RatFunc(x * x - y * y, x - y)
     assert s.den == x - y
 
 
 def test_ratfunc_equal_denominator_addition_stays_flat():
-    x, y = RXY.gens()
+    x, y = RXY.gen(0), RXY.gen(1)
     d = (x * x + y * y + 1) ** 2
     a = RatFunc(x, d) + RatFunc(y, d)
     assert a.den == d
 
 
 def test_ratfunc_divisible_denominator_addition():
-    x, y = RXY.gens()
+    x, y = RXY.gen(0), RXY.gen(1)
     d = x * x + y * y + 1
     a = RatFunc(x, d * d) + RatFunc(y, d)
     assert a.den == d * d
@@ -396,7 +391,7 @@ def test_ratfunc_divisible_denominator_addition():
 @given(polys(max_terms=3, max_exp=2), polys(max_terms=3, max_exp=2))
 @settings(max_examples=30, deadline=None)
 def test_ratfunc_quotient_rule(p, q):
-    if q.is_zero:
+    if not q:
         return
     r = RatFunc(p, q)
     lhs = r.derivative(0)
@@ -407,7 +402,7 @@ def test_ratfunc_quotient_rule(p, q):
 def test_ratfunc_zero_denominator_raises():
     with pytest.raises(ZeroDivisionError):
         RatFunc(RXY.one(), RXY.zero())
-    x, _ = RXY.gens()
+    x = RXY.gen(0)
     with pytest.raises(ZeroDivisionError):
         RatFunc(x) / RatFunc(RXY.zero())
 
@@ -433,15 +428,15 @@ def test_rank_and_nullity_add_up():
 
 def test_polynomial_matrix_nullspace():
     R = PolyRing(QQ, ("a", "b"))
-    a, b = R.gens()
+    a, b = R.gen(0), R.gen(1)
     rows = [[a, b, R.zero()], [R.zero(), a, b]]
     ns = nullspace(rows)
     assert len(ns) == 1
     v = ns[0]
     # M v = 0 exactly, entries denominator-free
     assert all(isinstance(x, MultiPoly) for x in v)
-    assert (rows[0][0] * v[0] + rows[0][1] * v[1] + rows[0][2] * v[2]).is_zero
-    assert (rows[1][1] * v[1] + rows[1][2] * v[2]).is_zero
+    assert not (rows[0][0] * v[0] + rows[0][1] * v[1] + rows[0][2] * v[2])
+    assert not (rows[1][1] * v[1] + rows[1][2] * v[2])
 
 
 def test_gaussian_matrix_rank():
@@ -455,7 +450,7 @@ def test_gaussian_matrix_rank():
 
 def _kernel_cases():
     i, one = Gaussian(0, 1), Gaussian(1)
-    a, b = RXY.gens()
+    a, b = RXY.gen(0), RXY.gen(1)
     return {
         "rational": (
             [[Fraction(1, 2), Fraction(2, 3), -1, 5], [3, Fraction(1, 7), 2, 0]],
@@ -622,7 +617,7 @@ def test_proportional_scalar_vectors(vec, scale):
 
 
 def test_proportional_polynomial_vectors():
-    x, y = RXY.gens()
+    x, y = RXY.gen(0), RXY.gen(1)
     u = [x, y, x * y]
     assert proportional(u, [p * (x + 1) for p in u])
     assert not proportional(u, [x, y, x * x])

@@ -4,7 +4,12 @@ golden file byte for byte, and the run must exit with the recorded code.
 
 The golden files under ``tests/golden`` were written by
 ``spincert run ... --out`` and then stripped of those two fields; a
-change to a report's contents has to update them on purpose."""
+change to a report's contents has to update them on purpose.
+
+The shape test covers the golden runs and the ``--perturb`` runs: every
+check status is one of four, check names are unique within a suite, and
+the only floats in a report are ``elapsed_ms`` timings, so no computed
+value ever reaches the report as a float."""
 
 import json
 from pathlib import Path
@@ -63,3 +68,43 @@ def test_run_builds_no_local_series(name, argv, code, tmp_path, monkeypatch):
     )
     assert main(argv + ["--out", str(tmp_path / "report.json")]) == code
     assert calls == []
+
+
+SHAPE_RUNS = RUNS + [
+    ("run_nr_perturb", ["run", "nr", "--perturb"], 1),
+    ("run_instanton_perturb", ["run", "instanton", "--perturb"], 1),
+    ("run_all_perturb", ["run", "all", "--perturb"], 1),
+]
+STATUSES = {"pass", "fail", "skipped", "error"}
+
+
+def _stray_floats(obj, path="report"):
+    """Paths of the floats in a parsed report that do not sit under an
+    ``elapsed_ms`` key."""
+    if isinstance(obj, float):
+        return [path]
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return []
+    return [
+        p
+        for key, value in items
+        if key != "elapsed_ms" or not isinstance(value, float)
+        for p in _stray_floats(value, "%s[%r]" % (path, key))
+    ]
+
+
+@pytest.mark.parametrize("name, argv, code", SHAPE_RUNS, ids=[r[0] for r in SHAPE_RUNS])
+def test_report_shape(name, argv, code, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == code
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["suites"]
+    for block in report["suites"]:
+        names = [check["name"] for check in block["checks"]]
+        assert len(names) == len(set(names)), block["suite"]
+        assert {check["status"] for check in block["checks"]} <= STATUSES
+    assert _stray_floats(report) == []

@@ -70,11 +70,11 @@ def test_poly_division_gcd_and_roots_match_sympy():
     ]
     for p in rng_polys:
         for q in rng_polys:
-            if q.is_zero:
+            if not q:
                 continue
             quo, rem = p.divmod(q)
             assert quo * q + rem == p
-            assert rem.is_zero or rem.degree < q.degree
+            assert not rem or rem.degree < q.degree
             sp = sum(c * x**k for k, c in enumerate(p.coeffs))
             sq = sum(c * x**k for k, c in enumerate(q.coeffs))
             g = p.gcd(q)
@@ -170,7 +170,7 @@ def test_upoly_matches_fraction_oracle(pair, c, n):
     _assert_upoly(-p, -op)
     _assert_upoly(p**n, op**n)
     _assert_upoly(p.derivative(), op.derivative())
-    if q.is_zero:
+    if not q:
         with pytest.raises(ZeroDivisionError):
             p.divmod(q)
     else:
@@ -179,9 +179,9 @@ def test_upoly_matches_fraction_oracle(pair, c, n):
     _assert_upoly(p.gcd(q), op.gcd(oq))
     got, want = p.eval(c), op.eval(c)
     assert type(got) is Fraction and got == want
-    assert p.is_zero == op.is_zero and p.degree == op.degree
+    assert (not p) == op.is_zero and p.degree == op.degree
     assert [p.coeff(k) for k in range(-1, 8)] == [op.coeff(k) for k in range(-1, 8)]
-    if not p.is_zero:
+    if p:
         assert p.lead() == op.lead() and type(p.lead()) is Fraction
     assert (p == q) == (op == oq)
     assert (p == c) == (op == c)
@@ -271,14 +271,14 @@ _UPOLY_BRANCHES = {
     "integral": lambda p, q: p._den == q._den == 1 and p.degree > 0 < q.degree,
     "equal_denominators": lambda p, q: p._den == q._den != 1,
     "unequal_denominators": lambda p, q: p._den != q._den,
-    "sum_cancels": lambda p, q: not p.is_zero and (p + q).is_zero,
+    "sum_cancels": lambda p, q: bool(p) and not p + q,
     "sum_reduces": lambda p, q: 0 < (p + q)._den < lcm(p._den, q._den),
     "product_reduces": lambda p, q: 0 < (p * q)._den < p._den * q._den,
     "divisor_lead_not_unit": lambda p, q: (
-        p.degree > q.degree > 0 and abs(q._num[-1]) > 1 and not p.divmod(q)[1].is_zero
+        p.degree > q.degree > 0 and abs(q._num[-1]) > 1 and bool(p.divmod(q)[1])
     ),
     "nontrivial_gcd": lambda p, q: p.gcd(q).degree > 0 and p != q,
-    "zero_operand": lambda p, q: q.is_zero and not p.is_zero,
+    "zero_operand": lambda p, q: not q and bool(p),
 }
 
 
@@ -412,7 +412,7 @@ def test_local_series_cache_grows_to_powers_of_two(requests, cached):
 
 
 def test_branch_valuations(curve):
-    x = FieldElem.x_function(curve)
+    x = FieldElem(curve, UPoly((0, 1)))
     y = FieldElem.y_function(curve)
     p1 = curve.branch_place(1)
     assert x.valuation(p1) == 2  # root is x=0
@@ -424,7 +424,7 @@ def test_branch_valuations(curve):
 
 
 def test_infinite_valuations(curve):
-    x = FieldElem.x_function(curve)
+    x = FieldElem(curve, UPoly((0, 1)))
     y = FieldElem.y_function(curve)
     for sign in (1, -1):
         p = curve.infinite_place(sign)
@@ -437,7 +437,7 @@ def test_infinite_valuations(curve):
 
 def test_split_place_valuations(curve_with_split_point):
     c = curve_with_split_point
-    x = FieldElem.x_function(c)
+    x = FieldElem(c, UPoly((0, 1)))
     y = FieldElem.y_function(c)
     plus = c.split_place(6, 120)
     minus = c.split_place(6, -120)
@@ -517,7 +517,7 @@ def _draw_element(data, places):
     its numerator or denominator often vanishes at one of the finite
     places and, half the time, it is a multiple of a sheet canceller."""
     a, b = data.draw(small_poly), data.draw(small_poly)
-    den = data.draw(small_poly.filter(lambda p: not p.is_zero))
+    den = data.draw(small_poly.filter(bool))
     # powers of (x - x0) make a, b or den vanish over a finite place
     ja, jb, jd = data.draw(shift), data.draw(shift), data.draw(shift)
     if data.draw(st.booleans()):
@@ -537,7 +537,7 @@ def _draw_element(data, places):
 def test_valuation_matches_series_oracle(oracle_places, name, data):
     places = oracle_places[name]
     h = _draw_element(data, places)
-    if h.is_zero:
+    if not h:
         return
     for place in places:
         assert h.valuation(place) == _series_valuation(h, place), place
@@ -550,7 +550,7 @@ def test_leading_term_matches_series_oracle(oracle_places, name, data):
     # the series to precision v + 1 must be exactly lead * t^v
     places = oracle_places[name]
     h = _draw_element(data, places)
-    if h.is_zero:
+    if not h:
         return
     for place in places:
         v, lead = h.leading_term(place)
@@ -672,19 +672,19 @@ def test_curve_validation_errors():
 
 
 def test_field_algebra_relations(curve):
-    x = FieldElem.x_function(curve)
+    x = FieldElem(curve, UPoly((0, 1)))
     y = FieldElem.y_function(curve)
     assert y * y == FieldElem(curve, curve.f)
     assert y.conjugate() == -y
     h = (x * x - 3) / (y + x) + 1
     assert h * h.inverse() == FieldElem(curve, UPoly((1,)))
-    assert (h - h).is_zero
+    assert not (h - h)
     num, den = y.norm_pair()
     assert num == -curve.f
 
 
 def test_function_divisors_frozen(curve):
-    x = FieldElem.x_function(curve)
+    x = FieldElem(curve, UPoly((0, 1)))
     y = FieldElem.y_function(curve)
     inf_p = curve.infinite_place(1)
     inf_m = curve.infinite_place(-1)
@@ -713,6 +713,19 @@ def test_divisor_arithmetic(curve):
     assert not d.is_effective()
     assert p.is_effective()
     assert d.scale(3).coeff(curve.branch_place(1)) == 6
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, Fraction(2), True, "1"], ids=repr)
+def test_divisor_rejects_non_integer_coefficients(curve, n):
+    # int() would read 1.5 and True as 1
+    with pytest.raises(ValueError):
+        Divisor({curve.branch_place(1): n})
+
+
+@pytest.mark.parametrize("i", [1.0, Fraction(1), True, 0, 7], ids=repr)
+def test_branch_place_rejects_bad_indices(curve, i):
+    with pytest.raises(ValueError):
+        curve.branch_place(i)
 
 
 # ----------------------------------------------------------------------
@@ -754,6 +767,29 @@ def test_theta_divisor_frozen_and_parity(curve):
     assert theta_divisor(genus3, set()).degree == 2
     with pytest.raises(ValueError):
         theta_divisor(genus3, {1})
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        (1.9, 2, 3),
+        (1, 1, 2, 2, 3),
+        (1, 1),
+        (True, 2, 3),
+        (Fraction(1), 2, 3),
+        ("1", 2, 3),
+    ],
+    ids=repr,
+)
+def test_branch_subsets_reject_what_they_used_to_coerce(curve, labels):
+    # int() and a set would read each as the subset {1, 2, 3} (or {1})
+    for build in (
+        lambda: theta_divisor(curve, labels),
+        lambda: theta_complement_witness(curve, labels),
+        lambda: spin_power_divisor(curve, labels, 3),
+    ):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_theta_complement_equivalence(curve):
@@ -976,7 +1012,7 @@ def test_half_canonical_multiples(curve):
     d52 = spin_power_divisor(curve, {1, 2, 3}, 5)
     s52 = rr_space(curve, d52)
     assert s52.dimension == 4
-    x = FieldElem.x_function(curve)
+    x = FieldElem(curve, UPoly((0, 1)))
     targets = [one, x, y_over_u, x * y_over_u]
     for t in targets:
         assert (divisor_of(t) + d52).is_effective()

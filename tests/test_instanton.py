@@ -38,7 +38,6 @@ from spincert.instanton import (
     two_form_star,
     verify_curvature_dirac_solutions,
     yang_mills_residual,
-    zero_connection,
 )
 
 MI, MJ, MK, M1 = quaternion_units()
@@ -62,11 +61,19 @@ def _inv_rho():
     return _RhoFrac(R4.one(), 1)
 
 
+ZERO_CONNECTION = Connection((Mat2.zero(),) * 4)
+
+
+def _conj(c: Gaussian) -> Gaussian:
+    """The conjugate (a - b*i)/d of c = (a + b*i)/d."""
+    return Gaussian(Fraction(c._a, c._d), Fraction(-c._b, c._d))
+
+
 def _conj_transpose(m: Mat2) -> Mat2:
     def conj_rf(v):
         # rho has real coefficients, so only the numerator is conjugated
         return _RhoFrac(
-            MultiPoly(v.p.ring, {e: c.conjugate() for e, c in v.p.terms.items()}),
+            MultiPoly(v.p.ring, {e: _conj(c) for e, c in v.p.terms.items()}),
             v.k,
         )
 
@@ -75,22 +82,19 @@ def _conj_transpose(m: Mat2) -> Mat2:
                  (conj_rf(r[0][1]), conj_rf(r[1][1]))))
 
 
-def _inverse(m: Mat2) -> Mat2:
-    """Inverse of a matrix with constant nonzero determinant."""
-    d = m.det()
-    (a, b), (c, e) = m.rows
-    return Mat2(((e / d, -b / d), (-c / d, a / d)))
-
-
-def gauge_conjugate(a: Connection, g: Mat2) -> Connection:
+def gauge_conjugate(a: Connection, g: Mat2, ginv: Mat2) -> Connection:
     """Conjugate a connection by a constant invertible matrix."""
-    ginv = _inverse(g)
     return Connection(tuple(g * m * ginv for m in a.components))
 
 
-def gauge_conjugate_field(field: CoupledField, g: Mat2) -> CoupledField:
-    ginv = _inverse(g)
+def gauge_conjugate_field(field: CoupledField, g: Mat2, ginv: Mat2) -> CoupledField:
     return CoupledField(tuple(g * m * ginv for m in field.components))
+
+
+def _combine(psi: CoupledField, c, phi: CoupledField) -> CoupledField:
+    """The field c * psi + phi."""
+    pairs = zip(psi.components, phi.components)
+    return CoupledField(tuple(m * c + n for m, n in pairs))
 
 
 def test_bpst_components_frozen(conn):
@@ -102,15 +106,15 @@ def test_bpst_components_frozen(conn):
         (MI * _x(1) + MJ * _x(2) + MK * _x(3)) * inv,
     )
     for got, want in zip(conn.components, expected):
-        assert (got - want).is_zero
+        assert not (got - want)
 
 
 def test_bpst_is_su2_valued_and_regular(conn):
     origin = (0, 0, 0, 0)
     for m in conn.components:
-        assert m.trace().is_zero
-        assert (_conj_transpose(m) + m).is_zero
-        assert m.eval(origin) == ((Gaussian(0), Gaussian(0)), (Gaussian(0), Gaussian(0)))
+        assert not m.trace()
+        assert not (_conj_transpose(m) + m)
+        assert not any(v.eval(origin) for row in m.rows for v in row)
         for row in m.rows:
             for v in row:
                 assert v.k in (0, 1)
@@ -123,16 +127,16 @@ def test_connection_rejects_traceful_components():
 
 
 def test_curvature_zero_and_abelian_oracle():
-    assert form_is_zero(curvature(zero_connection()))
+    assert form_is_zero(curvature(ZERO_CONNECTION))
     h = R4.gen(1) * R4.gen(1)
     diag = Mat2(((Gaussian(0, 1), 0), (0, Gaussian(0, -1))))
     a1 = diag * _RhoFrac(h)
     a = Connection((a1, Mat2.zero(), Mat2.zero(), Mat2.zero()))
     f = curvature(a)
     hprime = _RhoFrac(h.derivative(1))
-    assert (f[(1, 2)] - diag * (-hprime)).is_zero
+    assert not (f[(1, 2)] - diag * (-hprime))
     for key in ((1, 3), (1, 4), (2, 3), (2, 4), (3, 4)):
-        assert f[key].is_zero
+        assert not f[key]
 
 
 def test_bianchi_holds_for_arbitrary_connection():
@@ -143,11 +147,11 @@ def test_bianchi_holds_for_arbitrary_connection():
     a3 = MK * _RhoFrac(R4.gen(0) * R4.gen(3))
     a4 = MI * _RhoFrac(R4.gen(1) + R4.one())
     a = Connection((a1, a2, a3, a4))
-    assert all(m.is_zero for m in bianchi_residual(a).values())
+    assert not any(bianchi_residual(a).values())
 
 
 def test_bianchi_holds_for_bpst(conn):
-    assert all(m.is_zero for m in bianchi_residual(conn).values())
+    assert not any(bianchi_residual(conn).values())
 
 
 def test_bpst_curvature_is_anti_self_dual(conn, curv):
@@ -157,12 +161,12 @@ def test_bpst_curvature_is_anti_self_dual(conn, curv):
     assert asd_check(curv)
     starred = two_form_star(minus)
     for key, m in minus.items():
-        assert (starred[key] + m).is_zero
-        assert ((plus[key] + m) - curv[key]).is_zero
+        assert not (starred[key] + m)
+        assert not ((plus[key] + m) - curv[key])
     two = Fraction(2)
     inv2 = _RhoFrac(R4.one(), 2)
-    assert (curv[(1, 2)] - MK * (-two) * inv2).is_zero
-    assert (curv[(3, 4)] - MK * two * inv2).is_zero
+    assert not (curv[(1, 2)] - MK * (-two) * inv2)
+    assert not (curv[(3, 4)] - MK * two * inv2)
 
 
 def test_bpst_rejects_curvature_that_is_not_anti_self_dual(monkeypatch):
@@ -200,7 +204,7 @@ def test_run_instanton_builds_each_curvature_once(monkeypatch, tmp_path):
 
 
 def test_duality_split_of_zero():
-    plus, minus = sd_asd_split(curvature(zero_connection()))
+    plus, minus = sd_asd_split(curvature(ZERO_CONNECTION))
     assert form_is_zero(plus) and form_is_zero(minus)
 
 
@@ -209,7 +213,7 @@ def test_twistor_basis_properties():
     assert len(sols) == 4
     for s in sols:
         for res in twistor_residual(s.components):
-            assert all(v.is_zero for v in res)
+            assert not any(res)
     rows = []
     for s in sols:
         row = []
@@ -221,38 +225,38 @@ def test_twistor_basis_properties():
 
 def test_flat_dirac_of_linear_field_is_minus_four_constants():
     sols = twistor_basis()
-    linear = [s for s in sols if not all(v.is_zero for v in s.psi1)]
+    linear = [s for s in sols if any(s.psi1)]
     assert len(linear) == 2
     for s in linear:
         d = flat_dirac(s.components)
         for r in range(4):
             want = Gaussian(-4) * s.psi1[r]
-            assert (d[r] - _RhoFrac(R4.const(want))).is_zero
+            assert not (d[r] - _RhoFrac(R4.const(want)))
 
 
 def test_twistor_residual_rejects_quadratic_field():
     quad = _RhoFrac(R4.gen(0) * R4.gen(0))
     zero = _RhoFrac(R4.zero())
     res = twistor_residual((quad, zero, zero, zero))
-    assert any(not v.is_zero for comp in res for v in comp)
+    assert any(v for comp in res for v in comp)
     res0 = twistor_residual((zero, zero, zero, zero))
-    assert all(v.is_zero for comp in res0 for v in comp)
+    assert not any(v for comp in res0 for v in comp)
 
 
 def test_coupled_dirac_flat_cases():
     diag = Mat2(((Gaussian(0, 1), 0), (0, Gaussian(0, -1))))
     constant = CoupledField((diag, Mat2.zero(), diag, Mat2.zero()))
-    out = coupled_dirac(zero_connection(), constant)
-    assert out.is_zero
+    out = coupled_dirac(ZERO_CONNECTION, constant)
+    assert not out
 
     sols = twistor_basis()
-    lin = next(s for s in sols if not all(v.is_zero for v in s.psi1))
+    lin = next(s for s in sols if any(s.psi1))
     tensored = CoupledField(tuple(diag * v for v in lin.components))
-    got = coupled_dirac(zero_connection(), tensored)
+    got = coupled_dirac(ZERO_CONNECTION, tensored)
     want = CoupledField(
         tuple(diag * _RhoFrac(R4.const(Gaussian(-4) * s)) for s in lin.psi1)
     )
-    assert (got - want).is_zero
+    assert got.components == want.components
 
 
 def test_coupled_dirac_linear_in_field(conn, curv):
@@ -260,9 +264,9 @@ def test_coupled_dirac_linear_in_field(conn, curv):
     psi = curvature_acts(curv, sols[0].components)
     phi = curvature_acts(curv, sols[2].components)
     c = Gaussian(Fraction(3, 2), Fraction(-1, 3))
-    lhs = coupled_dirac(conn, psi.scale(c) + phi)
-    rhs = coupled_dirac(conn, psi).scale(c) + coupled_dirac(conn, phi)
-    assert (lhs - rhs).is_zero
+    lhs = coupled_dirac(conn, _combine(psi, c, phi))
+    rhs = _combine(coupled_dirac(conn, psi), c, coupled_dirac(conn, phi))
+    assert lhs.components == rhs.components
 
 
 def test_main_verification_passes(conn):
@@ -276,7 +280,7 @@ def test_main_verification_passes(conn):
 
 
 def test_verification_flags_degenerate_zero_connection():
-    rep = verify_curvature_dirac_solutions(zero_connection())
+    rep = verify_curvature_dirac_solutions(ZERO_CONNECTION)
     assert rep["degenerate"] is True
     assert rep["independent_count"] == 0
     assert rep["residual_zero"] == [True, True, True, True]
@@ -295,25 +299,29 @@ def test_scaled_component_negative_control(conn):
 
 
 def test_yang_mills_residual(conn):
-    assert all(m.is_zero for m in yang_mills_residual(conn).values())
-    assert all(m.is_zero for m in yang_mills_residual(zero_connection()).values())
+    assert not any(yang_mills_residual(conn).values())
+    assert not any(yang_mills_residual(ZERO_CONNECTION).values())
     comps = list(conn.components)
     comps[0] = comps[0] * Fraction(2)
     bad = Connection(comps)
-    assert any(not m.is_zero for m in yang_mills_residual(bad).values())
+    assert any(yang_mills_residual(bad).values())
 
 
 def test_gauge_covariance_with_constant_unitary(conn, curv):
     a = Gaussian(Fraction(1, 3), Fraction(2, 3))
     b = Gaussian(Fraction(2, 3))
-    g = Mat2(((a, b), (-b.conjugate(), a.conjugate())))
-    assert (g.det() - _RhoFrac(R4.one())).is_zero
+    a_bar = Gaussian(Fraction(1, 3), Fraction(-2, 3))
+    g = Mat2(((a, b), (-b, a_bar)))
+    ginv = Mat2(((a_bar, -b), (b, a)))
+    assert g * ginv == Mat2.identity()
 
     sols = twistor_basis()
     psi = curvature_acts(curv, sols[1].components)
-    lhs = coupled_dirac(gauge_conjugate(conn, g), gauge_conjugate_field(psi, g))
-    rhs = gauge_conjugate_field(coupled_dirac(conn, psi), g)
-    assert (lhs - rhs).is_zero
+    lhs = coupled_dirac(
+        gauge_conjugate(conn, g, ginv), gauge_conjugate_field(psi, g, ginv)
+    )
+    rhs = gauge_conjugate_field(coupled_dirac(conn, psi), g, ginv)
+    assert lhs.components == rhs.components
 
 
 def test_curvature_action_lands_in_active_chirality_block(curv):
@@ -321,9 +329,9 @@ def test_curvature_action_lands_in_active_chirality_block(curv):
     inactive = GAMMA.negative_chirality_indices()
     for s in twistor_basis():
         coupled = curvature_acts(curv, s.components)
-        assert any(not coupled.components[r].is_zero for r in active)
+        assert any(coupled.components[r] for r in active)
         for r in inactive:
-            assert coupled.components[r].is_zero
+            assert not coupled.components[r]
 
 
 # ----------------------------------------------------------------------
@@ -390,7 +398,7 @@ def test_rho_entries_match_ratfunc_oracle(pair, var):
     results = ((a + b, oa + ob), (a - b, oa - ob), (a * b, oa * ob), (d, od))
     for got, want in results:
         assert _equals_oracle(got, want)
-        assert got.is_zero == want.is_zero
+        assert bool(got) == bool(want)
     assert (a == b) == (oa == ob)
     for point in _EVAL_POINTS:
         va, vb = oa.eval(point), ob.eval(point)
@@ -406,18 +414,6 @@ def test_rho_entries_match_ratfunc_oracle(pair, var):
             oa.eval(_RHO_ROOT)
     else:
         assert a.eval(_RHO_ROOT) == oa.eval(_RHO_ROOT)
-
-
-def test_rho_entry_divides_only_by_nonzero_constants():
-    v = _RhoFrac(R4.gen(0), 2)
-    half = v / _RhoFrac(R4.const(2))
-    assert _oracle(half) == RatFunc(R4.gen(0), RHO * RHO * 2)
-    with pytest.raises(ZeroDivisionError):
-        v / _RhoFrac(R4.zero())
-    with pytest.raises(ValueError):
-        v / _RhoFrac(R4.gen(1))
-    with pytest.raises(ValueError):
-        v / _RhoFrac(R4.one(), 1)
 
 
 # ----------------------------------------------------------------------
@@ -518,7 +514,7 @@ def _ocurvature_acts(f, psi):
     for (m, n), mat in f.items():
         phi = GAMMA.act(Multivector.blade(_mask(m, n)), psi)
         for r in range(4):
-            if not phi[r].is_zero:
+            if phi[r]:
                 out[r] = _oadd(out[r], _oscale(mat, phi[r]))
     return out
 
@@ -530,7 +526,7 @@ def _ocoupled_dirac(comps, field):
         g = GAMMA.gamma[i]
         for r in range(4):
             for c in range(4):
-                if not g[r][c].is_zero:
+                if g[r][c]:
                     out[r] = _oadd(out[r], _oscale(theta[c], g[r][c]))
     return out
 
@@ -542,7 +538,7 @@ def _assert_mat_equal(got: Mat2, want):
 
 
 def _nonzero(mats):
-    return any(not x.is_zero for m in mats for row in m for x in row)
+    return any(x for m in mats for row in m for x in row)
 
 
 @pytest.mark.parametrize("scale_first", [1, 2], ids=["bpst", "perturbed"])

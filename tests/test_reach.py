@@ -1,0 +1,157 @@
+"""Reach ledger: every function in ``src/spincert`` is either reached by
+the command-line runs below or named in ``ALLOWLIST`` with the reason it
+stays.  A new function that no run reaches fails here, and so does an
+allowlisted function that a run now reaches, which keeps the list true.
+
+The runs are the three golden reports, both ``--perturb`` runs and two
+bad-argument runs, made in process under ``sys.setprofile``.  Dunder
+methods are left out: they answer Python's protocols, not callers.
+
+A function is keyed by its file and the line of its first decorator (or
+of ``def`` when it has none), which is the line CPython records as the
+code object's ``co_firstlineno``.  The package is imported before the
+profile starts, so a function that only module import calls counts as
+unreached.  The module runs without pytest, so
+``PYTHONPATH=src python tests/test_reach.py`` prints the unreached set."""
+
+import ast
+import contextlib
+import io
+import os
+import sys
+import threading
+from pathlib import Path
+
+import spincert
+from spincert.cli import main
+
+SRC = Path(spincert.__file__).resolve().parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FIXTURE = str(GOLDEN / "curve_roots_0_1_2_3_4_-14.txt")
+
+RUNS = (
+    (["run", "all", "--seed", "1729"], 0),
+    (["run", "odd", "--curve", FIXTURE, "--seed", "3", "--triples", "2"], 0),
+    (["run", "parity", "--curve", FIXTURE], 0),
+    (["run", "nr", "--perturb"], 1),
+    (["run", "instanton", "--perturb"], 1),
+    (["run", "theta", "--g", "0"], 2),
+    (["run", "repsl2", "--m", "2"], 2),
+)
+
+_SERIES = (
+    "series or RatFunc code: the benchmark tracer binds its names, so it "
+    "stays in src until ROADMAP item 2 moves it to the tests"
+)
+
+ALLOWLIST = {
+    "exactalg/polys.py:PolyRing.parse": (
+        "reads the report's kernel generator strings back (acceptance criterion 6)"
+    ),
+    "exactalg/polys.py:PolyRing._parse_term": "one term of PolyRing.parse",
+    "exactalg/ratfunc.py:RatFunc.derivative": _SERIES,
+    "exactalg/ratfunc.py:RatFunc.eval": _SERIES,
+    "hyperell.py:FieldElem.expand_at": _SERIES,
+    "hyperell.py:LSeries.coeff": _SERIES,
+    "hyperell.py:LSeries.invert": _SERIES,
+    "hyperell.py:LSeries.is_plainly_zero": _SERIES,
+    "hyperell.py:LSeries.shift": _SERIES,
+    "hyperell.py:LSeries.sqrt": _SERIES,
+    "hyperell.py:LSeries.term": _SERIES,
+    "hyperell.py:LSeries.truncate": _SERIES,
+    "hyperell.py:LSeries.val": _SERIES,
+    "hyperell.py:LSeries.zero": _SERIES,
+    "hyperell.py:Place._compute_series": _SERIES,
+    "hyperell.py:Place.local_series": _SERIES,
+    "hyperell.py:_prec_pad": _SERIES,
+    "hyperell.py:poly_at_series": _SERIES,
+    "hyperell.py:HyperCurve.split_place": (
+        "validates split support in _rr_system and sigma_place; no suite "
+        "input has split support, the row oracle tests it"
+    ),
+    "hyperell.py:_taylor": (
+        "shifts f to a split place for _rr_system; no suite input has split "
+        "support, the row oracle tests it"
+    ),
+    "oddmoduli.py:standard_embedding": (
+        "the embedding acceptance criterion 7 certifies"
+    ),
+    "thetachar.py:QuadFormGF2.arf_by_majority": (
+        "the basis-free Arf oracle for the quadratic-form model"
+    ),
+    "thetachar.py:QuadFormGF2.value": "the form that arf_by_majority counts zeros of",
+}
+
+
+def _functions():
+    """{(filename, first line): "path:qualname"} for every non-dunder
+    function and method under SRC."""
+    out = {}
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+
+        def walk(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = prefix + child.name
+                    first = child.decorator_list[0] if child.decorator_list else child
+                    if not (child.name.startswith("__") and child.name.endswith("__")):
+                        out[(str(path), first.lineno)] = "%s:%s" % (rel, name)
+                    walk(child, name + ".<locals>.")
+                elif isinstance(child, ast.ClassDef):
+                    walk(child, prefix + child.name + ".")
+                else:
+                    walk(child, prefix)
+
+        walk(ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
+
+
+def unreached():
+    """Names of the functions under SRC that none of RUNS calls."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            seen.add((code.co_filename, code.co_firstlineno))
+
+    old, old_thread = sys.getprofile(), threading.getprofile()
+    sink = io.StringIO()
+    codes = []
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            for argv, _ in RUNS:
+                codes.append(main(argv))
+    finally:
+        sys.setprofile(old)
+        threading.setprofile(old_thread)
+    assert codes == [code for _, code in RUNS], codes
+    seen = {(os.path.realpath(f), line) for f, line in seen}
+    return {
+        name
+        for (path, line), name in _functions().items()
+        if (os.path.realpath(path), line) not in seen
+    }
+
+
+def test_unreached_functions_are_the_allowlist():
+    dead = unreached()
+    new = sorted(dead - set(ALLOWLIST))
+    assert not new, "no run reaches these; delete or allowlist them: %s" % new
+    reached = sorted(set(ALLOWLIST) - dead)
+    assert not reached, "a run reaches these; drop them from ALLOWLIST: %s" % reached
+
+
+def test_every_allowlist_entry_names_a_function_and_a_reason():
+    names = set(_functions().values())
+    for name, reason in ALLOWLIST.items():
+        assert name in names, name
+        assert reason.strip(), name
+
+
+if __name__ == "__main__":
+    for name in sorted(unreached()):
+        print(name)
