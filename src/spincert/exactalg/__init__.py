@@ -1,5 +1,6 @@
-"""Exact arithmetic substrate: scalars, sparse polynomials, rational
-functions, fraction-free linear algebra, and exact-vector helpers."""
+"""Exact arithmetic substrate: scalars, sparse polynomials,
+fraction-free linear algebra, and exact-vector helpers.  Rational
+functions are exported too, but no production path uses them."""
 
 from .linalg import nullspace, proportional, rank, rational_content
 from .polys import MultiPoly, PolyRing

@@ -14,11 +14,14 @@ integer rows before elimination, each scaled by the lcm of its own
 denominators; that leaves the rank, the pivot columns and the kernel
 unchanged, and the elimination divides exactly with ``//``.  Entries
 answer for themselves: ``not x`` is the zero test, and zero and one come
-from a sample entry.  Nullspace vectors are returned over the entry
-domain (Fractions for rational rows, denominator-free in the polynomial
-case) and are checked against ``M v = 0`` exactly: rational rows as
-their integer multiples against each vector cleared of denominators,
-other rows as given.
+from a sample entry.  The nullspace is read off the echelon form by one
+fraction-free back-substitution in the same domain (Nakos, Turner and
+Williams, ACM SIGSAM Bull. 31 (1997)), each kernel vector scaled by the
+last pivot d: by Cramer's rule d times the normalised vector lies in the
+domain, so every division is exact.  The vectors are checked against
+``M v = 0`` in the domain, rational rows as their integer multiples, and
+then returned over the entry domain: Fractions for rational rows, and
+for polynomial rows denominator-free MultiPolys stripped of content.
 The exact-vector helpers shared by the geometry layers live here too:
 the rational content of a vector and the cross-multiplication
 proportionality test.
@@ -31,7 +34,6 @@ from math import gcd, lcm
 from operator import floordiv
 
 from .polys import MultiPoly
-from .ratfunc import RatFunc
 
 
 def _exact_div(a, b):
@@ -105,14 +107,9 @@ def rank(rows):
     return len(_echelon(rows)[1])
 
 
-def _to_frac_field(x):
-    if isinstance(x, MultiPoly):
-        return RatFunc(x)
-    return x
-
-
 def nullspace(rows):
-    """Exact right-nullspace basis of the matrix.
+    """Exact right-nullspace basis of the matrix, one vector per free
+    column, by back-substitution from the Bareiss form.
 
     Polynomial matrices yield denominator-free MultiPoly vectors; scalar
     matrices yield scalar vectors.  Every vector is verified against the
@@ -120,44 +117,34 @@ def nullspace(rows):
     """
     if not rows:
         return []
-    ncols = len(rows[0])
     ech, piv_cols = _echelon(rows)
-    free_cols = [c for c in range(ncols) if c not in piv_cols]
+    ncols = len(ech[0])
+    zero = ech[0][0] * 0
+    div = floordiv if isinstance(zero, int) else _exact_div
+    # the last pivot: a nonzero maximal minor on the pivot columns
+    d = ech[len(piv_cols) - 1][piv_cols[-1]] if piv_cols else zero + 1
     basis = []
-    sample = rows[0][0]
-    polynomial = isinstance(sample, MultiPoly)
-    # Fraction zero for integer rows too, so their vectors stay exact
-    zero = Fraction(0) if isinstance(sample, int) else _to_frac_field(sample * 0)
-    one = zero + 1
-    for fc in free_cols:
-        v = [None] * ncols
-        for c in free_cols:
-            v[c] = one if c == fc else zero
+    for fc in range(ncols):
+        if fc in piv_cols:
+            continue
+        v = [zero] * ncols
+        v[fc] = d
         for k in range(len(piv_cols) - 1, -1, -1):
-            pc = piv_cols[k]
+            row = ech[k]
             acc = None
-            for j in range(pc + 1, ncols):
-                if not ech[k][j]:
-                    continue
-                t = _to_frac_field(ech[k][j]) * v[j]
-                acc = t if acc is None else acc + t
-            if acc is None:
-                v[pc] = zero
-            else:
-                v[pc] = -acc / _to_frac_field(ech[k][pc])
-        if polynomial:
-            common = sample.ring.one()
-            for x in v:
-                if not x.den.is_constant():
-                    common = common * x.den
-            vec = _strip_content(
-                [RatFunc(x.num * common, x.den).as_poly() for x in v]
-            )
-        else:
-            vec = v
-        basis.append(vec)
+            for j in range(piv_cols[k] + 1, ncols):
+                if row[j] and v[j]:
+                    t = row[j] * v[j]
+                    acc = t if acc is None else acc + t
+            if acc is not None:
+                v[piv_cols[k]] = div(-acc, row[piv_cols[k]])
+        basis.append(v)
     _assert_in_kernel(rows, basis)
-    return basis
+    if isinstance(zero, int):
+        return [[Fraction(x, d) for x in v] for v in basis]
+    if isinstance(zero, MultiPoly):
+        return [_strip_content(v) for v in basis]
+    return [[x / d for x in v] for v in basis]
 
 
 def rational_content(values) -> Fraction:
@@ -202,12 +189,11 @@ def proportional(u, v) -> bool:
 
 def _assert_in_kernel(rows, vectors):
     """M v = 0 exactly for each vector.  Rational rows are checked as
-    their integer multiples (``_integer_row``) against each vector times
-    the lcm of its denominators, so the check runs on integers; a nonzero
-    multiple of M v is zero exactly when M v is."""
+    their integer multiples (``_integer_row``), so integer vectors are
+    checked on integers; a nonzero multiple of M v is zero exactly when
+    M v is."""
     if _is_rational(rows):
         rows = [_integer_row(r) for r in rows]
-        vectors = [_integer_row(v) for v in vectors]
     for vec in vectors:
         for row in rows:
             acc = None

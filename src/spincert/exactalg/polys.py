@@ -55,7 +55,7 @@ class PolyRing:
         return "PolyRing(%s, %s)" % (self.field.name, list(self.names))
 
     def zero(self):
-        return MultiPoly(self, {})
+        return MultiPoly._raw(self, {})
 
     def one(self):
         return self.const(1)
@@ -63,15 +63,15 @@ class PolyRing:
     def const(self, c):
         c = self.field.coerce(c)
         if not c:
-            return MultiPoly(self, {})
-        return MultiPoly(self, {(0,) * self.nvars: c})
+            return MultiPoly._raw(self, {})
+        return MultiPoly._raw(self, {(0,) * self.nvars: c})
 
     def gen(self, i):
         if not 0 <= i < self.nvars:
             raise IndexError("no variable with index %d" % i)
         e = [0] * self.nvars
         e[i] = 1
-        return MultiPoly(self, {tuple(e): self.field.one()})
+        return MultiPoly._raw(self, {tuple(e): self.field.one()})
 
     def var_index(self, name):
         return self.names.index(name)
@@ -115,7 +115,9 @@ class PolyRing:
 
 
 class MultiPoly:
-    """An immutable sparse polynomial over a :class:`PolyRing`."""
+    """An immutable sparse polynomial over a :class:`PolyRing`.  An
+    exponent that is not a non-negative int (a bool, a float, -1) is a
+    ValueError."""
 
     __slots__ = ("ring", "terms")
 
@@ -128,6 +130,8 @@ class MultiPoly:
                 continue
             if len(exps) != nv:
                 raise ValueError("exponent arity mismatch")
+            if not all(type(e) is int and e >= 0 for e in exps):
+                raise ValueError("exponents must be non-negative ints: %r" % (exps,))
             clean[tuple(exps)] = c
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)

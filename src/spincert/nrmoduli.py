@@ -313,7 +313,8 @@ def _kernel_generator(i: int, table: RijTable):
     return gen
 
 
-def _solve_kernel(i: int, table: RijTable):
+def _kernel_rows(i: int, table: RijTable):
+    """The 5x4 system over Q[q1..q4] paired with branch index i."""
     rows = []
     for j in range(1, 7):
         if j == i:
@@ -330,7 +331,11 @@ def _solve_kernel(i: int, table: RijTable):
                     terms[tuple(exps)] = Fraction(c)
             row.append(MultiPoly(Q_RING, terms))
         rows.append(row)
-    kernel = nullspace(rows)
+    return rows
+
+
+def _solve_kernel(i: int, table: RijTable):
+    kernel = nullspace(_kernel_rows(i, table))
     if len(kernel) != 1:
         raise VerificationError(
             "kernel at branch %d has dimension %d" % (i, len(kernel))

@@ -22,16 +22,17 @@ GENUS_RANGE = range(1, 7)
 class CharClass:
     """A square-root class: reduced branch-label subset at a fixed genus.
     The genus must lie in ``GENUS_RANGE`` and the labels must be distinct
-    integers in 1..2g+2; anything else is a ValueError, not a coercion."""
+    ints (not bools) in 1..2g+2; anything else is a ValueError, not a
+    coercion."""
 
     __slots__ = ("g", "members")
 
     def __init__(self, g, members):
-        if not isinstance(g, int) or g not in GENUS_RANGE:
+        if type(g) is not int or g not in GENUS_RANGE:
             raise ValueError("supported genus range is 1..6")
         labels = list(members)
         n = 2 * g + 2
-        if not all(isinstance(i, int) and 1 <= i <= n for i in labels):
+        if not all(type(i) is int and 1 <= i <= n for i in labels):
             raise ValueError("labels must be integers in 1..%d" % n)
         ms = frozenset(labels)
         if len(ms) != len(labels):

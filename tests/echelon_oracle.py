@@ -1,8 +1,10 @@
 """The Bareiss elimination that ``spincert.exactalg.linalg`` ran on
 Fraction rows before it cleared rational rows to integer rows, kept
 unchanged (with the ``rank`` and ``nullspace`` built on it) as the oracle
-for the differential tests in ``test_exactalg.py``: every entry stays a
-``fractions.Fraction`` and every step is Fraction arithmetic.  Give it
+for the differential tests in ``test_exactalg.py`` and
+``test_nrmoduli.py``: every entry stays a ``fractions.Fraction`` and
+every step is Fraction arithmetic, and ``nullspace`` back-substitutes in
+the fraction field, through ``RatFunc`` for polynomial rows.  Give it
 Fraction rows; on int rows its ``/`` steps produce floats."""
 
 from __future__ import annotations

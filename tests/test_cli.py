@@ -1,9 +1,13 @@
 """The verification driver: suite selection, report shape, determinism,
 negative controls through --perturb, and fixture handling."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
 from spincert import VerificationError, cli
 from spincert.cli import (
@@ -433,3 +437,108 @@ class TestMain:
         assert args.suite_pos == "all"
         assert args.seed == 9
         assert args.triples == 5
+
+
+# ----------------------------------------------------------------------
+# argv fuzz: exit 2 exactly on bad input, never a traceback
+# ----------------------------------------------------------------------
+
+# the odd and parity suites and ``run all`` cost too much per draw
+_CHEAP_SUITES = ("clifford", "instanton", "nr", "repsl2", "theta")
+
+# per flag: the tokens the grammar accepts, then tokens it rejects
+_LIST_TOKENS = {
+    "--m": (("1", "3", "5"), ("0", "2", "-1", "x", "1.5")),
+    "--g": (("1", "2", "3", "4", "5", "6"), ("0", "7", "-2", "y")),
+    "--branch": (("0", "1", "2", "3", "4", "5", "-1", "1/2", "7/3"), ("x", "1/0")),
+}
+_SCALAR_TOKENS = {
+    "--seed": (("0", "7", "1729", "-3"), ("x", "1.5", "")),
+    "--triples": (("0", "1", "3"), ("-1", "two", "")),
+}
+
+
+def _list_is_valid(flag, text):
+    """A list value is valid when it is nonempty, its tokens are all
+    accepted and distinct, and a branch list has exactly six."""
+    accepted = _LIST_TOKENS[flag][0]
+    tokens = text.split(",") if text else []
+    if flag == "--branch" and len(tokens) != 6:
+        return False
+    return (
+        bool(tokens)
+        and len(set(tokens)) == len(tokens)
+        and all(t in accepted for t in tokens)
+    )
+
+
+@st.composite
+def cli_argv(draw):
+    """(argv, valid): a run command drawn from the CLI grammar, with
+    valid and invalid values for each flag, and whether the grammar
+    accepts it.  Half the draws keep to accepted tokens, so that valid
+    commands come up often; validity is judged from the tokens alone."""
+    clean = draw(st.booleans())
+    suites = st.sampled_from(_CHEAP_SUITES + (() if clean else ("nosuch",)))
+    positional = draw(suites if clean else st.none() | suites)
+    option = draw(st.none() | (st.just(positional) if clean else suites))
+    given_names = [s for s in (positional, option) if s is not None]
+    valid = (
+        bool(given_names)
+        and all(s in _CHEAP_SUITES for s in given_names)
+        and len(set(given_names)) == 1
+    )
+    flags = []
+    for flag, (accepted, rejected) in _LIST_TOKENS.items():
+        if draw(st.booleans()):
+            if clean:
+                size = (6, 6) if flag == "--branch" else (1, len(accepted))
+                tokens = st.lists(
+                    st.sampled_from(accepted),
+                    min_size=size[0],
+                    max_size=size[1],
+                    unique=True,
+                )
+            else:
+                tokens = st.lists(st.sampled_from(accepted + rejected), max_size=7)
+            text = ",".join(draw(tokens))
+            valid = valid and _list_is_valid(flag, text)
+            flags.append("%s=%s" % (flag, text))
+    for flag, (accepted, rejected) in _SCALAR_TOKENS.items():
+        if draw(st.booleans()):
+            text = draw(st.sampled_from(accepted if clean else accepted + rejected))
+            valid = valid and text in accepted
+            flags.append("%s=%s" % (flag, text))
+    if option is not None:
+        flags.append("--suite=%s" % option)
+    if draw(st.booleans()):
+        flags.append("--perturb")
+    argv = ["run"] + ([positional] if positional else []) + draw(st.permutations(flags))
+    return argv, valid
+
+
+@given(cli_argv())
+@settings(max_examples=80, deadline=None)
+def test_argv_fuzz_exits_two_exactly_on_bad_input(case):
+    argv, valid = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert (code == 2) == (not valid), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code != 2:
+        report = json.loads(out.getvalue())
+        assert report["status"] == ("pass" if code == 0 else "fail")
+
+
+@pytest.mark.parametrize("valid", [True, False])
+def test_argv_draws_reach_valid_and_invalid_commands(valid):
+    find(
+        cli_argv(),
+        lambda case: case[1] == valid,
+        settings=settings(max_examples=200, database=None, phases=[Phase.generate]),
+    )

@@ -1,8 +1,10 @@
 """Substrate checks: scalar field axioms, the integer-triple Gaussian
 against the pair-of-Fractions class it replaced, polynomial arithmetic
 against an independent oracle, lazy rational-function identities, the
-fraction-free linear algebra contracts, and integer Bareiss on rational
-rows against the Fraction elimination it replaced."""
+fraction-free linear algebra contracts, integer Bareiss on rational
+rows against the Fraction elimination it replaced, and fraction-free
+Gaussian and polynomial kernels against the back-substitution in the
+fraction field that they replaced."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -258,6 +260,22 @@ def test_poly_text_roundtrip(p, pg):
     assert RXY.parse(p.to_str()) == p
     for poly in (p, pg, p - p):
         assert bool(poly) == (poly != poly.ring.zero())
+
+
+@pytest.mark.parametrize(
+    "exps",
+    [
+        (1.5, 0),  # once truncated by to_str to x^1
+        (True, -1),  # once printed as x*y^-1
+        (0, False),
+        (1, -1),
+        (Fraction(1), 0),
+        ("1", 0),
+    ],
+)
+def test_multipoly_rejects_bad_exponents(exps):
+    with pytest.raises(ValueError):
+        MultiPoly(RXY, {exps: 2})
 
 
 def test_ring_mismatch_raises():
@@ -572,6 +590,81 @@ def test_rational_matrices_reach_every_branch(branch):
     find(
         rational_matrices(),
         holds,
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
+
+
+_DOMAINS = {
+    "gaussian": (gaussians(), Gaussian(0)),
+    "QQ": (polys(RXY, max_terms=2, max_exp=1), RXY.zero()),
+    "QI": (polys(RQI, max_terms=2, max_exp=1), RQI.zero()),
+}
+
+
+@st.composite
+def domain_matrices(draw):
+    """(domain, rows): Gaussian, QQ[x, y] or QI[x, y] matrices up to
+    4 x 4, free or rank-deficient (a product through k < min(n, m)
+    columns, all zero when k = 0), then decorated with zero rows and
+    zero columns."""
+    name = draw(st.sampled_from(sorted(_DOMAINS)))
+    entries, zero = _DOMAINS[name]
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(nrows, ncols) - 1))
+        a = [draw(st.lists(entries, min_size=k, max_size=k)) for _ in range(nrows)]
+        b = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(k)]
+        rows = [
+            [sum((a[i][t] * b[t][j] for t in range(k)), zero) for j in range(ncols)]
+            for i in range(nrows)
+        ]
+    else:
+        rows = [
+            draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)
+        ]
+    for op in draw(st.lists(st.sampled_from(("zero_row", "zero_col")), max_size=2)):
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, ncols - 1))
+        if op == "zero_row":
+            rows[i] = [zero] * ncols
+        else:
+            for row in rows:
+                row[j] = zero
+    return name, rows
+
+
+@given(domain_matrices())
+@settings(max_examples=60, deadline=None)
+def test_fraction_free_kernel_matches_ratfunc_oracle(case):
+    name, rows = case
+    before = [list(r) for r in rows]
+    got = nullspace(rows)
+    want = echelon_oracle.nullspace(rows)
+    assert rows == before
+    if name == "gaussian":
+        assert got == want
+    else:
+        # the old vectors carry RatFunc's denominators, the new ones the
+        # last pivot: the same lines, scaled apart
+        assert len(got) == len(want)
+        assert all(proportional(u, v) for u, v in zip(got, want))
+        assert all(isinstance(x, MultiPoly) for v in got for x in v)
+
+
+_DOMAIN_BRANCHES = {
+    "rank_deficient": lambda rows: 0 < rank(rows) < min(len(rows), len(rows[0])),
+    "zero_column": lambda rows: any(map(any, rows))
+    and any(not any(col) for col in zip(*rows)),
+    "all_zero": lambda rows: not any(map(any, rows)),
+}
+
+
+@pytest.mark.parametrize("domain", sorted(_DOMAINS))
+@pytest.mark.parametrize("branch", sorted(_DOMAIN_BRANCHES))
+def test_domain_matrices_reach_every_branch(domain, branch):
+    holds = _DOMAIN_BRANCHES[branch]
+    find(
+        domain_matrices(),
+        lambda case: case[0] == domain and holds(case[1]),
         settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
     )
 

@@ -5,6 +5,7 @@ kernels at the six branch points."""
 import random
 from fractions import Fraction
 
+import echelon_oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -306,6 +307,21 @@ class TestKernelAtBranch:
         gen = tuple(Q_RING.parse(s) for s in report["generator"])
         assert proportional(gen, distinguished_vector_polys())
         assert report["reduced_generator"] == ("1*q2", "-1*q1", "1*q4", "-1*q3")
+
+    @pytest.mark.parametrize("i", range(1, 7))
+    def test_generator_rescales_the_ratfunc_kernel(self, table, i):
+        # the RatFunc back-substitution nullspace once ran (kept in
+        # echelon_oracle) gives the same kernel line: each of its entries
+        # is the reported entry times one common polynomial
+        (old,) = echelon_oracle.nullspace(nrmoduli._kernel_rows(i, table))
+        new = nrmoduli._kernel_generator(i, table)
+        assert [bool(p) for p in old] == [bool(p) for p in new]
+        factors = [o.exact_div(n) for o, n in zip(old, new) if n]
+        assert factors[0] is not None
+        assert all(f == factors[0] for f in factors)
+        if i == 1:
+            q1, q2, q3, q4 = (Q_RING.gen(a) for a in range(4))
+            assert factors[0] == q3**2 * (q1 * q2 - q3 * q4) ** 2
 
     def test_generators_solve_numeric_samples(self, config, table):
         # secondary smoke: the symbolic kernel vector, specialized at a

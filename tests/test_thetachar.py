@@ -89,6 +89,8 @@ def test_enumerated_classes_pass_the_validating_constructor(g):
         (2, ("1",)),
         (0, (1,)),  # genus outside GENUS_RANGE, once accepted
         (7, ()),
+        (True, (1, 2)),  # a bool genus, once read as genus 1
+        (2, (True, 2, 3)),  # a bool label, once read as label 1
     ],
 )
 def test_charclass_rejects_what_it_used_to_coerce(g, members):
