@@ -9,7 +9,9 @@ the coefficient domain (integers, Gaussians or polynomials) and never
 pick up spurious denominators mid-computation.
 
 Each call works over one entry domain: rationals (Fractions and ints),
-Gaussians, or MultiPolys over one ring.  Rational rows are cleared to
+Gaussians, or MultiPolys over one ring, the domain of the first entry
+that is not rational; ints and Fractions among Gaussian or polynomial
+entries are lifted into that domain first.  Rational rows are cleared to
 integer rows before elimination, each scaled by the lcm of its own
 denominators; that leaves the rank, the pivot columns and the kernel
 unchanged, and the elimination divides exactly with ``//``.  Entries
@@ -52,21 +54,33 @@ def _integer_row(row):
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _is_rational(rows):
-    return bool(rows and rows[0]) and isinstance(rows[0][0], (int, Fraction))
+def _domain_zero(rows):
+    """The zero of the entry domain, read off the first entry that is not
+    rational; None when every entry is an int or a Fraction."""
+    for row in rows:
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                return x * 0
+    return None
 
 
 def _echelon(rows):
     """Bareiss forward elimination of a list of rows over one domain;
-    rational rows are eliminated as their integer multiples.
+    rational rows are eliminated as their integer multiples, and the
+    rational entries of Gaussian or polynomial rows are first lifted into
+    that domain.
 
     Returns (matrix, pivot columns); the input rows are left untouched.
     """
-    if _is_rational(rows):
+    zero = _domain_zero(rows)
+    if zero is None:
         m = [_integer_row(r) for r in rows]
         div = floordiv
     else:
-        m = [list(r) for r in rows]
+        m = [
+            [zero + x if isinstance(x, (int, Fraction)) else x for x in r]
+            for r in rows
+        ]
         div = _exact_div
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -115,7 +129,7 @@ def nullspace(rows):
     matrices yield scalar vectors.  Every vector is verified against the
     matrix before being returned.
     """
-    if not rows:
+    if not rows or not rows[0]:
         return []
     ech, piv_cols = _echelon(rows)
     ncols = len(ech[0])
@@ -192,7 +206,7 @@ def _assert_in_kernel(rows, vectors):
     their integer multiples (``_integer_row``), so integer vectors are
     checked on integers; a nonzero multiple of M v is zero exactly when
     M v is."""
-    if _is_rational(rows):
+    if _domain_zero(rows) is None:
         rows = [_integer_row(r) for r in rows]
     for vec in vectors:
         for row in rows:

@@ -177,7 +177,7 @@ class MultiPoly:
 
     def _check(self, other):
         if isinstance(other, MultiPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("polynomial ring mismatch")
             return other
         if isinstance(other, _SCALARS):
@@ -188,6 +188,10 @@ class MultiPoly:
         other = self._check(other)
         if other is None:
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for exps, c in other.terms.items():
             acc = out.get(exps)
@@ -207,18 +211,30 @@ class MultiPoly:
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for exps, c in other.terms.items():
+            acc = out.get(exps)
+            s = -c if acc is None else acc - c
+            if not s:
+                out.pop(exps, None)
+            else:
+                out[exps] = s
+        return MultiPoly._raw(self.ring, out)
 
     def __rsub__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
+        if not self.terms or not other.terms:
+            return MultiPoly._raw(self.ring, {})
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -233,6 +249,14 @@ class MultiPoly:
         return MultiPoly._raw(self.ring, out)
 
     __rmul__ = __mul__
+
+    def scale(self, c):
+        """c times the polynomial for a scalar c, without building the
+        constant polynomial c."""
+        c = self.ring.field.coerce(c)
+        if not c:
+            return MultiPoly._raw(self.ring, {})
+        return MultiPoly._raw(self.ring, {e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:

@@ -18,6 +18,14 @@ an entry is zero exactly when p is the zero polynomial, so no gcd or
 trial division is ever needed.  Conventions (orientation, duality
 split, spin representation) are imported from the clifford module and
 never re-chosen here.
+
+The entries commute, so the commutator c = [a, b] of two 2x2 matrices
+is read off the closed form, with da = a00 - a11 and db = b00 - b11:
+
+    c00 = a01 b10 - b01 a10        c01 = b01 da - a01 db
+    c10 = a10 db - b10 da          c11 = -c00
+
+which takes six entry products where a * b - b * a takes sixteen.
 """
 
 from __future__ import annotations
@@ -52,20 +60,24 @@ class _RhoFrac:
     def __bool__(self):
         return bool(self.p.terms)
 
-    def _lifted(self, k):
-        return self.p if k == self.k else self.p * RHO ** (k - self.k)
-
     def __add__(self, other):
-        try:
-            other = _as_rf(other)
-        except TypeError:
-            return NotImplemented
-        if not self.p.terms:
+        if type(other) is not _RhoFrac:
+            try:
+                other = _as_rf(other)
+            except TypeError:
+                return NotImplemented
+        p, q = self.p, other.p
+        if not p.terms:
             return other
-        if not other.p.terms:
+        if not q.terms:
             return self
-        k = max(self.k, other.k)
-        return _RhoFrac(self._lifted(k) + other._lifted(k), k)
+        k, j = self.k, other.k
+        if k < j:
+            p = p * RHO ** (j - k)
+            k = j
+        elif j < k:
+            q = q * RHO ** (k - j)
+        return _RhoFrac(p + q, k)
 
     __radd__ = __add__
 
@@ -73,18 +85,30 @@ class _RhoFrac:
         return _RhoFrac(-self.p, self.k)
 
     def __sub__(self, other):
-        try:
-            other = _as_rf(other)
-        except TypeError:
-            return NotImplemented
+        if type(other) is not _RhoFrac:
+            try:
+                other = _as_rf(other)
+            except TypeError:
+                return NotImplemented
+        if self.k == other.k:
+            return _RhoFrac(self.p - other.p, self.k)
         return self + (-other)
 
     def __mul__(self, other):
+        p = self.p
+        if type(other) is _RhoFrac:
+            if not p.terms or not other.p.terms:
+                return _RF0
+            return _RhoFrac(p * other.p, self.k + other.k)
+        if isinstance(other, _SCALARS):
+            if not p.terms or not other:
+                return _RF0
+            return _RhoFrac(p.scale(other), self.k)
         try:
             other = _as_rf(other)
         except TypeError:
             return NotImplemented
-        return _RhoFrac(self.p * other.p, self.k + other.k)
+        return self * other
 
     __rmul__ = __mul__
 
@@ -99,7 +123,7 @@ class _RhoFrac:
         dp = self.p.derivative(var)
         if not self.k:
             return _RhoFrac(dp)
-        k_d_rho = R4.gen(var) * (2 * self.k)  # d_i rho = 2 x_i
+        k_d_rho = R4.gen(var).scale(2 * self.k)  # d_i rho = 2 x_i
         return _RhoFrac(dp * RHO - self.p * k_d_rho, self.k + 1)
 
     def eval(self, point):
@@ -115,6 +139,9 @@ class _RhoFrac:
         return "<(%s) / rho^%d>" % (self.p.to_str(), self.k)
 
 
+_RF0 = _RhoFrac(R4.zero())
+
+
 def _as_rf(v):
     if isinstance(v, _RhoFrac):
         return v
@@ -125,6 +152,13 @@ def _as_rf(v):
     if isinstance(v, _SCALARS):
         return _RhoFrac(R4.const(v))
     raise TypeError("cannot use %r as a matrix entry" % (v,))
+
+
+def _mat2(rows):
+    """The Mat2 of a 2x2 tuple grid whose entries are already _RhoFrac."""
+    m = object.__new__(Mat2)
+    object.__setattr__(m, "rows", rows)
+    return m
 
 
 class Mat2:
@@ -161,37 +195,34 @@ class Mat2:
     def __add__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
-        return Mat2(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        (a, b), (c, d) = self.rows
+        (e, f), (g, h) = other.rows
+        return _mat2(((a + e, b + f), (c + g, d + h)))
 
     def __neg__(self):
-        return Mat2(tuple(tuple(-v for v in row) for row in self.rows))
+        (a, b), (c, d) = self.rows
+        return _mat2(((-a, -b), (-c, -d)))
 
     def __sub__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
-        return self + (-other)
+        (a, b), (c, d) = self.rows
+        (e, f), (g, h) = other.rows
+        return _mat2(((a - e, b - f), (c - g, d - h)))
 
     def __mul__(self, other):
         if isinstance(other, Mat2):
-            a, b = self.rows, other.rows
-            return Mat2(
-                tuple(
-                    tuple(
-                        a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)
-                    )
-                    for i in range(2)
-                )
+            (a, b), (c, d) = self.rows
+            (e, f), (g, h) = other.rows
+            return _mat2(
+                ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
             )
-        try:
-            s = _as_rf(other)
-        except TypeError:
-            return NotImplemented
-        return Mat2(tuple(tuple(v * s for v in row) for row in self.rows))
+        if not isinstance(other, _SCALARS):
+            try:
+                other = _as_rf(other)
+            except TypeError:
+                return NotImplemented
+        return _mat2(tuple(tuple(v * other for v in row) for row in self.rows))
 
     def __rmul__(self, other):
         if isinstance(other, Mat2):
@@ -209,7 +240,7 @@ class Mat2:
         raise TypeError("Mat2 is unhashable")
 
     def derivative(self, var):
-        return Mat2(tuple(tuple(v.derivative(var) for v in row) for row in self.rows))
+        return _mat2(tuple(tuple(v.derivative(var) for v in row) for row in self.rows))
 
     def __repr__(self):
         return "Mat2(%s)" % (self.rows,)
@@ -226,7 +257,14 @@ def quaternion_units():
 
 
 def commutator(a: Mat2, b: Mat2) -> Mat2:
-    return a * b - b * a
+    """[a, b] from the closed form in the module docstring: six entry
+    products instead of the sixteen of a * b - b * a."""
+    (a00, a01), (a10, a11) = a.rows
+    (b00, b01), (b10, b11) = b.rows
+    da = a00 - a11
+    db = b00 - b11
+    c00 = a01 * b10 - b01 * a10
+    return _mat2(((c00, b01 * da - a01 * db), (a10 * db - b10 * da, -c00)))
 
 
 def traceless_part(m: Mat2) -> Mat2:
@@ -352,8 +390,6 @@ def bpst_connection() -> Connection:
 # ----------------------------------------------------------------------
 # flat affine spinor family
 # ----------------------------------------------------------------------
-
-_RF0 = _RhoFrac(R4.zero())
 
 
 def _zero_spinor():

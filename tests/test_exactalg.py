@@ -200,11 +200,19 @@ def test_gaussian_pairs_reach_every_branch(branch):
 # ----------------------------------------------------------------------
 
 
+def _sympy_scalar(c):
+    if isinstance(c, Gaussian):
+        re, im = _parts(c)
+        return _sympy_scalar(re) + sympy.I * _sympy_scalar(im)
+    c = Fraction(c)
+    return sympy.Rational(c.numerator, c.denominator)
+
+
 def _to_sympy(p):
     xs = sympy.symbols(p.ring.names)
     expr = sympy.Integer(0)
     for exps, c in p.terms.items():
-        t = sympy.Rational(c.numerator, c.denominator)
+        t = _sympy_scalar(c)
         for s, e in zip(xs, exps):
             t *= s**e
         expr += t
@@ -215,6 +223,81 @@ def _to_sympy(p):
 @settings(max_examples=40, deadline=None)
 def test_poly_mul_matches_sympy(p, q):
     assert _to_sympy(p * q) == sympy.expand(_to_sympy(p) * _to_sympy(q))
+
+
+@st.composite
+def poly_pairs(draw):
+    """(p, q, c) over Q or Q(i): q is drawn afresh, a constant, zero, or
+    +-p plus a few terms, so that zero and constant operands and
+    cancellation to zero (whole or partial) are reached; c is a scalar
+    of the ring's field, zero included, as an int, a Fraction or (over
+    Q(i)) a Gaussian."""
+    ring = draw(st.sampled_from((RXY, RQI)))
+    p = draw(polys(ring, max_terms=4, max_exp=3))
+    mode = draw(st.sampled_from(("free", "constant", "zero", "echo")))
+    if mode == "free":
+        q = draw(polys(ring, max_terms=4, max_exp=3))
+    elif mode == "constant":
+        q = ring.const(draw(rationals()))
+    elif mode == "zero":
+        q = ring.zero()
+    else:
+        q = draw(st.sampled_from((p, -p))) + draw(polys(ring, max_terms=1, max_exp=3))
+    if draw(st.booleans()):
+        p, q = q, p
+    scalars = [st.integers(-3, 3), rationals()]
+    if ring is RQI:
+        scalars.append(gaussians())
+    return p, q, draw(st.one_of(*scalars))
+
+
+def _stores_no_zero(p):
+    return all(c and type(c) is type(p.ring.field.one()) for c in p.terms.values())
+
+
+@given(poly_pairs())
+@settings(max_examples=80, deadline=None)
+def test_poly_arithmetic_matches_sympy(case):
+    p, q, c = case
+    sp, sq, sc = _to_sympy(p), _to_sympy(q), _sympy_scalar(c)
+    results = (
+        (p + q, sp + sq),
+        (p - q, sp - sq),
+        (p * q, sp * sq),
+        (p.scale(c), sc * sp),
+        (-p, -sp),
+    )
+    for got, want in results:
+        assert _to_sympy(got) == sympy.expand(want)
+        assert _stores_no_zero(got)
+    assert p.scale(c) == p * p.ring.const(c)
+    assert p - q == p + (-q) and q - p == -(p - q)
+    assert bool(p - q) == (p != q)
+
+
+_POLY_PAIR_BRANCHES = {
+    "zero_operand": lambda p, q, c: bool(p) != bool(q),
+    "both_zero": lambda p, q, c: not p and not q,
+    "constant_operand": lambda p, q, c: bool(p)
+    and p.is_constant()
+    and not q.is_constant(),
+    "sum_cancels": lambda p, q, c: bool(p) and not p + q,
+    "difference_cancels": lambda p, q, c: bool(p) and not p - q,
+    "partial_cancellation": lambda p, q, c: bool(p + q)
+    and len((p + q).terms) < len(set(p.terms) | set(q.terms)),
+    "scale_by_zero": lambda p, q, c: bool(p) and not c,
+    "gaussian_scale": lambda p, q, c: bool(p) and isinstance(c, Gaussian),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_POLY_PAIR_BRANCHES))
+def test_poly_pairs_reach_every_branch(branch):
+    holds = _POLY_PAIR_BRANCHES[branch]
+    find(
+        poly_pairs(),
+        lambda case: holds(*case),
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
 
 
 @given(polys())
@@ -464,6 +547,30 @@ def test_gaussian_matrix_rank():
     assert rank(rows) == 1
     ns = nullspace(rows)
     assert len(ns) == 1
+
+
+def test_mixed_int_gaussian_matrices():
+    # the domain comes from the first entry that is not rational, so a
+    # leading int entry no longer sends Gaussian rows down the rational path
+    i = Gaussian(0, 1)
+    full = [[0, Gaussian(1)], [Gaussian(1), i]]
+    assert rank(full) == 2
+    assert nullspace(full) == []
+    assert rank([[1, i], [i, -1]]) == 1
+    assert nullspace([[1, i], [i, -1]]) == [[-i, Gaussian(1)]]
+    # the int block divides 8 by the pivot 2 on the way: lifted into the
+    # Gaussians, not a float
+    rows = [[2, 1, 1, i], [1, 2, 1, 0], [1, 1, 2, 0]]
+    assert rank(rows) == 3
+    basis = nullspace(rows)
+    assert basis == [[Gaussian(0, Fraction(-3, 4)), i / 4, i / 4, Gaussian(1)]]
+    ech, _ = _echelon(rows)
+    assert all(type(x) is Gaussian for r in ech for x in r)
+
+
+def test_empty_row_matrix():
+    assert nullspace([[]]) == []
+    assert rank([[]]) == 0
 
 
 def _kernel_cases():

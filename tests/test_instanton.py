@@ -8,7 +8,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from spincert import VerificationError, cli, instanton
@@ -26,6 +26,7 @@ from spincert.instanton import (
     asd_check,
     bianchi_residual,
     bpst_connection,
+    commutator,
     coupled_dirac,
     curvature,
     curvature_acts,
@@ -379,14 +380,17 @@ def _entries(draw):
 
 @st.composite
 def _entry_pairs(draw):
-    """(a, b) where b is drawn afresh, or is +-a over a higher rho power,
-    so that equal values and zero sums and differences are reached."""
+    """(a, b) where b is drawn afresh, or one of the two is +-the other
+    over a higher rho power, so that equal values and zero sums and
+    differences are reached with either side lifted."""
     a = draw(_entries())
     if draw(st.booleans()):
         return a, draw(_entries())
     j = draw(st.integers(0, 2))
     b = _RhoFrac(a.p * _rho_power(j), a.k + j)
-    return a, (-b if draw(st.booleans()) else b)
+    if draw(st.booleans()):
+        b = -b
+    return (b, a) if draw(st.booleans()) else (a, b)
 
 
 @given(_entry_pairs(), st.integers(0, 3))
@@ -414,6 +418,83 @@ def test_rho_entries_match_ratfunc_oracle(pair, var):
             oa.eval(_RHO_ROOT)
     else:
         assert a.eval(_RHO_ROOT) == oa.eval(_RHO_ROOT)
+
+
+_PAIR_POWERS = {
+    "first_lower": lambda a, b: a.k < b.k,
+    "second_lower": lambda a, b: a.k > b.k,
+}
+
+
+@pytest.mark.parametrize("order", sorted(_PAIR_POWERS))
+def test_entry_pairs_reach_unequal_rho_powers(order):
+    # the sum and difference of such a pair lift the lower power inline,
+    # on the side that holds it
+    holds = _PAIR_POWERS[order]
+    find(
+        _entry_pairs(),
+        lambda pair: bool(pair[0]) and bool(pair[1]) and holds(*pair),
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
+
+
+# ----------------------------------------------------------------------
+# the closed-form commutator against a * b - b * a and RatFunc entries
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def _mats(draw):
+    """A Mat2 of _entries(): trace-free (a11 = -a00) or traceful, with
+    some entries forced to zero."""
+    rows = [[draw(_entries()) for _ in range(2)] for _ in range(2)]
+    if draw(st.booleans()):
+        rows[1][1] = -rows[0][0]
+    cells = st.tuples(st.integers(0, 1), st.integers(0, 1))
+    for i, j in draw(st.lists(cells, max_size=2)):
+        rows[i][j] = _RhoFrac(R4.zero())
+    return Mat2(rows)
+
+
+def _entries_of(m):
+    return [v for row in m.rows for v in row]
+
+
+def _mixed_powers(m):
+    return len({v.k for v in _entries_of(m) if v}) > 1
+
+
+@given(_mats(), _mats())
+@settings(max_examples=50, deadline=None)
+def test_commutator_matches_matrix_products(a, b):
+    got = commutator(a, b)
+    assert got == a * b - b * a
+    oa, ob = (tuple(tuple(_oracle(v) for v in row) for row in m.rows) for m in (a, b))
+    _assert_mat_equal(got, _ocomm(oa, ob))
+    assert not got.trace()
+    assert not commutator(a, a)
+    assert commutator(b, a) == -got
+
+
+_MAT_PAIR_BRANCHES = {
+    "traceful": lambda a, b: bool(a.trace()) and bool(b.trace()),
+    "trace_free": lambda a, b: any(_entries_of(a)) and not a.trace(),
+    "zero_entry": lambda a, b: any(_entries_of(a))
+    and not all(_entries_of(a))
+    and any(_entries_of(b)),
+    "mixed_rho_powers": lambda a, b: _mixed_powers(a) and _mixed_powers(b),
+    "nonzero_commutator": lambda a, b: bool(commutator(a, b)),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_MAT_PAIR_BRANCHES))
+def test_commutator_pairs_reach_every_branch(branch):
+    holds = _MAT_PAIR_BRANCHES[branch]
+    find(
+        st.tuples(_mats(), _mats()),
+        lambda pair: holds(*pair),
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
 
 
 # ----------------------------------------------------------------------
