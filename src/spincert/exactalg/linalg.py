@@ -12,7 +12,7 @@ Each call works over one entry domain: rationals (Fractions and ints),
 Gaussians, or MultiPolys over one ring, the domain of the first entry
 that is not rational; ints and Fractions among Gaussian or polynomial
 entries are lifted into that domain first.  Rational rows are cleared to
-integer rows before elimination, each scaled by the lcm of its own
+integer rows once, before elimination, each scaled by the lcm of its own
 denominators; that leaves the rank, the pivot columns and the kernel
 unchanged, and the elimination divides exactly with ``//``.  Entries
 answer for themselves: ``not x`` is the zero test, and zero and one come
@@ -21,9 +21,10 @@ fraction-free back-substitution in the same domain (Nakos, Turner and
 Williams, ACM SIGSAM Bull. 31 (1997)), each kernel vector scaled by the
 last pivot d: by Cramer's rule d times the normalised vector lies in the
 domain, so every division is exact.  The vectors are checked against
-``M v = 0`` in the domain, rational rows as their integer multiples, and
-then returned over the entry domain: Fractions for rational rows, and
-for polynomial rows denominator-free MultiPolys stripped of content.
+``M v = 0`` on the same domain rows the elimination started from,
+rational rows as their integer multiples, and then returned over the
+entry domain: Fractions for rational rows, and for polynomial rows
+denominator-free MultiPolys stripped of content.
 The exact-vector helpers shared by the geometry layers live here too:
 the rational content of a vector and the cross-multiplication
 proportionality test.
@@ -64,6 +65,21 @@ def _domain_zero(rows):
     return None
 
 
+def _domain_rows(rows):
+    """(rows, exact division) over one entry domain: rational rows as
+    their integer multiples under ``//``, other rows with their rational
+    entries lifted into the domain of the first entry that is not
+    rational.  The rows are new lists; the input rows are left
+    untouched."""
+    zero = _domain_zero(rows)
+    if zero is None:
+        return [_integer_row(r) for r in rows], floordiv
+    rows = [
+        [zero + x if isinstance(x, (int, Fraction)) else x for x in r] for r in rows
+    ]
+    return rows, _exact_div
+
+
 def _echelon(rows):
     """Bareiss forward elimination of a list of rows over one domain;
     rational rows are eliminated as their integer multiples, and the
@@ -72,16 +88,12 @@ def _echelon(rows):
 
     Returns (matrix, pivot columns); the input rows are left untouched.
     """
-    zero = _domain_zero(rows)
-    if zero is None:
-        m = [_integer_row(r) for r in rows]
-        div = floordiv
-    else:
-        m = [
-            [zero + x if isinstance(x, (int, Fraction)) else x for x in r]
-            for r in rows
-        ]
-        div = _exact_div
+    return _eliminate(*_domain_rows(rows))
+
+
+def _eliminate(m, div):
+    """Bareiss forward elimination of the domain rows m in place, with
+    ``div`` the domain's exact division; returns (m, pivot columns)."""
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     piv_cols = []
@@ -131,10 +143,12 @@ def nullspace(rows):
     """
     if not rows or not rows[0]:
         return []
-    ech, piv_cols = _echelon(rows)
+    # the domain rows are cleared once: eliminated as a copy, then kept
+    # for the kernel check
+    domain_rows, div = _domain_rows(rows)
+    ech, piv_cols = _eliminate([list(r) for r in domain_rows], div)
     ncols = len(ech[0])
     zero = ech[0][0] * 0
-    div = floordiv if isinstance(zero, int) else _exact_div
     # the last pivot: a nonzero maximal minor on the pivot columns
     d = ech[len(piv_cols) - 1][piv_cols[-1]] if piv_cols else zero + 1
     basis = []
@@ -153,7 +167,7 @@ def nullspace(rows):
             if acc is not None:
                 v[piv_cols[k]] = div(-acc, row[piv_cols[k]])
         basis.append(v)
-    _assert_in_kernel(rows, basis)
+    _assert_in_kernel(domain_rows, basis)
     if isinstance(zero, int):
         return [[Fraction(x, d) for x in v] for v in basis]
     if isinstance(zero, MultiPoly):
@@ -202,12 +216,10 @@ def proportional(u, v) -> bool:
 
 
 def _assert_in_kernel(rows, vectors):
-    """M v = 0 exactly for each vector.  Rational rows are checked as
-    their integer multiples (``_integer_row``), so integer vectors are
-    checked on integers; a nonzero multiple of M v is zero exactly when
-    M v is."""
-    if _domain_zero(rows) is None:
-        rows = [_integer_row(r) for r in rows]
+    """M v = 0 exactly for each vector, in the domain the rows and the
+    vectors share.  ``nullspace`` checks its integer vectors against the
+    integer multiples of rational rows (``_domain_rows``); a nonzero
+    multiple of M v is zero exactly when M v is."""
     for vec in vectors:
         for row in rows:
             acc = None

@@ -322,23 +322,37 @@ def _root_order(p: UPoly, x0):
     quotient Q after k divisions."""
     if not p._num:
         return inf, p, Fraction(0)
-    r, s = x0.numerator, x0.denominator
-    num = p._num
+    k, num, h, sd = _strip_root(p._num, x0.numerator, x0.denominator)
+    if not k:
+        return 0, p, Fraction(h, p._den * sd)
+    sk = x0.denominator**k
+    return k, _normal([c * sk for c in num], p._den), Fraction(h * sk, p._den * sd)
+
+
+def _order(p: UPoly, x0):
+    """The order of x0 = r/s as a root of p, infinity for the zero
+    polynomial; ``_root_order`` without the cofactor and its value."""
+    if not p._num:
+        return inf
+    return _strip_root(p._num, x0.numerator, x0.denominator)[0]
+
+
+def _strip_root(num, r, s):
+    """(k, Q, h, s^d) for integer numerators num of degree d >= 0 and a
+    root candidate r/s in lowest terms: k exact divisions by s x - r leave
+    the integer numerators Q, whose homogenised value h at r/s (from
+    ``_horner``, with its s^d) is nonzero."""
     k = 0
     while True:
         h, sd = _horner(num, r, s)
         if h:
-            break
+            return k, num, h, sd
         acc, quo = 0, []
         for c in reversed(num[1:]):
             acc = (c + r * acc) // s
             quo.append(acc)
         num = quo[::-1]
         k += 1
-    if not k:
-        return 0, p, Fraction(h, p._den * sd)
-    sk = s**k
-    return k, _normal([c * sk for c in num], p._den), Fraction(h * sk, p._den * sd)
 
 
 def rational_sqrt(v):
@@ -529,7 +543,9 @@ class HyperCurve:
         object.__setattr__(self, "roots", tuple(sorted(roots)))
         object.__setattr__(self, "lead_sqrt", ls)
         object.__setattr__(self, "slopes", {r: df.eval(r) for r in roots})
-        object.__setattr__(self, "_cache", {"series": {}, "canonical": None})
+        object.__setattr__(
+            self, "_cache", {"series": {}, "canonical": None, "theta": {}}
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("HyperCurve is immutable")
@@ -685,11 +701,12 @@ class Place:
 
 def _shift_row(x0, j, n):
     """The coefficient of (x - x0)^j in each of x^0, ..., x^n: C(k, j)
-    x0^(k-j), and 0 for k < j (so x0 = 0 meets no negative power)."""
-    return [
-        Fraction(comb(k, j)) * x0 ** (k - j) if k >= j else Fraction(0)
-        for k in range(n + 1)
-    ]
+    x0^(k-j), and 0 for k < j (so x0 = 0 meets no negative power); ints
+    when x0 is integral, Fractions otherwise."""
+    if x0.denominator == 1:
+        x0 = x0.numerator
+    zero = x0 * 0
+    return [comb(k, j) * x0 ** (k - j) if k >= j else zero for k in range(n + 1)]
 
 
 def _sqrt_head(u, s0, c):
@@ -962,8 +979,8 @@ class FieldElem:
                 kn, _, cn = _root_order(self.norm_pair()[0], x0)
                 k, lead = kn - k, cn / (2 * ca)
             return k - kd, lead / cd
-        da = a.degree if a.coeffs else -inf
-        db = b.degree + self.curve.genus + 1 if b.coeffs else -inf
+        da = a.degree if a else -inf
+        db = b.degree + self.curve.genus + 1 if b else -inf
         top = max(da, db)
         lead = (a.lead() if da == top else 0) + (
             place.key * self.curve.lead_sqrt * b.lead() if db == top else 0
@@ -974,7 +991,25 @@ class FieldElem:
         return den.degree - top, lead / den.lead()
 
     def valuation(self, place: Place) -> int:
-        """Order of h at a place: the order part of ``leading_term``."""
+        """Order of h at a place: the order part of ``leading_term``,
+        read without its coefficient where no leading terms can cancel.
+        At a branch place it is min(2 ord a, 2 ord b + 1) - 2 ord den from
+        integer root orders alone; at infinity with deg a != deg b + g + 1
+        it is deg den - max(deg a, deg b + g + 1).  Split places, and
+        infinity with equal degrees, where the leading terms can cancel,
+        take the order from ``leading_term``."""
+        if not self:
+            raise ValueError("zero element has no valuation")
+        a, b, den = self.a, self.b, self.den
+        if place.kind == "branch":
+            x0 = place.key
+            v = min(2 * _order(a, x0), 2 * _order(b, x0) + 1)
+            return v - 2 * _order(den, x0)
+        if place.kind == "inf":
+            da = a.degree if a else -inf
+            db = b.degree + self.curve.genus + 1 if b else -inf
+            if da != db:
+                return den.degree - max(da, db)
         return self.leading_term(place)[0]
 
     def __repr__(self):
@@ -1045,7 +1080,11 @@ def theta_divisor(curve: HyperCurve, t) -> Divisor:
     """Square-root divisor class representative for a branch subset of
     the right parity: branch places over T plus the balancing multiple
     of the two infinite places.  The doubling relation against the
-    canonical divisor is certified by an explicit function."""
+    canonical divisor is certified by an explicit function, once per
+    curve and subset: the certified divisor is kept in the curve's cache
+    under the validated label set, which is looked up only after the
+    labels, the parity and the balance are checked, so bad input raises
+    on every call."""
     g = curve.genus
     tset = _branch_subset(curve, t)
     if len(tset) % 2 != (g + 1) % 2:
@@ -1053,6 +1092,10 @@ def theta_divisor(curve: HyperCurve, t) -> Divisor:
     m, rem = divmod(g - 1 - len(tset), 2)
     if rem:
         raise ValueError("unbalanced subset size")
+    cache = curve._cache["theta"]
+    div = cache.get(tset)
+    if div is not None:
+        return div
     out = {curve.branch_place(i): 1 for i in sorted(tset)}
     out[curve.infinite_place(1)] = out[curve.infinite_place(-1)] = m
     div = Divisor(out)
@@ -1060,6 +1103,7 @@ def theta_divisor(curve: HyperCurve, t) -> Divisor:
     doubling = div.scale(2) - canonical_divisor(curve)
     if divisor_of(witness) != doubling:
         raise VerificationError("doubling witness failed for T=%s" % sorted(tset))
+    cache[tset] = div
     return div
 
 

@@ -126,11 +126,13 @@ class _RhoFrac:
         k_d_rho = R4.gen(var).scale(2 * self.k)  # d_i rho = 2 x_i
         return _RhoFrac(dp * RHO - self.p * k_d_rho, self.k + 1)
 
-    def eval(self, point):
+    def eval(self, point, rho=None):
+        """p(point) / rho(point)^k; ``rho`` is the value of RHO at the
+        point when the caller already has it."""
         value = self.p.eval(point)
         if not self.k:
             return value
-        r = RHO.eval(point)
+        r = RHO.eval(point) if rho is None else rho
         if not r:
             raise ZeroDivisionError("rho vanishes at the point")
         return value / r**self.k
@@ -563,19 +565,23 @@ _EVAL_POINTS = (
 )
 
 
-def _field_row(field: CoupledField):
+def _field_row(field: CoupledField, rhos):
+    """The entries of every component at each evaluation point; rhos
+    holds the value of RHO at each point."""
     row = []
-    for point in _EVAL_POINTS:
+    for point, rho in zip(_EVAL_POINTS, rhos):
         for m in field.components:
             for i in range(2):
                 for j in range(2):
-                    row.append(m.entry(i, j).eval(point))
+                    row.append(m.entry(i, j).eval(point, rho))
     return row
 
 
 def independent_count(fields) -> int:
-    rows = [_field_row(f) for f in fields]
-    return rank(rows)
+    """Rank of the fields' values at the evaluation points; RHO is
+    evaluated once per point, not once per entry."""
+    rhos = [RHO.eval(point) for point in _EVAL_POINTS]
+    return rank([_field_row(f, rhos) for f in fields])
 
 
 def verify_curvature_dirac_solutions(a) -> dict:

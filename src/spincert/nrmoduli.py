@@ -68,10 +68,11 @@ def _parse_linear(text: str):
 class RijTable:
     """The fifteen signed quadratic forms r_{ij} = sign * l_{ij}^2 on
     the eight cotangent coordinates, indexed by unordered branch pairs.
-    The table is immutable, so the kernel generator at each branch is
-    solved on first use and kept in a private slot."""
+    The table is immutable, so the kernel generator at each branch and
+    its signed-permutation reduction are computed on first use and kept
+    in private slots."""
 
-    __slots__ = ("entries", "_kernels")
+    __slots__ = ("entries", "_kernels", "_reductions")
 
     def __init__(self, entries):
         pairs = {(i, j) for i in range(1, 7) for j in range(i + 1, 7)}
@@ -89,6 +90,7 @@ class RijTable:
             clean[key] = (sign, grid)
         object.__setattr__(self, "entries", clean)
         object.__setattr__(self, "_kernels", {})
+        object.__setattr__(self, "_reductions", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("RijTable is immutable")
@@ -368,6 +370,16 @@ def _signed_permutation_candidate(gen):
     return None
 
 
+def _reduced_generator(i: int, table: RijTable):
+    """``_signed_permutation_candidate`` of the kernel generator at
+    branch i, computed once per table; None when it is not a signed
+    permutation."""
+    if i not in table._reductions:
+        gen = _kernel_generator(i, table)
+        table._reductions[i] = _signed_permutation_candidate(gen)
+    return table._reductions[i]
+
+
 def kernel_at_branch(config: BranchConfig, i: int, table: RijTable = None) -> dict:
     """Exact common kernel over the fraction field of Q[q1..q4] of the
     five linear forms paired with branch index i, as a 5x4 system in p.
@@ -395,7 +407,7 @@ def kernel_at_branch(config: BranchConfig, i: int, table: RijTable = None) -> di
         "incidence_zero": True,
         "quadratic_vanishes": True,
     }
-    reduced = _signed_permutation_candidate(gen)
+    reduced = _reduced_generator(i, table)
     if reduced is not None:
         report["reduced_generator"] = tuple(g.to_str() for g in reduced)
     return report
@@ -414,8 +426,7 @@ def signed_permutation_record(table: RijTable = None) -> dict:
         table = build_r_table()
     images = {}
     for i in range(1, 7):
-        gen = _kernel_generator(i, table)
-        reduced = _signed_permutation_candidate(gen)
+        reduced = _reduced_generator(i, table)
         if reduced is None:
             images[i] = {"signed_permutation": False, "pattern": None}
             continue

@@ -27,7 +27,7 @@ Fixed conventions, each pinned by a certificate in this module:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from . import VerificationError
 
@@ -128,35 +128,38 @@ def symplectic_form(u: BinaryForm, v: BinaryForm):
     return acc
 
 
-def _d_first(a, m):
-    return tuple(a[j] * (m - j) for j in range(m))
-
-
-def _d_second(a, m):
-    return tuple(a[j + 1] * (j + 1) for j in range(m))
-
-
 def _convolve(a, b):
-    out = [0] * (len(a) + len(b) - 1)
+    """Coefficients of the product of two forms; zero factors are
+    skipped, and each slot starts from the domain's zero."""
+    zero = a[0] * 0 + b[0] * 0
+    out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    out[j] = out[j] + x * y
     return tuple(out)
 
 
 def _apply_derivatives(coeffs, deg, n_first, n_second):
-    a, d = tuple(coeffs), deg
-    for _ in range(n_first):
-        a = _d_first(a, d)
-        d -= 1
-    for _ in range(n_second):
-        a = _d_second(a, d)
-        d -= 1
-    return a
+    """n_first derivatives in X, then n_second in Y, of the form
+    sum a_j X^(deg-j) Y^j, in one pass: slot j of the result is
+    a_(j+n2) (deg-j-n2)!/(deg-j-n2-n1)! (j+n2)!/j!."""
+    n1, n2 = n_first, n_second
+    return tuple(
+        coeffs[j + n2] * (perm(deg - j - n2, n1) * perm(j + n2, n2))
+        for j in range(deg - n1 - n2 + 1)
+    )
 
 
 def transvectant(u: BinaryForm, v: BinaryForm, r: int) -> BinaryForm:
-    """Bare r-fold transvectant on homogenized coefficient vectors.
+    """Bare r-fold transvectant on homogenized coefficient vectors:
+
+        (u, v)_r = sum over s of (-1)^s C(r, s)
+                   (d_X^(r-s) d_Y^s u) (d_X^s d_Y^(r-s) v),
+
+    where, on a form sum a_j X^(m-j) Y^j, d_X^n1 d_Y^n2 has coefficient
+    a_(j+n2) (m-j-n2)!/(m-j-n2-n1)! (j+n2)!/j! at slot j.
 
     Output degree is deg u + deg v - 2r.  No leading normalization
     constant is applied; callers pin their own."""

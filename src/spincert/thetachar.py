@@ -84,7 +84,8 @@ def enumerate_chars(g: int):
     """All 2^(2g) classes, as reduced representatives: the subsets of
     size below g+1 (smaller than their complements) and those of size
     g+1 that contain label 1, each of a size congruent to g+1 mod 2, so
-    every generated subset is already reduced."""
+    every generated subset is already reduced.  The count and the
+    distinctness of the member sets are re-checked."""
     if g not in GENUS_RANGE:
         raise ValueError("supported genus range is 1..6")
     n = 2 * g + 2
@@ -98,7 +99,7 @@ def enumerate_chars(g: int):
         _reduced_class(g, (1,) + rest) for rest in combinations(range(2, n + 1), g)
     )
     expected = 1 << (2 * g)
-    if len(out) != expected or len(set(out)) != expected:
+    if len(out) != expected or len({c.members for c in out}) != expected:
         raise VerificationError("class enumeration miscounted")
     return out
 

@@ -4,7 +4,9 @@ Oracles: the integer-numerator ``UPoly`` and its root orders against the
 Fraction-tuple class they replaced; series coefficients against
 hand-derived reversion formulas evaluated with sympy derivatives;
 closed-form valuations and leading coefficients against the series
-expansion they replaced; Riemann-Roch rows against the series-fed row
+expansion they replaced, and order-only valuations against the leading
+term; the per-curve theta-divisor cache against the divisor_of calls it
+saves; Riemann-Roch rows against the series-fed row
 builder in ``rr_system_oracle``; dimension ladders against the known gap
 sequences; divisor computations against frozen expected values; the
 16-class parity table against the combinatorial model.
@@ -12,6 +14,7 @@ sequences; divisor computations against frozen expected values; the
 
 from fractions import Fraction
 from math import gcd, inf, lcm
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -19,7 +22,8 @@ from hypothesis import Phase, find, given, settings, strategies as st
 
 import rr_system_oracle
 import upoly_oracle
-from spincert import VerificationError
+from spincert import VerificationError, hyperell
+from spincert.cli import main
 from spincert.hyperell import (
     _group_divisor,
     _root_order,
@@ -611,6 +615,84 @@ def test_leading_term_rare_branches_frozen(curve, curve_with_split_point):
         assert h.expand_at(place, v + 1).coeffs == {v: lead}
 
 
+# the order-only valuation against the leading term it skips building:
+# the same curves as the series oracle, with every branch place, no
+# local series, and the element draws of ``_draw_element``
+
+
+def _order_places(name):
+    roots, points = ORACLE_CURVES[name]
+    c = HyperCurve.from_roots(roots)
+    places = [c.branch_place(i) for i in range(1, len(c.roots) + 1)]
+    places += [c.infinite_place(1), c.infinite_place(-1)]
+    return places + [c.split_place(x0, y0) for x0, y0 in points]
+
+
+ORDER_PLACES = {name: _order_places(name) for name in ORACLE_CURVES}
+
+
+@st.composite
+def order_elements(draw, name):
+    # _draw_element reads its draws through a .draw attribute
+    return _draw_element(SimpleNamespace(draw=draw), ORDER_PLACES[name])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_valuation_matches_leading_term(name, data):
+    h = data.draw(order_elements(name))
+    for place in ORDER_PLACES[name]:
+        if not h:
+            with pytest.raises(ValueError):
+                h.valuation(place)
+            continue
+        assert h.valuation(place) == h.leading_term(place)[0], place
+
+
+def _inf_degrees(h):
+    return h.a.degree, h.b.degree + h.curve.genus + 1
+
+
+_ORDER_BRANCHES = {
+    "a_and_b_vanish_at_a_branch_place": lambda h, places: bool(h.a and h.b) and any(
+        p.kind == "branch" and not h.a.eval(p.key) and not h.b.eval(p.key)
+        for p in places
+    ),
+    "zero_a": lambda h, places: not h.a and bool(h.b),
+    "zero_b": lambda h, places: not h.b and bool(h.a),
+    "equal_degrees_at_infinity": lambda h, places: bool(h.a and h.b)
+    and len(set(_inf_degrees(h))) == 1,
+    "unequal_degrees_at_infinity": lambda h, places: bool(h.a and h.b)
+    and len(set(_inf_degrees(h))) == 2,
+    "cancelling_sheet_at_infinity": lambda h, places: bool(h.a and h.b)
+    and len(set(_inf_degrees(h))) == 1
+    and any(h.a.lead() + s * h.curve.lead_sqrt * h.b.lead() == 0 for s in (1, -1)),
+    "denominator_vanishes_at_a_branch_place": lambda h, places: any(
+        p.kind == "branch" and not h.den.eval(p.key) for p in places
+    ),
+    "denominator_vanishes_at_a_split_place": lambda h, places: any(
+        p.kind == "split" and not h.den.eval(p.key[0]) for p in places
+    ),
+}
+_ORDER_CASES = [
+    (name, branch)
+    for name in sorted(ORACLE_CURVES)
+    for branch in sorted(_ORDER_BRANCHES)
+    if ORACLE_CURVES[name][1] or "split" not in branch
+]
+
+
+@pytest.mark.parametrize("name, branch", _ORDER_CASES)
+def test_order_elements_reach_every_branch(name, branch):
+    holds = _ORDER_BRANCHES[branch]
+    find(
+        order_elements(name),
+        lambda h: holds(h, ORDER_PLACES[name]),
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
+
+
 def test_split_place_rejects_bad_points(curve):
     with pytest.raises(ValueError):
         curve.split_place(1, 0)  # branch x-value
@@ -790,6 +872,80 @@ def test_branch_subsets_reject_what_they_used_to_coerce(curve, labels):
     ):
         with pytest.raises(ValueError):
             build()
+
+
+def test_theta_divisor_certified_once_per_subset(monkeypatch):
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return divisor_of(h)
+
+    monkeypatch.setattr(hyperell, "divisor_of", counting)
+    c = standard_curve()
+    first = theta_divisor(c, {1, 2, 3})
+    assert len(calls) == 1
+    assert theta_divisor(c, [3, 2, 1]) is first
+    assert theta_divisor(c, frozenset({1, 2, 3})) is first
+    assert spin_power_divisor(c, (1, 2, 3), 5) == first + canonical_divisor(c).scale(2)
+    assert len(calls) == 1
+    theta_divisor(c, {4})
+    assert len(calls) == 2
+    # the sweep certifies the 14 classes not yet certified
+    h0_all_theta(c)
+    assert len(calls) == 16
+    h0_all_theta(c)
+    assert len(calls) == 16
+    assert set(c._cache["theta"]) == {cls.members for cls in enumerate_chars(2)}
+
+
+def test_theta_cache_lives_on_its_curve(monkeypatch):
+    calls = []
+
+    def counting(h):
+        calls.append(h.curve)
+        return divisor_of(h)
+
+    monkeypatch.setattr(hyperell, "divisor_of", counting)
+    c1, c2 = standard_curve(), standard_curve()
+    assert c1 == c2 and c1._cache is not c2._cache
+    assert theta_divisor(c1, {2}) == theta_divisor(c2, {2})
+    assert calls == [c1, c2]
+    assert list(c1._cache["theta"]) == list(c2._cache["theta"]) == [frozenset({2})]
+
+
+@pytest.mark.parametrize(
+    "labels", [{1, 2}, (1, 1, 2, 3), (1, 1, 2, 2, 3), (True, 2, 3), (True,)], ids=repr
+)
+def test_theta_cache_never_answers_bad_labels(labels):
+    # {1, 2, 3} and {1} are cached first: (True, 2, 3) and the repeated
+    # labels would hash to those keys if the lookup came before the checks
+    c = standard_curve()
+    theta_divisor(c, {1, 2, 3})
+    theta_divisor(c, {1})
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            theta_divisor(c, labels)
+    assert set(c._cache["theta"]) == {frozenset({1, 2, 3}), frozenset({1})}
+
+
+def test_each_run_certifies_its_own_theta_divisors(tmp_path, monkeypatch):
+    # each run builds its curve, so a second run pays the full cost again
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return divisor_of(h)
+
+    monkeypatch.setattr(hyperell, "divisor_of", counting)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert main(["run", "parity", "--out", str(tmp_path / "parity.json")]) == 0
+        counts.append(len(calls))
+    # per run: a doubling certificate for each of the 16 reduced classes
+    # and for each complement, and the 16 complement witnesses
+    assert counts == [48, 48]
 
 
 def test_theta_complement_equivalence(curve):

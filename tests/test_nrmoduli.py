@@ -371,6 +371,21 @@ class TestKernelAtBranch:
         main(["run", "nr", *flags, "--out", str(tmp_path / "nr.json")])
         assert solves == [5] * 6
 
+    @pytest.mark.parametrize("flags", [[], ["--perturb"]], ids=["plain", "perturb"])
+    def test_run_nr_reduces_each_kernel_once(self, flags, tmp_path, monkeypatch):
+        # branch_kernels and kernel_symmetry_record share each branch's
+        # signed-permutation reduction through the table
+        reductions = []
+        original = nrmoduli._signed_permutation_candidate
+
+        def counting(gen):
+            reductions.append(gen)
+            return original(gen)
+
+        monkeypatch.setattr(nrmoduli, "_signed_permutation_candidate", counting)
+        main(["run", "nr", *flags, "--out", str(tmp_path / "nr.json")])
+        assert len(reductions) == 6
+
     def test_perturbed_table_starts_unsolved(self, config, table):
         kernel_at_branch(config, 1, table)
         assert 1 in table._kernels

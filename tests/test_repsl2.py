@@ -2,17 +2,20 @@
 symbolic differentiation oracle, pairing and contraction certificates,
 and the frozen proportionality constant."""
 
+from fractions import Fraction
 from math import factorial
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from spincert.exactalg import PolyRing, QQ, rank
+import transvectant_oracle
+from spincert.exactalg import MultiPoly, PolyRing, QQ, rank
 from spincert.repsl2 import (
     GENERATORS,
     BinaryForm,
+    _apply_derivatives,
     equivariance_check,
     generator_action,
     invariance_check,
@@ -201,3 +204,87 @@ def test_isotropy_certificate():
     b = [BinaryForm.basis_vector(3, j) for j in range(4)]
     assert symplectic_form(b[2], b[3]) == 0
     assert symplectic_form(b[0], b[3]) == 6
+
+
+# ----------------------------------------------------------------------
+# closed-form transvectant against the iterated one
+# ----------------------------------------------------------------------
+
+RAB = PolyRing(QQ, ("a", "b"))
+_SCALAR_DOMAINS = {
+    "int": st.integers(min_value=-9, max_value=9),
+    "fraction": fractions_small,
+}
+_POLY_COEFFS = st.builds(
+    lambda c, i, e: RAB.gen(i) ** e * c,
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=2),
+)
+
+
+@st.composite
+def form_with_zeros(draw, m, coeffs):
+    """A degree-m form whose coefficients come from one domain, with
+    zeros of that domain forced into some slots."""
+    cs = draw(st.lists(coeffs, min_size=m + 1, max_size=m + 1))
+    zeros = draw(st.lists(st.booleans(), min_size=m + 1, max_size=m + 1))
+    return BinaryForm(tuple(c * 0 if z else c for c, z in zip(cs, zeros)))
+
+
+@st.composite
+def transvectant_cases(draw, domains=tuple(_SCALAR_DOMAINS.values())):
+    """(u, v, r) with degrees 1..9, any order r and each form from its own
+    domain."""
+    mu, mv = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    r = draw(st.integers(0, min(mu, mv)))
+    u = draw(form_with_zeros(mu, draw(st.sampled_from(domains))))
+    v = draw(form_with_zeros(mv, draw(st.sampled_from(domains))))
+    return u, v, r
+
+
+def _assert_same_form(got, want):
+    assert got == want
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(transvectant_cases())
+def test_transvectant_matches_iterated_oracle(case):
+    u, v, r = case
+    _assert_same_form(transvectant(u, v, r), transvectant_oracle.transvectant(u, v, r))
+    for n1 in range(r + 1):
+        got = _apply_derivatives(u.coeffs, u.degree, n1, r - n1)
+        want = transvectant_oracle._apply_derivatives(u.coeffs, u.degree, n1, r - n1)
+        assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(transvectant_cases(domains=(_POLY_COEFFS,)))
+def test_transvectant_matches_iterated_oracle_on_polynomials(case):
+    u, v, r = case
+    got = transvectant(u, v, r)
+    _assert_same_form(got, transvectant_oracle.transvectant(u, v, r))
+    assert all(type(c) is MultiPoly and c.ring is RAB for c in got.coeffs)
+
+
+_TRANSVECTANT_BRANCHES = {
+    "top_order": lambda u, v, r: r == min(u.degree, v.degree),
+    "zero_order": lambda u, v, r: r == 0,
+    "forced_zero": lambda u, v, r: 0 < sum(not c for c in u.coeffs) < len(u.coeffs),
+    "zero_form": lambda u, v, r: not u and not v,
+    "mixed_domains": lambda u, v, r: (
+        type(u.coeffs[0]) is int and type(v.coeffs[0]) is Fraction
+    ),
+    "degree_nine": lambda u, v, r: u.degree == 9,
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_TRANSVECTANT_BRANCHES))
+def test_transvectant_cases_reach_every_branch(branch):
+    holds = _TRANSVECTANT_BRANCHES[branch]
+    find(
+        transvectant_cases(),
+        lambda case: holds(*case),
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
