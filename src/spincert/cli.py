@@ -443,7 +443,7 @@ def run_nr(opts):
     def kernels():
         out = {}
         for i in range(1, 7):
-            rec = kernel_at_branch(config, i, used)
+            rec = kernel_at_branch(i, used)
             entry = {
                 "dimension": rec["dimension"],
                 "generator": list(rec["generator"]),
@@ -716,15 +716,15 @@ def main(argv=None):
             triples=args.triples,
             perturb=args.perturb,
         )
+        text = json.dumps(report, indent=2, sort_keys=True)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
     return code
 
 

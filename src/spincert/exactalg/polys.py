@@ -317,27 +317,6 @@ class MultiPoly:
             out[tuple(e)] = c * k
         return MultiPoly._raw(self.ring, out)
 
-    def subs(self, assignment):
-        """Substitute polynomials for variables; ``assignment`` maps
-        variable index to a MultiPoly of the same ring.  Each power of a
-        variable's image is built once per call, however many terms
-        share it."""
-        ring = self.ring
-        powers = {}
-        out = ring.zero()
-        for exps, c in self.terms.items():
-            term = ring.const(c)
-            for i, k in enumerate(exps):
-                if k == 0:
-                    continue
-                power = powers.get((i, k))
-                if power is None:
-                    base = assignment[i] if i in assignment else ring.gen(i)
-                    power = powers[(i, k)] = base**k
-                term = term * power
-            out = out + term
-        return out
-
     def eval(self, point):
         """Evaluate at scalars, one per variable."""
         if len(point) != self.ring.nvars:

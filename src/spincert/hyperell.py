@@ -1270,18 +1270,40 @@ def _rr_system(curve: HyperCurve, divisor: Divisor):
     return d, na, nb, rows
 
 
-def rr_space(curve: HyperCurve, divisor: Divisor, check_identity=True) -> RRSpace:
+def rr_space(curve: HyperCurve, divisor: Divisor) -> RRSpace:
     """Exact basis of L(D) for divisors supported on rational places.
 
     The ansatz h = (a(x) + b(x) y)/d(x) with d built from the finite
     support is complete for this support class; the Riemann-Roch
     identity (against an independently computed L(K - D)) is asserted
-    on every outer call, and each basis element's pole bounds and
-    off-support regularity are re-verified from their valuations.
+    on every call, and each basis element's pole bounds and
+    off-support regularity, on both sides, are re-verified from their
+    valuations.
     """
+    g = curve.genus
+    basis = _rr_basis(curve, divisor)
+    dual = _rr_basis(curve, canonical_divisor(curve) - divisor)
+    rhs = divisor.degree - g + 1
+    if len(basis) - len(dual) != rhs:
+        raise VerificationError(
+            "Riemann-Roch identity failed: %d - %d != %d"
+            % (len(basis), len(dual), rhs)
+        )
+    rr_record = {
+        "dim": len(basis),
+        "dual_dim": len(dual),
+        "deg": divisor.degree,
+        "genus": g,
+        "identity": True,
+    }
+    return RRSpace(curve, divisor, basis, rr_record)
+
+
+def _rr_basis(curve, divisor):
+    """Basis of L(D) from the ansatz, each element's membership
+    verified."""
     from .exactalg import nullspace
 
-    g = curve.genus
     d, na, nb, rows = _rr_system(curve, divisor)
     ncols = (na + 1) + (nb + 1 if nb >= 0 else 0)
     if rows:
@@ -1296,28 +1318,8 @@ def rr_space(curve: HyperCurve, divisor: Divisor, check_identity=True) -> RRSpac
         a = UPoly(tuple(vec[: na + 1]))
         b = UPoly(tuple(vec[na + 1 :])) if nb >= 0 else UPoly()
         basis.append(FieldElem(curve, a, b, d))
-
     _verify_membership(curve, divisor, d, basis)
-
-    rr_record = None
-    if check_identity:
-        k_div = canonical_divisor(curve)
-        dual = rr_space(curve, k_div - divisor, check_identity=False)
-        lhs = len(basis) - dual.dimension
-        rhs = divisor.degree - g + 1
-        rr_record = {
-            "dim": len(basis),
-            "dual_dim": dual.dimension,
-            "deg": divisor.degree,
-            "genus": g,
-            "identity": lhs == rhs,
-        }
-        if lhs != rhs:
-            raise VerificationError(
-                "Riemann-Roch identity failed: %d - %d != %d"
-                % (len(basis), dual.dimension, rhs)
-            )
-    return RRSpace(curve, divisor, basis, rr_record)
+    return basis
 
 
 def _verify_membership(curve, divisor, d, basis):

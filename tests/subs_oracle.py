@@ -1,8 +1,8 @@
 """``MultiPoly.subs`` as it stood before it built each power of a
 variable's image once per call, kept unchanged (as a function of the
-polynomial) as the oracle for the differential test in
-``test_exactalg.py``: it raises the image to the power afresh for every
-term."""
+polynomial) as the oracle for the differential test of ``nr_oracle.subs``
+in ``test_exactalg.py``: it raises the image to the power afresh for
+every term."""
 
 from __future__ import annotations
 

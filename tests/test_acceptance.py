@@ -185,7 +185,7 @@ def test_criterion_6_branch_kernels_and_covector():
     config = standard_branch_config()
     first = None
     for i in range(1, 7):
-        kernel = kernel_at_branch(config, i)
+        kernel = kernel_at_branch(i)
         assert kernel["dimension"] == 1
         if i == 1:
             first = kernel

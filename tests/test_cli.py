@@ -247,10 +247,15 @@ class TestNegativeControls:
 
 
 class TestFlags:
-    def test_branch_kernels_in_report(self):
-        code, report = run("nr", branch="0,1,2,3,4,5")
+    @pytest.mark.parametrize("branch", ["0,1,2,3,4,5", "1,2,3,5,8,13"])
+    def test_branch_kernels_in_report(self, branch):
+        # the kernels never read the branch x-values
+        code, report = run("nr", branch=branch)
         assert code == 0
-        kernels = _check(report["suites"][0], "branch_kernels")["details"]["kernels"]
+        details = _check(report["suites"][0], "branch_kernels")["details"]
+        _, plain = run("nr")
+        assert details == _check(plain["suites"][0], "branch_kernels")["details"]
+        kernels = details["kernels"]
         assert sorted(kernels) == ["1", "2", "3", "4", "5", "6"]
         for entry in kernels.values():
             assert entry["dimension"] == 1
@@ -341,6 +346,16 @@ class TestMain:
         assert report["schema"] == 1
         assert report["suites"][0]["suite"] == "clifford"
         assert capsys.readouterr().out == ""
+
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "r.json"
+        code = main(["run", "clifford", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_stdout_json(self, capsys):
         code = main(["run", "repsl2", "--m", "3"])

@@ -6,11 +6,12 @@ import random
 from fractions import Fraction
 
 import echelon_oracle
+import nr_oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spincert import nrmoduli
+from spincert import VerificationError, nrmoduli
 from spincert.cli import main
 from spincert.exactalg import RatFunc, nullspace, proportional
 from spincert.nrmoduli import (
@@ -22,7 +23,6 @@ from spincert.nrmoduli import (
     alt_r_table,
     build_r_table,
     distinguished_vector_polys,
-    eval_at_branch,
     h_consistency,
     kernel_at_branch,
     signed_permutation_record,
@@ -44,6 +44,11 @@ def config():
 
 def frac_point(*vals):
     return [Fraction(v) for v in vals]
+
+
+def linear_form(table, i, j):
+    """l_{ij} as a polynomial in the 8-variable (q, p) ring."""
+    return nrmoduli._grid_poly(table.linear_grid(i, j), QP_RING)
 
 
 class TestTable:
@@ -227,26 +232,26 @@ class TestEvalAtBranch:
         oracle = QP_RING.zero()
         for j, w in weights.items():
             oracle = oracle + table.quadratic(1, j) * w
-        assert eval_at_branch(config, 1) == oracle
+        assert nr_oracle.eval_at_branch(config, 1) == oracle
 
     def test_vanishes_at_distinguished_vector(self, config):
-        q = eval_at_branch(config, 1)
+        q = nr_oracle.eval_at_branch(config, 1)
         subs = {
             4: QP_RING.gen(1),
             5: -QP_RING.gen(0),
             6: QP_RING.gen(3),
             7: -QP_RING.gen(2),
         }
-        assert not q.subs(subs)
+        assert not nr_oracle.subs(q, subs)
 
     def test_generic_cotangent_value_nonzero(self, config):
         # p = (2, -1, 0, 0) pairs to zero with q = (1, 2, 3, 4)
-        q = eval_at_branch(config, 1)
+        q = nr_oracle.eval_at_branch(config, 1)
         assert q.eval(frac_point(1, 2, 3, 4, 2, -1, 0, 0)) == 3356
 
     def test_every_branch_is_quadratic_in_p(self, config):
         for i in range(1, 7):
-            q = eval_at_branch(config, i)
+            q = nr_oracle.eval_at_branch(config, i)
             assert q
             for exps in q.terms:
                 assert sum(exps[:4]) == 2
@@ -254,9 +259,9 @@ class TestEvalAtBranch:
 
     def test_index_validation(self, config):
         with pytest.raises(ValueError):
-            eval_at_branch(config, 0)
+            nr_oracle.eval_at_branch(config, 0)
         with pytest.raises(ValueError):
-            eval_at_branch(config, 7)
+            nr_oracle.eval_at_branch(config, 7)
 
 
 class TestDistinguishedCovector:
@@ -268,14 +273,14 @@ class TestDistinguishedCovector:
         assert all(report["vanishing"].values())
 
     def test_single_form_vanishes(self, table):
-        l13 = table.linear_form(1, 3)
+        l13 = linear_form(table, 1, 3)
         subs = {
             4: QP_RING.gen(1),
             5: -QP_RING.gen(0),
             6: QP_RING.gen(3),
             7: -QP_RING.gen(2),
         }
-        assert not l13.subs(subs)
+        assert not nr_oracle.subs(l13, subs)
 
     def test_wrong_vector_fails(self, table):
         # dropping the sign flips leaves l_{12} at 2 q1 q2 - 2 q3 q4
@@ -285,7 +290,7 @@ class TestDistinguishedCovector:
             6: QP_RING.gen(3),
             7: QP_RING.gen(2),
         }
-        residual = table.linear_form(1, 2).subs(subs)
+        residual = nr_oracle.subs(linear_form(table, 1, 2), subs)
         assert residual
 
     def test_perturbed_table_still_passes(self, table):
@@ -295,18 +300,63 @@ class TestDistinguishedCovector:
 
 
 class TestKernelAtBranch:
-    def test_dimension_one_everywhere(self, config):
+    def test_dimension_one_everywhere(self):
         for i in range(1, 7):
-            report = kernel_at_branch(config, i)
+            report = kernel_at_branch(i)
             assert report["dimension"] == 1
             assert report["incidence_zero"]
             assert report["quadratic_vanishes"]
 
-    def test_branch_one_generator(self, config, table):
-        report = kernel_at_branch(config, 1, table)
+    def test_branch_one_generator(self, table):
+        report = kernel_at_branch(1, table)
         gen = tuple(Q_RING.parse(s) for s in report["generator"])
         assert proportional(gen, distinguished_vector_polys())
         assert report["reduced_generator"] == ("1*q2", "-1*q1", "1*q4", "-1*q3")
+
+    @pytest.mark.parametrize("i", range(1, 7))
+    @pytest.mark.parametrize("perturb", [False, True], ids=["table", "perturbed"])
+    @pytest.mark.parametrize(
+        "points", [range(6), (1, 2, 3, 5, 8, 13)], ids=["standard", "fibonacci"]
+    )
+    def test_linear_certificate_matches_quadratic_oracle(self, points, perturb, i):
+        # the 8-variable substitution of the generator into the
+        # branch-evaluated quadratic (the certificate kernel_at_branch
+        # once made) vanishes wherever the five-linear-form check passes
+        table = build_r_table()
+        if perturb:
+            table = table.perturbed(1, 4)
+        report = kernel_at_branch(i, table)
+        assert report["dimension"] == 1
+        gen = nrmoduli._kernel_generator(i, table)
+        lifted = {4 + b: nr_oracle._lift_to_qp(gen[b]) for b in range(4)}
+        quad = nr_oracle.eval_at_branch(BranchConfig(points), i, table)
+        assert not nr_oracle.subs(quad, lifted)
+
+    @pytest.mark.parametrize("entry", range(4))
+    @pytest.mark.parametrize("i", range(1, 7))
+    def test_sign_flipped_generator_is_refused(self, i, entry):
+        # negative control: a planted generator with one entry's sign
+        # flipped fails the certificate, and the old quadratic oracle
+        # refuses it too
+        table = build_r_table()
+        gen = nrmoduli._kernel_generator(i, table)
+        bad = tuple(-g if a == entry else g for a, g in enumerate(gen))
+        table._kernels[i] = bad
+        with pytest.raises(VerificationError):
+            kernel_at_branch(i, table)
+        lifted = {4 + b: nr_oracle._lift_to_qp(bad[b]) for b in range(4)}
+        config = standard_branch_config()
+        assert nr_oracle.subs(nr_oracle.eval_at_branch(config, i, table), lifted)
+
+    @pytest.mark.parametrize("i", range(1, 7))
+    def test_cotangent_non_kernel_vector_is_refused(self, i):
+        # (q2, -q1, 0, 0) pairs to zero with q, so only the linear forms
+        # can refuse it: it has zero entries, and no branch kernel does
+        table = build_r_table()
+        q1, q2 = Q_RING.gen(0), Q_RING.gen(1)
+        table._kernels[i] = (q2, -q1, Q_RING.zero(), Q_RING.zero())
+        with pytest.raises(VerificationError, match="linear form"):
+            kernel_at_branch(i, table)
 
     @pytest.mark.parametrize("i", range(1, 7))
     def test_generator_rescales_the_ratfunc_kernel(self, table, i):
@@ -323,12 +373,12 @@ class TestKernelAtBranch:
             q1, q2, q3, q4 = (Q_RING.gen(a) for a in range(4))
             assert factors[0] == q3**2 * (q1 * q2 - q3 * q4) ** 2
 
-    def test_generators_solve_numeric_samples(self, config, table):
+    def test_generators_solve_numeric_samples(self, table):
         # secondary smoke: the symbolic kernel vector, specialized at a
         # random rational q, kills every 4x4-grid row numerically
         rng = random.Random(99)
         for i in range(1, 7):
-            report = kernel_at_branch(config, i, table)
+            report = kernel_at_branch(i, table)
             gen = [Q_RING.parse(s) for s in report["generator"]]
             qv = frac_point(*(rng.randint(1, 40) for _ in range(4)))
             pv = [g.eval(qv) for g in gen]
@@ -353,9 +403,9 @@ class TestKernelAtBranch:
             if info["signed_permutation"]:
                 assert len(info["pattern"]) == 4
 
-    def test_index_validation(self, config):
+    def test_index_validation(self):
         with pytest.raises(ValueError):
-            kernel_at_branch(config, 0)
+            kernel_at_branch(0)
 
     @pytest.mark.parametrize("flags", [[], ["--perturb"]], ids=["plain", "perturb"])
     def test_run_nr_solves_each_kernel_once(self, flags, tmp_path, monkeypatch):
@@ -386,7 +436,7 @@ class TestKernelAtBranch:
         main(["run", "nr", *flags, "--out", str(tmp_path / "nr.json")])
         assert len(reductions) == 6
 
-    def test_perturbed_table_starts_unsolved(self, config, table):
-        kernel_at_branch(config, 1, table)
+    def test_perturbed_table_starts_unsolved(self, table):
+        kernel_at_branch(1, table)
         assert 1 in table._kernels
         assert table.perturbed(1, 4)._kernels == {}

@@ -1,6 +1,9 @@
 """The runtime uses only the standard library: importing every spincert
-module in a fresh interpreter loads no third-party package."""
+module in a fresh interpreter loads no third-party package.  And every
+name a spincert module imports is used there or exported through its
+``__all__``, so a deletion cannot strand an import."""
 
+import ast
 import json
 import os
 import subprocess
@@ -41,3 +44,37 @@ def test_every_module_imports_only_the_standard_library():
         n for n in added if n != "spincert" and n not in sys.stdlib_module_names
     )
     assert foreign == []
+
+
+def _imported_names(tree):
+    """(name, line) for every binding made by an import statement,
+    ``from __future__`` imports aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name), node.lineno
+
+
+def _exported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_import_is_used_or_exported():
+    root = Path(spincert.__file__).resolve().parent
+    unused = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= _exported_names(tree)
+        for name, line in _imported_names(tree):
+            if name not in used:
+                unused.append("%s:%d %s" % (path.relative_to(root), line, name))
+    assert unused == []
