@@ -916,7 +916,7 @@ class FieldElem:
         raise TypeError("FieldElem is unhashable")
 
     def expand_at(self, place: Place, prec: int) -> LSeries:
-        work = prec + _prec_pad(self, place)
+        work = prec + _prec_pad(self)
         xs, ys = place.local_series(work)
         num = poly_at_series(self.a, xs) + poly_at_series(self.b, xs) * ys
         den = poly_at_series(self.den, xs)
@@ -1016,7 +1016,7 @@ class FieldElem:
         return "FieldElem((%r) + (%r) y / (%r))" % (self.a, self.b, self.den)
 
 
-def _prec_pad(h: FieldElem, place: Place) -> int:
+def _prec_pad(h: FieldElem) -> int:
     # covers Horner loss at infinity plus the inversion's double loss at
     # a branch denominator; an underestimate fails loudly in truncate
     degs = max(h.a.degree, h.b.degree, h.den.degree, 0)
@@ -1076,29 +1076,33 @@ def canonical_divisor(curve: HyperCurve) -> Divisor:
     return div
 
 
-def theta_divisor(curve: HyperCurve, t) -> Divisor:
-    """Square-root divisor class representative for a branch subset of
-    the right parity: branch places over T plus the balancing multiple
-    of the two infinite places.  The doubling relation against the
-    canonical divisor is certified by an explicit function, once per
-    curve and subset: the certified divisor is kept in the curve's cache
-    under the validated label set, which is looked up only after the
-    labels, the parity and the balance are checked, so bad input raises
-    on every call."""
+def _theta_representative(curve: HyperCurve, tset: frozenset) -> Divisor:
+    """Square-root divisor class representative for a validated branch
+    subset of the right parity: branch places over T plus the balancing
+    multiple of the two infinite places.  Uncertified."""
     g = curve.genus
-    tset = _branch_subset(curve, t)
     if len(tset) % 2 != (g + 1) % 2:
         raise ValueError("subset size has the wrong parity")
     m, rem = divmod(g - 1 - len(tset), 2)
     if rem:
         raise ValueError("unbalanced subset size")
-    cache = curve._cache["theta"]
-    div = cache.get(tset)
-    if div is not None:
-        return div
     out = {curve.branch_place(i): 1 for i in sorted(tset)}
     out[curve.infinite_place(1)] = out[curve.infinite_place(-1)] = m
-    div = Divisor(out)
+    return Divisor(out)
+
+
+def theta_divisor(curve: HyperCurve, t) -> Divisor:
+    """``_theta_representative`` of a branch subset, with its doubling
+    relation against the canonical divisor certified by an explicit
+    function, once per curve and subset: the certified divisor is kept in
+    the curve's cache under the validated label set, which is looked up
+    only after the labels, the parity and the balance are checked, so
+    bad input raises on every call."""
+    tset = _branch_subset(curve, t)
+    div = _theta_representative(curve, tset)
+    cache = curve._cache["theta"]
+    if tset in cache:
+        return cache[tset]
     witness = FieldElem(curve, branch_product(curve, tset))
     doubling = div.scale(2) - canonical_divisor(curve)
     if divisor_of(witness) != doubling:
@@ -1131,12 +1135,17 @@ def branch_product(curve: HyperCurve, t) -> UPoly:
 
 
 def theta_complement_witness(curve: HyperCurve, t) -> FieldElem:
-    """The function with divisor theta(T) - theta(T^c); certifies that
-    complementary subsets give the same class."""
+    """The function h = prod_T (x - x_i) / y with divisor
+    theta(T) - theta(T^c); certifies that complementary subsets give the
+    same class.  theta(T) is the certified ``theta_divisor`` and theta(T^c)
+    the bare representative: its doubling relation follows, as
+    2 theta(T) - K = div(w_T) and div(h) = theta(T) - theta(T^c) give
+    2 theta(T^c) - K = div(w_T / h^2), so it is not certified again
+    (Mumford, Tata Lectures on Theta II, ch. IIIa)."""
     tset = _branch_subset(curve, t)
     comp = frozenset(range(1, 2 * curve.genus + 3)) - tset
     h = FieldElem(curve, branch_product(curve, tset)) / FieldElem.y_function(curve)
-    want = theta_divisor(curve, tset) - theta_divisor(curve, comp)
+    want = theta_divisor(curve, tset) - _theta_representative(curve, comp)
     if divisor_of(h) != want:
         raise VerificationError("complement witness failed for T=%s" % sorted(tset))
     return h

@@ -375,7 +375,10 @@ def kernel_at_branch(i: int, table: RijTable = None) -> dict:
     l_{ij}(q, gen) the zero polynomial.  That implies the quadratic
     form at x = x_i, the sum over j of w_j * sign_ij * l_{ij}^2, vanishes
     at the generator for every choice of signs and of branch x-values
-    (which only enter the weights w_j), so the certificate needs neither."""
+    (which only enter the weights w_j), so the certificate needs neither.
+    A failed check raises, so the record carries no pass flags: only the
+    dimension, the generator and, when the generator is a signed
+    permutation of the q-variables, its reduced form."""
     if table is None:
         table = build_r_table()
     if not 1 <= i <= 6:
@@ -385,13 +388,7 @@ def kernel_at_branch(i: int, table: RijTable = None) -> dict:
         raise VerificationError("kernel generator is not a cotangent vector")
     if any(_dot(row, gen) for row in _kernel_rows(i, table)):
         raise VerificationError("kernel generator leaves a linear form nonzero")
-    report = {
-        "branch": i,
-        "dimension": 1,
-        "generator": tuple(g.to_str() for g in gen),
-        "incidence_zero": True,
-        "quadratic_vanishes": True,
-    }
+    report = {"dimension": 1, "generator": tuple(g.to_str() for g in gen)}
     reduced = _reduced_generator(i, table)
     if reduced is not None:
         report["reduced_generator"] = tuple(g.to_str() for g in reduced)

@@ -24,7 +24,6 @@ from .exactalg import (
     QQ,
     nullspace,
     proportional,
-    rank,
     rational_content,
 )
 from .hyperell import (
@@ -321,8 +320,9 @@ def _min_val(E: EmbeddedCurve, place: Place) -> int:
 
 def embed(curve: HyperCurve, theta: CharClass) -> EmbeddedCurve:
     """Product embedding from the canonical system and the cube of an
-    even square-root class; every dimension and the implicit equation
-    are certified on the way."""
+    even square-root class; both section dimensions and the implicit
+    equation are certified on the way.  That the class itself has no
+    sections is certified once, by ``even_theta_obstruction``."""
     if curve.genus != 2:
         raise ValueError("the product embedding is a genus-2 construction")
     if not isinstance(theta, CharClass) or theta.g != 2:
@@ -330,9 +330,6 @@ def embed(curve: HyperCurve, theta: CharClass) -> EmbeddedCurve:
     if theta.parity_bit != 0:
         raise ValueError("square-root class must be even")
     tset = theta.members
-    obstruction = rr_space(curve, theta_divisor(curve, tset))
-    if obstruction.dimension != 0 or obstruction.rr_record["dual_dim"] != 0:
-        raise VerificationError("even square-root class has unexpected sections")
     rr_canonical = rr_space(curve, canonical_divisor(curve))
     if rr_canonical.dimension != 2:
         raise VerificationError(
@@ -447,19 +444,17 @@ def quadric_congruence_scale(M) -> Fraction:
 # ----------------------------------------------------------------------
 
 
-def plane_through(E: EmbeddedCurve, triple: PointTriple, apply_sigma=False):
-    """The plane spanned by the (optionally involution-moved) images of
-    a distinct triple, or a Collinear verdict when they span a line."""
+def plane_through(E: EmbeddedCurve, triple: PointTriple):
+    """The plane spanned by the images of a distinct triple, or a
+    Collinear verdict when they span a line.  One elimination decides
+    both: the three image rows have rank 4 minus the kernel dimension,
+    so a one-dimensional kernel is the plane and a larger one a line."""
     if not triple.distinct:
         raise ValueError("coincident points in the triple")
-    places = triple.apply_sigma().places if apply_sigma else triple.places
-    rows = [list(embed_point(E, p)) for p in places]
-    rnk = rank(rows)
-    if rnk <= 2:
-        return Collinear(rnk, places)
+    rows = [list(embed_point(E, p)) for p in triple.places]
     kernel = nullspace(rows)
     if len(kernel) != 1:
-        raise VerificationError("plane solution space has dimension %d" % len(kernel))
+        return Collinear(4 - len(kernel), triple.places)
     plane = PlaneP3(kernel[0])
     for row in rows:
         if plane.value(row) != 0:
@@ -589,7 +584,7 @@ def triple_plane_report(E: EmbeddedCurve, triple: PointTriple) -> dict:
         "sigma_plane": None,
     }
     if not collinear:
-        sigma_plane = plane_through(E, triple, apply_sigma=True)
+        sigma_plane = plane_through(E, triple.apply_sigma())
         if isinstance(sigma_plane, Collinear):
             raise VerificationError("involution image of a plane triple collapsed")
         section = plane_curve_divisor(E, sigma_plane)

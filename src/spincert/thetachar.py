@@ -176,11 +176,10 @@ def quad_form_counts(g: int):
     return odd, (1 << (2 * g)) - odd
 
 
-def arf_model_crosscheck(g: int, theta_parities=None) -> bool:
+def arf_model_crosscheck(g: int) -> bool:
     """Certifies that the subset model and the quadratic-form model
-    agree on (odd, even) counts, and optionally that an externally
-    computed parity table (reduced subset -> bit) matches class by
-    class.  Raises on any mismatch."""
+    agree on (odd, even) counts, and that both equal the closed form.
+    Raises on any mismatch."""
     if g > 4:
         raise ValueError("crosscheck enumeration supported for g <= 4")
     subset_counts = parity_counts(g)
@@ -194,14 +193,4 @@ def arf_model_crosscheck(g: int, theta_parities=None) -> bool:
             "parity counts disagree: subsets %s, forms %s, closed %s"
             % (subset_counts, quad_counts, closed)
         )
-    if theta_parities is not None:
-        table = {frozenset(k): int(v) % 2 for k, v in theta_parities.items()}
-        chars = enumerate_chars(g)
-        if set(table) != {c.members for c in chars}:
-            raise VerificationError("parity table keys are not the reduced classes")
-        for c in chars:
-            if table[c.members] != c.parity_bit:
-                raise VerificationError(
-                    "parity mismatch on class %s" % sorted(c.members)
-                )
     return True

@@ -14,6 +14,7 @@ sequences; divisor computations against frozen expected values; the
 
 from fractions import Fraction
 from math import gcd, inf, lcm
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -23,7 +24,7 @@ from hypothesis import Phase, find, given, settings, strategies as st
 import rr_system_oracle
 import upoly_oracle
 from spincert import VerificationError, hyperell
-from spincert.cli import main
+from spincert.cli import load_curve_fixture, main
 from spincert.hyperell import (
     _group_divisor,
     _root_order,
@@ -34,6 +35,7 @@ from spincert.hyperell import (
     HyperCurve,
     LSeries,
     UPoly,
+    branch_product,
     canonical_divisor,
     divisor_of,
     h0_all_theta,
@@ -45,7 +47,7 @@ from spincert.hyperell import (
     theta_complement_witness,
     theta_divisor,
 )
-from spincert.thetachar import arf_model_crosscheck, enumerate_chars
+from spincert.thetachar import enumerate_chars
 
 
 @pytest.fixture(scope="module")
@@ -944,17 +946,57 @@ def test_each_run_certifies_its_own_theta_divisors(tmp_path, monkeypatch):
         assert main(["run", "parity", "--out", str(tmp_path / "parity.json")]) == 0
         counts.append(len(calls))
     # per run: a doubling certificate for each of the 16 reduced classes
-    # and for each complement, and the 16 complement witnesses
-    assert counts == [48, 48]
+    # and the 16 complement witnesses; theta(T^c) is certified through
+    # theta(T) and its witness, not by a doubling of its own
+    assert counts == [32, 32]
 
 
-def test_theta_complement_equivalence(curve):
-    for t in ({1, 2, 3}, {2}, {4}):
-        h = theta_complement_witness(curve, t)
-        comp = frozenset(range(1, 7)) - frozenset(t)
-        assert divisor_of(h) == theta_divisor(curve, t) - theta_divisor(
-            curve, comp
+def _golden_fixture_curve():
+    return load_curve_fixture(
+        str(Path(__file__).parent / "golden" / "curve_roots_0_1_2_3_4_-14.txt")
+    )
+
+
+def test_theta_complement_equivalence():
+    # the direct doubling certificate of theta(T^c), which the witness no
+    # longer makes, is the oracle on every reduced class of both curves
+    for c in (standard_curve(), _golden_fixture_curve()):
+        k = canonical_divisor(c)
+        for cls in enumerate_chars(2):
+            comp = frozenset(range(1, 7)) - cls.members
+            m = (1 - len(comp)) // 2
+            rep = Divisor({c.branch_place(i): 1 for i in comp}) + Divisor(
+                {c.infinite_place(1): m, c.infinite_place(-1): m}
+            )
+            w_comp = FieldElem(c, branch_product(c, comp))
+            assert divisor_of(w_comp) == rep.scale(2) - k
+            h = theta_complement_witness(c, cls.members)
+            assert divisor_of(h) == theta_divisor(c, cls.members) - rep
+            # what the witness relies on: 2 theta(T^c) - K = div(w_T / h^2)
+            w_t = FieldElem(c, branch_product(c, cls.members))
+            assert divisor_of(w_t) - divisor_of(h).scale(2) == rep.scale(2) - k
+
+
+def test_complement_witness_rejects_a_wrong_complement(monkeypatch):
+    # theta(T) stays right; only the representative of T^c is moved off
+    # its class, by trading one of its branch places for one in T
+    real = hyperell._theta_representative
+    t = frozenset({1, 2, 3})
+    comp = frozenset({4, 5, 6})
+
+    def wrong_for_complement(curve, tset):
+        rep = real(curve, tset)
+        if tset != comp:
+            return rep
+        return rep - Divisor({curve.branch_place(4): 1}) + Divisor(
+            {curve.branch_place(1): 1}
         )
+
+    monkeypatch.setattr(hyperell, "_theta_representative", wrong_for_complement)
+    c = standard_curve()
+    assert theta_divisor(c, t) == real(c, t)
+    with pytest.raises(VerificationError):
+        theta_complement_witness(c, t)
 
 
 # ----------------------------------------------------------------------
@@ -1184,8 +1226,10 @@ def test_theta_sweep_counts_and_parity_bridge(curve):
     assert set(table.values()) <= {0, 1}
     for members, dim in table.items():
         assert dim == (1 if len(members) == 1 else 0)
-    parities = {m: d % 2 for m, d in table.items()}
-    assert arf_model_crosscheck(2, theta_parities=parities)
+    chars = enumerate_chars(2)
+    assert set(table) == {cls.members for cls in chars}
+    for cls in chars:
+        assert table[cls.members] == cls.parity_bit
 
 
 def test_theta_sweep_second_curve(curve_with_split_point):

@@ -174,7 +174,7 @@ class TestPlaneThrough:
             assert plane.value(embed_point(E, places[i])) == 0
 
     def test_apply_sigma(self, E, places):
-        plane = plane_through(E, triple_of(places, 0, 3, 6), apply_sigma=True)
+        plane = plane_through(E, triple_of(places, 0, 3, 6).apply_sigma())
         assert plane == PlaneP3((3, -1, 0, -1))
 
     def test_ruling_triples_collinear(self, E, places):
@@ -317,7 +317,7 @@ class TestFamilyAndConjugation:
             moved = [
                 sum(plane.coeffs[r] * M[r][c] for r in range(4)) for c in range(4)
             ]
-            assert PlaneP3(moved) == plane_through(E, triple, apply_sigma=True)
+            assert PlaneP3(moved) == plane_through(E, triple.apply_sigma())
 
 
 class TestEvenTheta:

@@ -78,3 +78,37 @@ def test_every_import_is_used_or_exported():
             if name not in used:
                 unused.append("%s:%d %s" % (path.relative_to(root), line, name))
     assert unused == []
+
+
+# every runner in cli._RUNNERS takes the parsed options, used or not
+_UNREAD_PARAMETER_ALLOWLIST = {"cli.py:run_clifford": {"opts"}}
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads is an option no caller can rely on
+    root = Path(spincert.__file__).resolve().parent
+    unread = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if fn.name.startswith("__") and fn.name.endswith("__"):
+                continue
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {
+                n.id
+                for stmt in fn.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            key = "%s:%s" % (path.relative_to(root).as_posix(), fn.name)
+            allowed = _UNREAD_PARAMETER_ALLOWLIST.get(key, set())
+            for p in params:
+                if p.arg in ("self", "cls") or p.arg in allowed:
+                    continue
+                if p.arg not in read:
+                    unread.append("%s(%s)" % (key, p.arg))
+    assert unread == []

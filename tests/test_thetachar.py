@@ -5,7 +5,6 @@ from itertools import combinations, product
 
 import pytest
 
-from spincert import VerificationError
 from spincert.thetachar import (
     GENUS_RANGE,
     CharClass,
@@ -140,14 +139,3 @@ def test_quad_form_counts(g):
 def test_crosscheck_passes(g):
     assert arf_model_crosscheck(g) is True
 
-
-def test_crosscheck_with_external_table():
-    table = {c.members: c.parity_bit for c in enumerate_chars(2)}
-    assert arf_model_crosscheck(2, table) is True
-    key = next(iter(table))
-    bad = dict(table)
-    bad[key] ^= 1
-    with pytest.raises(VerificationError):
-        arf_model_crosscheck(2, bad)
-    with pytest.raises(VerificationError):
-        arf_model_crosscheck(2, {frozenset({1}): 1})
