@@ -300,17 +300,9 @@ def _pseudo_divmod(a, b):
 
 
 def _divisors(n):
-    if n == 0:
-        return [1]
-    out = []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            out.append(k)
-            if k != n // k:
-                out.append(n // k)
-        k += 1
-    return sorted(out)
+    """The positive divisors of n in increasing order, and [1] for 0."""
+    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
+    return sorted(set(small + [n // k for k in small])) or [1]
 
 
 def _root_order(p: UPoly, x0):
@@ -1023,30 +1015,40 @@ def _prec_pad(h: FieldElem) -> int:
     return 4 * degs + 2 * h.curve.genus + 10
 
 
-def divisor_of(h: FieldElem) -> Divisor:
-    """Full divisor of a nonzero element whose zeros and poles all lie
-    over rational x-values at rational points; raises otherwise.  The
-    result is certified by a total-degree-zero check."""
+def rational_divisor(h: FieldElem) -> tuple[Divisor, int, int]:
+    """(D, zeros, poles) for a nonzero h: D is the part of div(h) on the
+    rational places over the norm's rational roots, by increasing x, and
+    at infinity; zeros and poles count the roots of a^2 - b^2 f and of
+    den^2 with no rational place over them, as h is written.  The norm to
+    P^1 keeps degrees and div(h) has degree 0 (Fulton, Algebraic Curves,
+    ch. 8), so D.degree + zeros - poles == 0 certifies D."""
     if not h:
         raise ValueError("zero element has no divisor")
     curve = h.curve
-    num, den = h.norm_pair()
-    support_x = set()
-    for poly in (num, den):
-        roots = poly.rational_roots()
-        if sum(roots.values()) != max(poly.degree, 0):
-            raise ValueError("support is not rational: %r" % poly)
-        support_x.update(roots)
-    places = []
-    for x0 in support_x:
-        over = curve.places_over(x0)
-        if not over:
-            raise ValueError("support over x=%s is not rational" % x0)
-        places.extend(over)
-    places += [curve.infinite_place(1), curve.infinite_place(-1)]
+    places, missed = {}, []
+    for poly in h.norm_pair():
+        missed.append(poly.degree)
+        for x0, k in sorted(poly.rational_roots().items()):
+            over = curve.places_over(x0)
+            if over:
+                missed[-1] -= k
+                places.update(dict.fromkeys(over))
+    places.update(dict.fromkeys((curve.infinite_place(1), curve.infinite_place(-1))))
     div = Divisor({p: h.valuation(p) for p in places})
-    if div.degree != 0:
-        raise VerificationError("computed divisor has nonzero degree %d" % div.degree)
+    zeros, poles = missed
+    if div.degree + zeros != poles:
+        raise VerificationError(
+            "degree %d with %d zeros and %d poles left out" % (div.degree, zeros, poles)
+        )
+    return div, zeros, poles
+
+
+def divisor_of(h: FieldElem) -> Divisor:
+    """The strict form of ``rational_divisor``: the full divisor of h,
+    and a ValueError when a zero or a pole lies off the rational places."""
+    div, zeros, poles = rational_divisor(h)
+    if zeros or poles:
+        raise ValueError("support of %r is not rational" % (h,))
     return div
 
 
@@ -1327,21 +1329,19 @@ def _rr_basis(curve, divisor):
         a = UPoly(tuple(vec[: na + 1]))
         b = UPoly(tuple(vec[na + 1 :])) if nb >= 0 else UPoly()
         basis.append(FieldElem(curve, a, b, d))
-    _verify_membership(curve, divisor, d, basis)
+    _verify_membership(curve, divisor, basis)
     return basis
 
 
-def _verify_membership(curve, divisor, d, basis):
+def _verify_membership(curve, divisor, basis):
     """Each basis element obeys every pole bound and has no pole off the
-    support; candidate poles only at zeros of d and infinity."""
-    candidates = set(divisor.support)
-    for x0 in d.rational_roots():
-        over = curve.places_over(x0)
-        if not over:
-            raise VerificationError("denominator root not rational on the curve")
-        candidates.update(over)
-    candidates.add(curve.infinite_place(1))
-    candidates.add(curve.infinite_place(-1))
+    support.  The denominator vanishes only under the support, so the
+    candidate poles are the support, the other sheet over each of its
+    split places (validated by ``split_place``), and the infinite places."""
+    split = [p.key for p in divisor.support if p.kind == "split"]
+    sheets = tuple(curve.split_place(x0, -y0) for x0, y0 in split)
+    infinity = (curve.infinite_place(1), curve.infinite_place(-1))
+    candidates = dict.fromkeys(divisor.support + sheets + infinity)
     for h in basis:
         if not h:
             raise VerificationError("zero vector in basis")

@@ -35,6 +35,7 @@ from .hyperell import (
     branch_product,
     canonical_divisor,
     divisor_of,
+    rational_divisor,
     rr_space,
     spin_power_divisor,
     standard_curve,
@@ -148,11 +149,10 @@ class PlaneP3:
 class Collinear:
     """Verdict object: the three image points span a line, not a plane."""
 
-    __slots__ = ("rank", "points")
+    __slots__ = ("rank",)
 
-    def __init__(self, rnk, points):
+    def __init__(self, rnk):
         object.__setattr__(self, "rank", rnk)
-        object.__setattr__(self, "points", tuple(points))
 
     def __setattr__(self, name, value):
         raise AttributeError("Collinear is immutable")
@@ -313,11 +313,6 @@ def embed_point(E: EmbeddedCurve, place: Place):
     return _image_record(E, place)[2]
 
 
-def _min_val(E: EmbeddedCurve, place: Place) -> int:
-    mt, ms, _ = _image_record(E, place)
-    return mt + ms
-
-
 def embed(curve: HyperCurve, theta: CharClass) -> EmbeddedCurve:
     """Product embedding from the canonical system and the cube of an
     even square-root class; both section dimensions and the implicit
@@ -454,7 +449,7 @@ def plane_through(E: EmbeddedCurve, triple: PointTriple):
     rows = [list(embed_point(E, p)) for p in triple.places]
     kernel = nullspace(rows)
     if len(kernel) != 1:
-        return Collinear(4 - len(kernel), triple.places)
+        return Collinear(4 - len(kernel))
     plane = PlaneP3(kernel[0])
     for row in rows:
         if plane.value(row) != 0:
@@ -464,17 +459,16 @@ def plane_through(E: EmbeddedCurve, triple: PointTriple):
 
 class PlaneSection:
     """Exact record of a plane's intersection with the embedded curve:
-    the rationally supported part of the divisor, per-place data at the
-    distinguished places, and the exact total degree."""
+    the rationally supported part of the divisor, the degree of the part
+    on irrational points, and the exact total degree."""
 
-    __slots__ = ("plane", "divisor", "degree", "irrational_degree", "place_data")
+    __slots__ = ("plane", "divisor", "degree", "irrational_degree")
 
-    def __init__(self, plane, divisor, degree, irrational_degree, place_data):
+    def __init__(self, plane, divisor, degree, irrational_degree):
         object.__setattr__(self, "plane", plane)
         object.__setattr__(self, "divisor", divisor)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "irrational_degree", irrational_degree)
-        object.__setattr__(self, "place_data", place_data)
 
     def __setattr__(self, name, value):
         raise AttributeError("PlaneSection is immutable")
@@ -487,62 +481,31 @@ class PlaneSection:
 
 
 def plane_curve_divisor(E: EmbeddedCurve, plane: PlaneP3) -> PlaneSection:
-    """Pull the plane's linear form back through the embedding and
-    compute its vanishing divisor against the coordinate frame.  The
-    total degree is exact even when part of the support is a pair of
-    conjugate irrational points; that part only lowers the rationally
-    listed portion."""
+    """Pull the plane's linear form back through the embedding to h and
+    read the section off ``rational_divisor(h)``: its rational part is D
+    minus the coordinate frame, the minimal orders of the Segre
+    coordinates at the standard places, and its irrational degree is
+    that of the zeros D leaves out (conjugate points over irrational or
+    non-square x).  Every section, rational or not, is certified by an
+    effective rational part and an exact total degree of 5; a pole off
+    the rational places would be a negative part the frame cannot see."""
     h = FieldElem(E.curve, UPoly())
     for c, z in zip(plane.coeffs, E.segre_functions):
         if c:
             h = h + c * z
     if not h:
         raise ValueError("plane pulls back to the zero function")
-    place_data = {}
-    entries = {}
-    msum = 0
-    for place in E.curve.all_standard_places():
-        m = _min_val(E, place)
-        v = h.valuation(place)
-        mult = v - m
-        if mult < 0:
-            raise VerificationError("pullback valuation sits below the frame minimum")
-        place_data[place] = (m, v, mult)
-        msum += m
-        if mult:
-            entries[place] = mult
-    total = -msum
-    if total != 5:
-        raise VerificationError("intersection degree is %d, not 5" % total)
+    full, zeros, poles = rational_divisor(h)
     frame = Divisor(
-        {p: place_data[p][0] for p in place_data if place_data[p][0]}
+        {p: sum(_image_record(E, p)[:2]) for p in E.curve.all_standard_places()}
     )
-    try:
-        full = divisor_of(h)
-    except ValueError:
-        full = None
-    if full is not None:
-        div = full - frame
-        if not div.is_effective():
-            raise VerificationError("intersection divisor has a negative part")
-        if div.degree != total:
-            raise VerificationError(
-                "intersection divisor degree %d disagrees with the frame count"
-                % div.degree
-            )
-        return PlaneSection(plane, div, total, 0, place_data)
-    num, _ = h.norm_pair()
-    for r in num.rational_roots():
-        if r in E.curve.roots:
-            continue
-        for pl in E.curve.places_over(r):
-            v = h.valuation(pl)
-            if v:
-                entries[pl] = v
-    div = Divisor(entries)
-    if not div.is_effective() or div.degree > total:
-        raise VerificationError("rational intersection part is inconsistent")
-    return PlaneSection(plane, div, total, total - div.degree, place_data)
+    div = full - frame
+    if poles or not div.is_effective():
+        raise VerificationError("intersection divisor has a negative part")
+    degree = div.degree + zeros
+    if degree != 5:
+        raise VerificationError("intersection degree is %d, not 5" % degree)
+    return PlaneSection(plane, div, degree, zeros)
 
 
 # ----------------------------------------------------------------------

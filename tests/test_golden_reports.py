@@ -9,13 +9,21 @@ change to a report's contents has to update them on purpose.
 The shape test covers the golden runs and the ``--perturb`` runs: every
 check status is one of four, check names are unique within a suite, and
 the only floats in a report are ``elapsed_ms`` timings, so no computed
-value ever reaches the report as a float."""
+value ever reaches the report as a float.
+
+The hash-seed test makes two golden runs in fresh interpreters under
+``PYTHONHASHSEED`` 0 and 1: places hash their kind string, so a divisor
+or a check whose order came from a set of places would show here."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import spincert
 from spincert.cli import main
 from spincert.hyperell import Place
 
@@ -54,6 +62,27 @@ def stripped_report_text(path):
 def test_report_matches_golden(name, argv, code, tmp_path):
     out = tmp_path / "report.json"
     assert main(argv + ["--out", str(out)]) == code
+    want = (GOLDEN / (name + ".json")).read_text(encoding="utf-8")
+    assert stripped_report_text(out) == want
+
+
+_CLI_CHILD = "import sys; from spincert.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+@pytest.mark.parametrize("name, argv, code", RUNS[:2], ids=[r[0] for r in RUNS[:2]])
+def test_report_ignores_the_hash_seed(name, argv, code, hash_seed, tmp_path):
+    src = str(Path(spincert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = tmp_path / "report.json"
+    child = subprocess.run(
+        [sys.executable, "-c", _CLI_CHILD, *argv, "--out", str(out)],
+        env=env,
+        capture_output=True,
+        timeout=300,
+    )
+    assert child.returncode == code
     want = (GOLDEN / (name + ".json")).read_text(encoding="utf-8")
     assert stripped_report_text(out) == want
 

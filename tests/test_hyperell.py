@@ -30,6 +30,7 @@ from spincert.hyperell import (
     _root_order,
     _rr_system,
     _sqrt_head,
+    _verify_membership,
     Divisor,
     FieldElem,
     HyperCurve,
@@ -40,6 +41,7 @@ from spincert.hyperell import (
     divisor_of,
     h0_all_theta,
     poly_at_series,
+    rational_divisor,
     rational_sqrt,
     rr_space,
     spin_power_divisor,
@@ -786,6 +788,51 @@ def test_divisor_of_rejects_irrational_support(curve):
     h = FieldElem(curve, UPoly((-2, 0, 1)))  # x^2 - 2
     with pytest.raises(ValueError):
         divisor_of(h)
+
+
+def test_rational_divisor_counts_what_it_leaves_out(curve):
+    x = FieldElem(curve, UPoly((0, 1)))
+    y = FieldElem.y_function(curve)
+    inf_p, inf_m = curve.infinite_place(1), curve.infinite_place(-1)
+    # x^2 - 2 vanishes at four irrational points, and f(7) = 5040 is not
+    # a square, so x - 7 vanishes at one point of degree 2
+    assert rational_divisor(x * x - 2) == (Divisor({inf_p: -2, inf_m: -2}), 4, 0)
+    assert rational_divisor(x - 7) == (Divisor({inf_p: -1, inf_m: -1}), 2, 0)
+    # the inverse is written over (x^2 - 2)^2: both sides count it
+    h = (x - 7) * (x - 1) / (x * x - 2)
+    assert rational_divisor(h) == (Divisor({curve.branch_place(2): 2}), 6, 8)
+    with pytest.raises(ValueError):
+        divisor_of(h)
+    # the support comes in increasing x, then at infinity
+    div, zeros, poles = rational_divisor(y)
+    assert div.support == curve.all_standard_places()
+    assert (zeros, poles) == (0, 0) and div == divisor_of(y)
+
+
+@pytest.mark.parametrize("kind", ["branch", "inf"])
+def test_rational_divisor_certifies_its_degree(curve, kind, monkeypatch):
+    # a valuation one too high at one kind of place unbalances the degree,
+    # with or without irrational support
+    valuation = FieldElem.valuation
+    monkeypatch.setattr(
+        FieldElem, "valuation", lambda h, p: valuation(h, p) + (p.kind == kind)
+    )
+    x = FieldElem(curve, UPoly((0, 1)))
+    for h in (x * (x - 1), x * (x * x - 2)):
+        with pytest.raises(VerificationError):
+            rational_divisor(h)
+
+
+def test_membership_checks_the_other_sheet(curve_with_split_point):
+    # (y - 120)/(x - 6) has its only finite pole at (6, -120), off the
+    # support of D = (6, 120) + 2 inf+ + 2 inf-
+    c = curve_with_split_point
+    h = FieldElem(c, UPoly((-120,)), UPoly((1,)), UPoly((-6, 1)))
+    inf = {c.infinite_place(1): 2, c.infinite_place(-1): 2}
+    assert h.valuation(c.split_place(6, -120)) == -1
+    _verify_membership(c, Divisor({c.split_place(6, -120): 1, **inf}), [h])
+    with pytest.raises(VerificationError):
+        _verify_membership(c, Divisor({c.split_place(6, 120): 1, **inf}), [h])
 
 
 def test_divisor_arithmetic(curve):

@@ -8,8 +8,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
+import plane_section_oracle
+from spincert import VerificationError
 from spincert.exactalg import MultiPoly, nullspace
 from spincert.hyperell import (
     FieldElem,
@@ -19,6 +21,7 @@ from spincert.hyperell import (
     standard_curve,
     theta_divisor,
 )
+from spincert import oddmoduli
 from spincert.oddmoduli import (
     S_MONOS,
     T_MONOS,
@@ -241,6 +244,78 @@ class TestPlaneSection:
         section = plane_curve_divisor(split_E, plane)
         assert section.degree == 5
         assert section.divisor.coeff(sp) >= 1
+
+
+def section_planes(embeddings):
+    """(embedding, plane) pairs: a plane with small random coefficients,
+    mostly cut on irrational points, or the plane through three rational
+    places, the standard ones and those over x = 6 where f is a square."""
+
+    def planes(E):
+        places = E.curve.all_standard_places() + E.curve.places_over(6)
+        coeffs = st.lists(st.integers(-9, 9), min_size=4, max_size=4).filter(any)
+        triples = st.lists(st.sampled_from(places), min_size=3, max_size=3, unique=True)
+        through = triples.map(lambda t: plane_through(E, PointTriple(t)))
+        through = through.filter(lambda verdict: isinstance(verdict, PlaneP3))
+        return st.one_of(coeffs.map(PlaneP3), through)
+
+    return st.sampled_from(embeddings).flatmap(
+        lambda E: st.tuples(st.just(E), planes(E))
+    )
+
+
+_SECTION_CASES = {
+    "rational": lambda s: s.irrational_degree == 0,
+    "partly_irrational": lambda s: 0 < s.irrational_degree < s.degree,
+    "split_support": lambda s: any(p.kind == "split" for p in s.divisor.support),
+}
+
+
+class TestOnePathSection:
+    """``plane_curve_divisor`` reads every section off one certified
+    ``rational_divisor`` call; the two-path body it replaced is the
+    oracle in ``tests/plane_section_oracle.py``."""
+
+    def test_lowered_branch_valuation_is_refused(self, E, monkeypatch):
+        # one order too low at branch place 1: a check of the rational
+        # part alone takes this section with irrational degree 3 for 2,
+        # the degree-zero certificate refuses it
+        place = E.curve.branch_place(1)
+        valuation = FieldElem.valuation
+        monkeypatch.setattr(
+            FieldElem, "valuation", lambda h, p: valuation(h, p) - (p == place)
+        )
+        with pytest.raises(VerificationError):
+            plane_curve_divisor(E, PlaneP3((3, -1, 0, 1)))
+
+    def test_one_divisor_call_per_section(self, E, monkeypatch):
+        calls = []
+        real = oddmoduli.rational_divisor
+        monkeypatch.setattr(
+            oddmoduli, "rational_divisor", lambda h: calls.append(h) or real(h)
+        )
+        for coeffs in ((3, -1, 0, 1), (3, -1, 0, -1), (1, 2, 3, 4)):
+            plane_curve_divisor(E, PlaneP3(coeffs))
+        assert len(calls) == 3
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_sections_match_two_path_oracle(self, E, split_E, data):
+        emb, plane = data.draw(section_planes((E, split_E)))
+        got = plane_curve_divisor(emb, plane)
+        want = plane_section_oracle.plane_curve_divisor(emb, plane)
+        assert got.divisor == want.divisor
+        assert got.degree == want.degree == 5
+        assert got.irrational_degree == want.irrational_degree
+
+    @pytest.mark.parametrize("case", sorted(_SECTION_CASES))
+    def test_section_planes_reach_every_case(self, E, split_E, case):
+        holds = _SECTION_CASES[case]
+        find(
+            section_planes((E, split_E)),
+            lambda pair: holds(plane_curve_divisor(*pair)),
+            settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+        )
 
 
 class TestTripleReports:
