@@ -515,8 +515,12 @@ def run_odd(opts):
         ]
         reports = []
         counts = {"collinear": 0, "plane": 0}
+        certified = {}  # a repeated draw reuses its triple's report
         for idx in chosen + engineered:
-            rep = triple_plane_report(E, PointTriple(tuple(places[i] for i in idx)))
+            if idx not in certified:
+                triple = PointTriple(tuple(places[i] for i in idx))
+                certified[idx] = triple_plane_report(E, triple)
+            rep = certified[idx]
             counts["collinear" if rep["collinear"] else "plane"] += 1
             reports.append(rep)
         engineered_ok = all(

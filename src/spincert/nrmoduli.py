@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import permutations
 
 from . import VerificationError
 from .exactalg import MultiPoly, PolyRing, QQ, nullspace, proportional
@@ -338,23 +337,24 @@ _PROBE_POINT = (Fraction(2), Fraction(3), Fraction(5), Fraction(7))
 def _signed_permutation_candidate(gen):
     """If gen is proportional to (s_1 q_{w(1)}, ..., s_4 q_{w(4)}) for a
     permutation w and signs s, return that vector of monomials; else
-    None.  The guess comes from one evaluation at distinct primes, the
-    proportionality is certified by exact cross-multiplication."""
+    None.  The probe coordinates are distinct ascending primes, so only
+    the w sending the a-th smallest |vals| entry to the a-th coordinate
+    can make every |vals[a] / probe[w(a)]| equal; the proportionality is
+    certified by exact cross-multiplication."""
     vals = [g.eval(_PROBE_POINT) for g in gen]
     if any(v == 0 for v in vals):
         return None
-    for w in permutations(range(4)):
-        ratios = [vals[a] / _PROBE_POINT[w[a]] for a in range(4)]
-        if len({abs(r) for r in ratios}) != 1:
-            continue
-        flip = -1 if ratios[0] < 0 else 1
-        candidate = tuple(
-            Q_RING.gen(w[a]) if flip * ratios[a] > 0 else -Q_RING.gen(w[a])
-            for a in range(4)
-        )
-        if proportional(gen, candidate):
-            return candidate
-    return None
+    order = sorted(range(4), key=lambda a: abs(vals[a]))
+    w = [order.index(a) for a in range(4)]
+    ratios = [vals[a] / _PROBE_POINT[w[a]] for a in range(4)]
+    if len({abs(r) for r in ratios}) != 1:
+        return None
+    flip = -1 if ratios[0] < 0 else 1
+    candidate = tuple(
+        Q_RING.gen(w[a]) if flip * ratios[a] > 0 else -Q_RING.gen(w[a])
+        for a in range(4)
+    )
+    return candidate if proportional(gen, candidate) else None
 
 
 def _reduced_generator(i: int, table: RijTable):

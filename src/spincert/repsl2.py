@@ -123,7 +123,7 @@ def symplectic_form(u: BinaryForm, v: BinaryForm):
     k = (m + 1) // 2
     acc = 0
     for l in range(k):
-        w = Fraction((-1) ** l * factorial(l) * factorial(m - l))
+        w = (-1) ** l * factorial(l) * factorial(m - l)
         acc = acc + (u.coeffs[l] * v.coeffs[m - l] - u.coeffs[m - l] * v.coeffs[l]) * w
     return acc
 
@@ -190,51 +190,58 @@ def quadratic_matrix_det(q: BinaryForm):
     return c0 * c2 - c1 * c1 * Fraction(1, 4)
 
 
-def invariance_check(m: int) -> dict:
-    """Certifies pairing invariance: w(Xu, v) + w(u, Xv) = 0 for every
-    generator and every basis pair."""
-    basis = [BinaryForm.basis_vector(m, j) for j in range(m + 1)]
-    failures = []
+def _basis_pairs(basis):
+    """Each generator x and basis pair (i, j), with the nonzero
+    coefficients (k, c) of x e_i and of x e_j."""
     for x in GENERATORS:
-        for i, u in enumerate(basis):
-            for j, v in enumerate(basis):
-                val = symplectic_form(generator_action(x, u), v) + symplectic_form(
-                    u, generator_action(x, v)
-                )
-                if val != 0:
-                    failures.append({"generator": x, "pair": [i, j], "value": str(val)})
+        acts = [
+            [(k, c) for k, c in enumerate(generator_action(x, e).coeffs) if c]
+            for e in basis
+        ]
+        for i, xi in enumerate(acts):
+            for j, xj in enumerate(acts):
+                yield x, i, j, xi, xj
+
+
+def _report(check: str, m: int, failures: list) -> dict:
     return {
-        "check": "pairing_invariance",
+        "check": check,
         "m": m,
         "pairs": (m + 1) ** 2,
         "generators": list(GENERATORS),
         "failures": failures,
         "passed": not failures,
     }
+
+
+def invariance_check(m: int) -> dict:
+    """Certifies pairing invariance: w(Xu, v) + w(u, Xv) = 0 for every
+    generator and every basis pair.  The pairing is bilinear, so the
+    table W[i][j] = w(e_i, e_j) gives w(Xe_i, e_j) = sum_k (Xe_i)_k W[k][j]."""
+    basis = [BinaryForm.basis_vector(m, j) for j in range(m + 1)]
+    table = [[symplectic_form(u, v) for v in basis] for u in basis]
+    failures = []
+    for x, i, j, xi, xj in _basis_pairs(basis):
+        val = sum(c * table[k][j] for k, c in xi) + sum(c * table[i][k] for k, c in xj)
+        if val != 0:
+            failures.append({"generator": x, "pair": [i, j], "value": str(val)})
+    return _report("pairing_invariance", m, failures)
 
 
 def equivariance_check(m: int) -> dict:
     """Certifies contraction equivariance: the generator acting on the
-    quadratic output matches the sum of its actions on the inputs."""
+    quadratic output matches the sum of its actions on the inputs.  The
+    contraction is bilinear, so the table T[i][j] = moment_map(e_i, e_j)
+    gives each left-hand side by the same sums as in invariance_check."""
     basis = [BinaryForm.basis_vector(m, j) for j in range(m + 1)]
+    table = [[moment_map(u, v) for v in basis] for u in basis]
     failures = []
-    for x in GENERATORS:
-        for i, u in enumerate(basis):
-            for j, v in enumerate(basis):
-                lhs = moment_map(generator_action(x, u), v) + moment_map(
-                    u, generator_action(x, v)
-                )
-                rhs = generator_action(x, moment_map(u, v))
-                if lhs - rhs:
-                    failures.append({"generator": x, "pair": [i, j]})
-    return {
-        "check": "contraction_equivariance",
-        "m": m,
-        "pairs": (m + 1) ** 2,
-        "generators": list(GENERATORS),
-        "failures": failures,
-        "passed": not failures,
-    }
+    for x, i, j, xi, xj in _basis_pairs(basis):
+        terms = [(c, table[k][j]) for k, c in xi] + [(c, table[i][k]) for k, c in xj]
+        lhs = [sum(c * q.coeffs[s] for c, q in terms) for s in range(3)]
+        if lhs != list(generator_action(x, table[i][j]).coeffs):
+            failures.append({"generator": x, "pair": [i, j]})
+    return _report("contraction_equivariance", m, failures)
 
 
 def isotropy_check_m3() -> bool:

@@ -12,7 +12,8 @@ supported range; the test suite rejects any other rule.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from collections import Counter
+from itertools import chain, combinations, product
 
 from . import VerificationError
 
@@ -58,7 +59,12 @@ class CharClass:
 
     @property
     def parity_bit(self):
-        return ((self.g + 1 - len(self.members)) // 2) % 2
+        return _parity_bit(self.g, len(self.members))
+
+
+def _parity_bit(g, size):
+    """Parity of a reduced class with ``size`` members at genus g."""
+    return ((g + 1 - size) // 2) % 2
 
 
 def _reduce(t: frozenset, g: int) -> frozenset:
@@ -71,45 +77,47 @@ def _reduce(t: frozenset, g: int) -> frozenset:
     return t if 1 in t else comp
 
 
-def _reduced_class(g, members):
-    """A CharClass from a subset already known to be valid and reduced,
-    without the constructor's checks."""
-    c = object.__new__(CharClass)
-    object.__setattr__(c, "g", g)
-    object.__setattr__(c, "members", frozenset(members))
-    return c
-
-
-def enumerate_chars(g: int):
-    """All 2^(2g) classes, as reduced representatives: the subsets of
+def _reduced_subsets(g: int):
+    """The reduced member sets of all 2^(2g) classes: the subsets of
     size below g+1 (smaller than their complements) and those of size
     g+1 that contain label 1, each of a size congruent to g+1 mod 2, so
-    every generated subset is already reduced.  The count and the
-    distinctness of the member sets are re-checked."""
+    every generated subset is already reduced.  Each set is checked to
+    be new before it is yielded, and their count after the last one."""
     if g not in GENUS_RANGE:
         raise ValueError("supported genus range is 1..6")
     n = 2 * g + 2
-    labels = range(1, n + 1)
-    out = []
-    size = (g + 1) % 2
-    while size < g + 1:
-        out.extend(_reduced_class(g, c) for c in combinations(labels, size))
-        size += 2
-    out.extend(
-        _reduced_class(g, (1,) + rest) for rest in combinations(range(2, n + 1), g)
+    smaller = chain.from_iterable(
+        combinations(range(1, n + 1), size) for size in range((g + 1) % 2, g + 1, 2)
     )
-    expected = 1 << (2 * g)
-    if len(out) != expected or len({c.members for c in out}) != expected:
+    halves = ((1,) + rest for rest in combinations(range(2, n + 1), g))
+    seen = set()
+    for s in map(frozenset, chain(smaller, halves)):
+        if s in seen:
+            raise VerificationError("class enumeration miscounted")
+        seen.add(s)
+        yield s
+    if len(seen) != 1 << (2 * g):
         raise VerificationError("class enumeration miscounted")
+
+
+def enumerate_chars(g: int):
+    """All 2^(2g) classes, as reduced representatives, made without the
+    constructor's checks, since every subset is already valid and reduced."""
+    out = []
+    for s in _reduced_subsets(g):
+        c = object.__new__(CharClass)
+        object.__setattr__(c, "g", g)
+        object.__setattr__(c, "members", s)
+        out.append(c)
     return out
 
 
 def parity_counts(g: int):
     """(odd, even) class counts; matches 2^(g-1)(2^g - 1) and
     2^(g-1)(2^g + 1)."""
-    chars = enumerate_chars(g)
-    odd = sum(c.parity_bit for c in chars)
-    return odd, len(chars) - odd
+    sizes = Counter(map(len, _reduced_subsets(g)))
+    odd = sum(k for size, k in sizes.items() if _parity_bit(g, size))
+    return odd, sum(sizes.values()) - odd
 
 
 # ----------------------------------------------------------------------

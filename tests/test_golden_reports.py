@@ -38,6 +38,8 @@ RUNS = [
         0,
     ),
     ("run_parity_fixture", ["run", "parity", "--curve", FIXTURE], 0),
+    # the degrees 7 and 9 that run_all_seed1729 does not reach
+    ("run_repsl2_m7_9", ["run", "repsl2", "--m", "1,3,5,7,9"], 0),
 ]
 
 

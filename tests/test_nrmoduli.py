@@ -8,7 +8,7 @@ from fractions import Fraction
 import echelon_oracle
 import nr_oracle
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from spincert import VerificationError, nrmoduli
@@ -438,3 +438,92 @@ class TestKernelAtBranch:
         kernel_at_branch(1, table)
         assert 1 in table._kernels
         assert table.perturbed(1, 4)._kernels == {}
+
+
+_PROBE = nrmoduli._PROBE_POINT
+_small_ints = st.integers(-4, 4)
+
+
+@st.composite
+def candidate_inputs(draw):
+    """Four polynomials over Q[q1..q4]: a signed permutation of the
+    variables, that vector times a scalar or a linear factor (which may
+    vanish at the probe), one entry moved by a multiple of q_k - p_k
+    (same probe values, not proportional), one entry copied or doubled
+    from another, or four random linear forms."""
+    w = draw(st.permutations(range(4)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=4, max_size=4))
+    gen = [Q_RING.gen(w[a]).scale(signs[a]) for a in range(4)]
+    kind = draw(st.sampled_from(("plain", "scaled", "probe_shift", "copied", "random")))
+    if kind == "scaled":
+        k = draw(st.integers(0, 3))
+        factor = Q_RING.gen(k).scale(draw(_small_ints)) + Q_RING.const(
+            draw(st.fractions(-20, 20, max_denominator=4).filter(bool))
+        )
+        gen = [g * factor for g in gen]
+    elif kind == "probe_shift":
+        a, k = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        shift = Q_RING.gen(k) - Q_RING.const(_PROBE[k])
+        gen[a] = gen[a] + shift.scale(draw(_small_ints.filter(bool)))
+    elif kind == "copied":
+        a, b = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
+        gen[a] = gen[b].scale(draw(st.sampled_from((1, -1, 2))))
+    elif kind == "random":
+        gen = [
+            sum(
+                (Q_RING.gen(k).scale(draw(_small_ints)) for k in range(4)),
+                Q_RING.const(draw(_small_ints)),
+            )
+            for _ in range(4)
+        ]
+    return tuple(gen)
+
+
+def _candidate_branch(gen):
+    """Which way the reduction goes for gen."""
+    vals = [g.eval(_PROBE) for g in gen]
+    if any(v == 0 for v in vals):
+        return "zero_value"
+    if len({abs(v) for v in vals}) < 4:
+        return "tied_magnitudes"
+    if nr_oracle._signed_permutation_candidate(gen) is not None:
+        return "signed_permutation"
+    mags = sorted(abs(v) for v in vals)
+    if len({m / p for m, p in zip(mags, _PROBE)}) == 1:
+        return "not_proportional"
+    return "unequal_ratios"
+
+
+class TestSignedPermutationCandidate:
+    @settings(max_examples=300, deadline=None)
+    @given(candidate_inputs())
+    def test_matches_the_24_permutation_oracle(self, gen):
+        assert nrmoduli._signed_permutation_candidate(
+            gen
+        ) == nr_oracle._signed_permutation_candidate(gen)
+
+    @pytest.mark.parametrize(
+        "branch",
+        [
+            "zero_value",
+            "tied_magnitudes",
+            "unequal_ratios",
+            "not_proportional",
+            "signed_permutation",
+        ],
+    )
+    def test_inputs_reach_every_branch(self, branch):
+        find(
+            candidate_inputs(),
+            lambda gen: _candidate_branch(gen) == branch,
+            settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+        )
+
+    @pytest.mark.parametrize("perturb", [False, True], ids=["plain", "perturb"])
+    def test_branch_generators_match_the_oracle(self, table, perturb):
+        used = table.perturbed(1, 4) if perturb else table
+        for i in range(1, 7):
+            gen = nrmoduli._kernel_generator(i, used)
+            assert nrmoduli._signed_permutation_candidate(
+                gen
+            ) == nr_oracle._signed_permutation_candidate(gen)

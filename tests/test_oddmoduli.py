@@ -21,7 +21,7 @@ from spincert.hyperell import (
     standard_curve,
     theta_divisor,
 )
-from spincert import oddmoduli
+from spincert import cli, oddmoduli
 from spincert.oddmoduli import (
     S_MONOS,
     T_MONOS,
@@ -530,3 +530,49 @@ def test_embed_builds_no_branch_place_series(roots):
     curve = HyperCurve.from_roots(roots)
     embed(curve, CharClass(2, (1, 2, 3)))
     assert "branch" not in {kind for kind, _ in curve._cache["series"]}
+
+
+class TestTripleSweepDedup:
+    """``run odd`` certifies each distinct drawn triple once and lists
+    its report at every draw, in draw order."""
+
+    @staticmethod
+    def _sweep(monkeypatch, seed, triples):
+        calls = []
+
+        def counting(E, triple):
+            calls.append(triple.labels())
+            return triple_plane_report(E, triple)
+
+        monkeypatch.setattr(cli, "triple_plane_report", counting)
+        code, report = cli.run("odd", seed=seed, triples=triples)
+        assert code == 0
+        checks = {c["name"]: c for c in report["suites"][0]["checks"]}
+        return calls, checks["triple_sweep"]["details"]
+
+    @staticmethod
+    def _draws(seed, triples):
+        # the draw order of run_odd: random triples, then the theta
+        # triple and its complement
+        rng = random.Random(seed)
+        pool = list(combinations(range(8), 3))
+        return [pool[rng.randrange(len(pool))] for _ in range(triples)] + [
+            (0, 1, 2),
+            (3, 4, 5),
+        ]
+
+    def test_seed_29_certifies_19_of_22_draws(self, E, places, monkeypatch):
+        calls, details = self._sweep(monkeypatch, 29, 20)
+        draws = self._draws(29, 20)
+        assert len(calls) == len(set(calls)) == len(set(draws)) == 19
+        assert details["random_triples"] == 20
+        want = [
+            cli._jsonable(triple_plane_report(E, triple_of(places, *idx)))
+            for idx in draws
+        ]
+        assert details["reports"] == want
+
+    def test_sixty_draws_certify_at_most_the_pool(self, monkeypatch):
+        calls, details = self._sweep(monkeypatch, 7, 60)
+        assert len(details["reports"]) == 62
+        assert len(calls) == len(set(calls)) == len(set(self._draws(7, 60))) <= 56

@@ -10,7 +10,9 @@ import sympy
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+import repsl2_oracle
 import transvectant_oracle
+from spincert import repsl2
 from spincert.exactalg import MultiPoly, PolyRing, QQ, rank
 from spincert.repsl2 import (
     GENERATORS,
@@ -288,3 +290,68 @@ def test_transvectant_cases_reach_every_branch(branch):
         lambda case: holds(*case),
         settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
     )
+
+
+_ORACLE_DEGREES = [1, 3, 5, 7, 9]
+
+
+@pytest.mark.parametrize("m", _ORACLE_DEGREES)
+def test_table_checks_match_the_per_pair_oracle(m):
+    assert invariance_check(m) == repsl2_oracle.invariance_check(m)
+    assert equivariance_check(m) == repsl2_oracle.equivariance_check(m)
+
+
+@pytest.mark.parametrize("m", _ORACLE_DEGREES)
+def test_pairing_table_is_integer(m):
+    basis = [BinaryForm.basis_vector(m, j) for j in range(m + 1)]
+    assert all(type(symplectic_form(u, v)) is int for u in basis for v in basis)
+
+
+def _patch_both(monkeypatch, name, fn):
+    monkeypatch.setattr(repsl2, name, fn)
+    monkeypatch.setattr(repsl2_oracle, name, fn)
+
+
+@pytest.mark.parametrize("m", _ORACLE_DEGREES)
+def test_non_invariant_pairing_fails_alike(m, monkeypatch):
+    # bilinear, but the added u_0 v_m / 2 term breaks invariance under E
+    true_form = repsl2.symplectic_form
+
+    def skewed(u, v):
+        return true_form(u, v) + u.coeffs[0] * v.coeffs[-1] * Fraction(1, 2)
+
+    _patch_both(monkeypatch, "symplectic_form", skewed)
+    got = invariance_check(m)
+    assert got["failures"] and not got["passed"]
+    assert got == repsl2_oracle.invariance_check(m)
+    assert any("/" in f["value"] for f in got["failures"])
+
+
+@pytest.mark.parametrize("m", _ORACLE_DEGREES)
+def test_non_equivariant_contraction_fails_alike(m, monkeypatch):
+    # bilinear, but doubling the middle coefficient of the quadratic is
+    # not an intertwiner of the degree-2 representation
+    true_map = repsl2.moment_map
+
+    def skewed(u, v):
+        c0, c1, c2 = true_map(u, v).coeffs
+        return BinaryForm((c0, 2 * c1, c2))
+
+    _patch_both(monkeypatch, "moment_map", skewed)
+    got = equivariance_check(m)
+    assert got["failures"] and not got["passed"]
+    assert got == repsl2_oracle.equivariance_check(m)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_tables_make_one_contraction_per_basis_pair(m, monkeypatch):
+    calls = []
+    true_map = repsl2.moment_map
+
+    def counting(u, v):
+        calls.append((u.coeffs, v.coeffs))
+        return true_map(u, v)
+
+    monkeypatch.setattr(repsl2, "moment_map", counting)
+    assert equivariance_check(m)["passed"]
+    assert len(calls) == (m + 1) ** 2
