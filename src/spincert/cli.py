@@ -606,8 +606,16 @@ def load_curve_fixture(path) -> HyperCurve:
 
 
 def _csv_values(text, conv, what):
+    """The values of a comma-separated list option, each read by conv.  A
+    blank text is the empty tuple; an empty token, as in ``1,,3`` or
+    ``2,``, makes the list malformed rather than being skipped."""
+    tokens = [tok.strip() for tok in text.split(",")]
+    if tokens == [""]:
+        return ()
     try:
-        return tuple(conv(tok.strip()) for tok in text.split(",") if tok.strip())
+        if not all(tokens):
+            raise ValueError("empty token")
+        return tuple(conv(tok) for tok in tokens)
     except (ValueError, ZeroDivisionError):
         raise ValueError("malformed %s list: %r" % (what, text)) from None
 

@@ -4,7 +4,17 @@ A polynomial is a map from exponent vectors (one integer per ring
 variable) to nonzero coefficients in the ring's scalar field.  Zero
 coefficients are never stored, so ``not p`` (no terms) is the zero test,
 as ``not c`` is for a coefficient.  The ring's field only coerces
-coefficients; they divide and format through their own operators.
+coefficients; they format through their own operators.
+
+Rational coefficients are stored in the normal form of
+``scalars``: an int for an integral value, else a Fraction with
+denominator above 1, so products and sums of integer coefficients run
+on native ints.  Every operation that stores a coefficient keeps the
+form: an integral Fraction result is stored as its numerator
+(``scalars.rational_normal``, written out in the inner loops as one
+``type(s) is Fraction`` test, which never matches a Gaussian).  A
+quotient of coefficients goes through ``scalars.exact_quotient``, never
+a bare ``/``, which on two ints would give a float.
 
 Exact division (`exact_div`) runs multivariate division against a single
 divisor under the lexicographic term order and reports failure instead of
@@ -21,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .scalars import Gaussian
+from .scalars import Gaussian, exact_quotient, rational_normal
 
 _SCALARS = (int, Fraction, Gaussian)
 
@@ -199,6 +209,8 @@ class MultiPoly:
             if not s:
                 out.pop(exps, None)
             else:
+                if type(s) is Fraction and s.denominator == 1:
+                    s = s.numerator
                 out[exps] = s
         return MultiPoly._raw(self.ring, out)
 
@@ -220,6 +232,8 @@ class MultiPoly:
             if not s:
                 out.pop(exps, None)
             else:
+                if type(s) is Fraction and s.denominator == 1:
+                    s = s.numerator
                 out[exps] = s
         return MultiPoly._raw(self.ring, out)
 
@@ -245,6 +259,8 @@ class MultiPoly:
                 if not s:
                     out.pop(e, None)
                 else:
+                    if type(s) is Fraction and s.denominator == 1:
+                        s = s.numerator
                     out[e] = s
         return MultiPoly._raw(self.ring, out)
 
@@ -256,7 +272,9 @@ class MultiPoly:
         c = self.ring.field.coerce(c)
         if not c:
             return MultiPoly._raw(self.ring, {})
-        return MultiPoly._raw(self.ring, {e: v * c for e, v in self.terms.items()})
+        return MultiPoly._raw(
+            self.ring, {e: rational_normal(v * c) for e, v in self.terms.items()}
+        )
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -295,7 +313,7 @@ class MultiPoly:
             qexp = tuple(a - b for a, b in zip(rexp, lexp))
             if any(e < 0 for e in qexp):
                 return None
-            qc = rem[rexp] / lc
+            qc = exact_quotient(rem[rexp], lc)
             quot[qexp] = qc
             for dexp, dc in divisor.terms.items():
                 e = tuple(a + b for a, b in zip(qexp, dexp))
@@ -303,6 +321,8 @@ class MultiPoly:
                 if not s:
                     rem.pop(e, None)
                 else:
+                    if type(s) is Fraction and s.denominator == 1:
+                        s = s.numerator
                     rem[e] = s
         return MultiPoly._raw(self.ring, quot)
 
@@ -314,7 +334,7 @@ class MultiPoly:
                 continue
             e = list(exps)
             e[var] = k - 1
-            out[tuple(e)] = c * k
+            out[tuple(e)] = rational_normal(c * k)
         return MultiPoly._raw(self.ring, out)
 
     def eval(self, point):
@@ -330,7 +350,7 @@ class MultiPoly:
                 for _ in range(k):
                     t = t * v
             acc = acc + t
-        return acc
+        return rational_normal(acc)
 
     # ------------------------------------------------------------------
     # text form

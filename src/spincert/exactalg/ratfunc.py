@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .polys import MultiPoly
-from .scalars import Gaussian
+from .scalars import Gaussian, exact_quotient
 
 _SCALARS = (int, Fraction, Gaussian)
 
@@ -58,7 +58,9 @@ class RatFunc:
                 raise ValueError("not a polynomial")
             return q
         c = self.den.constant_value()
-        return MultiPoly(self.ring, {e: v / c for e, v in self.num.terms.items()})
+        return MultiPoly(
+            self.ring, {e: exact_quotient(v, c) for e, v in self.num.terms.items()}
+        )
 
     # ------------------------------------------------------------------
 
@@ -166,7 +168,7 @@ class RatFunc:
         dv = self.den.eval(point)
         if not dv:
             raise ZeroDivisionError("denominator vanishes at the point")
-        return self.num.eval(point) / dv
+        return exact_quotient(self.num.eval(point), dv)
 
     def __str__(self):
         if self.den.is_constant() and self.den.constant_value() == self.ring.field.one():

@@ -1,18 +1,28 @@
 """Exact scalar arithmetic over the rationals and the Gaussian rationals.
 
-Rational scalars are plain ``fractions.Fraction`` values.  A Gaussian
-scalar ``(a + b*i)/d`` with ``i**2 == -1`` is three Python ints in normal
-form: ``d > 0`` and ``gcd(a, b, d) == 1``.  Arithmetic works on the ints
-directly: a product is four integer products reduced by one gcd, which
-is skipped when the denominator is 1, a sum of equal denominators adds
-the numerators, and a quotient multiplies by the conjugate over the
-integer norm.  No Fraction is built on the way.  Every operation is
-exact; nothing here ever rounds.
+A rational scalar has one normal form: an integral value is a plain
+``int``, and any other value is a ``fractions.Fraction`` whose
+denominator is greater than 1.  Nearly every value the certificates
+meet is an integer, and an int product or sum runs no gcd and builds no
+object.  Equal values print and hash alike in both types (``str(3) ==
+str(Fraction(3))``), so the form never shows in a report.
+``rational_normal`` stores an integral Fraction as its int.  In Python
+``int / int`` is a float, so no quotient of rational scalars is taken
+with a bare ``/``: ``exact_quotient`` divides exactly and returns the
+quotient in normal form.
+
+A Gaussian scalar ``(a + b*i)/d`` with ``i**2 == -1`` is three Python
+ints in normal form: ``d > 0`` and ``gcd(a, b, d) == 1``.  Arithmetic
+works on the ints directly: a product is four integer products reduced
+by one gcd, which is skipped when the denominator is 1, a sum of equal
+denominators adds the numerators, and a quotient multiplies by the
+conjugate over the integer norm.  No Fraction is built on the way.
+Every operation is exact; nothing here ever rounds.
 
 The two coefficient fields are exposed as the singletons ``QQ`` and ``QI``.
 A field object only coerces its elements and names its zero and one;
 the elements answer for themselves through ordinary operators: ``not v``
-is the zero test, ``a / b`` divides and ``str(v)`` formats.
+is the zero test and ``str(v)`` formats.
 """
 
 from __future__ import annotations
@@ -215,24 +225,47 @@ def _as_gaussian(v):
     return None
 
 
+def rational_normal(v):
+    """v in the rational normal form: an integral Fraction as its
+    numerator, anything else (an int, any other Fraction, a Gaussian) as
+    it is."""
+    if type(v) is Fraction and v.denominator == 1:
+        return v.numerator
+    return v
+
+
+def exact_quotient(a, b):
+    """a / b, exactly, for rational scalars or Gaussians: in the rational
+    normal form an int when b divides a, else a Fraction; a Gaussian
+    quotient is a Gaussian.  A zero b raises ZeroDivisionError."""
+    if type(a) is int and type(b) is int:
+        if a % b:
+            return Fraction(a, b)
+        return a // b
+    return rational_normal(a / b)
+
+
 class RationalField:
-    """The field of rationals; elements are ``fractions.Fraction``."""
+    """The field of rationals; elements are in the normal form: an int
+    for an integral value, else a Fraction with denominator above 1."""
 
     name = "QQ"
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def coerce(self, v):
-        if isinstance(v, Fraction):
+        if type(v) is int:
             return v
+        if isinstance(v, Fraction):
+            return v.numerator if v.denominator == 1 else v
         if isinstance(v, int):
-            return Fraction(v)
+            return int(v)
         if isinstance(v, Gaussian) and not v._b:
-            return Fraction(v._a, v._d)
+            return v._a if v._d == 1 else Fraction(v._a, v._d)
         raise TypeError("cannot coerce %r into QQ" % (v,))
 
     def __repr__(self):

@@ -1137,16 +1137,21 @@ def branch_product(curve: HyperCurve, t) -> UPoly:
 
 
 def theta_complement_witness(curve: HyperCurve, t) -> FieldElem:
-    """The function h = prod_T (x - x_i) / y with divisor
+    """The function h = w_T / y, w_T = prod_T (x - x_i), with divisor
     theta(T) - theta(T^c); certifies that complementary subsets give the
-    same class.  theta(T) is the certified ``theta_divisor`` and theta(T^c)
-    the bare representative: its doubling relation follows, as
-    2 theta(T) - K = div(w_T) and div(h) = theta(T) - theta(T^c) give
-    2 theta(T^c) - K = div(w_T / h^2), so it is not certified again
-    (Mumford, Tata Lectures on Theta II, ch. IIIa)."""
+    same class.  It is built in lowest terms as y / (lc(f) w_{T^c}): as
+    w_T / y = w_T y / f and f = lc(f) w_T w_{T^c}, the norms that
+    ``rational_divisor`` factors are -f and a square of degree
+    2 |T^c|, not the norms of an unreduced quotient.  theta(T) is the
+    certified ``theta_divisor`` and theta(T^c) the bare representative:
+    its doubling relation follows, as 2 theta(T) - K = div(w_T) and
+    div(h) = theta(T) - theta(T^c) give 2 theta(T^c) - K = div(w_T / h^2),
+    so it is not certified again (Mumford, Tata Lectures on Theta II,
+    ch. IIIa)."""
     tset = _branch_subset(curve, t)
     comp = frozenset(range(1, 2 * curve.genus + 3)) - tset
-    h = FieldElem(curve, branch_product(curve, tset)) / FieldElem.y_function(curve)
+    den = branch_product(curve, comp) * curve.f.lead()
+    h = FieldElem(curve, UPoly(), UPoly((1,)), den)
     want = theta_divisor(curve, tset) - _theta_representative(curve, comp)
     if divisor_of(h) != want:
         raise VerificationError("complement witness failed for T=%s" % sorted(tset))

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import VerificationError
 from .exactalg import MultiPoly, PolyRing, QQ, nullspace, proportional
+from .exactalg.scalars import exact_quotient
 from ._rtable_alt import ALT_TABLE
 
 _QP_NAMES = ("q1", "q2", "q3", "q4", "p1", "p2", "p3", "p4")
@@ -135,7 +136,7 @@ def _grid_poly(grid, ring):
                 exps = [0] * nv
                 exps[a] += 1
                 exps[4 + b] += 1
-                terms[tuple(exps)] = Fraction(c)
+                terms[tuple(exps)] = c
     return MultiPoly(ring, terms)
 
 
@@ -316,7 +317,7 @@ def _kernel_rows(i: int, table: RijTable):
                 if c:
                     exps = [0] * 4
                     exps[a] = 1
-                    terms[tuple(exps)] = Fraction(c)
+                    terms[tuple(exps)] = c
             row.append(MultiPoly(Q_RING, terms))
         rows.append(row)
     return rows
@@ -346,7 +347,7 @@ def _signed_permutation_candidate(gen):
         return None
     order = sorted(range(4), key=lambda a: abs(vals[a]))
     w = [order.index(a) for a in range(4)]
-    ratios = [vals[a] / _PROBE_POINT[w[a]] for a in range(4)]
+    ratios = [exact_quotient(vals[a], _PROBE_POINT[w[a]]) for a in range(4)]
     if len({abs(r) for r in ratios}) != 1:
         return None
     flip = -1 if ratios[0] < 0 else 1

@@ -413,6 +413,10 @@ class TestMain:
             ["run", "theta", "--g", ""],
             ["run", "nr", "--branch", ""],
             ["run", "parity", "--curve", ""],
+            # an empty token inside a list is malformed, not skipped
+            ["run", "repsl2", "--m", "1,,3"],
+            ["run", "theta", "--g", "2,"],
+            ["run", "nr", "--branch", ",0,1,2,3,4,5"],
         ],
     )
     def test_empty_values_exit_two(self, argv, capsys):
@@ -463,9 +467,9 @@ _CHEAP_SUITES = ("clifford", "instanton", "nr", "repsl2", "theta")
 
 # per flag: the tokens the grammar accepts, then tokens it rejects
 _LIST_TOKENS = {
-    "--m": (("1", "3", "5"), ("0", "2", "-1", "x", "1.5")),
-    "--g": (("1", "2", "3", "4", "5", "6"), ("0", "7", "-2", "y")),
-    "--branch": (("0", "1", "2", "3", "4", "5", "-1", "1/2", "7/3"), ("x", "1/0")),
+    "--m": (("1", "3", "5"), ("0", "2", "-1", "x", "1.5", "")),
+    "--g": (("1", "2", "3", "4", "5", "6"), ("0", "7", "-2", "y", "")),
+    "--branch": (("0", "1", "2", "3", "4", "5", "-1", "1/2", "7/3"), ("x", "1/0", "")),
 }
 _SCALAR_TOKENS = {
     "--seed": (("0", "7", "1729", "-3"), ("x", "1.5", "")),

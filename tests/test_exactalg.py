@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import echelon_oracle
+import multipoly_oracle
 import nr_oracle
 import pytest
 import subs_oracle
@@ -31,6 +32,7 @@ from spincert.exactalg import (
     rational_content,
 )
 from spincert.exactalg.linalg import _assert_in_kernel, _echelon
+from spincert.exactalg.scalars import exact_quotient
 from spincert.hyperell import UPoly
 
 RXY = PolyRing(QQ, ("x", "y"))
@@ -252,8 +254,17 @@ def poly_pairs(draw):
     return p, q, draw(st.one_of(*scalars))
 
 
+def _in_normal_form(c, field):
+    """A QI scalar is a Gaussian; a QQ scalar is an int, or a Fraction
+    with denominator above 1 (never a float, never an integral
+    Fraction)."""
+    if field is QI:
+        return type(c) is Gaussian
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 def _stores_no_zero(p):
-    return all(c and type(c) is type(p.ring.field.one()) for c in p.terms.values())
+    return all(c and _in_normal_form(c, p.ring.field) for c in p.terms.values())
 
 
 @given(poly_pairs())
@@ -299,6 +310,156 @@ def test_poly_pairs_reach_every_branch(branch):
         lambda case: holds(*case),
         settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
     )
+
+
+ORXY = multipoly_oracle.FractionPolyRing(RXY.names)
+
+
+def _qq_scalars():
+    """Rationals as a caller may pass them: ints, integral and
+    non-integral Fractions, and the halves that make integral products."""
+    return st.one_of(
+        st.integers(-4, 4),
+        st.sampled_from((Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(4, 2))),
+        rationals(),
+    )
+
+
+def _qq_terms(max_terms=4):
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    return st.dictionaries(exps, _qq_scalars(), max_size=max_terms)
+
+
+@st.composite
+def qq_cases(draw):
+    """(p, q, c, point) as term dicts over Q[x, y], a scalar and an
+    evaluation point: q is drawn afresh, echoes +-p plus a term (so sums
+    cancel), or is a small divisor with an even leading coefficient (so
+    quotients of int coefficients leave the integers); the point's
+    coordinates are ints or Fractions."""
+    p = draw(_qq_terms())
+    mode = draw(st.sampled_from(("free", "echo", "divisor")))
+    if mode == "free":
+        q = draw(_qq_terms())
+    elif mode == "echo":
+        sign = draw(st.sampled_from((1, -1)))
+        q = {e: sign * c for e, c in p.items()}
+        q.update(draw(_qq_terms(max_terms=1)))
+    else:
+        q = {(1, 0): draw(st.sampled_from((2, -2, 4))), (0, 0): draw(_qq_scalars())}
+    point = draw(st.tuples(_qq_scalars(), _qq_scalars()))
+    return p, q, draw(_qq_scalars()), point
+
+
+def _qq_results(p, q, c):
+    """Each operation on (p, q) under one ring, as (name, result)."""
+    out = [
+        ("add", p + q),
+        ("sub", p - q),
+        ("mul", p * q),
+        ("scale", p.scale(c)),
+        ("derivative_x", p.derivative(0)),
+        ("derivative_y", p.derivative(1)),
+    ]
+    if q:
+        out.append(("exact_div_product", (p * q).exact_div(q)))
+        out.append(("exact_div", p.exact_div(q)))
+    return out
+
+
+@given(qq_cases())
+@settings(max_examples=200, deadline=None)
+def test_qq_arithmetic_matches_fraction_oracle(case):
+    pt, qt, c, point = case
+    p, q = MultiPoly(RXY, pt), MultiPoly(RXY, qt)
+    op, oq = ORXY.poly(pt), ORXY.poly(qt)
+    assert p.to_str() == op.to_str() and _stores_no_zero(p)
+    for (name, got), (_, want) in zip(_qq_results(p, q, c), _qq_results(op, oq, c)):
+        if want is None:
+            assert got is None, name
+            continue
+        assert got.to_str() == want.to_str(), name
+        assert got.terms == want.terms, name
+        assert hash(got) == hash((RXY, frozenset(want.terms.items()))), name
+        assert _stores_no_zero(got), name
+    got, want = p.eval(point), op.eval(point)
+    assert got == want and str(got) == str(want) and hash(got) == hash(want)
+    assert _in_normal_form(got, QQ)
+
+
+def _has_fraction(p):
+    return any(type(c) is Fraction for c in p.terms.values())
+
+
+def _integral_fraction_product(p, q):
+    return any(
+        type(a) is Fraction and (a * b).denominator == 1
+        for a in p.terms.values()
+        for b in q.terms.values()
+    )
+
+
+def _int_quotient_leaves_integers(p, q):
+    # (p q) / q over int coefficients whose quotient p is not integral
+    if not q or _has_fraction(q) or _has_fraction(p * q):
+        return False
+    return _has_fraction(p)
+
+
+_QQ_BRANCHES = {
+    "integral_product_of_fractions": _integral_fraction_product,
+    "fractional_exact_div_quotient": _int_quotient_leaves_integers,
+    "cancellation_to_zero": lambda p, q: bool(p) and (not p + q or not p - q),
+    "derivative_becomes_integral": lambda p, q: any(
+        type(c) is Fraction and e[0] and (c * e[0]).denominator == 1
+        for e, c in p.terms.items()
+    ),
+}
+_QQ_POINTS = {
+    "eval_at_int_point": lambda p, point: not p.is_constant()
+    and all(type(v) is int or v.denominator == 1 for v in point),
+    "eval_at_fraction_point": lambda p, point: not p.is_constant()
+    and any(type(v) is Fraction and v.denominator > 1 for v in point),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_QQ_BRANCHES) + sorted(_QQ_POINTS))
+def test_qq_cases_reach_every_branch(branch):
+    def holds(case):
+        pt, qt, _, point = case
+        p = MultiPoly(RXY, pt)
+        if branch in _QQ_POINTS:
+            return _QQ_POINTS[branch](p, point)
+        return _QQ_BRANCHES[branch](p, MultiPoly(RXY, qt))
+
+    find(
+        qq_cases(),
+        holds,
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
+
+
+def test_qq_coerce_normal_form():
+    assert type(QQ.coerce(Fraction(6, 3))) is int and QQ.coerce(Fraction(6, 3)) == 2
+    assert QQ.coerce(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(QQ.coerce(True)) is int
+    assert type(QQ.coerce(Gaussian(3))) is int
+    assert QQ.coerce(Gaussian(Fraction(1, 3))) == Fraction(1, 3)
+    assert QQ.zero() == 0 and type(QQ.zero()) is int
+    assert QQ.one() == 1 and type(QQ.one()) is int
+    with pytest.raises(TypeError):
+        QQ.coerce(1.0)
+    with pytest.raises(TypeError):
+        QQ.coerce(Gaussian(1, 1))
+
+
+def test_exact_quotient_stays_exact():
+    assert exact_quotient(-8, 4) == -2 and type(exact_quotient(-8, 4)) is int
+    assert exact_quotient(7, -2) == Fraction(-7, 2)
+    assert type(exact_quotient(Fraction(3, 2), Fraction(1, 2))) is int
+    assert exact_quotient(Gaussian(1, 1), 2) == Gaussian(Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(ZeroDivisionError):
+        exact_quotient(1, 0)
 
 
 @given(polys())

@@ -1024,6 +1024,19 @@ def test_theta_complement_equivalence():
             assert divisor_of(w_t) - divisor_of(h).scale(2) == rep.scale(2) - k
 
 
+def test_complement_witness_is_w_t_over_y_in_lowest_terms():
+    # the witness is built as y / (lc(f) w_{T^c}); it is the same function
+    # as w_T / y, with the norms -f and a square of degree 2 |T^c|
+    for c in (standard_curve(), _golden_fixture_curve()):
+        y = FieldElem.y_function(c)
+        for cls in enumerate_chars(2):
+            h = theta_complement_witness(c, cls.members)
+            assert h == FieldElem(c, branch_product(c, cls.members)) / y
+            num, den = h.norm_pair()
+            assert num == -c.f
+            assert den.degree == 2 * (6 - len(cls.members))
+
+
 def test_complement_witness_rejects_a_wrong_complement(monkeypatch):
     # theta(T) stays right; only the representative of T^c is moved off
     # its class, by trading one of its branch places for one in T
