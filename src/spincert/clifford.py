@@ -93,10 +93,7 @@ class Multivector:
                 c = Gaussian(c)
             if c:
                 clean[mask] = c
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multivector is immutable")
+        self.coeffs = clean
 
     @classmethod
     def blade(cls, mask, c=1):
@@ -143,9 +140,6 @@ class Multivector:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             return Multivector({m: c * other for m, c in self.coeffs.items()})
@@ -165,20 +159,12 @@ class Multivector:
                     out[m] = acc
         return Multivector(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self * other
-        return NotImplemented
-
     def __eq__(self, other):
         if isinstance(other, _SCALARS):
             other = Multivector({0: other})
         if not isinstance(other, Multivector):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def __str__(self):
         if not self:
@@ -188,9 +174,6 @@ class Multivector:
             name = "e" + "".join(str(i) for i in blade_indices(m)) if m else "1"
             parts.append("(%s)%s" % (self.coeffs[m], name))
         return " + ".join(parts)
-
-    def __repr__(self):
-        return "<Multivector %s>" % self
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:

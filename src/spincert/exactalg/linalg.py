@@ -23,8 +23,9 @@ last pivot d: by Cramer's rule d times the normalised vector lies in the
 domain, so every division is exact.  The vectors are checked against
 ``M v = 0`` on the same domain rows the elimination started from,
 rational rows as their integer multiples, and then returned over the
-entry domain: Fractions for rational rows, and for polynomial rows
-denominator-free MultiPolys stripped of content.
+entry domain: rationals in the normal form (an int when integral, else a
+Fraction) for rational rows, and for polynomial rows denominator-free
+MultiPolys stripped of content.
 The exact-vector helpers shared by the geometry layers live here too:
 the rational content of a vector and the cross-multiplication
 proportionality test.
@@ -37,6 +38,7 @@ from math import gcd, lcm
 from operator import floordiv
 
 from .polys import MultiPoly
+from .scalars import exact_quotient
 
 
 def _exact_div(a, b):
@@ -169,7 +171,7 @@ def nullspace(rows):
         basis.append(v)
     _assert_in_kernel(domain_rows, basis)
     if isinstance(zero, int):
-        return [[Fraction(x, d) for x in v] for v in basis]
+        return [[exact_quotient(x, d) for x in v] for v in basis]
     if isinstance(zero, MultiPoly):
         return [_strip_content(v) for v in basis]
     return [[x / d for x in v] for v in basis]

@@ -61,9 +61,6 @@ class PolyRing:
     def __hash__(self):
         return hash((self.field.name, self.names))
 
-    def __repr__(self):
-        return "PolyRing(%s, %s)" % (self.field.name, list(self.names))
-
     def zero(self):
         return MultiPoly._raw(self, {})
 
@@ -143,18 +140,15 @@ class MultiPoly:
             if not all(type(e) is int and e >= 0 for e in exps):
                 raise ValueError("exponents must be non-negative ints: %r" % (exps,))
             clean[tuple(exps)] = c
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
+        self.ring = ring
+        self.terms = clean
 
     @classmethod
     def _raw(cls, ring, terms):
         # internal: terms already clean (no zeros, right arity, coerced)
         self = object.__new__(cls)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
+        self.ring = ring
+        self.terms = terms
         return self
 
     # ------------------------------------------------------------------
@@ -236,12 +230,6 @@ class MultiPoly:
                     s = s.numerator
                 out[exps] = s
         return MultiPoly._raw(self.ring, out)
-
-    def __rsub__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other):
         other = self._check(other)
@@ -372,9 +360,6 @@ class MultiPoly:
                 ctext = "(%s)" % ctext
             parts.append("%s*%s" % (ctext, mono) if mono else ctext)
         return " + ".join(parts)
-
-    def __str__(self):
-        return self.to_str()
 
     def __repr__(self):
         return "<MultiPoly %s>" % self.to_str()

@@ -34,11 +34,8 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator")
         if not num:
             den = num.ring.one()
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
+        self.num = num
+        self.den = den
 
     @property
     def ring(self):

@@ -138,12 +138,6 @@ class Gaussian:
                 d //= g
         return _gauss(a, b, d)
 
-    def __rtruediv__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
@@ -268,9 +262,6 @@ class RationalField:
             return v._a if v._d == 1 else Fraction(v._a, v._d)
         raise TypeError("cannot coerce %r into QQ" % (v,))
 
-    def __repr__(self):
-        return "QQ"
-
 
 class GaussianField:
     """The field of Gaussian rationals; elements are :class:`Gaussian`."""
@@ -290,9 +281,6 @@ class GaussianField:
         if z is None:
             raise TypeError("cannot coerce %r into QI" % (v,))
         return z
-
-    def __repr__(self):
-        return "QI"
 
 
 QQ = RationalField()

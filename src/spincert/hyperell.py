@@ -374,11 +374,8 @@ class LSeries:
             c = _fr(c)
             if e < prec and c != 0:
                 cs[e] = c
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LSeries is immutable")
+        self.coeffs = cs
+        self.prec = prec
 
     @classmethod
     def zero(cls, prec):
@@ -530,17 +527,12 @@ class HyperCurve:
         ls = rational_sqrt(f.lead())
         if ls is None:
             raise ValueError("leading coefficient must be a rational square")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "roots", tuple(sorted(roots)))
-        object.__setattr__(self, "lead_sqrt", ls)
-        object.__setattr__(self, "slopes", {r: df.eval(r) for r in roots})
-        object.__setattr__(
-            self, "_cache", {"series": {}, "canonical": None, "theta": {}}
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HyperCurve is immutable")
+        self.f = f
+        self.genus = genus
+        self.roots = tuple(sorted(roots))
+        self.lead_sqrt = ls
+        self.slopes = {r: df.eval(r) for r in roots}
+        self._cache = {"series": {}, "canonical": None, "theta": {}}
 
     @classmethod
     def from_roots(cls, roots, lead=1):
@@ -553,9 +545,6 @@ class HyperCurve:
         if not isinstance(other, HyperCurve):
             return NotImplemented
         return self.f == other.f
-
-    def __hash__(self):
-        return hash(self.f)
 
     def branch_place(self, i):
         """Place over the i-th branch point, 1-based in root order."""
@@ -608,12 +597,9 @@ class Place:
     def __init__(self, curve, kind, key):
         if kind not in ("branch", "inf", "split"):
             raise ValueError("unknown place kind")
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "key", key)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Place is immutable")
+        self.curve = curve
+        self.kind = kind
+        self.key = key
 
     def __eq__(self, other):
         if not isinstance(other, Place):
@@ -748,10 +734,7 @@ class Divisor:
                 raise ValueError("divisor coefficients must be integers: %r" % (n,))
             if n:
                 cs[place] = n
-        object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Divisor is immutable")
+        self.coeffs = cs
 
     def coeff(self, place):
         return self.coeffs.get(place, 0)
@@ -788,9 +771,6 @@ class Divisor:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
     def is_effective(self):
         return all(n > 0 for n in self.coeffs.values())
 
@@ -817,13 +797,10 @@ class FieldElem:
         )
         if not den:
             raise ZeroDivisionError("zero denominator")
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElem is immutable")
+        self.curve = curve
+        self.a = a
+        self.b = b
+        self.den = den
 
     @classmethod
     def y_function(cls, curve):
@@ -903,9 +880,6 @@ class FieldElem:
         return (self.a * other.den == other.a * self.den) and (
             self.b * other.den == other.b * self.den
         )
-
-    def __hash__(self):
-        raise TypeError("FieldElem is unhashable")
 
     def expand_at(self, place: Place, prec: int) -> LSeries:
         work = prec + _prec_pad(self)
@@ -1178,13 +1152,10 @@ class RRSpace:
     __slots__ = ("curve", "divisor", "basis", "rr_record")
 
     def __init__(self, curve, divisor, basis, rr_record):
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "divisor", divisor)
-        object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "rr_record", rr_record)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RRSpace is immutable")
+        self.curve = curve
+        self.divisor = divisor
+        self.basis = tuple(basis)
+        self.rr_record = rr_record
 
     @property
     def dimension(self):
@@ -1325,10 +1296,7 @@ def _rr_basis(curve, divisor):
     if rows:
         vectors = nullspace(rows)
     else:
-        vectors = [
-            [Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
-            for j in range(ncols)
-        ]
+        vectors = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
     basis = []
     for vec in vectors:
         a = UPoly(tuple(vec[: na + 1]))

@@ -159,7 +159,7 @@ def _as_rf(v):
 def _mat2(rows):
     """The Mat2 of a 2x2 tuple grid whose entries are already _RhoFrac."""
     m = object.__new__(Mat2)
-    object.__setattr__(m, "rows", rows)
+    m.rows = rows
     return m
 
 
@@ -172,10 +172,7 @@ class Mat2:
         rr = tuple(tuple(_as_rf(v) for v in row) for row in rows)
         if len(rr) != 2 or any(len(r) != 2 for r in rr):
             raise ValueError("expected a 2x2 entry grid")
-        object.__setattr__(self, "rows", rr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat2 is immutable")
+        self.rows = rr
 
     @classmethod
     def zero(cls):
@@ -226,20 +223,12 @@ class Mat2:
                 return NotImplemented
         return _mat2(tuple(tuple(v * other for v in row) for row in self.rows))
 
-    def __rmul__(self, other):
-        if isinstance(other, Mat2):
-            return NotImplemented
-        return self * other
-
     def __eq__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
         return all(
             a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
         )
-
-    def __hash__(self):
-        raise TypeError("Mat2 is unhashable")
 
     def derivative(self, var):
         return _mat2(tuple(tuple(v.derivative(var) for v in row) for row in self.rows))
@@ -277,9 +266,9 @@ class Connection:
     """Four trace-free matrix components; an exact gauge potential.
 
     The connection is immutable, so its curvature is built on the first
-    call of :func:`curvature` and kept in a private slot."""
+    call of :func:`curvature` and kept in its private cache dict."""
 
-    __slots__ = ("components", "_curvature")
+    __slots__ = ("components", "_cache")
 
     def __init__(self, components):
         comps = tuple(components)
@@ -290,11 +279,8 @@ class Connection:
                 raise TypeError("components must be Mat2")
             if m.trace():
                 raise ValueError("connection components must be trace-free")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "_curvature", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Connection is immutable")
+        self.components = comps
+        self._cache = {}
 
 
 def _components(a):
@@ -313,9 +299,10 @@ def curvature(a) -> dict:
     out a fresh dict of the same (immutable) matrices; a bare component
     tuple is computed on each call."""
     if isinstance(a, Connection):
-        if a._curvature is None:
-            object.__setattr__(a, "_curvature", _curvature_of(a.components))
-        return dict(a._curvature)
+        F = a._cache.get("curvature")
+        if F is None:
+            F = a._cache["curvature"] = _curvature_of(a.components)
+        return dict(F)
     return _curvature_of(_components(a))
 
 
@@ -460,15 +447,12 @@ class TwistorSpinor:
                     _as_rf(p2[col]) if r == col else _RF0 for r in range(4)
                 )
                 field = _spinor_add(field, const_part)
-        object.__setattr__(self, "psi1", p1)
-        object.__setattr__(self, "psi2", p2)
-        object.__setattr__(self, "components", field)
+        self.psi1 = p1
+        self.psi2 = p2
+        self.components = field
         for res in twistor_residual(field):
             if any(res):
                 raise VerificationError("affine field fails the twistor equation")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwistorSpinor is immutable")
 
 
 def twistor_basis():
@@ -515,10 +499,7 @@ class CoupledField:
                 raise TypeError("components must be Mat2")
             if m.trace():
                 raise ValueError("matrix factor must be trace-free")
-        object.__setattr__(self, "components", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoupledField is immutable")
+        self.components = comps
 
     def __bool__(self):
         return any(self.components)

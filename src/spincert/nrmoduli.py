@@ -71,7 +71,7 @@ class RijTable:
     the eight cotangent coordinates, indexed by unordered branch pairs.
     The table is immutable, so the kernel generator at each branch and
     its signed-permutation reduction are computed on first use and kept
-    in private slots."""
+    in private dicts."""
 
     __slots__ = ("entries", "_kernels", "_reductions")
 
@@ -89,12 +89,9 @@ class RijTable:
             if any(c not in (-1, 0, 1) for row in grid for c in row):
                 raise ValueError("grid entries must be -1, 0, or 1")
             clean[key] = (sign, grid)
-        object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "_kernels", {})
-        object.__setattr__(self, "_reductions", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RijTable is immutable")
+        self.entries = clean
+        self._kernels = {}
+        self._reductions = {}
 
     @property
     def pairs(self):
@@ -181,10 +178,7 @@ class BranchConfig:
             raise ValueError("exactly six branch points required")
         if len(set(pts)) != 6:
             raise ValueError("branch points must be distinct")
-        object.__setattr__(self, "points", pts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BranchConfig is immutable")
+        self.points = pts
 
     def point(self, i):
         if not 1 <= i <= 6:

@@ -26,6 +26,7 @@ from .exactalg import (
     proportional,
     rational_content,
 )
+from .exactalg.scalars import exact_quotient
 from .hyperell import (
     Divisor,
     FieldElem,
@@ -57,7 +58,9 @@ SEGRE_QUADRIC = (
 
 
 def _normalize(vec):
-    """Scale to a primitive integer vector with positive leading entry."""
+    """Scale to a primitive integer vector with positive leading entry,
+    as Fractions: the entries, ints among them, are made Fractions first,
+    so ``/`` stays exact."""
     vec = [Fraction(v) for v in vec]
     content = rational_content(vec)
     if content == 0:
@@ -97,10 +100,7 @@ class PointTriple:
             raise ValueError("exactly three places required")
         if any(p.curve != places[0].curve for p in places[1:]):
             raise ValueError("places must lie on one curve")
-        object.__setattr__(self, "places", places)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PointTriple is immutable")
+        self.places = places
 
     @property
     def distinct(self):
@@ -126,10 +126,7 @@ class PlaneP3:
         coeffs = _normalize(coeffs)
         if len(coeffs) != 4:
             raise ValueError("a plane needs four coefficients")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PlaneP3 is immutable")
+        self.coeffs = coeffs
 
     def value(self, point):
         return sum(c * Fraction(z) for c, z in zip(self.coeffs, point))
@@ -138,9 +135,6 @@ class PlaneP3:
         if not isinstance(other, PlaneP3):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         return "PlaneP3(%s)" % (tuple(int(c) for c in self.coeffs),)
@@ -152,13 +146,7 @@ class Collinear:
     __slots__ = ("rank",)
 
     def __init__(self, rnk):
-        object.__setattr__(self, "rank", rnk)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Collinear is immutable")
-
-    def __repr__(self):
-        return "Collinear(rank=%d)" % self.rank
+        self.rank = rnk
 
 
 class EmbeddedCurve:
@@ -172,22 +160,17 @@ class EmbeddedCurve:
         "spin_cube_basis",
         "segre_functions",
         "implicit",
-        "_points",
-        "_sigma",
+        "_cache",
     )
 
     def __init__(self, curve, theta, canonical_basis, spin_cube_basis, segre_functions, implicit):
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "canonical_basis", tuple(canonical_basis))
-        object.__setattr__(self, "spin_cube_basis", tuple(spin_cube_basis))
-        object.__setattr__(self, "segre_functions", tuple(segre_functions))
-        object.__setattr__(self, "implicit", implicit)
-        object.__setattr__(self, "_points", {})
-        object.__setattr__(self, "_sigma", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EmbeddedCurve is immutable")
+        self.curve = curve
+        self.theta = theta
+        self.canonical_basis = tuple(canonical_basis)
+        self.spin_cube_basis = tuple(spin_cube_basis)
+        self.segre_functions = tuple(segre_functions)
+        self.implicit = implicit
+        self._cache = {"points": {}, "sigma": None}
 
 
 def _fe_power(fe: FieldElem, n: int) -> FieldElem:
@@ -197,7 +180,7 @@ def _fe_power(fe: FieldElem, n: int) -> FieldElem:
     return out
 
 
-def _exact_quotient(num: UPoly, den: UPoly) -> UPoly:
+def _upoly_quotient(num: UPoly, den: UPoly) -> UPoly:
     q, r = num.divmod(den)
     if r:
         raise VerificationError("denominator fails to divide the cleared product")
@@ -231,10 +214,10 @@ def _relation_kernel(funcs):
     products of the implicit equation share one denominator)."""
     common = UPoly((1,))
     for fe in funcs:
-        common = common * _exact_quotient(fe.den, common.gcd(fe.den))
+        common = common * _upoly_quotient(fe.den, common.gcd(fe.den))
     cleared = []
     for fe in funcs:
-        q = _exact_quotient(common, fe.den)
+        q = _upoly_quotient(common, fe.den)
         cleared.append((fe.a * q, fe.b * q))
     deg = max(max(a.degree, b.degree) for a, b in cleared)
     rows = []
@@ -295,7 +278,7 @@ def _image_record(E: EmbeddedCurve, place: Place):
     """(mt, ms, coords) at a place, computed once: the minimal orders of
     the square-root-cube and canonical bases there and the normalized
     Segre coordinates of the image."""
-    record = E._points.get(place)
+    record = E._cache["points"].get(place)
     if record is None:
         if place.curve != E.curve:
             raise ValueError("place belongs to a different curve")
@@ -304,7 +287,7 @@ def _image_record(E: EmbeddedCurve, place: Place):
         coords = _normalize(
             [t_pair[i] * s_pair[j] for i in (0, 1) for j in (0, 1)]
         )
-        record = E._points[place] = (mt, ms, coords)
+        record = E._cache["points"][place] = (mt, ms, coords)
     return record
 
 
@@ -375,7 +358,7 @@ def _in_span(basis, func):
     v = kernel[0]
     if v[2] == 0:
         return None
-    a, b = -v[0] / v[2], -v[1] / v[2]
+    a, b = exact_quotient(-v[0], v[2]), exact_quotient(-v[1], v[2])
     if not func == a * b0 + b * b1:
         raise VerificationError("span solution failed its own certificate")
     return (a, b)
@@ -385,8 +368,8 @@ def involution_matrix(E: EmbeddedCurve):
     """The sheet involution on Segre coordinates: the Kronecker product
     of its action on the two section bases, certified pointwise at every
     distinguished place."""
-    if E._sigma is not None:
-        return E._sigma
+    if E._cache["sigma"] is not None:
+        return E._cache["sigma"]
     factor_actions = []
     for basis in (E.spin_cube_basis, E.canonical_basis):
         action = []
@@ -412,7 +395,7 @@ def involution_matrix(E: EmbeddedCurve):
         mv = tuple(sum(M[r][c] * v[c] for c in range(4)) for r in range(4))
         if not proportional(mv, w):
             raise VerificationError("involution matrix fails at %r" % (place,))
-    object.__setattr__(E, "_sigma", M)
+    E._cache["sigma"] = M
     return M
 
 
@@ -426,6 +409,7 @@ def quadric_congruence_scale(M) -> Fraction:
         ]
         for i in n
     ]
+    # SEGRE_QUADRIC holds Fractions, so mtqm does and ``/`` is exact
     scale = mtqm[0][3] / SEGRE_QUADRIC[0][3]
     for i in n:
         for j in n:
@@ -465,19 +449,10 @@ class PlaneSection:
     __slots__ = ("plane", "divisor", "degree", "irrational_degree")
 
     def __init__(self, plane, divisor, degree, irrational_degree):
-        object.__setattr__(self, "plane", plane)
-        object.__setattr__(self, "divisor", divisor)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "irrational_degree", irrational_degree)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PlaneSection is immutable")
-
-    def __repr__(self):
-        return "PlaneSection(degree=%d, rational=%d)" % (
-            self.degree,
-            self.degree - self.irrational_degree,
-        )
+        self.plane = plane
+        self.divisor = divisor
+        self.degree = degree
+        self.irrational_degree = irrational_degree
 
 
 def plane_curve_divisor(E: EmbeddedCurve, plane: PlaneP3) -> PlaneSection:

@@ -48,32 +48,12 @@ class BinaryForm:
             degree = len(cs) - 1
         if len(cs) != degree + 1:
             raise ValueError("expected %d coefficients" % (degree + 1))
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BinaryForm is immutable")
+        self.degree = degree
+        self.coeffs = cs
 
     @classmethod
     def basis_vector(cls, m, j):
         return cls(tuple(1 if i == j else 0 for i in range(m + 1)))
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        if other.degree != self.degree:
-            raise ValueError("degree mismatch")
-        return BinaryForm(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        if other.degree != self.degree:
-            raise ValueError("degree mismatch")
-        return BinaryForm(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __eq__(self, other):
         if not isinstance(other, BinaryForm):
@@ -81,9 +61,6 @@ class BinaryForm:
         return self.degree == other.degree and all(
             a == b for a, b in zip(self.coeffs, other.coeffs)
         )
-
-    def __hash__(self):
-        raise TypeError("BinaryForm is unhashable")
 
     def __repr__(self):
         return "BinaryForm(%r)" % (self.coeffs,)

@@ -40,11 +40,8 @@ class CharClass:
             raise ValueError("labels must be distinct")
         if len(ms) % 2 != (g + 1) % 2:
             raise ValueError("subset size must be congruent to g+1 mod 2")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "members", _reduce(ms, g))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CharClass is immutable")
+        self.g = g
+        self.members = _reduce(ms, g)
 
     def __eq__(self, other):
         if not isinstance(other, CharClass):
@@ -53,9 +50,6 @@ class CharClass:
 
     def __hash__(self):
         return hash((self.g, self.members))
-
-    def __repr__(self):
-        return "CharClass(g=%d, %s)" % (self.g, sorted(self.members))
 
     @property
     def parity_bit(self):
@@ -106,8 +100,8 @@ def enumerate_chars(g: int):
     out = []
     for s in _reduced_subsets(g):
         c = object.__new__(CharClass)
-        object.__setattr__(c, "g", g)
-        object.__setattr__(c, "members", s)
+        c.g = g
+        c.members = s
         out.append(c)
     return out
 
@@ -135,11 +129,8 @@ class QuadFormGF2:
         vals = tuple(int(v) % 2 for v in basis_values)
         if len(vals) != 2 * g:
             raise ValueError("need one value per basis vector")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "basis_values", vals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadFormGF2 is immutable")
+        self.g = g
+        self.basis_values = vals
 
     def value(self, u):
         support = [i for i, b in enumerate(u) if b]

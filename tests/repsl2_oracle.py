@@ -3,7 +3,11 @@ made before it read each left-hand side off a bilinear table, kept
 unchanged as the oracle for ``test_repsl2.py``: for every generator and
 every basis pair they call ``symplectic_form`` twice and ``moment_map``
 three times.  Both names are looked up in this module, so a test that
-injects a fault patches them here as well as in ``spincert.repsl2``."""
+injects a fault patches them here as well as in ``spincert.repsl2``.
+
+``BinaryForm`` has no arithmetic of its own, since no certificate adds
+forms; ``add`` and ``sub`` below are the coefficientwise sum and
+difference these checks and the tests use."""
 
 from __future__ import annotations
 
@@ -14,6 +18,18 @@ from spincert.repsl2 import (
     moment_map,
     symplectic_form,
 )
+
+
+def add(u: BinaryForm, v: BinaryForm) -> BinaryForm:
+    if u.degree != v.degree:
+        raise ValueError("degree mismatch")
+    return BinaryForm(tuple(a + b for a, b in zip(u.coeffs, v.coeffs)))
+
+
+def sub(u: BinaryForm, v: BinaryForm) -> BinaryForm:
+    if u.degree != v.degree:
+        raise ValueError("degree mismatch")
+    return BinaryForm(tuple(a - b for a, b in zip(u.coeffs, v.coeffs)))
 
 
 def invariance_check(m: int) -> dict:
@@ -47,11 +63,12 @@ def equivariance_check(m: int) -> dict:
     for x in GENERATORS:
         for i, u in enumerate(basis):
             for j, v in enumerate(basis):
-                lhs = moment_map(generator_action(x, u), v) + moment_map(
-                    u, generator_action(x, v)
+                lhs = add(
+                    moment_map(generator_action(x, u), v),
+                    moment_map(u, generator_action(x, v)),
                 )
                 rhs = generator_action(x, moment_map(u, v))
-                if lhs - rhs:
+                if any(sub(lhs, rhs).coeffs):
                     failures.append({"generator": x, "pair": [i, j]})
     return {
         "check": "contraction_equivariance",

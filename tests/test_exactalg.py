@@ -157,6 +157,10 @@ def test_gaussian_matches_fraction_pair_oracle(pair, k, q, n):
         _assert_matches(_outcome(lambda: op(x, y)), _outcome(lambda: op(ox, oy)))
         for r in (k, q):
             _assert_matches(_outcome(lambda: op(x, r)), _outcome(lambda: op(ox, r)))
+    # a rational on the left; Gaussian has no reflected division, since no
+    # path divides a rational by a Gaussian
+    for op in binary[:3]:
+        for r in (k, q):
             _assert_matches(_outcome(lambda: op(r, x)), _outcome(lambda: op(r, ox)))
     _assert_matches(-x, -ox)
     _assert_matches(x**n, ox**n)
@@ -831,7 +835,12 @@ def test_integer_bareiss_matches_fraction_oracle(rows):
     assert rank(rows) == echelon_oracle.rank(fraction_rows) == len(want_pivots)
     got = nullspace(rows)
     assert got == echelon_oracle.nullspace(fraction_rows)
-    assert all(type(x) is Fraction for v in got for x in v)
+    # the rational normal form: an int, or a Fraction that is not integral
+    assert all(
+        type(x) is int or (type(x) is Fraction and x.denominator > 1)
+        for v in got
+        for x in v
+    )
 
 
 _MATRIX_BRANCHES = {

@@ -95,10 +95,6 @@ class TestTable:
         assert all(bad.quadratic(*p) == table.quadratic(*p) for p in others)
         assert table.sign(2, 5) == 1
 
-    def test_table_is_immutable(self, table):
-        with pytest.raises(AttributeError):
-            table.entries = {}
-
     def test_parser_rejects_malformed_terms(self):
         with pytest.raises(ValueError):
             _parse_linear("q1p1 +q2p2")

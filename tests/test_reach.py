@@ -1,18 +1,20 @@
-"""Reach ledger: every function in ``src/spincert`` is either reached by
-the command-line runs below or named in ``ALLOWLIST`` with the reason it
-stays.  A new function that no run reaches fails here, and so does an
-allowlisted function that a run now reaches, which keeps the list true.
+"""Reach ledger: every function in ``src/spincert``, dunder methods
+included, is either reached by the command-line runs below or named
+with the reason it stays, in ``ALLOWLIST`` for ordinary functions and in
+``DUNDER_ALLOWLIST`` for protocol methods.  A new function that no run
+reaches fails here, and so does an allowlisted function that a run now
+reaches, which keeps the lists true.
 
 The runs are the three golden reports, both ``--perturb`` runs and two
-bad-argument runs, made in process under ``sys.setprofile``.  Dunder
-methods are left out: they answer Python's protocols, not callers.
+bad-argument runs, made in process under ``sys.setprofile``.
 
 A function is keyed by its file and the line of its first decorator (or
 of ``def`` when it has none), which is the line CPython records as the
 code object's ``co_firstlineno``.  The package is imported before the
 profile starts, so a function that only module import calls counts as
 unreached.  The module runs without pytest, so
-``PYTHONPATH=src python tests/test_reach.py`` prints the unreached set."""
+``PYTHONPATH=src python tests/test_reach.py`` prints the unreached
+functions and the unreached dunders as two groups."""
 
 import ast
 import contextlib
@@ -89,10 +91,82 @@ ALLOWLIST = {
     "thetachar.py:QuadFormGF2.value": "the form that arf_by_majority counts zeros of",
 }
 
+# Reasons a protocol method stays although no run calls it.
+_MESSAGE = "a src error message formats it"
+_SHOWN = "hypothesis prints drawn values with it when a property test fails"
+_TEST_EQ = "tests compare values with it; no run does"
+_HASH = "tests hash equal values alike, or keep them in sets"
+
+DUNDER_ALLOWLIST = {
+    # only RatFunc.__pow__ calls it
+    "exactalg/polys.py:MultiPoly.__pow__": _SERIES,
+    "exactalg/ratfunc.py:RatFunc.__add__": _SERIES,
+    "exactalg/ratfunc.py:RatFunc.__bool__": _SERIES,
+    "exactalg/ratfunc.py:RatFunc.__eq__": _SERIES,
+    "exactalg/ratfunc.py:RatFunc.__hash__": _SERIES,
+    "exactalg/ratfunc.py:RatFunc.__init__": _SERIES,
+    "exactalg/ratfunc.py:RatFunc.__mul__": _SERIES,
+    "exactalg/ratfunc.py:RatFunc.__neg__": _SERIES,
+    "exactalg/ratfunc.py:RatFunc.__pow__": _SERIES,
+    "exactalg/ratfunc.py:RatFunc.__repr__": _SERIES,
+    "exactalg/ratfunc.py:RatFunc.__rsub__": _SERIES,
+    "exactalg/ratfunc.py:RatFunc.__rtruediv__": _SERIES,
+    "exactalg/ratfunc.py:RatFunc.__str__": _SERIES,
+    "exactalg/ratfunc.py:RatFunc.__sub__": _SERIES,
+    "exactalg/ratfunc.py:RatFunc.__truediv__": _SERIES,
+    "hyperell.py:LSeries.__add__": _SERIES,
+    "hyperell.py:LSeries.__init__": _SERIES,
+    "hyperell.py:LSeries.__mul__": _SERIES,
+    "hyperell.py:LSeries.__neg__": _SERIES,
+    "hyperell.py:LSeries.__repr__": _SERIES,
+    "hyperell.py:LSeries.__sub__": _SERIES,
+    "exactalg/scalars.py:Gaussian.__rsub__": (
+        "MultiPoly.exact_div subtracts a Gaussian from the int 0 with it; "
+        "RatFunc division over Q(i) in the instanton tests reaches that"
+    ),
+    "exactalg/scalars.py:Gaussian.__str__": (
+        "MultiPoly.to_str and Multivector.__str__ format coefficients with it"
+    ),
+    "clifford.py:Multivector.__str__": _MESSAGE,
+    "exactalg/scalars.py:Gaussian.__repr__": _MESSAGE,
+    "hyperell.py:FieldElem.__repr__": _MESSAGE,
+    "hyperell.py:Place.__repr__": _MESSAGE,
+    "hyperell.py:UPoly.__repr__": _MESSAGE,
+    "oddmoduli.py:PointTriple.__repr__": _MESSAGE,
+    "exactalg/polys.py:MultiPoly.__repr__": _SHOWN,
+    "hyperell.py:Divisor.__repr__": _SHOWN,
+    "instanton.py:Mat2.__repr__": _SHOWN,
+    "instanton.py:_RhoFrac.__repr__": _SHOWN,
+    "oddmoduli.py:PlaneP3.__repr__": _SHOWN,
+    "repsl2.py:BinaryForm.__repr__": _SHOWN,
+    "clifford.py:Multivector.__eq__": _TEST_EQ,
+    "instanton.py:Mat2.__eq__": _TEST_EQ,
+    "instanton.py:_RhoFrac.__eq__": _TEST_EQ,
+    "oddmoduli.py:PlaneP3.__eq__": _TEST_EQ,
+    "repsl2.py:BinaryForm.__eq__": _TEST_EQ,
+    "thetachar.py:CharClass.__eq__": _TEST_EQ,
+    "exactalg/polys.py:MultiPoly.__hash__": _HASH,
+    "exactalg/polys.py:PolyRing.__hash__": _HASH,
+    "exactalg/scalars.py:Gaussian.__hash__": _HASH,
+    "hyperell.py:UPoly.__hash__": _HASH,
+    "thetachar.py:CharClass.__hash__": _HASH,
+    "hyperell.py:FieldElem.__neg__": (
+        "tests write functions such as -y with it, and the zero test checks x - x"
+    ),
+    "hyperell.py:FieldElem.__sub__": (
+        "tests write functions such as x - 1 with it, and the zero test checks x - x"
+    ),
+}
+
+
+def _is_dunder(name):
+    short = name.rsplit(".", 1)[-1]
+    return short.startswith("__") and short.endswith("__")
+
 
 def _functions():
-    """{(filename, first line): "path:qualname"} for every non-dunder
-    function and method under SRC."""
+    """{(filename, first line): "path:qualname"} for every function and
+    method under SRC, dunders included."""
     out = {}
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
@@ -102,8 +176,7 @@ def _functions():
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     name = prefix + child.name
                     first = child.decorator_list[0] if child.decorator_list else child
-                    if not (child.name.startswith("__") and child.name.endswith("__")):
-                        out[(str(path), first.lineno)] = "%s:%s" % (rel, name)
+                    out[(str(path), first.lineno)] = "%s:%s" % (rel, name)
                     walk(child, name + ".<locals>.")
                 elif isinstance(child, ast.ClassDef):
                     walk(child, prefix + child.name + ".")
@@ -146,19 +219,26 @@ def unreached():
 
 def test_unreached_functions_are_the_allowlist():
     dead = unreached()
-    new = sorted(dead - set(ALLOWLIST))
+    listed = set(ALLOWLIST) | set(DUNDER_ALLOWLIST)
+    new = sorted(dead - listed)
     assert not new, "no run reaches these; delete or allowlist them: %s" % new
-    reached = sorted(set(ALLOWLIST) - dead)
-    assert not reached, "a run reaches these; drop them from ALLOWLIST: %s" % reached
+    reached = sorted(listed - dead)
+    assert not reached, "a run reaches these; drop them from the allowlists: %s" % reached
 
 
 def test_every_allowlist_entry_names_a_function_and_a_reason():
     names = set(_functions().values())
-    for name, reason in ALLOWLIST.items():
-        assert name in names, name
-        assert reason.strip(), name
+    for allowlist, dunders in ((ALLOWLIST, False), (DUNDER_ALLOWLIST, True)):
+        for name, reason in allowlist.items():
+            assert name in names, name
+            assert _is_dunder(name) == dunders, name
+            assert reason.strip(), name
 
 
 if __name__ == "__main__":
-    for name in sorted(unreached()):
-        print(name)
+    dead = sorted(unreached())
+    for title, dunders in (("functions", False), ("dunders", True)):
+        group = [name for name in dead if _is_dunder(name) == dunders]
+        print("unreached %s (%d):" % (title, len(group)))
+        for name in group:
+            print("  " + name)

@@ -15,7 +15,6 @@ from spincert.clifford import NBLADES, Multivector
 from spincert.exactalg import QQ, Gaussian, MultiPoly, PolyRing, RatFunc
 from spincert.hyperell import FieldElem, UPoly, standard_curve
 from spincert.instanton import R4, RHO, CoupledField, Mat2, _RhoFrac
-from spincert.repsl2 import BinaryForm
 
 RXY = PolyRing(QQ, ("x", "y"))
 CURVE = standard_curve()
@@ -92,10 +91,6 @@ CASES = {
         ),
         Multivector(),
     ),
-    "BinaryForm": (
-        st.lists(rationals, min_size=4, max_size=4).map(BinaryForm),
-        BinaryForm((0, 0, 0, 0)),
-    ),
     "_RhoFrac": (rho_fracs(), _RhoFrac(R4.zero())),
     "Mat2": (st.lists(rho_fracs(), min_size=4, max_size=4).map(_mat2), Mat2.zero()),
     "CoupledField": (
@@ -132,7 +127,6 @@ def test_nonzero_draws_are_truthy():
         UPoly((0, 1)),
         FieldElem(CURVE, 0, 1),
         Multivector.vector(2),
-        BinaryForm((0, 0, 0, 1)),
         entry,
         diag,
         CoupledField((Mat2.zero(), diag, Mat2.zero(), Mat2.zero())),
