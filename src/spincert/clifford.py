@@ -128,8 +128,6 @@ class Multivector:
                 out[m] = s
         return Multivector(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Multivector({m: -c for m, c in self.coeffs.items()})
 

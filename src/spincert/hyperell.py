@@ -9,8 +9,12 @@ numerators over one positive common denominator, kept in normal form,
 so a sum or product is an integer loop plus one lcm or gcd and a value
 p(r/s) is one homogeneous Horner pass over the integers.  Root orders
 divide a root r/s out exactly by the primitive factor s x - r, whose
-integer quotient Gauss's lemma guarantees.  Fractions appear only where
-a coefficient or a value is read out.
+integer quotient Gauss's lemma guarantees.  Every rational scalar the
+curve code hands out (a coefficient, a value, a root, a place key, a
+leading Laurent coefficient) is in the QQ normal form of
+``exactalg.scalars``: an int when it is integral, else a Fraction with
+denominator above 1.  A quotient of scalars goes through
+``exact_quotient``, never a bare ``/``, which on two ints is a float.
 
 The split and infinity rows of the Riemann-Roch system read the first
 few coefficients of y in a local uniformizer from a checked truncated
@@ -35,6 +39,7 @@ from fractions import Fraction
 from math import comb, gcd as int_gcd, inf, isqrt, lcm
 
 from . import VerificationError
+from .exactalg.scalars import exact_quotient, rational_normal
 
 # ----------------------------------------------------------------------
 # dense univariate polynomials over the rationals
@@ -42,10 +47,23 @@ from . import VerificationError
 
 
 def _fr(v):
+    """A rational scalar as a Fraction, for the series code, which keeps
+    Fraction coefficients; curve data goes through ``_qq``."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int):
         return Fraction(v)
+    raise TypeError("expected a rational scalar, got %r" % (v,))
+
+
+def _qq(v):
+    """Curve data (an x-value, a y-value, a root) in the QQ normal form:
+    an int passes through and a Fraction is normalised; anything else,
+    a bool, a float or a Gaussian among them, is a TypeError."""
+    if type(v) is int:
+        return v
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
     raise TypeError("expected a rational scalar, got %r" % (v,))
 
 
@@ -54,20 +72,24 @@ class UPoly:
     over one positive common denominator, in normal form (no trailing
     zero numerator, gcd(n_0, ..., n_d, den) = 1, zero is ((), 1)), so
     equal polynomials have equal fields.  Sums and products are integer
-    loops plus one lcm or gcd; ``coeffs`` is the derived tuple of
-    Fractions.  Immutable by convention: the public attributes are
-    read-only properties and the private slots are never rewritten."""
+    loops plus one lcm or gcd.  Coefficients, values and roots are read
+    out in the QQ normal form: ``coeffs`` is the numerator tuple itself
+    when the denominator is 1.  Immutable by convention: the public
+    attributes are read-only properties and the private slots are never
+    rewritten."""
 
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
-        cs = tuple(coeffs)
-        for c in cs:
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError("expected a rational scalar, got %r" % (c,))
-        # the lcm of reduced denominators leaves numerators coprime to it
-        den = lcm(*(c.denominator for c in cs))
-        num = [c.numerator * (den // c.denominator) for c in cs]
+        num = list(coeffs)
+        den = 1
+        if not all(type(c) is int for c in num):
+            for c in num:
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError("expected a rational scalar, got %r" % (c,))
+            # the lcm of reduced denominators leaves numerators coprime to it
+            den = lcm(*(c.denominator for c in num))
+            num = [c.numerator * (den // c.denominator) for c in num]
         while num and not num[-1]:
             num.pop()
         self._num = tuple(num)
@@ -76,7 +98,9 @@ class UPoly:
     @property
     def coeffs(self):
         d = self._den
-        return tuple(Fraction(n, d) for n in self._num)
+        if d == 1:
+            return self._num
+        return tuple(exact_quotient(n, d) for n in self._num)
 
     @classmethod
     def const(cls, c):
@@ -84,7 +108,7 @@ class UPoly:
 
     @classmethod
     def x_minus(cls, r):
-        r = _fr(r)
+        r = _qq(r)
         return _upoly((-r.numerator, r.denominator), r.denominator)
 
     def __bool__(self):
@@ -97,12 +121,12 @@ class UPoly:
     def lead(self):
         if not self._num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self._num[-1], self._den)
+        return exact_quotient(self._num[-1], self._den)
 
     def coeff(self, k):
         if 0 <= k < len(self._num):
-            return Fraction(self._num[k], self._den)
-        return Fraction(0)
+            return exact_quotient(self._num[k], self._den)
+        return 0
 
     def __add__(self, other):
         if not isinstance(other, UPoly):
@@ -125,7 +149,7 @@ class UPoly:
             return NotImplemented
         a, b = self._num, other._num
         if not a or not b:
-            return UPoly()
+            return _ZERO
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
@@ -133,12 +157,10 @@ class UPoly:
                     out[j] += x * y
         return _normal(out, self._den * other._den)
 
-    __rmul__ = __mul__
-
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
-        out = UPoly((1,))
+        out = _ONE
         base = self
         while True:
             if n & 1:
@@ -162,9 +184,9 @@ class UPoly:
         """p(x) at a rational x = r/s, by one homogeneous Horner pass
         over the integers: sum n_k r^k s^(d-k) over den s^d."""
         if not self._num:
-            return Fraction(0)
+            return 0
         h, sd = _horner(self._num, x.numerator, x.denominator)
-        return Fraction(h, self._den * sd)
+        return exact_quotient(h, self._den * sd)
 
     def derivative(self):
         return _normal([k * c for k, c in enumerate(self._num)][1:], self._den)
@@ -173,7 +195,7 @@ class UPoly:
         if not other._num:
             raise ZeroDivisionError("polynomial division by zero")
         if len(self._num) < len(other._num):
-            return UPoly(), self
+            return _ZERO, self
         quo, rem, scale = _pseudo_divmod(self._num, other._num)
         # scale a = quo b + rem with self = a/da and other = b/db
         den = self._den * scale
@@ -185,7 +207,7 @@ class UPoly:
             a, b = b, a.divmod(b)[1]
         if not a:
             return a
-        return a * (Fraction(1) / a.lead())
+        return a * exact_quotient(1, a.lead())
 
     def rational_roots(self):
         """All rational roots with multiplicities; complete by the
@@ -199,7 +221,7 @@ class UPoly:
         while not num[zero_mult]:
             zero_mult += 1
         if zero_mult:
-            out[Fraction(0)] = zero_mult
+            out[0] = zero_mult
         if len(num) - zero_mult < 2:
             return out
         p = _upoly(num[zero_mult:], self._den)
@@ -210,7 +232,7 @@ class UPoly:
                 if int_gcd(pnum, qden) != 1:
                     continue
                 for sign in (1, -1):
-                    r = Fraction(sign * pnum, qden)
+                    r = sign * pnum if qden == 1 else Fraction(sign * pnum, qden)
                     mult, p, _ = _root_order(p, r)
                     if mult:
                         out[r] = mult
@@ -231,12 +253,16 @@ def _upoly(num, den):
     return p
 
 
+_ZERO = _upoly((), 1)
+_ONE = _upoly((1,), 1)
+
+
 def _normal(num, den):
     """A UPoly num/den in normal form, from a list of ints and den > 0."""
     while num and not num[-1]:
         num.pop()
     if not num:
-        return UPoly()
+        return _ZERO
     if den != 1:
         g = int_gcd(den, *num)
         if g != 1:
@@ -313,12 +339,13 @@ def _root_order(p: UPoly, x0):
     factor leaves an integer quotient, so q = s^k Q/den for the integer
     quotient Q after k divisions."""
     if not p._num:
-        return inf, p, Fraction(0)
+        return inf, p, 0
     k, num, h, sd = _strip_root(p._num, x0.numerator, x0.denominator)
     if not k:
-        return 0, p, Fraction(h, p._den * sd)
+        return 0, p, exact_quotient(h, p._den * sd)
     sk = x0.denominator**k
-    return k, _normal([c * sk for c in num], p._den), Fraction(h * sk, p._den * sd)
+    value = exact_quotient(h * sk, p._den * sd)
+    return k, _normal([c * sk for c in num], p._den), value
 
 
 def _order(p: UPoly, x0):
@@ -348,13 +375,13 @@ def _strip_root(num, r, s):
 
 
 def rational_sqrt(v):
-    """Exact square root of a rational, or None."""
-    v = _fr(v)
+    """Exact square root of a rational, in the QQ normal form, or None."""
+    v = _qq(v)
     if v < 0:
         return None
     rn, rd = isqrt(v.numerator), isqrt(v.denominator)
     if rn * rn == v.numerator and rd * rd == v.denominator:
-        return Fraction(rn, rd)
+        return exact_quotient(rn, rd)
     return None
 
 
@@ -519,7 +546,7 @@ class HyperCurve:
             raise ValueError("f must have even degree at least 4")
         genus = f.degree // 2 - 1
         df = f.derivative()
-        if not f.gcd(df) == UPoly((1,)):
+        if not f.gcd(df) == _ONE:
             raise ValueError("f must be squarefree")
         roots = f.rational_roots()
         if sum(roots.values()) != f.degree:
@@ -559,7 +586,7 @@ class HyperCurve:
         return Place(self, "inf", sign)
 
     def split_place(self, x0, y0):
-        x0, y0 = _fr(x0), _fr(y0)
+        x0, y0 = _qq(x0), _qq(y0)
         if self.f.eval(x0) != y0 * y0 or y0 == 0:
             raise ValueError("point is not a smooth affine non-branch point")
         return Place(self, "split", (x0, y0))
@@ -568,7 +595,7 @@ class HyperCurve:
         """The rational places over a finite x-value: the branch place
         when f(x0) = 0, both split places when f(x0) is a nonzero
         rational square, and () otherwise."""
-        x0 = _fr(x0)
+        x0 = _qq(x0)
         fx = self.f.eval(x0)
         if fx == 0:
             return (Place(self, "branch", x0),)
@@ -680,11 +707,8 @@ class Place:
 def _shift_row(x0, j, n):
     """The coefficient of (x - x0)^j in each of x^0, ..., x^n: C(k, j)
     x0^(k-j), and 0 for k < j (so x0 = 0 meets no negative power); ints
-    when x0 is integral, Fractions otherwise."""
-    if x0.denominator == 1:
-        x0 = x0.numerator
-    zero = x0 * 0
-    return [comb(k, j) * x0 ** (k - j) if k >= j else zero for k in range(n + 1)]
+    when x0 is an int, as an integral place key is."""
+    return [comb(k, j) * x0 ** (k - j) if k >= j else 0 for k in range(n + 1)]
 
 
 def _sqrt_head(u, s0, c):
@@ -693,12 +717,14 @@ def _sqrt_head(u, s0, c):
     (missing ones are 0): the exact recurrence 2 s_0 s_k = u_k - sum over
     0 < j < k of s_j s_(k-j).  The identity is re-checked on the result,
     so an s_0 that does not square to u_0 raises."""
-    u = list(u[:c]) + [Fraction(0)] * (c - len(u))
+    u = list(u[:c]) + [0] * (c - len(u))
     if not s0:
         raise VerificationError("truncated square root needs s_0 != 0")
     s = [s0]
     for k in range(1, c):
-        s.append((u[k] - sum(s[j] * s[k - j] for j in range(1, k))) / (2 * s0))
+        s.append(
+            exact_quotient(u[k] - sum(s[j] * s[k - j] for j in range(1, k)), 2 * s0)
+        )
     for k in range(c):
         if sum(s[j] * s[k - j] for j in range(k + 1)) != u[k]:
             raise VerificationError("s^2 differs from u at t^%d" % k)
@@ -706,10 +732,10 @@ def _sqrt_head(u, s0, c):
 
 
 def _taylor(p: UPoly, x0):
-    """Coefficients of p(x0 + t) in t, exact."""
+    """Coefficients of p(x0 + t) in t, exact, in the QQ normal form."""
     n = max(p.degree, 0)
     return [
-        sum(c * s for c, s in zip(p.coeffs, _shift_row(x0, j, n)))
+        rational_normal(sum(c * s for c, s in zip(p.coeffs, _shift_row(x0, j, n))))
         for j in range(n + 1)
     ]
 
@@ -785,14 +811,15 @@ class Divisor:
 
 
 class FieldElem:
-    """(a(x) + b(x) y) / den(x); no simplification is attempted."""
+    """(a(x) + b(x) y) / den(x); no simplification is attempted.  An
+    omitted b or den is the module's one zero or one polynomial."""
 
     __slots__ = ("curve", "a", "b", "den")
 
     def __init__(self, curve, a, b=None, den=None):
         a = a if isinstance(a, UPoly) else UPoly.const(a)
-        b = UPoly() if b is None else (b if isinstance(b, UPoly) else UPoly.const(b))
-        den = UPoly((1,)) if den is None else (
+        b = _ZERO if b is None else (b if isinstance(b, UPoly) else UPoly.const(b))
+        den = _ONE if den is None else (
             den if isinstance(den, UPoly) else UPoly.const(den)
         )
         if not den:
@@ -804,7 +831,7 @@ class FieldElem:
 
     @classmethod
     def y_function(cls, curve):
-        return cls(curve, UPoly(), UPoly((1,)))
+        return cls(curve, _ZERO, _ONE)
 
     def __bool__(self):
         return bool(self.a or self.b)
@@ -849,7 +876,6 @@ class FieldElem:
         b = self.a * other.b + self.b * other.a
         return FieldElem(self.curve, a, b, self.den * other.den)
 
-    __radd__ = __add__
     __rmul__ = __mul__
 
     def conjugate(self):
@@ -893,9 +919,10 @@ class FieldElem:
     def leading_term(self, place: Place):
         """(v, c) with h = c t^v + O(t^(v+1)) for h = (a + b y)/den in the
         local uniformizer t of the place (the one ``Place.local_series``
-        uses), in closed form from root orders, cofactor values and the
-        norm N = a^2 - b^2 f; no series is built (Cantor, "Computing in the
-        Jacobian of a hyperelliptic curve", Math. Comp. 48 (1987)).  ord is
+        uses), c in the QQ normal form, in closed form from root orders,
+        cofactor values and the norm N = a^2 - b^2 f; no series is built
+        (Cantor, "Computing in the Jacobian of a hyperelliptic curve",
+        Math. Comp. 48 (1987)).  ord is
         the order of x0 as a root and q the cofactor left after dividing
         (x - x0)^ord out; a zero polynomial has infinite order and drops
         out of the minima.  The numerator a + b y is treated below; den
@@ -931,7 +958,11 @@ class FieldElem:
                 v, k, lead = 2 * ka, ka, ca
             else:
                 v, k, lead = 2 * kb + 1, kb, cb
-            return v - 2 * kd, lead * self.curve.slopes[x0] ** (kd - k) / cd
+            # a negative power of an int is a float, so it goes to the divisor
+            slope = self.curve.slopes[x0]
+            if kd >= k:
+                return v - 2 * kd, exact_quotient(lead * slope ** (kd - k), cd)
+            return v - 2 * kd, exact_quotient(lead, cd * slope ** (k - kd))
         if place.kind == "split":
             x0, y0 = place.key
             (ka, _, ca), (kb, _, cb), (kd, _, cd) = (
@@ -943,8 +974,8 @@ class FieldElem:
             if not lead:
                 # ord N' = ord N - 2k, and a'(x0) = ca is nonzero here
                 kn, _, cn = _root_order(self.norm_pair()[0], x0)
-                k, lead = kn - k, cn / (2 * ca)
-            return k - kd, lead / cd
+                k, lead = kn - k, exact_quotient(cn, 2 * ca)
+            return k - kd, exact_quotient(lead, cd)
         da = a.degree if a else -inf
         db = b.degree + self.curve.genus + 1 if b else -inf
         top = max(da, db)
@@ -953,8 +984,8 @@ class FieldElem:
         )
         if not lead:
             n = self.norm_pair()[0]
-            top, lead = n.degree - da, n.lead() / (2 * a.lead())
-        return den.degree - top, lead / den.lead()
+            top, lead = n.degree - da, exact_quotient(n.lead(), 2 * a.lead())
+        return den.degree - top, exact_quotient(lead, den.lead())
 
     def valuation(self, place: Place) -> int:
         """Order of h at a place: the order part of ``leading_term``,
@@ -1104,7 +1135,7 @@ def branch_product(curve: HyperCurve, t) -> UPoly:
     """The polynomial prod over i in t of (x - x_i), x_i the i-th branch
     point (1-based); its divisor is twice the branch places over t minus
     |t| times the two infinite places."""
-    out = UPoly((1,))
+    out = _ONE
     for i in sorted(t):
         out = out * UPoly.x_minus(curve.roots[i - 1])
     return out
@@ -1125,7 +1156,7 @@ def theta_complement_witness(curve: HyperCurve, t) -> FieldElem:
     tset = _branch_subset(curve, t)
     comp = frozenset(range(1, 2 * curve.genus + 3)) - tset
     den = branch_product(curve, comp) * curve.f.lead()
-    h = FieldElem(curve, UPoly(), UPoly((1,)), den)
+    h = FieldElem(curve, _ZERO, _ONE, den)
     want = theta_divisor(curve, tset) - _theta_representative(curve, comp)
     if divisor_of(h) != want:
         raise VerificationError("complement witness failed for T=%s" % sorted(tset))
@@ -1189,7 +1220,7 @@ def _rr_system(curve: HyperCurve, divisor: Divisor):
     x^0..x^na followed by the b-coefficients of x^0..x^nb."""
     g = curve.genus
     branch, split, inf = _group_divisor(curve, divisor)
-    d = UPoly((1,))
+    d = _ONE
     branch_e = {}
     for x0, n in branch.items():
         e = max(_ceil_div(n, 2), 0)
@@ -1203,8 +1234,8 @@ def _rr_system(curve: HyperCurve, divisor: Divisor):
     n_inf = max(inf[1], inf[-1], 0)
     na = d.degree + n_inf
     nb = na - (g + 1)
-    zero_a = [Fraction(0)] * (na + 1)
-    zero_b = [Fraction(0)] * (nb + 1)
+    zero_a = [0] * (na + 1)
+    zero_b = [0] * (nb + 1)
 
     rows = []
 
@@ -1300,7 +1331,7 @@ def _rr_basis(curve, divisor):
     basis = []
     for vec in vectors:
         a = UPoly(tuple(vec[: na + 1]))
-        b = UPoly(tuple(vec[na + 1 :])) if nb >= 0 else UPoly()
+        b = UPoly(tuple(vec[na + 1 :])) if nb >= 0 else _ZERO
         basis.append(FieldElem(curve, a, b, d))
     _verify_membership(curve, divisor, basis)
     return basis

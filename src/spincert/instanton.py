@@ -79,8 +79,6 @@ class _RhoFrac:
             q = q * RHO ** (k - j)
         return _RhoFrac(p + q, k)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return _RhoFrac(-self.p, self.k)
 

@@ -10,7 +10,10 @@ Coordinate conventions: t = (t0, t1) are the first-factor coordinates
 (square-root-cube sections), s = (s0, s1) the second-factor coordinates
 (canonical sections); the Segre order is z_(2i+j) = t_i * s_j, so the
 quadric is z0 z3 - z1 z2 = 0.  All plane and point coordinates are kept
-as primitive integer vectors with positive leading entry.
+as primitive integer vectors of ints with positive leading entry; every
+other scalar is in the QQ normal form of ``exactalg.scalars`` (an int
+when integral, else a Fraction with denominator above 1), and a
+quotient goes through ``exact_quotient``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .exactalg import (
     proportional,
     rational_content,
 )
-from .exactalg.scalars import exact_quotient
+from .exactalg.scalars import exact_quotient, rational_normal
 from .hyperell import (
     Divisor,
     FieldElem,
@@ -50,24 +53,24 @@ T_MONOS = ((2, 0), (1, 1), (0, 2))
 S_MONOS = ((3, 0), (2, 1), (1, 2), (0, 3))
 
 SEGRE_QUADRIC = (
-    (Fraction(0), Fraction(0), Fraction(0), Fraction(1, 2)),
-    (Fraction(0), Fraction(0), Fraction(-1, 2), Fraction(0)),
-    (Fraction(0), Fraction(-1, 2), Fraction(0), Fraction(0)),
-    (Fraction(1, 2), Fraction(0), Fraction(0), Fraction(0)),
+    (0, 0, 0, Fraction(1, 2)),
+    (0, 0, Fraction(-1, 2), 0),
+    (0, Fraction(-1, 2), 0, 0),
+    (Fraction(1, 2), 0, 0, 0),
 )
 
 
 def _normalize(vec):
-    """Scale to a primitive integer vector with positive leading entry,
-    as Fractions: the entries, ints among them, are made Fractions first,
-    so ``/`` stays exact."""
-    vec = [Fraction(v) for v in vec]
+    """Scale a rational vector to the primitive integer vector of ints
+    with positive leading entry: with content g/l, each entry n/d
+    becomes n (l/d) / g, an exact integer quotient."""
     content = rational_content(vec)
     if content == 0:
         raise ValueError("zero vector cannot be normalized")
+    g, l = content.numerator, content.denominator
     if next(v for v in vec if v) < 0:
-        content = -content
-    return tuple(v / content for v in vec)
+        g = -g
+    return tuple(v.numerator * (l // v.denominator) // g for v in vec)
 
 
 def sigma_place(place: Place) -> Place:
@@ -117,8 +120,9 @@ class PointTriple:
 
 
 class PlaneP3:
-    """A plane in P3: four exact coefficients, stored primitive with a
-    positive leading entry so equality is literal."""
+    """A plane in P3: four exact coefficients, stored as a primitive
+    vector of ints with a positive leading entry so equality is
+    literal."""
 
     __slots__ = ("coeffs",)
 
@@ -129,7 +133,7 @@ class PlaneP3:
         self.coeffs = coeffs
 
     def value(self, point):
-        return sum(c * Fraction(z) for c, z in zip(self.coeffs, point))
+        return sum(c * z for c, z in zip(self.coeffs, point))
 
     def __eq__(self, other):
         if not isinstance(other, PlaneP3):
@@ -137,7 +141,7 @@ class PlaneP3:
         return self.coeffs == other.coeffs
 
     def __repr__(self):
-        return "PlaneP3(%s)" % (tuple(int(c) for c in self.coeffs),)
+        return "PlaneP3(%s)" % (self.coeffs,)
 
 
 class Collinear:
@@ -271,7 +275,7 @@ def _lead_pair(funcs, place):
     function of higher order contributes 0."""
     terms = [h.leading_term(place) for h in funcs]
     m = min(v for v, _ in terms)
-    return m, [c if v == m else Fraction(0) for v, c in terms]
+    return m, [c if v == m else 0 for v, c in terms]
 
 
 def _image_record(E: EmbeddedCurve, place: Place):
@@ -382,12 +386,13 @@ def involution_matrix(E: EmbeddedCurve):
             action.append(coeffs)
         factor_actions.append(action)
     s_cube, s_canon = factor_actions
-    M = [[Fraction(0)] * 4 for _ in range(4)]
+    M = [[0] * 4 for _ in range(4)]
     for i in (0, 1):
         for j in (0, 1):
             for k in (0, 1):
                 for l in (0, 1):
-                    M[2 * i + j][2 * k + l] = s_cube[i][k] * s_canon[j][l]
+                    entry = s_cube[i][k] * s_canon[j][l]
+                    M[2 * i + j][2 * k + l] = rational_normal(entry)
     M = tuple(tuple(row) for row in M)
     for place in E.curve.all_standard_places():
         v = embed_point(E, place)
@@ -399,8 +404,9 @@ def involution_matrix(E: EmbeddedCurve):
     return M
 
 
-def quadric_congruence_scale(M) -> Fraction:
-    """Exact lambda with M^T Q M = lambda Q for the Segre quadric."""
+def quadric_congruence_scale(M):
+    """Exact lambda with M^T Q M = lambda Q for the Segre quadric, in the
+    QQ normal form."""
     n = range(4)
     mtqm = [
         [
@@ -409,8 +415,7 @@ def quadric_congruence_scale(M) -> Fraction:
         ]
         for i in n
     ]
-    # SEGRE_QUADRIC holds Fractions, so mtqm does and ``/`` is exact
-    scale = mtqm[0][3] / SEGRE_QUADRIC[0][3]
+    scale = exact_quotient(mtqm[0][3], SEGRE_QUADRIC[0][3])
     for i in n:
         for j in n:
             if mtqm[i][j] != scale * SEGRE_QUADRIC[i][j]:
@@ -529,8 +534,8 @@ def triple_plane_report(E: EmbeddedCurve, triple: PointTriple) -> dict:
         for p in triple.apply_sigma().places:
             if section.divisor.coeff(p) < 1:
                 raise VerificationError("sigma plane misses an image point")
-        report["plane"] = [int(c) for c in verdict.coeffs]
-        report["sigma_plane"] = [int(c) for c in sigma_plane.coeffs]
+        report["plane"] = list(verdict.coeffs)
+        report["sigma_plane"] = list(sigma_plane.coeffs)
         report["intersection_degree"] = section.degree
     else:
         witness = _square_root_identification(E, sections)

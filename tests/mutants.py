@@ -1,0 +1,136 @@
+"""Mutation ledger for the exact fast paths.
+
+Each entry breaks one fast path on purpose: in one file under
+``src/spincert`` it replaces one exact snippet, which occurs there
+exactly once, and names the tests expected to fail on the result.  The
+entries cover the QQ normal form, where a bare ``/`` on two ints is a
+float that compares equal to the exact value (``0.5 == Fraction(1, 2)``)
+and an integral Fraction prints like an int, so only a test that looks
+at types can see the fault.
+
+    PYTHONPATH=src python tests/mutants.py
+
+applies each mutant to a temporary copy of ``src`` and ``tests``, runs
+its tests there with pytest, and prints ``killed`` or ``survived``; the
+exit status is 1 when a mutant survives, and 2 when the named tests
+fail on the unmutated code.  A surviving mutant means a
+missing test: the answer is a new test, never an edited mutant.
+``tests/test_mutants.py`` checks, in the tier-1 run, that every snippet
+still occurs exactly once in its file."""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "spincert"
+
+# (name, file under src/spincert, snippet, replacement, tests)
+MUTANTS = (
+    (
+        "leading_term_branch_bare_division",
+        "hyperell.py",
+        "return v - 2 * kd, exact_quotient(lead * slope ** (kd - k), cd)",
+        "return v - 2 * kd, lead * slope ** (kd - k) / cd",
+        ("tests/test_hyperell.py::test_leading_term_matches_series_oracle",),
+    ),
+    (
+        "leading_term_split_bare_division",
+        "hyperell.py",
+        "return k - kd, exact_quotient(lead, cd)",
+        "return k - kd, lead / cd",
+        ("tests/test_hyperell.py::test_leading_term_matches_series_oracle",),
+    ),
+    (
+        "normalize_returns_fractions",
+        "oddmoduli.py",
+        "return tuple(v.numerator * (l // v.denominator) // g for v in vec)",
+        "return tuple(Fraction(v.numerator * (l // v.denominator), g) for v in vec)",
+        (
+            "tests/test_oddmoduli.py::TestPlaneThrough::test_normalization",
+            "tests/test_oddmoduli.py::TestPlaneThrough"
+            "::test_coordinates_are_primitive_int_vectors",
+        ),
+    ),
+    (
+        "exact_div_bare_division",
+        "exactalg/polys.py",
+        "qc = exact_quotient(rem[rexp], lc)",
+        "qc = rem[rexp] / lc",
+        (
+            "tests/test_exactalg.py::test_qq_arithmetic_matches_fraction_oracle",
+            "tests/test_exactalg.py::test_exact_div_of_product",
+        ),
+    ),
+    (
+        "mul_drops_normalization",
+        "exactalg/polys.py",
+        "                    if type(s) is Fraction and s.denominator == 1:\n"
+        "                        s = s.numerator\n"
+        "                    out[e] = s\n",
+        "                    out[e] = s\n",
+        (
+            "tests/test_exactalg.py::test_qq_arithmetic_matches_fraction_oracle",
+            "tests/test_exactalg.py::test_poly_arithmetic_matches_sympy",
+        ),
+    ),
+)
+
+
+def apply(tree, name, path, snippet, replacement):
+    """Write the mutant into the copy under tree; the snippet must occur
+    exactly once in its file."""
+    target = Path(tree) / "src" / "spincert" / path
+    text = target.read_text(encoding="utf-8")
+    if text.count(snippet) != 1:
+        raise SystemExit(
+            "%s: snippet occurs %d times in %s" % (name, text.count(snippet), path)
+        )
+    target.write_text(text.replace(snippet, replacement), encoding="utf-8")
+
+
+def failed(tests, mutant=None):
+    """Whether the tests fail on a copy of src and tests, with the mutant
+    applied when one is given.  A pytest error other than a test failure
+    stops the ledger."""
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    with tempfile.TemporaryDirectory() as tree:
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, Path(tree) / part, ignore=ignore)
+        if mutant is not None:
+            apply(tree, *mutant[:4])
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env["PYTHONPATH"] = str(Path(tree) / "src")
+        child = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+            + list(tests),
+            cwd=tree,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+    if child.returncode not in (0, 1):
+        raise SystemExit("pytest exited %d\n%s" % (child.returncode, child.stdout))
+    return child.returncode == 1
+
+
+def main():
+    # every named test must pass on the unmutated code, or a kill means
+    # nothing
+    named = sorted({test for mutant in MUTANTS for test in mutant[4]})
+    if failed(named):
+        print("the ledger's tests fail on the unmutated code")
+        return 2
+    survived = 0
+    for mutant in MUTANTS:
+        killed = failed(mutant[4], mutant)
+        survived += not killed
+        print("%-36s %s" % (mutant[0], "killed" if killed else "survived"), flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -29,6 +29,9 @@ from spincert.hyperell import Place
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURE = str(GOLDEN / "curve_roots_0_1_2_3_4_-14.txt")
+# 4 x (x - 1/2) (x - 1) (x - 3/2) (x - 2) (x + 7/3): branch points and
+# slopes with denominators above 1
+HALVES = str(GOLDEN / "curve_roots_0_1-2_1_3-2_2_-7-3.txt")
 
 RUNS = [
     ("run_all_seed1729", ["run", "all", "--seed", "1729"], 0),
@@ -40,6 +43,12 @@ RUNS = [
     ("run_parity_fixture", ["run", "parity", "--curve", FIXTURE], 0),
     # the degrees 7 and 9 that run_all_seed1729 does not reach
     ("run_repsl2_m7_9", ["run", "repsl2", "--m", "1,3,5,7,9"], 0),
+    (
+        "run_odd_halves_seed3_triples8",
+        ["run", "odd", "--curve", HALVES, "--seed", "3", "--triples", "8"],
+        0,
+    ),
+    ("run_parity_halves", ["run", "parity", "--curve", HALVES], 0),
 ]
 
 

@@ -24,9 +24,12 @@ from hypothesis import Phase, find, given, settings, strategies as st
 import rr_system_oracle
 import upoly_oracle
 from spincert import VerificationError, hyperell
+from spincert.exactalg import Gaussian
+from spincert.exactalg.scalars import rational_normal
 from spincert.cli import load_curve_fixture, main
 from spincert.hyperell import (
     _group_divisor,
+    _order,
     _root_order,
     _rr_system,
     _sqrt_head,
@@ -153,12 +156,20 @@ def _assert_normal(p):
     assert gcd(den, *num) == 1
 
 
+def _is_qq_normal(x):
+    """x is in the QQ normal form: an int, or a Fraction with denominator
+    above 1.  Value equality alone cannot tell, as 0.5 == Fraction(1, 2)
+    and 2 == Fraction(2)."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
 def _assert_upoly(got, want):
     """``got`` (integer kernel) equals ``want`` (oracle) coefficient by
-    coefficient, and is in normal form."""
+    coefficient, reads its coefficients out in the QQ normal form, and is
+    in normal form."""
     assert type(got) is UPoly
     assert got.coeffs == want.coeffs
-    assert all(type(c) is Fraction for c in got.coeffs)
+    assert all(_is_qq_normal(c) for c in got.coeffs)
     _assert_normal(got)
 
 
@@ -174,7 +185,9 @@ def test_upoly_matches_fraction_oracle(pair, c, n):
     _assert_upoly(p - q, op - oq)
     _assert_upoly(p * q, op * oq)
     _assert_upoly(p * c, op * c)
-    _assert_upoly(c * p, c * op)
+    # no path puts a scalar on the left of a UPoly
+    with pytest.raises(TypeError):
+        c * p
     _assert_upoly(-p, -op)
     _assert_upoly(p**n, op**n)
     _assert_upoly(p.derivative(), op.derivative())
@@ -186,15 +199,17 @@ def test_upoly_matches_fraction_oracle(pair, c, n):
             _assert_upoly(got, want)
     _assert_upoly(p.gcd(q), op.gcd(oq))
     got, want = p.eval(c), op.eval(c)
-    assert type(got) is Fraction and got == want
+    assert _is_qq_normal(got) and got == want
     assert (not p) == op.is_zero and p.degree == op.degree
-    assert [p.coeff(k) for k in range(-1, 8)] == [op.coeff(k) for k in range(-1, 8)]
+    got = [p.coeff(k) for k in range(-1, 8)]
+    assert got == [op.coeff(k) for k in range(-1, 8)]
+    assert all(_is_qq_normal(x) for x in got)
     if p:
-        assert p.lead() == op.lead() and type(p.lead()) is Fraction
+        assert p.lead() == op.lead() and _is_qq_normal(p.lead())
     assert (p == q) == (op == oq)
     assert (p == c) == (op == c)
     assert hash(p) == hash(op)
-    assert repr(p) == repr(op)
+    assert repr(p) == "UPoly(%r)" % (tuple(rational_normal(c) for c in op.coeffs),)
 
 
 @given(coeff_lists(), upoly_scalars().filter(bool))
@@ -233,7 +248,7 @@ def test_root_order_matches_fraction_oracle(case):
     ok, oq, ovalue = upoly_oracle._root_order(FracUPoly(a), x0)
     assert k == ok
     _assert_upoly(q, oq)
-    assert type(value) is Fraction and value == ovalue
+    assert _is_qq_normal(value) and value == ovalue
     if k != inf:
         assert UPoly.x_minus(x0) ** k * q == UPoly(a)
 
@@ -271,6 +286,7 @@ def test_rational_roots_match_fraction_oracle(case):
     a, want = case
     got = UPoly(a).rational_roots()
     assert got == want
+    assert all(_is_qq_normal(r) for r in got)
     # the same roots, found in the same order
     assert list(got.items()) == list(FracUPoly(a).rational_roots().items())
 
@@ -480,6 +496,11 @@ ORACLE_CURVES = {
     "standard": (range(6), ()),
     "split": ((0, 1, 2, 3, 4, -14), ((6, 120), (6, -120))),
     "genus3": (range(8), ()),
+    # branch points and a split x-value with denominators above 1
+    "halves": (
+        (0, Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(-7, 3)),
+        ((Fraction(7, 5), Fraction(42, 125)), (Fraction(7, 5), Fraction(-42, 125))),
+    ),
 }
 
 
@@ -562,6 +583,7 @@ def test_leading_term_matches_series_oracle(oracle_places, name, data):
         return
     for place in places:
         v, lead = h.leading_term(place)
+        assert _is_qq_normal(lead), (place, lead)
         assert h.expand_at(place, v + 1).coeffs == {v: lead}, place
 
 
@@ -672,6 +694,12 @@ _ORDER_BRANCHES = {
     "cancelling_sheet_at_infinity": lambda h, places: bool(h.a and h.b)
     and len(set(_inf_degrees(h))) == 1
     and any(h.a.lead() + s * h.curve.lead_sqrt * h.b.lead() == 0 for s in (1, -1)),
+    # the branch-place lead divides by a power of the slope
+    "numerator_order_above_denominator_at_a_branch_place": lambda h, places: any(
+        p.kind == "branch"
+        and min(_order(h.a, p.key), _order(h.b, p.key)) > _order(h.den, p.key)
+        for p in places
+    ),
     "denominator_vanishes_at_a_branch_place": lambda h, places: any(
         p.kind == "branch" and not h.den.eval(p.key) for p in places
     ),
@@ -711,6 +739,57 @@ def test_places_over_frozen(curve, curve_with_split_point):
     assert c.places_over(6) == (c.split_place(6, 120), c.split_place(6, -120))
     assert curve.places_over(6) == ()  # f(6) = 720 is not a square
     assert curve.places_over(Fraction(1, 2)) == ()  # f(1/2) < 0
+
+
+HALVES_FIXTURE = (
+    Path(__file__).parent / "golden" / "curve_roots_0_1-2_1_3-2_2_-7-3.txt"
+)
+
+
+def test_curve_data_is_in_normal_form(curve, curve_with_split_point):
+    # roots, slopes, lead_sqrt and place keys are ints where integral and
+    # Fractions with denominator above 1 elsewhere, never integral
+    # Fractions or floats, whatever scalar type the caller passed
+    halves = load_curve_fixture(str(HALVES_FIXTURE))
+    assert halves.roots == (Fraction(-7, 3), 0, Fraction(1, 2), 1, Fraction(3, 2), 2)
+    assert halves.slopes[0] == 14 and halves.slopes[1] == Fraction(10, 3)
+    x0, y0 = Fraction(14, 10), Fraction(84, 125)
+    sheets = (halves.split_place(x0, y0), halves.split_place(x0, -y0))
+    assert halves.places_over(x0) == sheets
+    for c, x_split in ((curve, None), (curve_with_split_point, 6), (halves, x0)):
+        assert all(_is_qq_normal(r) for r in c.roots)
+        assert all(_is_qq_normal(r) and _is_qq_normal(s) for r, s in c.slopes.items())
+        assert _is_qq_normal(c.lead_sqrt)
+        places = list(c.all_standard_places())
+        places += [p for r in c.roots for p in c.places_over(Fraction(r))]
+        if x_split is not None:
+            places += c.places_over(Fraction(x_split)) + c.places_over(x_split)
+            places += [c.split_place(Fraction(x_split), p.key[1]) for p in places[-2:]]
+        for place in places:
+            key = place.key if place.kind == "split" else (place.key,)
+            assert all(_is_qq_normal(k) for k in key), place
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, Gaussian(1)], ids=repr)
+def test_curve_data_rejects_floats_bools_and_gaussians(
+    curve, curve_with_split_point, bad
+):
+    with pytest.raises(TypeError):
+        curve.places_over(bad)
+    with pytest.raises(TypeError):
+        curve_with_split_point.split_place(bad, 120)
+    with pytest.raises(TypeError):
+        curve_with_split_point.split_place(6, bad)
+    with pytest.raises(TypeError):
+        UPoly.x_minus(bad)
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, Gaussian(1), "1"], ids=repr)
+def test_upoly_rejects_non_rational_coefficients(bad):
+    with pytest.raises(TypeError):
+        UPoly((1, bad))
+    with pytest.raises(TypeError):
+        UPoly((bad,))
 
 
 def test_place_hash_is_kind_and_key(curve, curve_with_split_point):

@@ -6,6 +6,7 @@ between collinearity and the section count of the associated twist."""
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
@@ -125,7 +126,9 @@ class TestInvolution:
     def test_matrix_frozen(self, E):
         M = involution_matrix(E)
         eye = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
-        assert [[int(c) for c in row] for row in M] == eye
+        assert [list(row) for row in M] == eye
+        # the QQ normal form: ints, not integral Fractions
+        assert all(type(c) is int for row in M for c in row)
 
     def test_matrix_squares_to_scalar(self, E):
         M = involution_matrix(E)
@@ -156,7 +159,8 @@ class TestInvolution:
         assert tuple(mv) == w
 
     def test_quadric_congruence_scale(self, E):
-        assert quadric_congruence_scale(involution_matrix(E)) == -1
+        scale = quadric_congruence_scale(involution_matrix(E))
+        assert scale == -1 and type(scale) is int
 
     def test_sigma_place_mapping(self, E, places):
         assert sigma_place(places[0]) == places[0]
@@ -201,9 +205,26 @@ class TestPlaneThrough:
     def test_normalization(self):
         assert PlaneP3((2, -4, 0, 6)).coeffs == (1, -2, 0, 3)
         assert PlaneP3((-2, 4, 0, -6)) == PlaneP3((2, -4, 0, 6))
-        assert PlaneP3((Fraction(1, 2), 0, 0, Fraction(3, 4))).coeffs == (2, 0, 0, 3)
+        plane = PlaneP3((Fraction(1, 2), 0, Fraction(-5, 1), Fraction(3, 4)))
+        assert plane.coeffs == (2, 0, -20, 3)
+        assert all(type(c) is int for c in plane.coeffs)
         with pytest.raises(ValueError):
             PlaneP3((0, 0, 0, 0))
+
+    def test_coordinates_are_primitive_int_vectors(self, E, split_E):
+        # image points and planes are primitive vectors of ints, as the
+        # reports print them, with a positive leading entry
+        for emb in (E, split_E):
+            places = list(emb.curve.all_standard_places())
+            for idx in combinations(range(len(places)), 3):
+                verdict = plane_through(emb, PointTriple([places[i] for i in idx]))
+                vectors = [embed_point(emb, places[i]) for i in idx]
+                if not isinstance(verdict, Collinear):
+                    vectors.append(verdict.coeffs)
+                for vec in vectors:
+                    assert all(type(c) is int for c in vec), vec
+                    assert next(c for c in vec if c) > 0
+                    assert gcd(*vec) == 1
 
 
 class TestPlaneSection:

@@ -12,12 +12,19 @@ A function is keyed by its file and the line of its first decorator (or
 of ``def`` when it has none), which is the line CPython records as the
 code object's ``co_firstlineno``.  The package is imported before the
 profile starts, so a function that only module import calls counts as
-unreached.  The module runs without pytest, so
+unreached.  A class-level alias such as ``__rmul__ = __mul__`` shares
+its target's code object, so the profiler cannot tell a call through it
+from a call of the target; for the runs each alias is rebound to a
+counting wrapper, keyed ``path:Class.__rmul__``, and put back after.
+The module runs without pytest, so
 ``PYTHONPATH=src python tests/test_reach.py`` prints the unreached
-functions and the unreached dunders as two groups."""
+functions and the unreached dunders, aliases among them, as two
+groups."""
 
 import ast
 import contextlib
+import functools
+import importlib
 import io
 import os
 import sys
@@ -73,6 +80,7 @@ ALLOWLIST = {
     "hyperell.py:Place._compute_series": _SERIES,
     "hyperell.py:Place.local_series": _SERIES,
     "hyperell.py:_prec_pad": _SERIES,
+    "hyperell.py:_fr": _SERIES,
     "hyperell.py:poly_at_series": _SERIES,
     "hyperell.py:HyperCurve.split_place": (
         "validates split support in _rr_system and sigma_place; no suite "
@@ -96,11 +104,17 @@ _MESSAGE = "a src error message formats it"
 _SHOWN = "hypothesis prints drawn values with it when a property test fails"
 _TEST_EQ = "tests compare values with it; no run does"
 _HASH = "tests hash equal values alike, or keep them in sets"
+_SCALAR = (
+    "a Gaussian is a scalar beside int and Fraction, so a rational on its "
+    "left works, as the oracle test checks"
+)
 
 DUNDER_ALLOWLIST = {
     # only RatFunc.__pow__ calls it
     "exactalg/polys.py:MultiPoly.__pow__": _SERIES,
     "exactalg/ratfunc.py:RatFunc.__add__": _SERIES,
+    "exactalg/ratfunc.py:RatFunc.__radd__": _SERIES,
+    "exactalg/ratfunc.py:RatFunc.__rmul__": _SERIES,
     "exactalg/ratfunc.py:RatFunc.__bool__": _SERIES,
     "exactalg/ratfunc.py:RatFunc.__eq__": _SERIES,
     "exactalg/ratfunc.py:RatFunc.__hash__": _SERIES,
@@ -120,6 +134,15 @@ DUNDER_ALLOWLIST = {
     "hyperell.py:LSeries.__neg__": _SERIES,
     "hyperell.py:LSeries.__repr__": _SERIES,
     "hyperell.py:LSeries.__sub__": _SERIES,
+    "exactalg/polys.py:MultiPoly.__rmul__": (
+        "perfbench/tracing.py rebinds it by identity to the traced __mul__"
+    ),
+    "exactalg/polys.py:MultiPoly.__radd__": (
+        "sums that start from the int 0, as sum() and the transvectant "
+        "oracle's do, add a MultiPoly to 0 with it"
+    ),
+    "exactalg/scalars.py:Gaussian.__radd__": _SCALAR,
+    "exactalg/scalars.py:Gaussian.__rmul__": _SCALAR,
     "exactalg/scalars.py:Gaussian.__rsub__": (
         "MultiPoly.exact_div subtracts a Gaussian from the int 0 with it; "
         "RatFunc division over Q(i) in the instanton tests reaches that"
@@ -187,9 +210,47 @@ def _functions():
     return out
 
 
+def _aliases():
+    """{"path:Class.__rop__": (module, class name, attribute)} for every
+    class-level ``__rop__ = __op__`` alias of a method under SRC."""
+    out = {}
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        module = "spincert." + rel[: -len(".py")].replace("/", ".")
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if (
+                    isinstance(stmt, ast.Assign)
+                    and isinstance(stmt.value, ast.Name)
+                    and _is_dunder(stmt.value.id)
+                ):
+                    for target in stmt.targets:
+                        if isinstance(target, ast.Name) and _is_dunder(target.id):
+                            name = "%s:%s.%s" % (rel, cls.name, target.id)
+                            out[name] = (module, cls.name, target.id)
+    return out
+
+
+def _counting(fn, name, seen):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        seen.add(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 def unreached():
-    """Names of the functions under SRC that none of RUNS calls."""
+    """Names of the functions and aliases under SRC that none of RUNS
+    calls."""
     seen = set()
+    seen_aliases = set()
+    aliases = []
+    for name, (module, cls_name, attr) in _aliases().items():
+        cls = getattr(importlib.import_module(module), cls_name)
+        aliases.append((name, cls, attr, vars(cls)[attr]))
 
     def profile(frame, event, arg):
         if event == "call":
@@ -202,19 +263,24 @@ def unreached():
     threading.setprofile(profile)
     sys.setprofile(profile)
     try:
+        for name, cls, attr, fn in aliases:
+            setattr(cls, attr, _counting(fn, name, seen_aliases))
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             for argv, _ in RUNS:
                 codes.append(main(argv))
     finally:
         sys.setprofile(old)
         threading.setprofile(old_thread)
+        for _, cls, attr, fn in aliases:
+            setattr(cls, attr, fn)
     assert codes == [code for _, code in RUNS], codes
     seen = {(os.path.realpath(f), line) for f, line in seen}
-    return {
+    dead = {
         name
         for (path, line), name in _functions().items()
         if (os.path.realpath(path), line) not in seen
     }
+    return dead | {name for name, *_ in aliases if name not in seen_aliases}
 
 
 def test_unreached_functions_are_the_allowlist():
@@ -227,7 +293,7 @@ def test_unreached_functions_are_the_allowlist():
 
 
 def test_every_allowlist_entry_names_a_function_and_a_reason():
-    names = set(_functions().values())
+    names = set(_functions().values()) | set(_aliases())
     for allowlist, dunders in ((ALLOWLIST, False), (DUNDER_ALLOWLIST, True)):
         for name, reason in allowlist.items():
             assert name in names, name
