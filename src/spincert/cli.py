@@ -59,6 +59,7 @@ from .hyperell import (
     theta_complement_witness,
 )
 from .instanton import (
+    GAMMA,
     Connection,
     bpst_connection,
     curvature,
@@ -258,7 +259,9 @@ def _nonzero_form_keys(f):
 
 
 def run_instanton(opts):
-    gamma_record = GammaRep().asd_action_record()
+    # the instanton module's own spin representation: the conventions it
+    # certifies with
+    gamma_record = GAMMA.asd_action_record()
     conn = bpst_connection()
     if opts.perturb:
         conn = _perturbed_connection(conn)

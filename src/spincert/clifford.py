@@ -15,8 +15,10 @@ Conventions fixed here and consumed by the instanton module:
   holds (probe: first generator against the first antiselfdual basis
   element); with the untouched sign the identity fails by a global sign.
 
-Multivector coefficients live in the Gaussian rationals; purely rational
-input stays rational in value.
+Multivector coefficients and matrix entries are Gaussian rationals in
+the Q(i) normal form of ``exactalg.scalars``: a real value is an int or
+a Fraction, and only a non-real one is a ``Gaussian``, so purely
+rational input stays rational in type as well as in value.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import VerificationError
-from .exactalg import Gaussian
+from .exactalg import QI, Gaussian
 
 DIM = 4
 NBLADES = 1 << DIM
@@ -89,8 +91,7 @@ class Multivector:
         for mask, c in (coeffs or {}).items():
             if not 0 <= mask < NBLADES:
                 raise ValueError("blade mask out of range")
-            if isinstance(c, _SCALARS) and not isinstance(c, Gaussian):
-                c = Gaussian(c)
+            c = QI.coerce(c)
             if c:
                 clean[mask] = c
         self.coeffs = clean
@@ -121,7 +122,7 @@ class Multivector:
             return NotImplemented
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            s = out.get(m, Gaussian(0)) + c
+            s = out.get(m, 0) + c
             if not s:
                 out.pop(m, None)
             else:
@@ -150,7 +151,7 @@ class Multivector:
                 c = ca * cb
                 if s < 0:
                     c = -c
-                acc = out.get(m, Gaussian(0)) + c
+                acc = out.get(m, 0) + c
                 if not acc:
                     out.pop(m, None)
                 else:
@@ -285,13 +286,12 @@ def identity_sandwich(w: Multivector) -> Multivector:
 # ----------------------------------------------------------------------
 
 
-def _g(re=0, im=0):
-    return Gaussian(re, im)
+_I = Gaussian(0, 1)
 
 
 def _mat_mul(a, b):
     return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(4)), _g()) for j in range(4))
+        tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
         for i in range(4)
     )
 
@@ -304,16 +304,17 @@ def _mat_scale(c, a):
     return tuple(tuple(c * a[i][j] for j in range(4)) for i in range(4))
 
 
-_ZERO4 = tuple(tuple(_g() for _ in range(4)) for _ in range(4))
-_ID4 = tuple(tuple(_g(1 if i == j else 0) for j in range(4)) for i in range(4))
+_ZERO4 = ((0,) * 4,) * 4
+_ID4 = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
 
-# the 2x2 matrices of the quaternion units i, j, k, 1, as Gaussian rows;
-# the one convention both this module and the instanton module build on
+# the 2x2 matrices of the quaternion units i, j, k, 1, as rows of Q(i)
+# scalars in normal form; the one convention both this module and the
+# instanton module build on
 QUATERNION_UNITS = (
-    ((_g(), _g(0, -1)), (_g(0, -1), _g())),
-    ((_g(), _g(-1)), (_g(1), _g())),
-    ((_g(0, -1), _g()), (_g(), _g(0, 1))),
-    ((_g(1), _g()), (_g(), _g(1))),
+    ((0, -_I), (-_I, 0)),
+    ((0, -1), (1, 0)),
+    ((-_I, 0), (0, _I)),
+    ((1, 0), (0, 1)),
 )
 
 
@@ -325,14 +326,13 @@ class GammaRep:
     S+ and the negative block S-."""
 
     def __init__(self):
-        o = _g()
         mi, mj, mk, m1 = QUATERNION_UNITS
         conj = tuple(
             tuple(tuple(-x for x in row) for row in q) for q in (mi, mj, mk)
         ) + (m1,)
         gammas = []
         for q, qc in zip(QUATERNION_UNITS, conj):
-            gm = [[o] * 4 for _ in range(4)]
+            gm = [[0] * 4 for _ in range(4)]
             for r in range(2):
                 for c in range(2):
                     gm[r][c + 2] = q[r][c]
@@ -378,7 +378,7 @@ class GammaRep:
                 t = coef * spinor[c]
                 acc = t if acc is None else acc + t
             if acc is None:
-                acc = _g() * spinor[0]
+                acc = 0 * spinor[0]
             out.append(acc)
         return tuple(out)
 
@@ -392,12 +392,10 @@ class GammaRep:
         return diag
 
     def positive_chirality_indices(self):
-        return tuple(k for k, s in enumerate(self.chirality_signs()) if s == Gaussian(1))
+        return tuple(k for k, s in enumerate(self.chirality_signs()) if s == 1)
 
     def negative_chirality_indices(self):
-        return tuple(
-            k for k, s in enumerate(self.chirality_signs()) if s == Gaussian(-1)
-        )
+        return tuple(k for k, s in enumerate(self.chirality_signs()) if s == -1)
 
     def asd_action_record(self):
         """Which chirality block the antiselfdual 2-forms act on.

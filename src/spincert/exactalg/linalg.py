@@ -10,8 +10,11 @@ pick up spurious denominators mid-computation.
 
 Each call works over one entry domain: rationals (Fractions and ints),
 Gaussians, or MultiPolys over one ring, the domain of the first entry
-that is not rational; ints and Fractions among Gaussian or polynomial
-entries are lifted into that domain first.  Rational rows are cleared to
+that is not rational; ints and Fractions among polynomial entries are
+lifted into that domain first.  Among Gaussian entries they stay as
+they are, since a real Q(i) scalar in the normal form of ``scalars`` is
+an int or a Fraction, and Gaussian rows divide through
+``exact_quotient``, never a bare ``/``.  Rational rows are cleared to
 integer rows once, before elimination, each scaled by the lcm of its own
 denominators; that leaves the rank, the pivot columns and the kernel
 unchanged, and the elimination divides exactly with ``//``.  Entries
@@ -23,9 +26,10 @@ last pivot d: by Cramer's rule d times the normalised vector lies in the
 domain, so every division is exact.  The vectors are checked against
 ``M v = 0`` on the same domain rows the elimination started from,
 rational rows as their integer multiples, and then returned over the
-entry domain: rationals in the normal form (an int when integral, else a
-Fraction) for rational rows, and for polynomial rows denominator-free
-MultiPolys stripped of content.
+entry domain: scalars in the normal form (an int when integral, else a
+Fraction, or a Gaussian when not real) for rational and Gaussian rows,
+and for polynomial rows denominator-free MultiPolys stripped of
+content.
 The exact-vector helpers shared by the geometry layers live here too:
 the rational content of a vector and the cross-multiplication
 proportionality test.
@@ -47,7 +51,7 @@ def _exact_div(a, b):
         if q is None:
             raise ArithmeticError("fraction-free step produced inexact division")
         return q
-    return a / b
+    return exact_quotient(a, b)
 
 
 def _integer_row(row):
@@ -59,7 +63,9 @@ def _integer_row(row):
 
 def _domain_zero(rows):
     """The zero of the entry domain, read off the first entry that is not
-    rational; None when every entry is an int or a Fraction."""
+    rational: the int 0 for a Gaussian, whose zero is in the Q(i) normal
+    form, the zero polynomial for a MultiPoly; None when every entry is
+    an int or a Fraction."""
     for row in rows:
         for x in row:
             if not isinstance(x, (int, Fraction)):
@@ -71,8 +77,8 @@ def _domain_rows(rows):
     """(rows, exact division) over one entry domain: rational rows as
     their integer multiples under ``//``, other rows with their rational
     entries lifted into the domain of the first entry that is not
-    rational.  The rows are new lists; the input rows are left
-    untouched."""
+    rational (a no-op for Gaussian rows, whose zero is the int 0).  The
+    rows are new lists; the input rows are left untouched."""
     zero = _domain_zero(rows)
     if zero is None:
         return [_integer_row(r) for r in rows], floordiv
@@ -85,8 +91,8 @@ def _domain_rows(rows):
 def _echelon(rows):
     """Bareiss forward elimination of a list of rows over one domain;
     rational rows are eliminated as their integer multiples, and the
-    rational entries of Gaussian or polynomial rows are first lifted into
-    that domain.
+    rational entries of polynomial rows are first lifted into that
+    domain.
 
     Returns (matrix, pivot columns); the input rows are left untouched.
     """
@@ -170,11 +176,9 @@ def nullspace(rows):
                 v[piv_cols[k]] = div(-acc, row[piv_cols[k]])
         basis.append(v)
     _assert_in_kernel(domain_rows, basis)
-    if isinstance(zero, int):
-        return [[exact_quotient(x, d) for x in v] for v in basis]
     if isinstance(zero, MultiPoly):
         return [_strip_content(v) for v in basis]
-    return [[x / d for x in v] for v in basis]
+    return [[exact_quotient(x, d) for x in v] for v in basis]
 
 
 def rational_content(values) -> Fraction:

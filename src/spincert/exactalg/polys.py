@@ -6,15 +6,16 @@ coefficients are never stored, so ``not p`` (no terms) is the zero test,
 as ``not c`` is for a coefficient.  The ring's field only coerces
 coefficients; they format through their own operators.
 
-Rational coefficients are stored in the normal form of
-``scalars``: an int for an integral value, else a Fraction with
-denominator above 1, so products and sums of integer coefficients run
-on native ints.  Every operation that stores a coefficient keeps the
-form: an integral Fraction result is stored as its numerator
-(``scalars.rational_normal``, written out in the inner loops as one
-``type(s) is Fraction`` test, which never matches a Gaussian).  A
-quotient of coefficients goes through ``scalars.exact_quotient``, never
-a bare ``/``, which on two ints would give a float.
+Coefficients are stored in the normal form of ``scalars``: an int for
+an integral value, else a Fraction with denominator above 1, and over
+Q(i) a Gaussian only for a non-real value, so products and sums of
+integer coefficients run on native ints over either field.  Every
+operation that stores a coefficient keeps the form: an integral
+Fraction result is stored as its numerator (``scalars.rational_normal``,
+written out in the inner loops as one ``type(s) is Fraction`` test),
+and a Gaussian result is already in the form.  A quotient of
+coefficients goes through ``scalars.exact_quotient``, never a bare
+``/``, which on two ints would give a float.
 
 Exact division (`exact_div`) runs multivariate division against a single
 divisor under the lexicographic term order and reports failure instead of

@@ -7,17 +7,25 @@ meet is an integer, and an int product or sum runs no gcd and builds no
 object.  Equal values print and hash alike in both types (``str(3) ==
 str(Fraction(3))``), so the form never shows in a report.
 ``rational_normal`` stores an integral Fraction as its int.  In Python
-``int / int`` is a float, so no quotient of rational scalars is taken
-with a bare ``/``: ``exact_quotient`` divides exactly and returns the
-quotient in normal form.
+``int / int`` is a float, so no quotient of rational or Gaussian
+scalars is taken with a bare ``/``: ``exact_quotient`` divides exactly
+and returns the quotient in normal form.
 
-A Gaussian scalar ``(a + b*i)/d`` with ``i**2 == -1`` is three Python
-ints in normal form: ``d > 0`` and ``gcd(a, b, d) == 1``.  Arithmetic
-works on the ints directly: a product is four integer products reduced
-by one gcd, which is skipped when the denominator is 1, a sum of equal
-denominators adds the numerators, and a quotient multiplies by the
-conjugate over the integer norm.  No Fraction is built on the way.
-Every operation is exact; nothing here ever rounds.
+A Gaussian rational ``(a + b*i)/d`` with ``i**2 == -1`` is three
+Python ints in normal form: ``d > 0`` and ``gcd(a, b, d) == 1``.  A
+Gaussian scalar extends the rational normal form to Q(i): a value with
+imaginary part 0 is an int or a Fraction as above, and any other value
+is a ``Gaussian`` with ``b != 0``.  Every Gaussian sum, difference,
+product and quotient hands out that form through one private
+constructor, so a real result such as ``i * i`` is the int -1, and the
+real coefficients of Q(i) polynomials (most of them) run on native ints.
+Arithmetic works on the ints directly: a product is four integer
+products reduced by one gcd, which is skipped when the denominator is
+1, a sum of equal denominators adds the numerators, and a quotient
+multiplies by the conjugate over the integer norm.  An int operand of a
+sum or product takes a shorter path.  No Fraction is built on the way
+but for a real result with a denominator.  Every operation is exact;
+nothing here ever rounds.
 
 The two coefficient fields are exposed as the singletons ``QQ`` and ``QI``.
 A field object only coerces its elements and names its zero and one;
@@ -34,9 +42,12 @@ from math import gcd
 class Gaussian:
     """The Gaussian rational ``(a + b*i)/d``, stored as the integer
     triple ``(a, b, d)`` in normal form: ``d > 0`` and
-    ``gcd(a, b, d) == 1``, so zero is ``(0, 0, 1)`` and equal values have
-    equal triples.  On the real axis equality and hashing agree with
-    ``int`` and ``Fraction``.
+    ``gcd(a, b, d) == 1``, so equal values have equal triples.  On the
+    real axis equality and hashing agree with ``int`` and ``Fraction``.
+
+    ``Gaussian(re, im)`` builds a Gaussian for any value, a real one
+    included; every result of ``+``, ``-``, ``*`` and ``/`` is a Q(i)
+    scalar in normal form, so a real result is an int or a Fraction.
 
     Like ``Fraction``, the class is immutable by convention: its public
     attributes are read-only and no method changes the private slots."""
@@ -60,106 +71,82 @@ class Gaussian:
         self._d = d
 
     def __add__(self, other):
-        if type(other) is not Gaussian:
-            other = _as_gaussian(other)
-            if other is None:
-                return NotImplemented
-        d = self._d
-        d2 = other._d
-        if d == d2:
-            a = self._a + other._a
-            b = self._b + other._b
-        else:
-            a = self._a * d2 + other._a * d
-            b = self._b * d2 + other._b * d
-            d *= d2
-        if d != 1:
-            g = gcd(a, b, d)
-            if g != 1:
-                a //= g
-                b //= g
-                d //= g
-        return _gauss(a, b, d)
+        if type(other) is int:
+            # (a + b*i)/d + k: the numerator a + k*d keeps the gcd 1
+            d = self._d
+            return _qi(self._a + other * d, self._b, d)
+        if type(other) is Gaussian:
+            return _sum(self._a, self._b, self._d, other._a, other._b, other._d)
+        t = _triple(other)
+        if t is None:
+            return NotImplemented
+        return _sum(self._a, self._b, self._d, *t)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not Gaussian:
-            other = _as_gaussian(other)
-            if other is None:
-                return NotImplemented
-        return self + _gauss(-other._a, -other._b, other._d)
+        t = _triple(other)
+        if t is None:
+            return NotImplemented
+        a, b, d = t
+        return _sum(self._a, self._b, self._d, -a, -b, d)
 
     def __rsub__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        return other + _gauss(-self._a, -self._b, self._d)
+        return _sum(*t, -self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        if type(other) is not Gaussian:
-            other = _as_gaussian(other)
-            if other is None:
+        a1, b1, d = self._a, self._b, self._d
+        if type(other) is int:
+            # k (a + b*i)/d: only k and d can share a factor
+            if d != 1:
+                g = gcd(other, d)
+                if g != 1:
+                    other //= g
+                    d //= g
+            return _qi(a1 * other, b1 * other, d)
+        if type(other) is Gaussian:
+            a2, b2, d2 = other._a, other._b, other._d
+        else:
+            t = _triple(other)
+            if t is None:
                 return NotImplemented
-        a1, b1 = self._a, self._b
-        a2, b2 = other._a, other._b
+            a2, b2, d2 = t
         a = a1 * a2 - b1 * b2
         b = a1 * b2 + b1 * a2
-        d = self._d * other._d
+        d *= d2
         if d != 1:
             g = gcd(a, b, d)
             if g != 1:
                 a //= g
                 b //= g
                 d //= g
-        return _gauss(a, b, d)
+        return _qi(a, b, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if type(other) is not Gaussian:
-            other = _as_gaussian(other)
-            if other is None:
-                return NotImplemented
-        a1, b1 = self._a, self._b
-        a2, b2, d2 = other._a, other._b, other._d
-        n = a2 * a2 + b2 * b2
-        if not n:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        # multiply by the conjugate d2 * (a2 - b2*i) over the integer norm
-        a = (a1 * a2 + b1 * b2) * d2
-        b = (b1 * a2 - a1 * b2) * d2
-        d = self._d * n
-        if d != 1:
-            g = gcd(a, b, d)
-            if g != 1:
-                a //= g
-                b //= g
-                d //= g
-        return _gauss(a, b, d)
+        t = _triple(other)
+        if t is None:
+            return NotImplemented
+        return _quotient(self._a, self._b, self._d, *t)
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = Gaussian(1)
-        base = self
-        while True:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if not n:
-                return out
-            base = base * base
+    def __rtruediv__(self, other):
+        t = _triple(other)
+        if t is None:
+            return NotImplemented
+        return _quotient(*t, self._a, self._b, self._d)
 
     def __neg__(self):
-        return _gauss(-self._a, -self._b, self._d)
+        return _qi(-self._a, -self._b, self._d)
 
     def __eq__(self, other):
-        if type(other) is not Gaussian:
-            other = _as_gaussian(other)
-            if other is None:
-                return NotImplemented
-        return self._a == other._a and self._b == other._b and self._d == other._d
+        t = _triple(other)
+        if t is None:
+            return NotImplemented
+        return (self._a, self._b, self._d) == t
 
     def __hash__(self):
         a, b, d = self._a, self._b, self._d
@@ -198,25 +185,70 @@ class Gaussian:
 _new = object.__new__
 
 
-def _gauss(a, b, d):
-    """The Gaussian with triple (a, b, d), already in normal form."""
-    z = _new(Gaussian)
-    z._a = a
-    z._b = b
-    z._d = d
-    return z
+def _qi(a, b, d):
+    """The Q(i) scalar (a + b*i)/d, for a triple already in normal form,
+    in the Q(i) normal form: a Gaussian when b is nonzero, else the int
+    a when d is 1, else the Fraction a/d."""
+    if b:
+        z = _new(Gaussian)
+        z._a = a
+        z._b = b
+        z._d = d
+        return z
+    if d == 1:
+        return a
+    return Fraction(a, d)
 
 
-def _as_gaussian(v):
+def _triple(v):
+    """The normal-form triple (a, b, d) of a Q(i) scalar: a Gaussian, an
+    int or a Fraction; None for anything else."""
+    if type(v) is Gaussian:
+        return v._a, v._b, v._d
     if type(v) is int:
-        return _gauss(v, 0, 1)
-    if isinstance(v, Gaussian):
-        return v
-    if isinstance(v, int):
-        return _gauss(int(v), 0, 1)
+        return v, 0, 1
     if isinstance(v, Fraction):
-        return _gauss(v.numerator, 0, v.denominator)
+        return v.numerator, 0, v.denominator
+    if isinstance(v, int):
+        return int(v), 0, 1
     return None
+
+
+def _sum(a1, b1, d1, a2, b2, d2):
+    """(a1 + b1*i)/d1 + (a2 + b2*i)/d2 in the Q(i) normal form."""
+    if d1 == d2:
+        a = a1 + a2
+        b = b1 + b2
+        d = d1
+    else:
+        a = a1 * d2 + a2 * d1
+        b = b1 * d2 + b2 * d1
+        d = d1 * d2
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _qi(a, b, d)
+
+
+def _quotient(a1, b1, d1, a2, b2, d2):
+    """(a1 + b1*i)/d1 / ((a2 + b2*i)/d2) in the Q(i) normal form."""
+    n = a2 * a2 + b2 * b2
+    if not n:
+        raise ZeroDivisionError("division by zero Gaussian rational")
+    # multiply by the conjugate d2 * (a2 - b2*i) over the integer norm
+    a = (a1 * a2 + b1 * b2) * d2
+    b = (b1 * a2 - a1 * b2) * d2
+    d = d1 * n
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _qi(a, b, d)
 
 
 def rational_normal(v):
@@ -229,14 +261,26 @@ def rational_normal(v):
 
 
 def exact_quotient(a, b):
-    """a / b, exactly, for rational scalars or Gaussians: in the rational
-    normal form an int when b divides a, else a Fraction; a Gaussian
-    quotient is a Gaussian.  A zero b raises ZeroDivisionError."""
+    """a / b, exactly, for Q(i) scalars in normal form: an int when b
+    divides a, else a Fraction or, for a non-real quotient, a Gaussian.
+    A zero b raises ZeroDivisionError."""
     if type(a) is int and type(b) is int:
         if a % b:
             return Fraction(a, b)
         return a // b
     return rational_normal(a / b)
+
+
+def _real(v, field):
+    """A real scalar (an int, a Fraction, or a Gaussian on the real
+    axis) in the rational normal form; anything else is a TypeError."""
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
+    if isinstance(v, int):
+        return int(v)
+    if isinstance(v, Gaussian) and not v._b:
+        return _qi(v._a, 0, v._d)
+    raise TypeError("cannot coerce %r into %s" % (v, field.name))
 
 
 class RationalField:
@@ -254,33 +298,25 @@ class RationalField:
     def coerce(self, v):
         if type(v) is int:
             return v
-        if isinstance(v, Fraction):
-            return v.numerator if v.denominator == 1 else v
-        if isinstance(v, int):
-            return int(v)
-        if isinstance(v, Gaussian) and not v._b:
-            return v._a if v._d == 1 else Fraction(v._a, v._d)
-        raise TypeError("cannot coerce %r into QQ" % (v,))
+        return _real(v, self)
 
 
 class GaussianField:
-    """The field of Gaussian rationals; elements are :class:`Gaussian`."""
+    """The field of Gaussian rationals; elements are in the normal form:
+    a real value as in ``QQ``, any other value a :class:`Gaussian`."""
 
     name = "QI"
 
     def zero(self):
-        return Gaussian(0)
+        return 0
 
     def one(self):
-        return Gaussian(1)
+        return 1
 
     def coerce(self, v):
-        if type(v) is Gaussian:
+        if type(v) is int or type(v) is Gaussian and v._b:
             return v
-        z = _as_gaussian(v)
-        if z is None:
-            raise TypeError("cannot coerce %r into QI" % (v,))
-        return z
+        return _real(v, self)
 
 
 QQ = RationalField()

@@ -224,19 +224,21 @@ class UPoly:
             out[0] = zero_mult
         if len(num) - zero_mult < 2:
             return out
-        p = _upoly(num[zero_mult:], self._den)
         # each root found is divided out, so later candidates meet a
-        # smaller cofactor and the search ends once p is a constant
-        for pnum in _divisors(abs(num[zero_mult])):
-            for qden in _divisors(abs(num[-1])):
+        # smaller cofactor and the search ends once it is a constant; a
+        # candidate r/s is tested as the integer pair, and only a root
+        # becomes a key
+        num = num[zero_mult:]
+        dens = _divisors(abs(num[-1]))
+        for pnum in _divisors(abs(num[0])):
+            for qden in dens:
                 if int_gcd(pnum, qden) != 1:
                     continue
-                for sign in (1, -1):
-                    r = sign * pnum if qden == 1 else Fraction(sign * pnum, qden)
-                    mult, p, _ = _root_order(p, r)
+                for r in (pnum, -pnum):
+                    mult, num, _, _ = _strip_root(num, r, qden)
                     if mult:
-                        out[r] = mult
-                        if p.degree < 1:
+                        out[exact_quotient(r, qden)] = mult
+                        if len(num) < 2:
                             return out
         return out
 

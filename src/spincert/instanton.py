@@ -15,7 +15,9 @@ the derivative is
 
 which is just d_i p when k = 0.  Since rho^k is a nonzero polynomial,
 an entry is zero exactly when p is the zero polynomial, so no gcd or
-trial division is ever needed.  Conventions (orientation, duality
+trial division is ever needed.  Its value at a point is the exact
+quotient p(x) / rho(x)^k, a Q(i) scalar in the normal form of
+``exactalg.scalars``.  Conventions (orientation, duality
 split, spin representation) are imported from the clifford module and
 never re-chosen here.
 
@@ -36,6 +38,7 @@ from itertools import combinations
 from . import VerificationError
 from .clifford import QUATERNION_UNITS, GammaRep, Multivector, star_blade
 from .exactalg import Gaussian, MultiPoly, PolyRing, QI, rank
+from .exactalg.scalars import exact_quotient
 
 R4 = PolyRing(QI, ("x1", "x2", "x3", "x4"))
 RHO = R4.one() + sum((R4.gen(i) * R4.gen(i) for i in range(4)), R4.zero())
@@ -133,7 +136,7 @@ class _RhoFrac:
         r = RHO.eval(point) if rho is None else rho
         if not r:
             raise ZeroDivisionError("rho vanishes at the point")
-        return value / r**self.k
+        return exact_quotient(value, r**self.k)
 
     def __repr__(self):
         return "<(%s) / rho^%d>" % (self.p.to_str(), self.k)
@@ -433,8 +436,8 @@ class TwistorSpinor:
     __slots__ = ("psi1", "psi2", "components")
 
     def __init__(self, psi1, psi2):
-        p1 = tuple(Gaussian(0) if v is None else v for v in psi1)
-        p2 = tuple(Gaussian(0) if v is None else v for v in psi2)
+        p1 = tuple(0 if v is None else v for v in psi1)
+        p2 = tuple(0 if v is None else v for v in psi2)
         field = _zero_spinor()
         for col in range(4):
             if p1[col]:
@@ -463,13 +466,13 @@ def twistor_basis():
     else:
         acted = GAMMA.negative_chirality_indices()
         other = GAMMA.positive_chirality_indices()
-    zero4 = (Gaussian(0),) * 4
+    zero4 = (0,) * 4
     sols = []
     for col in other:
-        psi1 = tuple(Gaussian(1) if r == col else Gaussian(0) for r in range(4))
+        psi1 = tuple(1 if r == col else 0 for r in range(4))
         sols.append(TwistorSpinor(psi1, zero4))
     for col in acted:
-        psi2 = tuple(Gaussian(1) if r == col else Gaussian(0) for r in range(4))
+        psi2 = tuple(1 if r == col else 0 for r in range(4))
         sols.append(TwistorSpinor(zero4, psi2))
     for s in sols:
         for idx in other:

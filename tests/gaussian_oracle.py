@@ -2,11 +2,15 @@
 used before it stored ``(a + b*i)/d`` as three ints, kept unchanged as
 the oracle for the differential tests in ``test_exactalg.py``: every
 component is a ``fractions.Fraction`` and every operation goes through
-Fraction arithmetic, so it shares no code with the integer kernel."""
+Fraction arithmetic, so it shares no code with the integer kernel.
+``parts`` and ``in_normal_form`` read the kernel's Q(i) scalars for the
+tests."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from spincert.exactalg import Gaussian as KernelGaussian
 
 _RAT_TYPES = (int, Fraction)
 
@@ -143,3 +147,22 @@ def format_gaussian(z: Gaussian) -> str:
     if not im.startswith("-"):
         im = "+" + im
     return "%s%s" % (z.re, im)
+
+
+def parts(z):
+    """(re, im) as Fractions of a Q(i) scalar of ``spincert.exactalg``
+    in any form: an int or a Fraction is real, and a Gaussian
+    ``(a + b*i)/d`` is read off its integer triple."""
+    if isinstance(z, _RAT_TYPES):
+        return Fraction(z), Fraction(0)
+    return Fraction(z._a, z._d), Fraction(z._b, z._d)
+
+
+def in_normal_form(z):
+    """Whether z is a Q(i) scalar in the kernel's normal form: an int, a
+    Fraction with denominator above 1, or a Gaussian with a nonzero
+    imaginary part (never a float, an integral Fraction or a real
+    Gaussian)."""
+    if type(z) is KernelGaussian:
+        return parts(z)[1] != 0
+    return type(z) is int or (type(z) is Fraction and z.denominator > 1)

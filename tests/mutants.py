@@ -3,10 +3,11 @@
 Each entry breaks one fast path on purpose: in one file under
 ``src/spincert`` it replaces one exact snippet, which occurs there
 exactly once, and names the tests expected to fail on the result.  The
-entries cover the QQ normal form, where a bare ``/`` on two ints is a
-float that compares equal to the exact value (``0.5 == Fraction(1, 2)``)
-and an integral Fraction prints like an int, so only a test that looks
-at types can see the fault.
+entries cover the QQ and Q(i) normal forms, where a bare ``/`` on two
+ints is a float that compares equal to the exact value
+(``0.5 == Fraction(1, 2)``), and an integral Fraction or a real
+Gaussian prints like an int, so only a test that looks at types can see
+the fault.
 
     PYTHONPATH=src python tests/mutants.py
 
@@ -74,6 +75,33 @@ MUTANTS = (
         "                    out[e] = s\n",
         (
             "tests/test_exactalg.py::test_qq_arithmetic_matches_fraction_oracle",
+            "tests/test_exactalg.py::test_poly_arithmetic_matches_sympy",
+        ),
+    ),
+    (
+        "rho_eval_bare_division",
+        "instanton.py",
+        "return exact_quotient(value, r**self.k)",
+        "return value / r**self.k",
+        (
+            "tests/test_instanton.py::test_field_values_are_exact_and_in_normal_form",
+            "tests/test_instanton.py::test_rho_entries_match_ratfunc_oracle",
+        ),
+    ),
+    (
+        "bareiss_exact_div_bare_division",
+        "exactalg/linalg.py",
+        "    return exact_quotient(a, b)\n",
+        "    return a / b\n",
+        ("tests/test_exactalg.py::test_mixed_int_gaussian_matrices",),
+    ),
+    (
+        "qi_constructor_returns_real_gaussian",
+        "exactalg/scalars.py",
+        "    if b:\n        z = _new(Gaussian)\n",
+        "    if True:\n        z = _new(Gaussian)\n",
+        (
+            "tests/test_exactalg.py::test_gaussian_matches_fraction_pair_oracle",
             "tests/test_exactalg.py::test_poly_arithmetic_matches_sympy",
         ),
     ),

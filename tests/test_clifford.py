@@ -5,6 +5,7 @@ and the exact spin representation."""
 from fractions import Fraction
 
 import pytest
+from gaussian_oracle import parts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -258,10 +259,8 @@ def _gm(re=0, im=0):
 
 
 def _freeze(mat):
-    # each entry (a + b*i)/d as the pair (a/d, b/d)
-    return tuple(
-        tuple((Fraction(c._a, c._d), Fraction(c._b, c._d)) for c in row) for row in mat
-    )
+    # each Q(i) entry as the pair (real part, imaginary part)
+    return tuple(tuple(parts(c) for c in row) for row in mat)
 
 
 def _anticommutator_defect(rep, i, j):

@@ -6,6 +6,7 @@ rows against the Fraction elimination it replaced, and fraction-free
 Gaussian and polynomial kernels against the back-substitution in the
 fraction field that they replaced."""
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -16,6 +17,7 @@ import pytest
 import subs_oracle
 import sympy
 from gaussian_oracle import Gaussian as FracPairGaussian
+from gaussian_oracle import in_normal_form, parts
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
@@ -45,11 +47,6 @@ def rationals():
 
 def gaussians():
     return st.builds(Gaussian, rationals(), rationals())
-
-
-def _parts(z):
-    """(a/d, b/d) for the Gaussian (a + b*i)/d, read off its triple."""
-    return Fraction(z._a, z._d), Fraction(z._b, z._d)
 
 
 def polys(ring=RXY, max_terms=5, max_exp=4):
@@ -82,7 +79,7 @@ def test_gaussian_field_axioms(a, b, c):
 def test_gaussian_inverse_and_conjugate(a):
     i = Gaussian(0, 1)
     assert i * i == -1
-    re, im = _parts(a)
+    re, im = parts(a)
     assert a * Gaussian(re, -im) == re * re + im * im
     if a:
         assert a * (Gaussian(1) / a) == 1
@@ -128,15 +125,27 @@ def _outcome(fn):
         return ZeroDivisionError
 
 
-def _assert_matches(got, want):
-    """``got`` (integer-triple class) equals ``want`` (oracle) by value,
-    and is in normal form."""
+def _assert_matches(got, want, built=False):
+    """``got`` equals ``want`` (oracle) by value.  A result of arithmetic
+    is in the Q(i) normal form; a value ``built`` by the constructor is a
+    Gaussian, real or not, with its triple in normal form."""
     if want is ZeroDivisionError:
         assert got is ZeroDivisionError
         return
-    assert type(got) is Gaussian
-    assert _parts(got) == (want.re, want.im)
-    assert got._d > 0 and gcd(got._a, got._b, got._d) == 1
+    assert parts(got) == (want.re, want.im)
+    if built:
+        assert type(got) is Gaussian
+        assert got._d > 0 and gcd(got._a, got._b, got._d) == 1
+    else:
+        assert _in_normal_form(got, QI)
+
+
+def _power(x, n):
+    """x**n as n products from the int 1."""
+    out = 1
+    for _ in range(n):
+        out = out * x
+    return out
 
 
 @given(gaussian_pairs(), st.integers(-3, 3), small_fractions(), st.integers(0, 5))
@@ -145,8 +154,8 @@ def test_gaussian_matches_fraction_pair_oracle(pair, k, q, n):
     (xr, xi), (yr, yi) = pair
     x, y = Gaussian(xr, xi), Gaussian(yr, yi)
     ox, oy = FracPairGaussian(xr, xi), FracPairGaussian(yr, yi)
-    _assert_matches(x, ox)
-    _assert_matches(y, oy)
+    _assert_matches(x, ox, built=True)
+    _assert_matches(y, oy, built=True)
     binary = (
         lambda a, b: a + b,
         lambda a, b: a - b,
@@ -157,13 +166,13 @@ def test_gaussian_matches_fraction_pair_oracle(pair, k, q, n):
         _assert_matches(_outcome(lambda: op(x, y)), _outcome(lambda: op(ox, oy)))
         for r in (k, q):
             _assert_matches(_outcome(lambda: op(x, r)), _outcome(lambda: op(ox, r)))
-    # a rational on the left; Gaussian has no reflected division, since no
-    # path divides a rational by a Gaussian
-    for op in binary[:3]:
+    # a rational on the left, as exact_quotient divides an int by a
+    # Gaussian
+    for op in binary:
         for r in (k, q):
             _assert_matches(_outcome(lambda: op(r, x)), _outcome(lambda: op(r, ox)))
     _assert_matches(-x, -ox)
-    _assert_matches(x**n, ox**n)
+    _assert_matches(_power(x, n), ox**n)
     assert bool(x) == bool(ox) == (not ox.is_zero)
     assert (x == y) == (ox == oy)
     assert hash(x) == hash(ox)
@@ -174,21 +183,51 @@ def test_gaussian_matches_fraction_pair_oracle(pair, k, q, n):
     # text: the same canonical string, and the constructor's other inputs
     # (ints, strings) give the same value
     assert str(x) == str(ox) and repr(x) == repr(ox)
-    _assert_matches(Gaussian(str(xr), str(xi)), ox)
-    _assert_matches(Gaussian(k, n), FracPairGaussian(k, n))
+    _assert_matches(Gaussian(str(xr), str(xi)), ox, built=True)
+    _assert_matches(Gaussian(k, n), FracPairGaussian(k, n), built=True)
+    assert QI.coerce(x) == x and _in_normal_form(QI.coerce(x), QI)
+
+
+def _den(z):
+    """The d of a Q(i) scalar (a + b*i)/d in lowest terms."""
+    re, im = parts(z)
+    return lcm(re.denominator, im.denominator)
+
+
+def _norm(z):
+    """a*a + b*b for the Q(i) scalar (a + b*i)/d in lowest terms."""
+    re, im = parts(z)
+    return (re * re + im * im) * _den(z) ** 2
+
+
+def _nonreal(z):
+    return bool(parts(z)[1])
+
+
+def _real_result(op):
+    """Both operands non-real and op of them real."""
+    return lambda x, y: _nonreal(x) and _nonreal(y) and not _nonreal(op(x, y))
 
 
 _PAIR_BRANCHES = {
-    "integral": lambda x, y: x._d == y._d == 1,
-    "equal_denominators": lambda x, y: x._d == y._d != 1,
-    "unequal_denominators": lambda x, y: x._d != y._d,
+    "integral": lambda x, y: _den(x) == _den(y) == 1,
+    "equal_denominators": lambda x, y: _den(x) == _den(y) != 1,
+    "unequal_denominators": lambda x, y: _den(x) != _den(y),
     "sum_cancels": lambda x, y: bool(x) and not x + y,
-    "sum_reduces": lambda x, y: (x + y)._d < max(x._d, y._d),
-    "product_reduces": lambda x, y: (x * y)._d < x._d * y._d,
+    "sum_reduces": lambda x, y: _den(x + y) < max(_den(x), _den(y)),
+    "product_reduces": lambda x, y: _den(x * y) < _den(x) * _den(y),
     "quotient_reduces": lambda x, y: (
-        bool(y) and (x / y)._d < x._d * (y._a * y._a + y._b * y._b)
+        bool(y) and _den(x / y) < _den(x) * _norm(y)
     ),
     "zero_division": lambda x, y: not y,
+    # i*i, (1+i)(1-i): a real result of non-real operands is an int or
+    # a Fraction, never a Gaussian
+    "real_sum": _real_result(operator.add),
+    "real_product": _real_result(operator.mul),
+    "real_fractional_product": lambda x, y: (
+        _real_result(operator.mul)(x, y) and _den(x * y) > 1
+    ),
+    "real_quotient": lambda x, y: bool(y) and _real_result(operator.truediv)(x, y),
 }
 
 
@@ -202,6 +241,29 @@ def test_gaussian_pairs_reach_every_branch(branch):
     )
 
 
+# An int operand of a Gaussian sum or product takes a short path; the
+# differential test above checks its values, with k drawn from -3..3.
+_INT_BRANCHES = {
+    "sum_over_denominator": lambda x, k: _den(x) > 1 and k != 0,
+    "product_without_denominator": lambda x, k: _den(x) == 1 and abs(k) > 1,
+    "product_reduces": lambda x, k: 1 < _den(x) and _den(x * k) < _den(x),
+    "product_keeps_denominator": lambda x, k: (
+        abs(k) > 1 and 1 < _den(x) == _den(x * k)
+    ),
+    "product_by_zero": lambda x, k: k == 0,
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_INT_BRANCHES))
+def test_gaussian_int_operands_reach_every_branch(branch):
+    holds = _INT_BRANCHES[branch]
+    find(
+        st.tuples(small_fractions(), small_fractions(), st.integers(-3, 3)),
+        lambda case: bool(case[1]) and holds(Gaussian(case[0], case[1]), case[2]),
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
+
+
 # ----------------------------------------------------------------------
 # polynomials
 # ----------------------------------------------------------------------
@@ -209,7 +271,7 @@ def test_gaussian_pairs_reach_every_branch(branch):
 
 def _sympy_scalar(c):
     if isinstance(c, Gaussian):
-        re, im = _parts(c)
+        re, im = parts(c)
         return _sympy_scalar(re) + sympy.I * _sympy_scalar(im)
     c = Fraction(c)
     return sympy.Rational(c.numerator, c.denominator)
@@ -259,12 +321,10 @@ def poly_pairs(draw):
 
 
 def _in_normal_form(c, field):
-    """A QI scalar is a Gaussian; a QQ scalar is an int, or a Fraction
-    with denominator above 1 (never a float, never an integral
-    Fraction)."""
-    if field is QI:
-        return type(c) is Gaussian
-    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+    """A QQ scalar is an int, or a Fraction with denominator above 1
+    (never a float, never an integral Fraction); a QI scalar is one of
+    those, or a Gaussian with a nonzero imaginary part."""
+    return in_normal_form(c) and (field is QI or type(c) is not Gaussian)
 
 
 def _stores_no_zero(p):
@@ -597,9 +657,8 @@ def test_substitutions_reach_every_branch(branch):
     [
         RXY.one() + RXY.gen(0) - RXY.gen(1) * 2,
         UPoly((1, -2, 3)),
-        Gaussian(Fraction(1, 2), -1),
     ],
-    ids=["MultiPoly", "UPoly", "Gaussian"],
+    ids=["MultiPoly", "UPoly"],
 )
 def test_pow_matches_repeated_products_and_stops_squaring(p, monkeypatch):
     cls = type(p)
@@ -724,14 +783,19 @@ def test_mixed_int_gaussian_matrices():
     assert nullspace(full) == []
     assert rank([[1, i], [i, -1]]) == 1
     assert nullspace([[1, i], [i, -1]]) == [[-i, Gaussian(1)]]
-    # the int block divides 8 by the pivot 2 on the way: lifted into the
-    # Gaussians, not a float
+    # the int block divides 8 by the pivot 2 on the way: an exact
+    # quotient in the Q(i) normal form, not a float
     rows = [[2, 1, 1, i], [1, 2, 1, 0], [1, 1, 2, 0]]
     assert rank(rows) == 3
     basis = nullspace(rows)
-    assert basis == [[Gaussian(0, Fraction(-3, 4)), i / 4, i / 4, Gaussian(1)]]
+    assert basis == [[Gaussian(0, Fraction(-3, 4)), i / 4, i / 4, 1]]
     ech, _ = _echelon(rows)
-    assert all(type(x) is Gaussian for r in ech for x in r)
+    assert [[parts(x) for x in r] for r in ech] == [
+        [(2, 0), (1, 0), (1, 0), (0, 1)],
+        [(0, 0), (3, 0), (1, 0), (0, -1)],
+        [(0, 0), (0, 0), (4, 0), (0, -1)],
+    ]
+    assert all(_in_normal_form(x, QI) for r in ech + basis for x in r)
 
 
 def test_empty_row_matrix():

@@ -8,6 +8,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from gaussian_oracle import in_normal_form, parts
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from spincert.instanton import (
     Mat2,
     _EVAL_POINTS,
     _RhoFrac,
+    _field_row,
     asd_check,
     bianchi_residual,
     bpst_connection,
@@ -65,9 +67,10 @@ def _inv_rho():
 ZERO_CONNECTION = Connection((Mat2.zero(),) * 4)
 
 
-def _conj(c: Gaussian) -> Gaussian:
-    """The conjugate (a - b*i)/d of c = (a + b*i)/d."""
-    return Gaussian(Fraction(c._a, c._d), Fraction(-c._b, c._d))
+def _conj(c):
+    """The conjugate re - im*i of the Q(i) scalar c = re + im*i."""
+    re, im = parts(c)
+    return Gaussian(re, -im)
 
 
 def _conj_transpose(m: Mat2) -> Mat2:
@@ -407,6 +410,7 @@ def test_rho_entries_match_ratfunc_oracle(pair, var):
     for point in _EVAL_POINTS:
         va, vb = oa.eval(point), ob.eval(point)
         assert a.eval(point) == va and b.eval(point) == vb
+        assert in_normal_form(a.eval(point)) and in_normal_form(b.eval(point))
         assert (a + b).eval(point) == va + vb
         assert (a - b).eval(point) == va - vb
         assert (a * b).eval(point) == va * vb
@@ -418,6 +422,30 @@ def test_rho_entries_match_ratfunc_oracle(pair, var):
             oa.eval(_RHO_ROOT)
     else:
         assert a.eval(_RHO_ROOT) == oa.eval(_RHO_ROOT)
+
+
+def test_field_values_are_exact_and_in_normal_form(conn):
+    # the values rank reads: p(point) / rho(point)^k, with rho 16 and 11
+    # at the two points, is divided exactly; over two ints a bare / would
+    # give a float
+    f = curvature(conn)
+    rhos = [RHO.eval(point) for point in _EVAL_POINTS]
+    assert rhos == [16, 11]
+    kinds = set()
+    for psi in twistor_basis():
+        field = curvature_acts(f, psi.components)
+        row = _field_row(field, rhos)
+        assert all(in_normal_form(v) for v in row)
+        want = [
+            _oracle(m.entry(i, j)).eval(point)
+            for point in _EVAL_POINTS
+            for m in field.components
+            for i in range(2)
+            for j in range(2)
+        ]
+        assert row == want
+        kinds.update(type(v) for v in row)
+    assert kinds == {int, Fraction, Gaussian}
 
 
 _PAIR_POWERS = {

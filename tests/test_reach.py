@@ -104,10 +104,6 @@ _MESSAGE = "a src error message formats it"
 _SHOWN = "hypothesis prints drawn values with it when a property test fails"
 _TEST_EQ = "tests compare values with it; no run does"
 _HASH = "tests hash equal values alike, or keep them in sets"
-_SCALAR = (
-    "a Gaussian is a scalar beside int and Fraction, so a rational on its "
-    "left works, as the oracle test checks"
-)
 
 DUNDER_ALLOWLIST = {
     # only RatFunc.__pow__ calls it
@@ -141,11 +137,10 @@ DUNDER_ALLOWLIST = {
         "sums that start from the int 0, as sum() and the transvectant "
         "oracle's do, add a MultiPoly to 0 with it"
     ),
-    "exactalg/scalars.py:Gaussian.__radd__": _SCALAR,
-    "exactalg/scalars.py:Gaussian.__rmul__": _SCALAR,
-    "exactalg/scalars.py:Gaussian.__rsub__": (
-        "MultiPoly.exact_div subtracts a Gaussian from the int 0 with it; "
-        "RatFunc division over Q(i) in the instanton tests reaches that"
+    "exactalg/scalars.py:Gaussian.__init__": (
+        "the public constructor: clifford builds its unit i with it at "
+        "import, and tests build values with it; every value a run computes "
+        "comes from the normal-form constructor scalars._qi"
     ),
     "exactalg/scalars.py:Gaussian.__str__": (
         "MultiPoly.to_str and Multivector.__str__ format coefficients with it"
