@@ -75,16 +75,21 @@ def _domain_zero(rows):
 
 def _domain_rows(rows):
     """(rows, exact division) over one entry domain: rational rows as
-    their integer multiples under ``//``, other rows with their rational
-    entries lifted into the domain of the first entry that is not
-    rational (a no-op for Gaussian rows, whose zero is the int 0).  The
-    rows are new lists; the input rows are left untouched."""
+    their integer multiples under ``//``, polynomial rows with their
+    rational entries lifted into the ring of the first polynomial entry,
+    and Gaussian rows as copies, since a real Q(i) scalar is an int or a
+    Fraction.  The rows are new lists; the input rows are left
+    untouched."""
     zero = _domain_zero(rows)
     if zero is None:
         return [_integer_row(r) for r in rows], floordiv
-    rows = [
-        [zero + x if isinstance(x, (int, Fraction)) else x for x in r] for r in rows
-    ]
+    if isinstance(zero, MultiPoly):
+        rows = [
+            [zero + x if isinstance(x, (int, Fraction)) else x for x in r]
+            for r in rows
+        ]
+    else:
+        rows = [list(r) for r in rows]
     return rows, _exact_div
 
 

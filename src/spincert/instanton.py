@@ -136,7 +136,11 @@ class _RhoFrac:
         r = RHO.eval(point) if rho is None else rho
         if not r:
             raise ZeroDivisionError("rho vanishes at the point")
-        return exact_quotient(value, r**self.k)
+        # rho^k as k - 1 products: at a non-real point r is a Gaussian
+        den = r
+        for _ in range(1, self.k):
+            den = den * r
+        return exact_quotient(value, den)
 
     def __repr__(self):
         return "<(%s) / rho^%d>" % (self.p.to_str(), self.k)

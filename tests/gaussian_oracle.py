@@ -9,6 +9,7 @@ tests."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from spincert.exactalg import Gaussian as KernelGaussian
 
@@ -161,8 +162,10 @@ def parts(z):
 def in_normal_form(z):
     """Whether z is a Q(i) scalar in the kernel's normal form: an int, a
     Fraction with denominator above 1, or a Gaussian with a nonzero
-    imaginary part (never a float, an integral Fraction or a real
-    Gaussian)."""
+    imaginary part whose triple ``(a, b, d)`` has ``d > 0`` and
+    ``gcd(a, b, d) == 1`` (never a float, an integral Fraction, a real
+    Gaussian or an unreduced triple, which would compare unequal to the
+    reduced triple of the same value)."""
     if type(z) is KernelGaussian:
-        return parts(z)[1] != 0
+        return z._b != 0 and z._d > 0 and gcd(z._a, z._b, z._d) == 1
     return type(z) is int or (type(z) is Fraction and z.denominator > 1)

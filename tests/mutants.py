@@ -81,12 +81,22 @@ MUTANTS = (
     (
         "rho_eval_bare_division",
         "instanton.py",
-        "return exact_quotient(value, r**self.k)",
-        "return value / r**self.k",
+        "return exact_quotient(value, den)",
+        "return value / den",
         (
             "tests/test_instanton.py::test_field_values_are_exact_and_in_normal_form",
             "tests/test_instanton.py::test_rho_entries_match_ratfunc_oracle",
         ),
+    ),
+    (
+        # skips the gcd only where the result is a Gaussian: a zero or
+        # real result would show as an integral Fraction, which any type
+        # check sees, but an unreduced Gaussian triple equals its value
+        "gaussian_int_product_skips_gcd",
+        "exactalg/scalars.py",
+        "g = gcd(other, d)",
+        "g = gcd(other, d) if not (other and b1) else 1",
+        ("tests/test_exactalg.py::test_gaussian_matches_fraction_pair_oracle",),
     ),
     (
         "bareiss_exact_div_bare_division",

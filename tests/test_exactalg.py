@@ -127,8 +127,9 @@ def _outcome(fn):
 
 def _assert_matches(got, want, built=False):
     """``got`` equals ``want`` (oracle) by value.  A result of arithmetic
-    is in the Q(i) normal form; a value ``built`` by the constructor is a
-    Gaussian, real or not, with its triple in normal form."""
+    is in the Q(i) normal form, a reduced triple included; a value
+    ``built`` by the constructor is a Gaussian, real or not, with its
+    triple in normal form."""
     if want is ZeroDivisionError:
         assert got is ZeroDivisionError
         return

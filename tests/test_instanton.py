@@ -344,6 +344,8 @@ def test_curvature_action_lands_in_active_chirality_block(curv):
 
 # 1 + i^2 = 0, so rho vanishes here
 _RHO_ROOT = (Gaussian(0, 1), 0, 0, 0)
+# (1 + i)^2 = 2i: a non-real point where rho and its powers are Gaussians
+_NONREAL_POINT = (Gaussian(1, 1), 0, 0, 0)
 
 
 @lru_cache(maxsize=None)
@@ -407,7 +409,7 @@ def test_rho_entries_match_ratfunc_oracle(pair, var):
         assert _equals_oracle(got, want)
         assert bool(got) == bool(want)
     assert (a == b) == (oa == ob)
-    for point in _EVAL_POINTS:
+    for point in _EVAL_POINTS + (_NONREAL_POINT,):
         va, vb = oa.eval(point), ob.eval(point)
         assert a.eval(point) == va and b.eval(point) == vb
         assert in_normal_form(a.eval(point)) and in_normal_form(b.eval(point))
