@@ -273,10 +273,11 @@ def exact_quotient(a, b):
 
 def _real(v, field):
     """A real scalar (an int, a Fraction, or a Gaussian on the real
-    axis) in the rational normal form; anything else is a TypeError."""
+    axis) in the rational normal form; anything else, a bool included,
+    is a TypeError."""
     if isinstance(v, Fraction):
         return v.numerator if v.denominator == 1 else v
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return int(v)
     if isinstance(v, Gaussian) and not v._b:
         return _qi(v._a, 0, v._d)

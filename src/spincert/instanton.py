@@ -27,7 +27,15 @@ is read off the closed form, with da = a00 - a11 and db = b00 - b11:
     c00 = a01 b10 - b01 a10        c01 = b01 da - a01 db
     c10 = a10 db - b10 da          c11 = -c00
 
-which takes six entry products where a * b - b * a takes sixteen.
+which takes six entry products where a * b - b * a takes sixteen.  The
+covariant derivative d_i M + [A_i, M] of curvature, Bianchi, Yang-Mills
+and Dirac is built entry by entry in one pass: d_i p * rho - 2k x_i p
+and the two closed-form products of the entry are summed into one term
+dict at the common power k + 1, and the coefficients are brought to
+normal form once at the end, so no derivative, product or commutator
+polynomial is built on the way.  An entry whose nonzero parts sit at
+different powers of rho (none in the suite) is composed from the entry
+arithmetic instead.
 """
 
 from __future__ import annotations
@@ -121,11 +129,11 @@ class _RhoFrac:
         return not (self - other)
 
     def derivative(self, var):
-        dp = self.p.derivative(var)
         if not self.k:
-            return _RhoFrac(dp)
-        k_d_rho = R4.gen(var).scale(2 * self.k)  # d_i rho = 2 x_i
-        return _RhoFrac(dp * RHO - self.p * k_d_rho, self.k + 1)
+            return _RhoFrac(self.p.derivative(var))
+        out = {}
+        _add_derivative(out, self.p, self.k, var)
+        return _RhoFrac(_poly(out), self.k + 1)
 
     def eval(self, point, rho=None):
         """p(point) / rho(point)^k; ``rho`` is the value of RHO at the
@@ -147,6 +155,104 @@ class _RhoFrac:
 
 
 _RF0 = _RhoFrac(R4.zero())
+
+# the exponent vector of x_i, by i
+_UNITS = tuple(tuple(int(j == i) for j in range(4)) for i in range(4))
+
+
+def _add_derivative(out, p, k, var):
+    """Add the numerator of d_var (p / rho^k) to the term dict ``out``:
+    d_var p * rho - 2k * x_var * p over rho^(k+1) when k > 0 (d_var rho
+    is 2 x_var), d_var p over rho^0 when k = 0.  Coefficients are summed
+    as they come; ``_poly`` brings them to normal form."""
+    u0, u1, u2, u3 = _UNITS[var]
+    minus_2k = -2 * k
+    get = out.get
+    for e, c in p.terms.items():
+        e0, e1, e2, e3 = e
+        n = e[var]
+        if n:
+            cn = c * n
+            b0, b1, b2, b3 = e0 - u0, e1 - u1, e2 - u2, e3 - u3
+            if k:
+                # times rho = 1 + x1^2 + x2^2 + x3^2 + x4^2
+                shifted = (
+                    (b0, b1, b2, b3),
+                    (b0 + 2, b1, b2, b3),
+                    (b0, b1 + 2, b2, b3),
+                    (b0, b1, b2 + 2, b3),
+                    (b0, b1, b2, b3 + 2),
+                )
+            else:
+                shifted = ((b0, b1, b2, b3),)
+            for f in shifted:
+                acc = get(f)
+                out[f] = cn if acc is None else acc + cn
+        if k:
+            f = (e0 + u0, e1 + u1, e2 + u2, e3 + u3)
+            t = c * minus_2k
+            acc = get(f)
+            out[f] = t if acc is None else acc + t
+
+
+def _add_product(out, x, y, negate):
+    """Add (or, when ``negate``, subtract) the numerator product x * y
+    to the term dict ``out``, exponents added as 4-tuples."""
+    y_terms = y.terms.items()
+    get = out.get
+    for (a0, a1, a2, a3), c1 in x.terms.items():
+        if negate:
+            c1 = -c1
+        for (e0, e1, e2, e3), c2 in y_terms:
+            f = (a0 + e0, a1 + e1, a2 + e2, a3 + e3)
+            t = c1 * c2
+            acc = get(f)
+            out[f] = t if acc is None else acc + t
+
+
+def _poly(out):
+    """The polynomial of a term dict whose coefficients were summed
+    unnormalised: zero sums dropped, an integral Fraction stored as its
+    numerator."""
+    return MultiPoly._raw(
+        R4,
+        {
+            e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for e, c in out.items()
+            if c
+        },
+    )
+
+
+def _covariant_entry(v, var, x1, y1, x2, y2):
+    """d_var v + x1 * y1 - x2 * y2, one entry of d_var M + [A, M] with
+    its two closed-form commutator products, in one pass.
+
+    Every nonzero part (the derivative over rho^(k+1), or rho^0 when v
+    has k = 0, and each product over the sum of its factors' powers)
+    must sit at the same power; the numerators are then summed into one
+    term dict.  Parts at different powers are composed from the entry
+    arithmetic, which lifts the lower power."""
+    power = None
+    if v.p.terms:
+        power = v.k + 1 if v.k else 0
+    for x, y in ((x1, y1), (x2, y2)):
+        if x.p.terms and y.p.terms:
+            k = x.k + y.k
+            if power is None:
+                power = k
+            elif k != power:
+                return v.derivative(var) + (x1 * y1 - x2 * y2)
+    if power is None:
+        return _RF0
+    out = {}
+    if v.p.terms:
+        _add_derivative(out, v.p, v.k, var)
+    if x1.p.terms and y1.p.terms:
+        _add_product(out, x1.p, y1.p, False)
+    if x2.p.terms and y2.p.terms:
+        _add_product(out, x2.p, y2.p, True)
+    return _RhoFrac(_poly(out), power)
 
 
 def _as_rf(v):
@@ -252,15 +358,26 @@ def quaternion_units():
     return tuple(Mat2(q) for q in QUATERNION_UNITS)
 
 
-def commutator(a: Mat2, b: Mat2) -> Mat2:
-    """[a, b] from the closed form in the module docstring: six entry
-    products instead of the sixteen of a * b - b * a."""
+def _covariant(a: Mat2, m: Mat2, var) -> Mat2:
+    """d_var m + [a, m], each entry in one pass: the closed-form
+    commutator of the module docstring with the derivative of the entry
+    folded in, c11 = -c00 read as a10 m01 - a01 m10."""
     (a00, a01), (a10, a11) = a.rows
-    (b00, b01), (b10, b11) = b.rows
+    (m00, m01), (m10, m11) = m.rows
     da = a00 - a11
-    db = b00 - b11
-    c00 = a01 * b10 - b01 * a10
-    return _mat2(((c00, b01 * da - a01 * db), (a10 * db - b10 * da, -c00)))
+    dm = m00 - m11
+    return _mat2(
+        (
+            (
+                _covariant_entry(m00, var, a01, m10, a10, m01),
+                _covariant_entry(m01, var, da, m01, a01, dm),
+            ),
+            (
+                _covariant_entry(m10, var, a10, dm, da, m10),
+                _covariant_entry(m11, var, a10, m01, a01, m10),
+            ),
+        )
+    )
 
 
 def traceless_part(m: Mat2) -> Mat2:
@@ -316,7 +433,8 @@ def _curvature_of(comps) -> dict:
     for m in range(1, 5):
         for n in range(m + 1, 5):
             am, an = comps[m - 1], comps[n - 1]
-            out[(m, n)] = an.derivative(m - 1) - am.derivative(n - 1) + commutator(am, an)
+            # d_m A_n + [A_m, A_n] - d_n A_m
+            out[(m, n)] = _covariant(am, an, m - 1) - am.derivative(n - 1)
     return out
 
 
@@ -528,11 +646,7 @@ def coupled_dirac(a, field: CoupledField) -> CoupledField:
     comps = _components(a)
     out = [Mat2.zero() for _ in range(4)]
     for i in range(4):
-        theta = tuple(
-            field.components[r].derivative(i)
-            + commutator(comps[i], field.components[r])
-            for r in range(4)
-        )
+        theta = tuple(_covariant(comps[i], m, i) for m in field.components)
         g = GAMMA.gamma[i]
         for r in range(4):
             for c in range(4):
@@ -613,7 +727,7 @@ def exterior_covariant_derivative(a, g2: dict) -> dict:
     comps = _components(a)
 
     def d_dir(i, m):
-        return m.derivative(i - 1) + commutator(comps[i - 1], m)
+        return _covariant(comps[i - 1], m, i - 1)
 
     def get(m, n):
         if (m, n) in g2:

@@ -7,7 +7,9 @@ entries cover the QQ and Q(i) normal forms, where a bare ``/`` on two
 ints is a float that compares equal to the exact value
 (``0.5 == Fraction(1, 2)``), and an integral Fraction or a real
 Gaussian prints like an int, so only a test that looks at types can see
-the fault.
+the fault.  The ``kernel_`` entries break the one-pass covariant
+derivative of ``instanton``, whose composed fallback gives right values
+on the slow path, so only a count of its work sees some faults.
 
     PYTHONPATH=src python tests/mutants.py
 
@@ -104,6 +106,61 @@ MUTANTS = (
         "    return exact_quotient(a, b)\n",
         "    return a / b\n",
         ("tests/test_exactalg.py::test_mixed_int_gaussian_matrices",),
+    ),
+    (
+        "kernel_drops_minus_2k_term",
+        "instanton.py",
+        "minus_2k = -2 * k",
+        "minus_2k = 0",
+        (
+            "tests/test_instanton.py::test_rho_entries_match_ratfunc_oracle",
+            "tests/test_instanton.py"
+            "::test_covariant_kernel_matches_composed_form_and_ratfunc",
+        ),
+    ),
+    (
+        # the suite's entries then fall back to the composed form, which
+        # is right but slow, so only the work count sees it there
+        "kernel_power_k_for_k_plus_1",
+        "instanton.py",
+        "power = v.k + 1 if v.k else 0",
+        "power = v.k",
+        (
+            "tests/test_instanton.py::test_run_instanton_fuses_every_covariant_entry",
+            "tests/test_instanton.py"
+            "::test_covariant_kernel_matches_composed_form_and_ratfunc",
+        ),
+    ),
+    (
+        "kernel_skips_normal_form",
+        "instanton.py",
+        "e: c.numerator if type(c) is Fraction and c.denominator == 1 else c",
+        "e: c",
+        (
+            "tests/test_instanton.py"
+            "::test_covariant_kernel_stores_integral_coefficients_as_ints",
+        ),
+    ),
+    (
+        "kernel_adds_second_product",
+        "instanton.py",
+        "_add_product(out, x2.p, y2.p, True)",
+        "_add_product(out, x2.p, y2.p, False)",
+        (
+            "tests/test_instanton.py"
+            "::test_covariant_kernel_matches_composed_form_and_ratfunc",
+            "tests/test_instanton.py::test_main_verification_passes",
+        ),
+    ),
+    (
+        "kernel_fuses_unequal_powers",
+        "instanton.py",
+        "elif k != power:",
+        "elif False:",
+        (
+            "tests/test_instanton.py"
+            "::test_covariant_kernel_matches_composed_form_and_ratfunc",
+        ),
     ),
     (
         "qi_constructor_returns_real_gaussian",

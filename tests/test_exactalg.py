@@ -507,7 +507,6 @@ def test_qq_cases_reach_every_branch(branch):
 def test_qq_coerce_normal_form():
     assert type(QQ.coerce(Fraction(6, 3))) is int and QQ.coerce(Fraction(6, 3)) == 2
     assert QQ.coerce(Fraction(1, 2)) == Fraction(1, 2)
-    assert type(QQ.coerce(True)) is int
     assert type(QQ.coerce(Gaussian(3))) is int
     assert QQ.coerce(Gaussian(Fraction(1, 3))) == Fraction(1, 3)
     assert QQ.zero() == 0 and type(QQ.zero()) is int
@@ -516,6 +515,20 @@ def test_qq_coerce_normal_form():
         QQ.coerce(1.0)
     with pytest.raises(TypeError):
         QQ.coerce(Gaussian(1, 1))
+
+
+@pytest.mark.parametrize(
+    "coerce",
+    [QQ.coerce, QI.coerce, RXY.const, RQI.const, lambda v: RXY.one().scale(v)],
+    ids=["QQ", "QI", "QQ_const", "QI_const", "scale"],
+)
+def test_bool_is_not_a_scalar(coerce):
+    # a bool is an int to Python, but no field element: exponents, divisor
+    # coefficients and theta characteristics reject it too
+    for v in (True, False):
+        with pytest.raises(TypeError):
+            coerce(v)
+    assert coerce(1) == 1 and not coerce(0)
 
 
 def test_exact_quotient_stays_exact():

@@ -1,7 +1,9 @@
 """Charge-one anti-self-dual connection: construction, curvature,
 duality split, the affine spinor family, and the exact coupled Dirac
 certificates with their negative controls.  The p / rho^k entry type is
-checked against RatFunc as an independent oracle."""
+checked against RatFunc as an independent oracle, and the one-pass
+covariant-derivative kernel against the composed entry arithmetic it
+replaced and against RatFunc."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -27,8 +29,8 @@ from spincert.instanton import (
     _field_row,
     asd_check,
     bianchi_residual,
+    _covariant,
     bpst_connection,
-    commutator,
     coupled_dirac,
     curvature,
     curvature_acts,
@@ -124,6 +126,13 @@ def test_bpst_is_su2_valued_and_regular(conn):
                 assert v.k in (0, 1)
 
 
+def test_mat2_rejects_bool_entries():
+    with pytest.raises(TypeError):
+        Mat2(((True, 0), (0, True)))
+    with pytest.raises(TypeError):
+        Mat2.identity() * True
+
+
 def test_connection_rejects_traceful_components():
     bad = Mat2(((1, 0), (0, 0)))
     with pytest.raises(ValueError):
@@ -205,6 +214,48 @@ def test_run_instanton_builds_each_curvature_once(monkeypatch, tmp_path):
     curvature(conn.components)
     curvature(conn.components)
     assert len(built) == 3
+
+
+def test_run_instanton_fuses_every_covariant_entry(monkeypatch, tmp_path):
+    # an entry that falls back to the composed form takes two entry
+    # products inside the kernel; a fused entry takes none
+    body = instanton._covariant_entry
+    product = _RhoFrac.__mul__
+    inside = []
+    entries = []
+    composed = []
+
+    def counting_entry(*args):
+        entries.append(args)
+        inside.append(True)
+        try:
+            return body(*args)
+        finally:
+            inside.pop()
+
+    def counting_product(self, other):
+        if inside:
+            composed.append(other)
+        return product(self, other)
+
+    monkeypatch.setattr(instanton, "_covariant_entry", counting_entry)
+    monkeypatch.setattr(_RhoFrac, "__mul__", counting_product)
+    out = str(tmp_path / "r.json")
+    # matrices d_i M + [A_i, M], four entries each: 6 per curvature (two
+    # are built), 16 per Dirac residual (four fields), and 12 per Bianchi
+    # or Yang-Mills residual (Bianchi, Yang-Mills and the control's)
+    assert cli.main(["run", "instanton", "--out", out]) == 0
+    assert len(entries) == 4 * (2 * 6 + 4 * 16 + 3 * 12) and not composed
+    # perturbed: the control is skipped, so Bianchi and Yang-Mills only
+    entries.clear()
+    assert cli.main(["run", "instanton", "--perturb", "--out", out]) == 1
+    assert len(entries) == 4 * (2 * 6 + 4 * 16 + 2 * 12) and not composed
+
+    # the count sees a fallback: the off-diagonal entries of m are
+    # constants over rho^0, and their products with da sit over rho^1
+    a = bpst_connection().components[0]
+    _covariant(a, Mat2(((0, 1), (1, 0))), 0)
+    assert len(composed) == 2 * 2
 
 
 def test_duality_split_of_zero():
@@ -357,17 +408,50 @@ def _oracle(v):
     return RatFunc(v.p, _rho_power(v.k))
 
 
+def _rho_derivative(v, var):
+    """d_var (p / rho^k) composed from polynomial products, as the entry
+    type computed it before its one-pass form: (d p * rho - p * 2k x_var)
+    / rho^(k+1), or d p when k = 0."""
+    dp = v.p.derivative(var)
+    if not v.k:
+        return _RhoFrac(dp)
+    k_d_rho = R4.gen(var).scale(2 * v.k)  # d_i rho = 2 x_i
+    return _RhoFrac(dp * RHO - v.p * k_d_rho, v.k + 1)
+
+
+def _same_pair(got, want):
+    """got and want are the same (p, k) pair, and got's coefficients are
+    in the Q(i) normal form."""
+    return (
+        got.k == want.k
+        and got.p == want.p
+        and all(in_normal_form(c) for c in got.p.terms.values())
+    )
+
+
 def _equals_oracle(v, want):
-    """v == want, exactly; compares numerators when the oracle's
-    denominator is the same power of rho, to skip cross-multiplying."""
-    den = _rho_power(v.k)
-    if want.den == den:
-        return v.p == want.num
-    return RatFunc(v.p, den) == want
+    """v == want, exactly.  When the oracle's denominator is a power
+    rho^j, as the sums, products and derivatives of rho^k entries give,
+    v = p / rho^k is compared as p * rho^(j - k) == num (or p == num *
+    rho^(k - j)), to skip cross-multiplying."""
+    degree = max((sum(e) for e in want.den.terms), default=0)
+    j = degree // 2
+    if degree % 2 or want.den != _rho_power(j):
+        return RatFunc(v.p, _rho_power(v.k)) == want
+    if j >= v.k:
+        return v.p * _rho_power(j - v.k) == want.num
+    return v.p == want.num * _rho_power(v.k - j)
 
 
 def _small_polys():
-    coeff = st.builds(Gaussian, st.integers(-3, 3), st.integers(-3, 3))
+    # halves too, so that sums and integer multiples reach integral
+    # Fractions that must be stored as ints
+    coeff = st.builds(
+        lambda a, b, d: Gaussian(Fraction(a, d), Fraction(b, d)),
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+        st.sampled_from((1, 2)),
+    )
     term = st.tuples(st.tuples(*[st.integers(0, 2)] * 4), coeff)
     return st.lists(term, max_size=3).map(
         lambda ts: sum((MultiPoly(R4, {e: c}) for e, c in ts), R4.zero())
@@ -404,6 +488,7 @@ def test_rho_entries_match_ratfunc_oracle(pair, var):
     a, b = pair
     oa, ob = _oracle(a), _oracle(b)
     d, od = a.derivative(var), oa.derivative(var)
+    assert _same_pair(d, _rho_derivative(a, var))
     results = ((a + b, oa + ob), (a - b, oa - ob), (a * b, oa * ob), (d, od))
     for got, want in results:
         assert _equals_oracle(got, want)
@@ -473,6 +558,19 @@ def test_entry_pairs_reach_unequal_rho_powers(order):
 # ----------------------------------------------------------------------
 
 
+def commutator(a: Mat2, b: Mat2) -> Mat2:
+    """[a, b] from the closed form in the instanton module docstring, on
+    the entry arithmetic: the commutator the module composed with the
+    entry derivatives before its one-pass kernel, kept as that kernel's
+    oracle."""
+    (a00, a01), (a10, a11) = a.rows
+    (b00, b01), (b10, b11) = b.rows
+    da = a00 - a11
+    db = b00 - b11
+    c00 = a01 * b10 - b01 * a10
+    return Mat2(((c00, b01 * da - a01 * db), (a10 * db - b10 * da, -c00)))
+
+
 @st.composite
 def _mats(draw):
     """A Mat2 of _entries(): trace-free (a11 = -a00) or traceful, with
@@ -523,6 +621,118 @@ def test_commutator_pairs_reach_every_branch(branch):
     find(
         st.tuples(_mats(), _mats()),
         lambda pair: holds(*pair),
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
+
+
+# ----------------------------------------------------------------------
+# the one-pass covariant derivative against the composed form
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def _covariant_cases(draw):
+    """(a, m, var): m is drawn afresh, or is a itself, whose commutator
+    products cancel in the kernel's term dict."""
+    a = draw(_mats())
+    m = a if draw(st.booleans()) else draw(_mats())
+    return a, m, draw(st.integers(0, 3))
+
+
+def _composed(a, m, var):
+    """d_var m + [a, m] on the entry arithmetic, with the derivative and
+    the commutator the kernel replaced."""
+    d = Mat2(tuple(tuple(_rho_derivative(v, var) for v in row) for row in m.rows))
+    return d + commutator(a, m)
+
+
+def _kernel_parts(a, m):
+    """Per entry of d m + [a, m], row by row: the entry of m and the two
+    closed-form products the kernel sums with its derivative."""
+    (a00, a01), (a10, a11) = a.rows
+    (m00, m01), (m10, m11) = m.rows
+    da, dm = a00 - a11, m00 - m11
+    return (
+        (m00, ((a01, m10), (a10, m01))),
+        (m01, ((da, m01), (a01, dm))),
+        (m10, ((a10, dm), (da, m10))),
+        (m11, ((a10, m01), (a01, m10))),
+    )
+
+
+def _part_powers(v, products):
+    """The rho powers of an entry's nonzero parts: the derivative of v
+    over rho^(k+1) (rho^0 at k = 0) and each product with no zero
+    factor."""
+    powers = [v.k + 1 if v.k else 0] if v else []
+    return powers + [x.k + y.k for x, y in products if x and y]
+
+
+@given(_covariant_cases())
+@settings(max_examples=50, deadline=None)
+def test_covariant_kernel_matches_composed_form_and_ratfunc(case):
+    a, m, var = case
+    got = _covariant(a, m, var)
+    want = _composed(a, m, var)
+    for i in range(2):
+        for j in range(2):
+            assert _same_pair(got.entry(i, j), want.entry(i, j))
+    oa, om = (tuple(tuple(_oracle(v) for v in row) for row in x.rows) for x in (a, m))
+    _assert_mat_equal(got, _oadd(_oderiv(om, var), _ocomm(oa, om)))
+
+
+def test_covariant_kernel_stores_integral_coefficients_as_ints():
+    # every coefficient is Fraction(1, 2) * 2 before normal form: d_1 of
+    # x1^2 / 2 is x1, and d_1 of (x1^2 / 2 + 1/2) / rho has the numerator
+    # x1 * rho - x1^3 - x1 = x1 (x2^2 + x3^2 + x4^2)
+    half = Fraction(1, 2)
+    x1 = R4.gen(0)
+    for v in (_RhoFrac(x1 * x1 * half), _RhoFrac(x1 * x1 * half + half, 1)):
+        got = _covariant(ZERO_CONNECTION.components[0], Mat2(((v, 0), (0, -v))), 0)
+        want = _rho_derivative(v, 0)
+        assert _same_pair(got.entry(0, 0), want) and _same_pair(got.entry(1, 1), -want)
+        assert all(type(c) is int for c in want.p.terms.values())
+
+
+def _fused(v, products):
+    return len(set(_part_powers(v, products))) == 1
+
+
+def _cancels(a, m, var):
+    # two or more nonzero parts of a fused entry sum to zero
+    out = _covariant(a, m, var)
+    for (v, products), got in zip(_kernel_parts(a, m), _entries_of(out)):
+        derivative = 1 if _rho_derivative(v, var) else 0
+        nonzero = derivative + sum(1 for x, y in products if x and y)
+        if _fused(v, products) and nonzero > 1 and not got:
+            return True
+    return False
+
+
+_KERNEL_BRANCHES = {
+    "zero_entry": lambda a, m, var: any(
+        not v and _fused(v, ps) for v, ps in _kernel_parts(a, m)
+    ),
+    "zero_product": lambda a, m, var: any(
+        v and _fused(v, ps) and not all(x and y for x, y in ps)
+        for v, ps in _kernel_parts(a, m)
+    ),
+    "entry_at_k0": lambda a, m, var: any(
+        v and not v.k and _fused(v, ps) for v, ps in _kernel_parts(a, m)
+    ),
+    "powers_differ": lambda a, m, var: any(
+        len(set(_part_powers(v, ps))) > 1 for v, ps in _kernel_parts(a, m)
+    ),
+    "cancels_to_zero": _cancels,
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_KERNEL_BRANCHES))
+def test_covariant_cases_reach_every_branch(branch):
+    holds = _KERNEL_BRANCHES[branch]
+    find(
+        _covariant_cases(),
+        lambda case: holds(*case),
         settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
     )
 
