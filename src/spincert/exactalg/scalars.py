@@ -202,14 +202,15 @@ def _qi(a, b, d):
 
 def _triple(v):
     """The normal-form triple (a, b, d) of a Q(i) scalar: a Gaussian, an
-    int or a Fraction; None for anything else."""
+    int or a Fraction; None for anything else, a bool among them, which
+    would otherwise read as 0 or 1."""
     if type(v) is Gaussian:
         return v._a, v._b, v._d
     if type(v) is int:
         return v, 0, 1
     if isinstance(v, Fraction):
         return v.numerator, 0, v.denominator
-    if isinstance(v, int):
+    if isinstance(v, int) and type(v) is not bool:
         return int(v), 0, 1
     return None
 

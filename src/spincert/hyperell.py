@@ -31,6 +31,13 @@ arithmetic inside the rationals.  ``HyperCurve.places_over`` is the one
 place that lists the rational places over an x-value, and
 ``branch_product`` the one builder of prod (x - x_i) over a branch
 subset, the witness polynomial of the square-root classes.
+
+A curve builds each of its places once: its place methods hand out one
+interned ``Place`` per (kind, key), whose value hash is computed when it
+is built, so the dicts of the divisor code find it by identity.  The
+public ``Divisor`` constructor checks every coefficient; sums,
+differences, negations and multiples of divisors merge into one dict and
+are not checked again.
 """
 
 from __future__ import annotations
@@ -142,11 +149,14 @@ class UPoly:
         return _sum(self._num, self._den, [-c for c in other._num], other._den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            k = other.numerator
-            return _normal([c * k for c in self._num], self._den * other.denominator)
-        if not isinstance(other, UPoly):
-            return NotImplemented
+        # a UPoly operand is the common case; the (int, Fraction) check
+        # below costs an ABC instance check on every miss
+        if type(other) is not UPoly:
+            if isinstance(other, (int, Fraction)):
+                k = other.numerator
+                return _normal([c * k for c in self._num], self._den * other.denominator)
+            if not isinstance(other, UPoly):
+                return NotImplemented
         a, b = self._num, other._num
         if not a or not b:
             return _ZERO
@@ -171,10 +181,11 @@ class UPoly:
             base = base * base
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UPoly((other,))
-        if not isinstance(other, UPoly):
-            return NotImplemented
+        if type(other) is not UPoly:
+            if isinstance(other, (int, Fraction)):
+                other = UPoly((other,))
+            elif not isinstance(other, UPoly):
+                return NotImplemented
         return self._num == other._num and self._den == other._den
 
     def __hash__(self):
@@ -539,7 +550,13 @@ class HyperCurve:
     """y^2 = f(x) with deg f = 2g+2, distinct rational roots, and a
     rational square leading coefficient (two rational places over
     infinity).  ``slopes`` maps each root x0 to f'(x0), the slope in
-    x - x0 = y^2/f'(x0) + O(y^4) at its branch place."""
+    x - x0 = y^2/f'(x0) + O(y^4) at its branch place.
+
+    The curve alone builds its places: ``branch_place``,
+    ``infinite_place``, ``split_place`` and ``places_over`` hand out one
+    ``Place`` per (kind, key), kept in ``_cache["places"]``, so the
+    dicts of the divisor code meet the same object again and compare it
+    by identity."""
 
     __slots__ = ("f", "genus", "roots", "lead_sqrt", "slopes", "_cache")
 
@@ -561,7 +578,7 @@ class HyperCurve:
         self.roots = tuple(sorted(roots))
         self.lead_sqrt = ls
         self.slopes = {r: df.eval(r) for r in roots}
-        self._cache = {"series": {}, "canonical": None, "theta": {}}
+        self._cache = {"series": {}, "canonical": None, "theta": {}, "places": {}}
 
     @classmethod
     def from_roots(cls, roots, lead=1):
@@ -571,27 +588,38 @@ class HyperCurve:
         return cls(f)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, HyperCurve):
             return NotImplemented
         return self.f == other.f
+
+    def _place(self, kind, key):
+        """The one place of this curve with the (kind, key), built on
+        first use; the caller has validated the key."""
+        places = self._cache["places"]
+        place = places.get((kind, key))
+        if place is None:
+            place = places[(kind, key)] = Place(self, kind, key)
+        return place
 
     def branch_place(self, i):
         """Place over the i-th branch point, 1-based in root order."""
         n = len(self.roots)
         if type(i) is not int or not 1 <= i <= n:
             raise ValueError("branch index must be an integer in 1..%d" % n)
-        return Place(self, "branch", self.roots[i - 1])
+        return self._place("branch", self.roots[i - 1])
 
     def infinite_place(self, sign):
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        return Place(self, "inf", sign)
+        return self._place("inf", sign)
 
     def split_place(self, x0, y0):
         x0, y0 = _qq(x0), _qq(y0)
         if self.f.eval(x0) != y0 * y0 or y0 == 0:
             raise ValueError("point is not a smooth affine non-branch point")
-        return Place(self, "split", (x0, y0))
+        return self._place("split", (x0, y0))
 
     def places_over(self, x0):
         """The rational places over a finite x-value: the branch place
@@ -600,11 +628,11 @@ class HyperCurve:
         x0 = _qq(x0)
         fx = self.f.eval(x0)
         if fx == 0:
-            return (Place(self, "branch", x0),)
+            return (self._place("branch", x0),)
         y0 = rational_sqrt(fx)
         if y0 is None:
             return ()
-        return (Place(self, "split", (x0, y0)), Place(self, "split", (x0, -y0)))
+        return (self._place("split", (x0, y0)), self._place("split", (x0, -y0)))
 
     def all_standard_places(self):
         n = len(self.roots)
@@ -619,9 +647,15 @@ def standard_curve() -> HyperCurve:
 
 
 class Place:
-    """A rational point of the smooth model, with exact local series."""
+    """A rational point of the smooth model, with exact local series.
 
-    __slots__ = ("curve", "kind", "key")
+    The curve's place methods hand out one interned Place per (kind,
+    key); a Place built directly is a fresh object equal to the interned
+    one.  Equality is by value, the curve and the (kind, key), and the
+    hash, of (kind, key) alone, is computed once here, so no order that
+    a hash gives follows object addresses."""
+
+    __slots__ = ("curve", "kind", "key", "_hash")
 
     def __init__(self, curve, kind, key):
         if kind not in ("branch", "inf", "split"):
@@ -629,8 +663,12 @@ class Place:
         self.curve = curve
         self.kind = kind
         self.key = key
+        # equal places have equal (kind, key); the curve is left to __eq__
+        self._hash = hash((kind, key))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Place):
             return NotImplemented
         return (
@@ -640,8 +678,7 @@ class Place:
         )
 
     def __hash__(self):
-        # equal places have equal (kind, key); the curve is left to __eq__
-        return hash((self.kind, self.key))
+        return self._hash
 
     def __repr__(self):
         if self.kind == "branch":
@@ -748,8 +785,12 @@ def _taylor(p: UPoly, x0):
 
 
 class Divisor:
-    """Finite integer combination of places; a coefficient that is not an
-    int (a bool, a float, a Fraction) is a ValueError."""
+    """Finite integer combination of places, its support in insertion
+    order; a coefficient that is not an int (a bool, a float, a
+    Fraction) is a ValueError.  The constructor checks every entry;
+    ``+``, ``-``, negation and ``scale`` of divisors, whose entries are
+    checked already, merge into one dict that drops zeros and build the
+    result through ``_divisor`` without checking it again."""
 
     __slots__ = ("coeffs",)
 
@@ -778,21 +819,22 @@ class Divisor:
     def __add__(self, other):
         if not isinstance(other, Divisor):
             return NotImplemented
-        out = dict(self.coeffs)
-        for p, n in other.coeffs.items():
-            out[p] = out.get(p, 0) + n
-        return Divisor(out)
+        return _merged(self.coeffs, other.coeffs, 1)
 
     def __neg__(self):
-        return Divisor({p: -n for p, n in self.coeffs.items()})
+        return _divisor({p: -n for p, n in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Divisor):
             return NotImplemented
-        return self + (-other)
+        return _merged(self.coeffs, other.coeffs, -1)
 
     def scale(self, k):
-        return Divisor({p: n * k for p, n in self.coeffs.items()})
+        if type(k) is not int:
+            raise ValueError("divisor coefficients must be integers: %r" % (k,))
+        if not k:
+            return _divisor({})
+        return _divisor({p: n * k for p, n in self.coeffs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Divisor):
@@ -805,6 +847,27 @@ class Divisor:
     def __repr__(self):
         parts = ["%+d*%r" % (n, p) for p, n in self.coeffs.items()]
         return "Divisor(%s)" % " ".join(parts or ["0"])
+
+
+def _divisor(coeffs):
+    """A Divisor from a dict of places to nonzero ints, unchecked."""
+    d = object.__new__(Divisor)
+    d.coeffs = coeffs
+    return d
+
+
+def _merged(a, b, sign):
+    """a + sign b for the coefficient dicts of two divisors, sign +1 or
+    -1, in one dict: a's places in order, then b's new ones, and a place
+    whose coefficients cancel is deleted."""
+    out = dict(a)
+    for p, n in b.items():
+        m = out.get(p, 0) + sign * n
+        if m:
+            out[p] = m
+        else:
+            del out[p]
+    return _divisor(out)
 
 
 # ----------------------------------------------------------------------
@@ -1096,8 +1159,9 @@ def _theta_representative(curve: HyperCurve, tset: frozenset) -> Divisor:
     if rem:
         raise ValueError("unbalanced subset size")
     out = {curve.branch_place(i): 1 for i in sorted(tset)}
-    out[curve.infinite_place(1)] = out[curve.infinite_place(-1)] = m
-    return Divisor(out)
+    if m:
+        out[curve.infinite_place(1)] = out[curve.infinite_place(-1)] = m
+    return _divisor(out)
 
 
 def theta_divisor(curve: HyperCurve, t) -> Divisor:

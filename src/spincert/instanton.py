@@ -110,6 +110,9 @@ class _RhoFrac:
                 return _RF0
             return _RhoFrac(p * other.p, self.k + other.k)
         if isinstance(other, _SCALARS):
+            if type(other) is bool:
+                # before the zero short-cut, so False fails like True
+                return NotImplemented
             if not p.terms or not other:
                 return _RF0
             return _RhoFrac(p.scale(other), self.k)

@@ -174,14 +174,7 @@ class EmbeddedCurve:
         self.spin_cube_basis = tuple(spin_cube_basis)
         self.segre_functions = tuple(segre_functions)
         self.implicit = implicit
-        self._cache = {"points": {}, "sigma": None}
-
-
-def _fe_power(fe: FieldElem, n: int) -> FieldElem:
-    out = FieldElem(fe.curve, UPoly((1,)))
-    for _ in range(n):
-        out = out * fe
-    return out
+        self._cache = {"points": {}, "sigma": None, "frame": None, "twist_base": None}
 
 
 def _upoly_quotient(num: UPoly, den: UPoly) -> UPoly:
@@ -195,18 +188,28 @@ def _degree_monos(deg):
     return tuple((deg - k, k) for k in range(deg + 1))
 
 
+def _powers(fe: FieldElem, n: int):
+    """[fe^0, ..., fe^n], each power one product from the one before."""
+    out = [FieldElem(fe.curve, UPoly((1,)))]
+    for _ in range(n):
+        out.append(out[-1] * fe)
+    return out
+
+
 def _monomial_products(spin_cube_basis, canonical_basis, t_monos, s_monos):
-    prods = []
-    for (a0, a1) in t_monos:
-        for (b0, b1) in s_monos:
-            fe = (
-                _fe_power(spin_cube_basis[0], a0)
-                * _fe_power(spin_cube_basis[1], a1)
-                * _fe_power(canonical_basis[0], b0)
-                * _fe_power(canonical_basis[1], b1)
-            )
-            prods.append(fe)
-    return prods
+    """t0^a0 t1^a1 s0^b0 s1^b1 composed with the section bases, for each
+    (a0, a1) in t_monos and then each (b0, b1) in s_monos: one power
+    table per section, then each t-part times each s-part.  FieldElem
+    products cancel nothing, so any grouping gives the same a, b and
+    den."""
+    t0, t1 = (
+        _powers(h, max(m[i] for m in t_monos)) for i, h in enumerate(spin_cube_basis)
+    )
+    s0, s1 = (
+        _powers(h, max(m[i] for m in s_monos)) for i, h in enumerate(canonical_basis)
+    )
+    s_parts = [s0[b0] * s1[b1] for (b0, b1) in s_monos]
+    return [t0[a0] * t1[a1] * s for (a0, a1) in t_monos for s in s_parts]
 
 
 def _relation_kernel(funcs):
@@ -476,9 +479,11 @@ def plane_curve_divisor(E: EmbeddedCurve, plane: PlaneP3) -> PlaneSection:
     if not h:
         raise ValueError("plane pulls back to the zero function")
     full, zeros, poles = rational_divisor(h)
-    frame = Divisor(
-        {p: sum(_image_record(E, p)[:2]) for p in E.curve.all_standard_places()}
-    )
+    frame = E._cache["frame"]
+    if frame is None:
+        frame = E._cache["frame"] = Divisor(
+            {p: sum(_image_record(E, p)[:2]) for p in E.curve.all_standard_places()}
+        )
     div = full - frame
     if poles or not div.is_effective():
         raise VerificationError("intersection divisor has a negative part")
@@ -495,9 +500,14 @@ def plane_curve_divisor(E: EmbeddedCurve, plane: PlaneP3) -> PlaneSection:
 
 def _twist_divisor(E: EmbeddedCurve, triple: PointTriple) -> Divisor:
     """Divisor representing the triple's bundle twisted down by the
-    square root: (p+q+r) - canonical + theta representative."""
-    d = Divisor({p: 1 for p in triple.places})
-    return d - canonical_divisor(E.curve) + theta_divisor(E.curve, E.theta.members)
+    square root: (p+q+r) plus the base theta representative - canonical,
+    which is built once per embedding."""
+    base = E._cache["twist_base"]
+    if base is None:
+        base = E._cache["twist_base"] = theta_divisor(
+            E.curve, E.theta.members
+        ) - canonical_divisor(E.curve)
+    return Divisor({p: 1 for p in triple.places}) + base
 
 
 def triple_plane_report(E: EmbeddedCurve, triple: PointTriple) -> dict:

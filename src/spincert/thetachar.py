@@ -72,11 +72,12 @@ def _reduce(t: frozenset, g: int) -> frozenset:
 
 
 def _reduced_subsets(g: int):
-    """The reduced member sets of all 2^(2g) classes: the subsets of
-    size below g+1 (smaller than their complements) and those of size
-    g+1 that contain label 1, each of a size congruent to g+1 mod 2, so
-    every generated subset is already reduced.  Each set is checked to
-    be new before it is yielded, and their count after the last one."""
+    """The reduced member sets of all 2^(2g) classes, as sorted label
+    tuples: the subsets of size below g+1 (smaller than their
+    complements) and those of size g+1 that contain label 1, each of a
+    size congruent to g+1 mod 2, so every generated subset is already
+    reduced.  Sorted tuples are equal exactly when their sets are, so
+    the list is checked to hold no repeat and to have 2^(2g) entries."""
     if g not in GENUS_RANGE:
         raise ValueError("supported genus range is 1..6")
     n = 2 * g + 2
@@ -84,14 +85,10 @@ def _reduced_subsets(g: int):
         combinations(range(1, n + 1), size) for size in range((g + 1) % 2, g + 1, 2)
     )
     halves = ((1,) + rest for rest in combinations(range(2, n + 1), g))
-    seen = set()
-    for s in map(frozenset, chain(smaller, halves)):
-        if s in seen:
-            raise VerificationError("class enumeration miscounted")
-        seen.add(s)
-        yield s
-    if len(seen) != 1 << (2 * g):
+    subsets = list(chain(smaller, halves))
+    if len(subsets) != 1 << (2 * g) or len(set(subsets)) != len(subsets):
         raise VerificationError("class enumeration miscounted")
+    return subsets
 
 
 def enumerate_chars(g: int):
@@ -101,7 +98,7 @@ def enumerate_chars(g: int):
     for s in _reduced_subsets(g):
         c = object.__new__(CharClass)
         c.g = g
-        c.members = s
+        c.members = frozenset(s)
         out.append(c)
     return out
 

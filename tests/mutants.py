@@ -9,7 +9,10 @@ ints is a float that compares equal to the exact value
 Gaussian prints like an int, so only a test that looks at types can see
 the fault.  The ``kernel_`` entries break the one-pass covariant
 derivative of ``instanton``, whose composed fallback gives right values
-on the slow path, so only a count of its work sees some faults.
+on the slow path, so only a count of its work sees some faults.  The
+last entries break the curve code's build-once paths: the interned
+places, the unchecked divisor merge and scale, and the tuple list of
+reduced branch subsets.
 
     PYTHONPATH=src python tests/mutants.py
 
@@ -170,6 +173,50 @@ MUTANTS = (
         (
             "tests/test_exactalg.py::test_gaussian_matches_fraction_pair_oracle",
             "tests/test_exactalg.py::test_poly_arithmetic_matches_sympy",
+        ),
+    ),
+    (
+        # the branch place x = 1 and the infinite place +1 then share a slot
+        "place_cache_keyed_by_key_alone",
+        "hyperell.py",
+        "        place = places.get((kind, key))\n"
+        "        if place is None:\n"
+        "            place = places[(kind, key)] = Place(self, kind, key)\n",
+        "        place = places.get(key)\n"
+        "        if place is None:\n"
+        "            place = places[key] = Place(self, kind, key)\n",
+        (
+            "tests/test_hyperell.py"
+            "::test_interned_places_equal_and_hash_like_fresh_places",
+            "tests/test_hyperell.py::test_canonical_divisor_small_genus",
+        ),
+    ),
+    (
+        "divisor_merge_keeps_cancelled_place",
+        "hyperell.py",
+        "        if m:\n            out[p] = m\n        else:\n            del out[p]\n",
+        "        out[p] = m\n",
+        (
+            "tests/test_hyperell.py::test_divisor_arithmetic_matches_rebuild_oracle",
+            "tests/test_hyperell.py::test_divisor_arithmetic",
+        ),
+    ),
+    (
+        "divisor_scale_skips_int_check",
+        "hyperell.py",
+        "        if type(k) is not int:\n"
+        '            raise ValueError("divisor coefficients must be integers: %r" % (k,))\n',
+        "",
+        ("tests/test_hyperell.py::test_divisor_scale_rejects_non_integer_factors",),
+    ),
+    (
+        "reduced_subsets_halves_drop_label_1",
+        "thetachar.py",
+        "halves = ((1,) + rest for rest in",
+        "halves = (rest for rest in",
+        (
+            "tests/test_thetachar.py"
+            "::test_reduced_subset_tuples_match_the_frozenset_oracle",
         ),
     ),
 )

@@ -531,6 +531,26 @@ def test_bool_is_not_a_scalar(coerce):
     assert coerce(1) == 1 and not coerce(0)
 
 
+@pytest.mark.parametrize(
+    "op", [operator.add, operator.sub, operator.mul, operator.truediv],
+    ids=["add", "sub", "mul", "truediv"],
+)
+@pytest.mark.parametrize("v", [True, False], ids=repr)
+def test_gaussian_arithmetic_rejects_bools(op, v):
+    # read as an int, True would make Gaussian(1, 1) * True the value 1+i
+    for z in (Gaussian(1, 1), Gaussian(Fraction(1, 2), 3), Gaussian(1)):
+        for a, b in ((z, v), (v, z)):
+            with pytest.raises(TypeError):
+                op(a, b)
+
+
+def test_gaussian_never_equals_a_bool():
+    for z, v in ((Gaussian(1, 0), True), (Gaussian(0), False), (Gaussian(1, 1), True)):
+        assert not z == v and not v == z
+        assert z != v and v != z
+    assert Gaussian(1, 0) == 1 and Gaussian(0) == 0
+
+
 def test_exact_quotient_stays_exact():
     assert exact_quotient(-8, 4) == -2 and type(exact_quotient(-8, 4)) is int
     assert exact_quotient(7, -2) == Fraction(-7, 2)

@@ -12,6 +12,9 @@ sequences; divisor computations against frozen expected values; the
 16-class parity table against the combinatorial model.
 """
 
+import contextlib
+import io
+from collections import Counter
 from fractions import Fraction
 from math import gcd, inf, lcm
 from pathlib import Path
@@ -21,6 +24,7 @@ import pytest
 import sympy
 from hypothesis import Phase, find, given, settings, strategies as st
 
+import divisor_oracle
 import rr_system_oracle
 import upoly_oracle
 from spincert import VerificationError, hyperell
@@ -38,6 +42,7 @@ from spincert.hyperell import (
     FieldElem,
     HyperCurve,
     LSeries,
+    Place,
     UPoly,
     branch_product,
     canonical_divisor,
@@ -741,6 +746,51 @@ def test_places_over_frozen(curve, curve_with_split_point):
     assert curve.places_over(Fraction(1, 2)) == ()  # f(1/2) < 0
 
 
+def test_interned_places_equal_and_hash_like_fresh_places():
+    c = HyperCurve.from_roots([0, 1, 2, 3, 4, -14])
+    places = c.all_standard_places() + c.places_over(6)
+    # the branch place x = 1 and the infinite place +1 share the key 1
+    assert [p.kind for p in places] == ["branch"] * 6 + ["inf"] * 2 + ["split"] * 2
+    assert c.branch_place(3).key == c.infinite_place(1).key == 1
+    assert len(set(places)) == len(places) == 10
+    for place in places:
+        fresh = Place(c, place.kind, place.key)
+        assert fresh is not place
+        assert fresh == place and place == fresh
+        assert hash(fresh) == hash(place) == hash((place.kind, place.key))
+    again = (
+        [c.branch_place(i) for i in range(1, 7)]
+        + [c.infinite_place(1), c.infinite_place(-1)]
+        + list(c.places_over(6))
+        + [c.split_place(Fraction(6), 120), c.split_place(6, Fraction(-120))]
+    )
+    assert len(again) == 12
+    assert all(p is q for p, q in zip(again, places + places[8:]))
+    assert c.places_over(Fraction(2))[0] is c.places_over(2)[0] is c.branch_place(4)
+    # an equal curve has its own places, equal to these by value
+    twin = HyperCurve.from_roots([0, 1, 2, 3, 4, -14])
+    assert twin.infinite_place(1) == c.infinite_place(1)
+    assert twin.infinite_place(1) is not c.infinite_place(1)
+    assert twin.infinite_place(1) != c.infinite_place(-1)
+
+
+def test_run_all_builds_each_place_once_per_curve(monkeypatch):
+    built = Counter()
+    curves = []  # held, so no id is reused within the run
+    init = Place.__init__
+
+    def counting(self, curve, kind, key):
+        curves.append(curve)
+        built[(id(curve), kind, key)] += 1
+        init(self, curve, kind, key)
+
+    monkeypatch.setattr(Place, "__init__", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "all", "--seed", "1729"]) == 0
+    assert built, "the run builds no place"
+    assert max(built.values()) == 1, [k for k, n in built.items() if n > 1]
+
+
 HALVES_FIXTURE = (
     Path(__file__).parent / "golden" / "curve_roots_0_1-2_1_3-2_2_-7-3.txt"
 )
@@ -930,6 +980,70 @@ def test_divisor_rejects_non_integer_coefficients(curve, n):
     # int() would read 1.5 and True as 1
     with pytest.raises(ValueError):
         Divisor({curve.branch_place(1): n})
+
+
+@pytest.mark.parametrize("k", [True, False, 2.0, Fraction(1, 2), Fraction(2)], ids=repr)
+def test_divisor_scale_rejects_non_integer_factors(curve, k):
+    # n * True is the int n, so an unchecked scale(True) is the identity
+    d = Divisor({curve.branch_place(1): 2, curve.infinite_place(1): -1})
+    with pytest.raises(ValueError):
+        d.scale(k)
+    with pytest.raises(ValueError):
+        Divisor().scale(k)
+
+
+# the places drawn divisors use: the fixture curve's standard places and
+# the two split places over x = 6, each interned and fresh, so the merge
+# meets a place both as the same object and as an equal one
+_DIVISOR_CURVE = HyperCurve.from_roots([0, 1, 2, 3, 4, -14])
+_DIVISOR_PLACES = _DIVISOR_CURVE.all_standard_places() + _DIVISOR_CURVE.places_over(6)
+_DIVISOR_PLACES += tuple(Place(p.curve, p.kind, p.key) for p in _DIVISOR_PLACES)
+
+
+def divisor_cases():
+    """(a, b, k): two divisors on the fixture curve and a scale factor."""
+    coeffs = st.dictionaries(
+        st.sampled_from(_DIVISOR_PLACES), st.integers(-3, 3), max_size=6
+    )
+    return st.tuples(coeffs.map(Divisor), coeffs.map(Divisor), st.integers(-3, 3))
+
+
+def _cancels(a, b):
+    """Whether a + b or a - b cancels a place of both supports to 0."""
+    return any(abs(b.coeff(p)) == abs(n) for p, n in a.coeffs.items())
+
+
+def _entries(d):
+    return [(p.kind, p.key, n) for p, n in d.coeffs.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(divisor_cases())
+def test_divisor_arithmetic_matches_rebuild_oracle(case):
+    a, b, k = case
+    pairs = (
+        (a + b, divisor_oracle.add(a, b)),
+        (a - b, divisor_oracle.sub(a, b)),
+        (-a, divisor_oracle.neg(a)),
+        (a.scale(k), divisor_oracle.scale(a, k)),
+        (a - a, divisor_oracle.sub(a, a)),
+    )
+    for fast, slow in pairs:
+        # equal entries in the same order: the support order is kept
+        assert _entries(fast) == _entries(slow)
+        assert fast == slow and slow == fast
+        assert fast.degree == divisor_oracle.degree(slow)
+        assert fast.support == divisor_oracle.support(slow)
+        assert all(type(n) is int and n for n in fast.coeffs.values())
+    assert (a == b) == divisor_oracle.eq(a, b)
+
+
+def test_divisor_cases_reach_a_cancelling_place():
+    find(
+        divisor_cases(),
+        lambda case: _cancels(case[0], case[1]),
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
 
 
 @pytest.mark.parametrize("i", [1.0, Fraction(1), True, 0, 7], ids=repr)

@@ -133,6 +133,21 @@ def test_mat2_rejects_bool_entries():
         Mat2.identity() * True
 
 
+@pytest.mark.parametrize("v", [True, False], ids=repr)
+def test_entry_scaling_rejects_bools_before_the_zero_shortcut(v):
+    # a zero entry, or False, used to give the zero entry before the
+    # scalar was looked at, so Mat2.identity() * False was the zero matrix
+    with pytest.raises(TypeError):
+        Mat2.identity() * v
+    with pytest.raises(TypeError):
+        v * Mat2.identity()
+    for entry in (_RhoFrac(R4.const(0)), _RhoFrac(R4.const(1))):
+        with pytest.raises(TypeError):
+            entry * v
+        with pytest.raises(TypeError):
+            v * entry
+
+
 def test_connection_rejects_traceful_components():
     bad = Mat2(((1, 0), (0, 0)))
     with pytest.raises(ValueError):

@@ -491,6 +491,37 @@ class TestRelationKernel:
         return nullspace(rows)
 
     @pytest.mark.parametrize("fixture", ["E", "split_E"])
+    def test_monomial_products_match_repeated_products(self, fixture, request):
+        # the composition from one power table per section against the
+        # power-by-power product it replaced: FieldElem cancels nothing,
+        # so the two must agree in a, b and den, not only in value
+        E = request.getfixturevalue(fixture)
+        spin, canon = E.spin_cube_basis, E.canonical_basis
+
+        def power(fe, n):
+            out = FieldElem(fe.curve, UPoly((1,)))
+            for _ in range(n):
+                out = out * fe
+            return out
+
+        for t_monos, s_monos in (
+            (T_MONOS, S_MONOS),
+            (_degree_monos(2), _degree_monos(2)),
+            (_degree_monos(1), _degree_monos(3)),
+            (_degree_monos(0), _degree_monos(4)),
+        ):
+            got = _monomial_products(spin, canon, t_monos, s_monos)
+            want = [
+                power(spin[0], a0) * power(spin[1], a1) * power(canon[0], b0)
+                * power(canon[1], b1)
+                for (a0, a1) in t_monos
+                for (b0, b1) in s_monos
+            ]
+            assert len(got) == len(want) == len(t_monos) * len(s_monos)
+            for h, w in zip(got, want):
+                assert (h.a, h.b, h.den) == (w.a, w.b, w.den)
+
+    @pytest.mark.parametrize("fixture", ["E", "split_E"])
     def test_embed_systems_match_product_clearing(self, fixture, request):
         E = request.getfixturevalue(fixture)
         spin, canon = E.spin_cube_basis, E.canonical_basis

@@ -163,6 +163,10 @@ DUNDER_ALLOWLIST = {
     "oddmoduli.py:PlaneP3.__eq__": _TEST_EQ,
     "repsl2.py:BinaryForm.__eq__": _TEST_EQ,
     "thetachar.py:CharClass.__eq__": _TEST_EQ,
+    "hyperell.py:Place.__eq__": (
+        "value equality of places on distinct but equal curves; a run meets "
+        "only the interned place of its curve, which dicts find by identity"
+    ),
     "exactalg/polys.py:MultiPoly.__hash__": _HASH,
     "exactalg/polys.py:PolyRing.__hash__": _HASH,
     "exactalg/scalars.py:Gaussian.__hash__": _HASH,

@@ -1,13 +1,14 @@
 """Square-root classes: enumeration, reduction, parity counts, and the
 GF(2) quadratic-form model with its Arf invariant."""
 
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import pytest
 
 from spincert.thetachar import (
     GENUS_RANGE,
     CharClass,
+    _reduced_subsets,
     all_quad_forms,
     arf_model_crosscheck,
     enumerate_chars,
@@ -31,6 +32,30 @@ def _pairing(u, v):
     for i in range(0, len(u), 2):
         acc ^= (u[i] & v[i + 1]) ^ (u[i + 1] & v[i])
     return acc
+
+
+def _frozenset_subsets(g):
+    """The generator of reduced member frozensets that ``_reduced_subsets``
+    was before it listed sorted tuples, kept as the oracle."""
+    n = 2 * g + 2
+    smaller = chain.from_iterable(
+        combinations(range(1, n + 1), size) for size in range((g + 1) % 2, g + 1, 2)
+    )
+    halves = ((1,) + rest for rest in combinations(range(2, n + 1), g))
+    seen = set()
+    for s in map(frozenset, chain(smaller, halves)):
+        assert s not in seen
+        seen.add(s)
+        yield s
+    assert len(seen) == 1 << (2 * g)
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_reduced_subset_tuples_match_the_frozenset_oracle(g):
+    subsets = _reduced_subsets(g)
+    assert all(list(t) == sorted(t) for t in subsets)
+    assert [frozenset(t) for t in subsets] == list(_frozenset_subsets(g))
+    assert [c.members for c in enumerate_chars(g)] == list(_frozenset_subsets(g))
 
 
 @pytest.mark.parametrize("g", range(1, 7))
