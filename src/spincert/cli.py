@@ -62,8 +62,7 @@ from .instanton import (
     GAMMA,
     Connection,
     bpst_connection,
-    curvature,
-    sd_asd_split,
+    self_dual_part,
     verify_curvature_dirac_solutions,
     yang_mills_residual,
     bianchi_residual,
@@ -271,8 +270,7 @@ def run_instanton(opts):
     }
 
     def anti_self_dual():
-        plus, _ = sd_asd_split(curvature(conn))
-        bad = _nonzero_form_keys(plus)
+        bad = _nonzero_form_keys(self_dual_part(conn))
         return {"self_dual_part_components": bad, "passed": not bad}
 
     def bianchi():
@@ -290,8 +288,7 @@ def run_instanton(opts):
         if opts.perturb:
             return {"_skipped": True, "reason": "whole suite already perturbed"}
         bad_conn = _perturbed_connection(conn)
-        plus, _ = sd_asd_split(curvature(bad_conn))
-        sd_keys = _nonzero_form_keys(plus)
+        sd_keys = _nonzero_form_keys(self_dual_part(bad_conn))
         ym_keys = _nonzero_form_keys(yang_mills_residual(bad_conn))
         return {
             "self_dual_part_components": sd_keys,

@@ -366,8 +366,16 @@ class GammaRep:
 
         Spinor entries may be any values multipliable by Gaussian
         coefficients (Gaussians themselves, or the p / rho^k entries of
-        the instanton module)."""
-        m = self.rep(w)
+        the instanton module).  A single basis blade with coefficient 1,
+        as ``Multivector.vector`` and ``Multivector.blade`` give, reads
+        its precomputed matrix."""
+        m = None
+        if len(w.coeffs) == 1:
+            [(mask, c)] = w.coeffs.items()
+            if c == 1:
+                m = self._blade_mats[mask]
+        if m is None:
+            m = self.rep(w)
         out = []
         for r in range(4):
             acc = None

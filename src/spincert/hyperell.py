@@ -578,7 +578,13 @@ class HyperCurve:
         self.roots = tuple(sorted(roots))
         self.lead_sqrt = ls
         self.slopes = {r: df.eval(r) for r in roots}
-        self._cache = {"series": {}, "canonical": None, "theta": {}, "places": {}}
+        self._cache = {
+            "series": {},
+            "canonical": None,
+            "theta": {},
+            "places": {},
+            "over": {},
+        }
 
     @classmethod
     def from_roots(cls, roots, lead=1):
@@ -624,15 +630,26 @@ class HyperCurve:
     def places_over(self, x0):
         """The rational places over a finite x-value: the branch place
         when f(x0) = 0, both split places when f(x0) is a nonzero
-        rational square, and () otherwise."""
+        rational square, and () otherwise.  The tuple is built once per
+        x-value and kept in ``_cache["over"]``."""
         x0 = _qq(x0)
-        fx = self.f.eval(x0)
-        if fx == 0:
-            return (self._place("branch", x0),)
-        y0 = rational_sqrt(fx)
-        if y0 is None:
-            return ()
-        return (self._place("split", (x0, y0)), self._place("split", (x0, -y0)))
+        over = self._cache["over"]
+        places = over.get(x0)
+        if places is None:
+            fx = self.f.eval(x0)
+            if fx == 0:
+                places = (self._place("branch", x0),)
+            else:
+                y0 = rational_sqrt(fx)
+                if y0 is None:
+                    places = ()
+                else:
+                    places = (
+                        self._place("split", (x0, y0)),
+                        self._place("split", (x0, -y0)),
+                    )
+            over[x0] = places
+        return places
 
     def all_standard_places(self):
         n = len(self.roots)

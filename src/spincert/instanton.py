@@ -27,15 +27,23 @@ is read off the closed form, with da = a00 - a11 and db = b00 - b11:
     c00 = a01 b10 - b01 a10        c01 = b01 da - a01 db
     c10 = a10 db - b10 da          c11 = -c00
 
-which takes six entry products where a * b - b * a takes sixteen.  The
-covariant derivative d_i M + [A_i, M] of curvature, Bianchi, Yang-Mills
-and Dirac is built entry by entry in one pass: d_i p * rho - 2k x_i p
-and the two closed-form products of the entry are summed into one term
-dict at the common power k + 1, and the coefficients are brought to
-normal form once at the end, so no derivative, product or commutator
-polynomial is built on the way.  An entry whose nonzero parts sit at
-different powers of rho (none in the suite) is composed from the entry
-arithmetic instead.
+which takes six entry products where a * b - b * a takes sixteen.
+
+The curvature, the Bianchi and Yang-Mills residuals, the Dirac residual
+and the duality split are signed sums of covariant derivatives: sums
+over terms of coef * (d_i M + [A_i, M]) with coef a Q(i) scalar.  The
+Dirac operator sums gamma_i[r][c] * theta_i[c], the exterior covariant
+derivative sums three terms with signs +, -, +, the curvature
+d_m A_n - d_n A_m + [A_m, A_n] is a sum with one bare derivative term,
+and the self-dual part (F + *F) / 2 is a two-term sum of bare entries.  Each output entry is built in one pass: the numerators of
+every derivative (d_i p * rho - 2k x_i p), every closed-form product and
+every bare entry are summed into one term dict at the common power of
+rho, each scaled as it is added (a coefficient 1 as is, -1 negated, any
+other value multiplied once per term), and the coefficients are brought
+to normal form once at the end.  So no derivative, product, commutator
+or scaled matrix is built on the way.  An entry whose nonzero parts sit
+at different powers of rho (none in the suite) is composed from the
+entry arithmetic instead.
 """
 
 from __future__ import annotations
@@ -109,6 +117,12 @@ class _RhoFrac:
             if not p.terms or not other.p.terms:
                 return _RF0
             return _RhoFrac(p * other.p, self.k + other.k)
+        if type(other) is int:
+            # the unit scalars of the gamma and star signs copy nothing
+            if other == 1:
+                return self
+            if other == -1:
+                return _RhoFrac(-p, self.k)
         if isinstance(other, _SCALARS):
             if type(other) is bool:
                 # before the zero short-cut, so False fails like True
@@ -135,7 +149,7 @@ class _RhoFrac:
         if not self.k:
             return _RhoFrac(self.p.derivative(var))
         out = {}
-        _add_derivative(out, self.p, self.k, var)
+        _add_derivative(out, self.p, self.k, var, 1)
         return _RhoFrac(_poly(out), self.k + 1)
 
     def eval(self, point, rho=None):
@@ -163,15 +177,34 @@ _RF0 = _RhoFrac(R4.zero())
 _UNITS = tuple(tuple(int(j == i) for j in range(4)) for i in range(4))
 
 
-def _add_derivative(out, p, k, var):
-    """Add the numerator of d_var (p / rho^k) to the term dict ``out``:
-    d_var p * rho - 2k * x_var * p over rho^(k+1) when k > 0 (d_var rho
-    is 2 x_var), d_var p over rho^0 when k = 0.  Coefficients are summed
-    as they come; ``_poly`` brings them to normal form."""
+def _scaled_terms(p, coef):
+    """The (exponent, coefficient) pairs of coef * p: p's own for a
+    coefficient 1, negated for -1, each multiplied once otherwise."""
+    if type(coef) is int:
+        if coef == 1:
+            return p.terms.items()
+        if coef == -1:
+            return [(e, -c) for e, c in p.terms.items()]
+    return [(e, c * coef) for e, c in p.terms.items()]
+
+
+def _add_scaled(out, p, coef):
+    """Add coef * p to the term dict ``out``."""
+    get = out.get
+    for e, c in _scaled_terms(p, coef):
+        acc = get(e)
+        out[e] = c if acc is None else acc + c
+
+
+def _add_derivative(out, p, k, var, coef):
+    """Add coef times the numerator of d_var (p / rho^k) to the term dict
+    ``out``: d_var p * rho - 2k * x_var * p over rho^(k+1) when k > 0
+    (d_var rho is 2 x_var), d_var p over rho^0 when k = 0.  Coefficients
+    are summed as they come; ``_poly`` brings them to normal form."""
     u0, u1, u2, u3 = _UNITS[var]
     minus_2k = -2 * k
     get = out.get
-    for e, c in p.terms.items():
+    for e, c in _scaled_terms(p, coef):
         e0, e1, e2, e3 = e
         n = e[var]
         if n:
@@ -198,14 +231,13 @@ def _add_derivative(out, p, k, var):
             out[f] = t if acc is None else acc + t
 
 
-def _add_product(out, x, y, negate):
-    """Add (or, when ``negate``, subtract) the numerator product x * y
-    to the term dict ``out``, exponents added as 4-tuples."""
+def _add_product(out, x, y, coef):
+    """Add coef times the numerator product x * y to the term dict
+    ``out``, exponents added as 4-tuples; coef scales each term of x
+    once."""
     y_terms = y.terms.items()
     get = out.get
-    for (a0, a1, a2, a3), c1 in x.terms.items():
-        if negate:
-            c1 = -c1
+    for (a0, a1, a2, a3), c1 in _scaled_terms(x, coef):
         for (e0, e1, e2, e3), c2 in y_terms:
             f = (a0 + e0, a1 + e1, a2 + e2, a3 + e3)
             t = c1 * c2
@@ -227,35 +259,48 @@ def _poly(out):
     )
 
 
-def _covariant_entry(v, var, x1, y1, x2, y2):
-    """d_var v + x1 * y1 - x2 * y2, one entry of d_var M + [A, M] with
-    its two closed-form commutator products, in one pass.
+def _entry_sum(entries, products):
+    """One entry of a covariant sum: the sum of coef * d_var v (coef * v
+    when var is None) over ``entries`` (coef, v, var) and of coef * x * y
+    over ``products`` (coef, x, y), in one pass.
 
-    Every nonzero part (the derivative over rho^(k+1), or rho^0 when v
-    has k = 0, and each product over the sum of its factors' powers)
-    must sit at the same power; the numerators are then summed into one
-    term dict.  Parts at different powers are composed from the entry
-    arithmetic, which lifts the lower power."""
-    power = None
-    if v.p.terms:
-        power = v.k + 1 if v.k else 0
-    for x, y in ((x1, y1), (x2, y2)):
-        if x.p.terms and y.p.terms:
-            k = x.k + y.k
-            if power is None:
-                power = k
-            elif k != power:
-                return v.derivative(var) + (x1 * y1 - x2 * y2)
-    if power is None:
+    Every nonzero part (a derivative over rho^(k+1), or rho^0 when v has
+    k = 0, a bare entry over its own rho^k, and a product over the sum of
+    its factors' powers) must sit at the same power; the scaled
+    numerators are then summed into one term dict.  Parts at different
+    powers go to ``_composed_sum``."""
+    powers = {
+        (v.k + 1 if v.k else 0) if var is not None else v.k
+        for _, v, var in entries
+        if v.p.terms
+    }
+    powers.update(x.k + y.k for _, x, y in products if x.p.terms and y.p.terms)
+    if not powers:
         return _RF0
+    if len(powers) > 1:
+        return _composed_sum(entries, products)
     out = {}
-    if v.p.terms:
-        _add_derivative(out, v.p, v.k, var)
-    if x1.p.terms and y1.p.terms:
-        _add_product(out, x1.p, y1.p, False)
-    if x2.p.terms and y2.p.terms:
-        _add_product(out, x2.p, y2.p, True)
-    return _RhoFrac(_poly(out), power)
+    for coef, v, var in entries:
+        if v.p.terms:
+            if var is None:
+                _add_scaled(out, v.p, coef)
+            else:
+                _add_derivative(out, v.p, v.k, var, coef)
+    for coef, x, y in products:
+        if x.p.terms and y.p.terms:
+            _add_product(out, x.p, y.p, coef)
+    return _RhoFrac(_poly(out), powers.pop())
+
+
+def _composed_sum(entries, products):
+    """The sum of ``_entry_sum`` on the entry arithmetic, which lifts
+    each part to the larger power of rho as it adds."""
+    acc = _RF0
+    for coef, v, var in entries:
+        acc = acc + (v if var is None else v.derivative(var)) * coef
+    for coef, x, y in products:
+        acc = acc + x * y * coef
+    return acc
 
 
 def _as_rf(v):
@@ -344,9 +389,6 @@ class Mat2:
             a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
         )
 
-    def derivative(self, var):
-        return _mat2(tuple(tuple(v.derivative(var) for v in row) for row in self.rows))
-
     def __repr__(self):
         return "Mat2(%s)" % (self.rows,)
 
@@ -361,24 +403,41 @@ def quaternion_units():
     return tuple(Mat2(q) for q in QUATERNION_UNITS)
 
 
-def _covariant(a: Mat2, m: Mat2, var) -> Mat2:
-    """d_var m + [a, m], each entry in one pass: the closed-form
-    commutator of the module docstring with the derivative of the entry
-    folded in, c11 = -c00 read as a10 m01 - a01 m10."""
-    (a00, a01), (a10, a11) = a.rows
-    (m00, m01), (m10, m11) = m.rows
-    da = a00 - a11
-    dm = m00 - m11
+def _covariant_sum(terms) -> Mat2:
+    """The sum of coef * (d_var M + [A, M]) over the terms (coef, A, M,
+    var), with coef a Q(i) scalar in normal form; A is None for a bare
+    derivative coef * d_var M, and A and var are both None for coef * M.
+
+    Each entry is one ``_entry_sum``: the entries of every M with their
+    derivatives, and the closed-form commutator products of the module
+    docstring, the second of each pair with coef negated and c11 = -c00
+    read as a10 m01 - a01 m10.  A term with coef 0 adds nothing."""
+    entries = ([], [], [], [])
+    products = ([], [], [], [])
+    e00, e01, e10, e11 = entries
+    p00, p01, p10, p11 = products
+    for coef, a, m, var in terms:
+        if not coef:
+            continue
+        (m00, m01), (m10, m11) = m.rows
+        e00.append((coef, m00, var))
+        e01.append((coef, m01, var))
+        e10.append((coef, m10, var))
+        e11.append((coef, m11, var))
+        if a is None:
+            continue
+        (a00, a01), (a10, a11) = a.rows
+        da = a00 - a11
+        dm = m00 - m11
+        neg = -coef
+        p00 += ((coef, a01, m10), (neg, a10, m01))
+        p01 += ((coef, da, m01), (neg, a01, dm))
+        p10 += ((coef, a10, dm), (neg, da, m10))
+        p11 += ((coef, a10, m01), (neg, a01, m10))
     return _mat2(
         (
-            (
-                _covariant_entry(m00, var, a01, m10, a10, m01),
-                _covariant_entry(m01, var, da, m01, a01, dm),
-            ),
-            (
-                _covariant_entry(m10, var, a10, dm, da, m10),
-                _covariant_entry(m11, var, a10, m01, a01, m10),
-            ),
+            (_entry_sum(e00, p00), _entry_sum(e01, p01)),
+            (_entry_sum(e10, p10), _entry_sum(e11, p11)),
         )
     )
 
@@ -390,8 +449,9 @@ def traceless_part(m: Mat2) -> Mat2:
 class Connection:
     """Four trace-free matrix components; an exact gauge potential.
 
-    The connection is immutable, so its curvature is built on the first
-    call of :func:`curvature` and kept in its private cache dict."""
+    The connection is immutable, so its curvature and the self-dual part
+    of that curvature are built on the first call of :func:`curvature`
+    and :func:`self_dual_part` and kept in its private cache dict."""
 
     __slots__ = ("components", "_cache")
 
@@ -437,7 +497,7 @@ def _curvature_of(comps) -> dict:
         for n in range(m + 1, 5):
             am, an = comps[m - 1], comps[n - 1]
             # d_m A_n + [A_m, A_n] - d_n A_m
-            out[(m, n)] = _covariant(am, an, m - 1) - am.derivative(n - 1)
+            out[(m, n)] = _covariant_sum(((1, am, an, m - 1), (-1, None, am, n - 1)))
     return out
 
 
@@ -460,26 +520,43 @@ def two_form_star(f: dict) -> dict:
     return out
 
 
+def _self_dual_of(f: dict) -> dict:
+    """(F + *F) / 2, each entry one two-term sum: F_key / 2 plus the
+    starred component s * F_dual / 2, keys those of F and *F in order."""
+    half = Fraction(1, 2)
+    terms = {key: [(half, None, mat, None)] for key, mat in f.items()}
+    for (m, n), mat in f.items():
+        comp, s = star_blade(_pair_mask(m, n))
+        terms.setdefault(_mask_pair(comp), []).append((half * s, None, mat, None))
+    return {key: _covariant_sum(terms[key]) for key in sorted(terms)}
+
+
+def self_dual_part(f) -> dict:
+    """The self-dual part (F + *F) / 2 of a matrix-valued 2-form, or of
+    the curvature of a :class:`Connection`.  A Connection builds it once
+    and every call hands out a fresh dict of the same matrices."""
+    if isinstance(f, Connection):
+        plus = f._cache.get("self_dual")
+        if plus is None:
+            plus = f._cache["self_dual"] = _self_dual_of(curvature(f))
+        return dict(plus)
+    return _self_dual_of(f)
+
+
 def sd_asd_split(f: dict):
     """Pointwise duality split (F_plus, F_minus) with F = F_plus + F_minus."""
-    starred = two_form_star(f)
-    half = Fraction(1, 2)
-    plus, minus = {}, {}
-    for key in sorted(set(f) | set(starred)):
-        fk = f.get(key, Mat2.zero())
-        sk = starred.get(key, Mat2.zero())
-        plus[key] = (fk + sk) * half
-        minus[key] = (fk - sk) * half
-    return plus, minus
+    plus = self_dual_part(f)
+    return plus, {key: f.get(key, _M0) - m for key, m in plus.items()}
 
 
 def form_is_zero(f: dict) -> bool:
     return not any(f.values())
 
 
-def asd_check(f: dict) -> bool:
-    plus, _ = sd_asd_split(f)
-    return form_is_zero(plus)
+def asd_check(f) -> bool:
+    """Whether the self-dual part of a 2-form, or of a connection's
+    curvature, vanishes."""
+    return form_is_zero(self_dual_part(f))
 
 
 def bpst_connection() -> Connection:
@@ -497,7 +574,7 @@ def bpst_connection() -> Connection:
     inv_rho = _RhoFrac(R4.one(), 1)
     comps = tuple(traceless_part(x * qc) * inv_rho for qc in conj_units)
     conn = Connection(comps)
-    if not asd_check(curvature(conn)):
+    if not asd_check(conn):
         raise VerificationError("curvature is not anti-self-dual")
     return conn
 
@@ -647,25 +724,27 @@ def curvature_acts(f: dict, psi) -> CoupledField:
 def coupled_dirac(a, field: CoupledField) -> CoupledField:
     """Sum over directions of e_i . (d_i Psi + [A_i, Psi])."""
     comps = _components(a)
-    out = [Mat2.zero() for _ in range(4)]
-    for i in range(4):
-        theta = tuple(_covariant(comps[i], m, i) for m in field.components)
-        g = GAMMA.gamma[i]
-        for r in range(4):
-            for c in range(4):
-                if g[r][c]:
-                    out[r] = out[r] + theta[c] * g[r][c]
-    return CoupledField(out)
+    psi = field.components
+    gamma = GAMMA.gamma
+    # out[r] = sum over i and c of gamma_i[r][c] * (d_i psi_c + [A_i, psi_c])
+    return CoupledField(
+        _covariant_sum(
+            [
+                (gamma[i][r][c], comps[i], psi[c], i)
+                for i in range(4)
+                for c in range(4)
+                if gamma[i][r][c]
+            ]
+        )
+        for r in range(4)
+    )
 
 
 # ----------------------------------------------------------------------
 # verification reports
 # ----------------------------------------------------------------------
 
-_EVAL_POINTS = (
-    (Fraction(1), Fraction(2), Fraction(-1), Fraction(3)),
-    (Fraction(2), Fraction(-1), Fraction(1), Fraction(-2)),
-)
+_EVAL_POINTS = ((1, 2, -1, 3), (2, -1, 1, -2))
 
 
 def _field_row(field: CoupledField, rhos):
@@ -698,7 +777,7 @@ def verify_curvature_dirac_solutions(a) -> dict:
     coordinates are used as given.
     """
     f = curvature(a)
-    is_asd = asd_check(f)
+    is_asd = asd_check(a if isinstance(a, Connection) else f)
     degenerate = form_is_zero(f)
     produced = []
     residual_zero = []
@@ -729,20 +808,18 @@ def exterior_covariant_derivative(a, g2: dict) -> dict:
     ascending coordinate triples."""
     comps = _components(a)
 
-    def d_dir(i, m):
-        return _covariant(comps[i - 1], m, i - 1)
-
-    def get(m, n):
+    def term(coef, i, m, n):
+        # coef * (d_i G_mn + [A_i, G_mn]), with G_mn = -G_nm
         if (m, n) in g2:
-            return g2[(m, n)]
+            return coef, comps[i - 1], g2[(m, n)], i - 1
         if (n, m) in g2:
-            return -g2[(n, m)]
-        return Mat2.zero()
+            return -coef, comps[i - 1], g2[(n, m)], i - 1
+        return 0, None, _M0, None
 
     out = {}
     for lam, mu, nu in combinations((1, 2, 3, 4), 3):
-        out[(lam, mu, nu)] = (
-            d_dir(lam, get(mu, nu)) - d_dir(mu, get(lam, nu)) + d_dir(nu, get(lam, mu))
+        out[(lam, mu, nu)] = _covariant_sum(
+            (term(1, lam, mu, nu), term(-1, mu, lam, nu), term(1, nu, lam, mu))
         )
     return out
 

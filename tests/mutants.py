@@ -7,10 +7,12 @@ entries cover the QQ and Q(i) normal forms, where a bare ``/`` on two
 ints is a float that compares equal to the exact value
 (``0.5 == Fraction(1, 2)``), and an integral Fraction or a real
 Gaussian prints like an int, so only a test that looks at types can see
-the fault.  The ``kernel_`` entries break the one-pass covariant
-derivative of ``instanton``, whose composed fallback gives right values
-on the slow path, so only a count of its work sees some faults.  The
-last entries break the curve code's build-once paths: the interned
+the fault.  The ``kernel_`` entries break the one-pass signed sums of
+covariant derivatives of ``instanton``, whose composed fallback gives
+right values on the slow path, so only a count of its work sees some
+faults; two more break its self-dual part and its unit scalars, and
+one the blade-table lookup of ``clifford.GammaRep.act``.  The last
+entries break the curve code's build-once paths: the interned
 places, the unchecked divisor merge and scale, and the tuple list of
 reduced branch subsets.
 
@@ -126,8 +128,8 @@ MUTANTS = (
         # is right but slow, so only the work count sees it there
         "kernel_power_k_for_k_plus_1",
         "instanton.py",
-        "power = v.k + 1 if v.k else 0",
-        "power = v.k",
+        "(v.k + 1 if v.k else 0) if var is not None else v.k",
+        "v.k",
         (
             "tests/test_instanton.py::test_run_instanton_fuses_every_covariant_entry",
             "tests/test_instanton.py"
@@ -147,8 +149,8 @@ MUTANTS = (
     (
         "kernel_adds_second_product",
         "instanton.py",
-        "_add_product(out, x2.p, y2.p, True)",
-        "_add_product(out, x2.p, y2.p, False)",
+        "neg = -coef",
+        "neg = coef",
         (
             "tests/test_instanton.py"
             "::test_covariant_kernel_matches_composed_form_and_ratfunc",
@@ -156,14 +158,76 @@ MUTANTS = (
         ),
     ),
     (
+        # the power check of the fallback removed
         "kernel_fuses_unequal_powers",
         "instanton.py",
-        "elif k != power:",
-        "elif False:",
+        "if len(powers) > 1:",
+        "if False:",
         (
             "tests/test_instanton.py"
             "::test_covariant_kernel_matches_composed_form_and_ratfunc",
+            "tests/test_instanton.py::test_covariant_sum_matches_composed_form",
         ),
+    ),
+    (
+        "kernel_minus_one_as_one",
+        "instanton.py",
+        "return [(e, -c) for e, c in p.terms.items()]",
+        "return p.terms.items()",
+        (
+            "tests/test_instanton.py::test_covariant_sum_matches_composed_form",
+            "tests/test_instanton.py::test_bpst_matches_ratfunc_transcription",
+        ),
+    ),
+    (
+        # the suite's only other coefficients are +-i and 1/2, so this
+        # treats +-i as 1 in the Dirac sum
+        "kernel_skips_scalar_multiply",
+        "instanton.py",
+        "return [(e, c * coef) for e, c in p.terms.items()]",
+        "return p.terms.items()",
+        (
+            "tests/test_instanton.py::test_covariant_sum_matches_composed_form",
+            "tests/test_instanton.py::test_bpst_matches_ratfunc_transcription",
+        ),
+    ),
+    (
+        # a bare entry over rho^k is then summed as if over rho^(k+1)
+        "kernel_bare_entry_power_as_derivative",
+        "instanton.py",
+        "(v.k + 1 if v.k else 0) if var is not None else v.k",
+        "v.k + 1 if v.k else 0",
+        (
+            "tests/test_instanton.py::test_covariant_sum_matches_composed_form",
+            "tests/test_instanton.py::test_self_dual_part_matches_the_old_split",
+        ),
+    ),
+    (
+        # the BPST curvature is anti-self-dual, so F + *F is zero with or
+        # without the 1/2: only a 2-form that is not sees it
+        "self_dual_drops_half",
+        "instanton.py",
+        "half = Fraction(1, 2)",
+        "half = 1",
+        ("tests/test_instanton.py::test_self_dual_part_matches_the_old_split",),
+    ),
+    (
+        "unit_scalar_minus_one_as_one",
+        "instanton.py",
+        "                return _RhoFrac(-p, self.k)\n",
+        "                return self\n",
+        (
+            "tests/test_instanton.py::test_entry_unit_scalars_copy_nothing",
+            "tests/test_instanton.py::test_bpst_matches_ratfunc_transcription",
+        ),
+    ),
+    (
+        # a scaled blade then acts as the blade itself
+        "act_table_ignores_coefficient",
+        "clifford.py",
+        "            if c == 1:\n",
+        "            if True:\n",
+        ("tests/test_clifford.py::test_act_matches_rep_based_action",),
     ),
     (
         "qi_constructor_returns_real_gaussian",

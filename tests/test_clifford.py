@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 from gaussian_oracle import parts
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from spincert import VerificationError
@@ -365,6 +365,48 @@ def test_act_matches_matrix_product():
             sum((m[r][c] * spinor[c] for c in range(4)), _gm()) for r in range(4)
         )
         assert rep.act(w, spinor) == expected
+
+
+_REP = GammaRep()
+
+# single basis blades with coefficient 1, the table lookup of act, among
+# general multivectors, which act builds through rep
+acting_multivectors = st.one_of(
+    st.integers(min_value=0, max_value=NBLADES - 1).map(Multivector.blade),
+    multivectors,
+)
+
+
+def _rep_action(w, spinor):
+    m = _REP.rep(w)
+    return tuple(sum((m[r][c] * spinor[c] for c in range(4)), 0) for r in range(4))
+
+
+@settings(max_examples=60)
+@given(acting_multivectors, st.tuples(*[small_gaussians] * 4))
+def test_act_matches_rep_based_action(w, spinor):
+    assert _REP.act(w, spinor) == _rep_action(w, spinor)
+
+
+def _single_blade(w, c):
+    return len(w.coeffs) == 1 and list(w.coeffs.values()) == [c]
+
+
+_ACT_BRANCHES = {
+    "unit_blade": lambda w: _single_blade(w, 1),
+    "scaled_blade": lambda w: len(w.coeffs) == 1 and not _single_blade(w, 1),
+    "sum_of_blades": lambda w: len(w.coeffs) > 1,
+    "zero": lambda w: not w,
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_ACT_BRANCHES))
+def test_acting_multivectors_reach_every_branch(branch):
+    find(
+        acting_multivectors,
+        _ACT_BRANCHES[branch],
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
 
 
 def test_vector_grade_bookkeeping():

@@ -746,6 +746,31 @@ def test_places_over_frozen(curve, curve_with_split_point):
     assert curve.places_over(Fraction(1, 2)) == ()  # f(1/2) < 0
 
 
+def test_places_over_evaluates_f_once_per_x_value(monkeypatch):
+    c = HyperCurve.from_roots([0, 1, 2, 3, 4, -14])
+    evaluate = UPoly.eval
+    seen = []
+
+    def counting(self, x):
+        if self is c.f:
+            seen.append(x)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(UPoly, "eval", counting)
+    xs = (0, 6, Fraction(6), 7, Fraction(1, 2), Fraction(-14))
+    first = [c.places_over(x) for x in xs]
+    again = [c.places_over(x) for x in xs * 3]
+    # 6 and Fraction(6) are one x-value, as are -14 and Fraction(-14)
+    assert sorted(seen) == [-14, 0, Fraction(1, 2), 6, 7]
+    assert again == first * 3
+    assert all(a is b for a, b in zip(again, first * 3))
+    assert first[1] == (c.split_place(6, 120), c.split_place(6, -120))
+    # the x-value is still validated before the lookup
+    for bad in (True, 6.0, Gaussian(6)):
+        with pytest.raises(TypeError):
+            c.places_over(bad)
+
+
 def test_interned_places_equal_and_hash_like_fresh_places():
     c = HyperCurve.from_roots([0, 1, 2, 3, 4, -14])
     places = c.all_standard_places() + c.places_over(6)

@@ -2,8 +2,8 @@
 duality split, the affine spinor family, and the exact coupled Dirac
 certificates with their negative controls.  The p / rho^k entry type is
 checked against RatFunc as an independent oracle, and the one-pass
-covariant-derivative kernel against the composed entry arithmetic it
-replaced and against RatFunc."""
+signed sums of covariant derivatives, with the self-dual part, against
+the composed entry arithmetic they replaced and against RatFunc."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +29,7 @@ from spincert.instanton import (
     _field_row,
     asd_check,
     bianchi_residual,
-    _covariant,
+    _covariant_sum,
     bpst_connection,
     coupled_dirac,
     curvature,
@@ -38,6 +38,7 @@ from spincert.instanton import (
     form_is_zero,
     quaternion_units,
     sd_asd_split,
+    self_dual_part,
     twistor_basis,
     twistor_residual,
     two_form_star,
@@ -46,6 +47,11 @@ from spincert.instanton import (
 )
 
 MI, MJ, MK, M1 = quaternion_units()
+
+
+def _covariant(a, m, var):
+    """d_var m + [a, m]: the one-term covariant sum."""
+    return _covariant_sum(((1, a, m, var),))
 
 
 @pytest.fixture(scope="module")
@@ -232,45 +238,55 @@ def test_run_instanton_builds_each_curvature_once(monkeypatch, tmp_path):
 
 
 def test_run_instanton_fuses_every_covariant_entry(monkeypatch, tmp_path):
-    # an entry that falls back to the composed form takes two entry
-    # products inside the kernel; a fused entry takes none
-    body = instanton._covariant_entry
-    product = _RhoFrac.__mul__
-    inside = []
-    entries = []
-    composed = []
+    # an entry whose parts sit at different powers of rho falls back to
+    # _composed_sum; a fused entry scales no polynomial on the way
+    entry_sum = instanton._entry_sum
+    composed_sum = instanton._composed_sum
+    self_dual_of = instanton._self_dual_of
+    scale = MultiPoly.scale
+    entries, fallbacks, self_dual, scaled = [], [], [], []
 
     def counting_entry(*args):
         entries.append(args)
-        inside.append(True)
-        try:
-            return body(*args)
-        finally:
-            inside.pop()
+        return entry_sum(*args)
 
-    def counting_product(self, other):
-        if inside:
-            composed.append(other)
-        return product(self, other)
+    def counting_fallback(*args):
+        fallbacks.append(args)
+        return composed_sum(*args)
 
-    monkeypatch.setattr(instanton, "_covariant_entry", counting_entry)
-    monkeypatch.setattr(_RhoFrac, "__mul__", counting_product)
+    def counting_self_dual(f):
+        self_dual.append(f)
+        return self_dual_of(f)
+
+    def counting_scale(self, c):
+        scaled.append(c)
+        return scale(self, c)
+
+    monkeypatch.setattr(instanton, "_entry_sum", counting_entry)
+    monkeypatch.setattr(instanton, "_composed_sum", counting_fallback)
+    monkeypatch.setattr(instanton, "_self_dual_of", counting_self_dual)
+    monkeypatch.setattr(MultiPoly, "scale", counting_scale)
     out = str(tmp_path / "r.json")
-    # matrices d_i M + [A_i, M], four entries each: 6 per curvature (two
-    # are built), 16 per Dirac residual (four fields), and 12 per Bianchi
-    # or Yang-Mills residual (Bianchi, Yang-Mills and the control's)
+    # covariant sums, four entries each: 6 per curvature and per
+    # self-dual part (one of each per connection, two connections), 4 per
+    # Dirac residual (four fields), and 4 per Bianchi or Yang-Mills
+    # residual (Bianchi, Yang-Mills and the control's)
     assert cli.main(["run", "instanton", "--out", out]) == 0
-    assert len(entries) == 4 * (2 * 6 + 4 * 16 + 3 * 12) and not composed
+    assert len(entries) == 4 * (2 * 6 + 2 * 6 + 4 * 4 + 3 * 4)
+    assert not fallbacks and len(self_dual) == 2 and len(scaled) <= 48
     # perturbed: the control is skipped, so Bianchi and Yang-Mills only
     entries.clear()
+    self_dual.clear()
+    scaled.clear()
     assert cli.main(["run", "instanton", "--perturb", "--out", out]) == 1
-    assert len(entries) == 4 * (2 * 6 + 4 * 16 + 2 * 12) and not composed
+    assert len(entries) == 4 * (2 * 6 + 2 * 6 + 4 * 4 + 2 * 4)
+    assert not fallbacks and len(self_dual) == 2 and len(scaled) <= 48
 
     # the count sees a fallback: the off-diagonal entries of m are
     # constants over rho^0, and their products with da sit over rho^1
     a = bpst_connection().components[0]
     _covariant(a, Mat2(((0, 1), (1, 0))), 0)
-    assert len(composed) == 2 * 2
+    assert len(fallbacks) == 2
 
 
 def test_duality_split_of_zero():
@@ -686,12 +702,18 @@ def _part_powers(v, products):
 @given(_covariant_cases())
 @settings(max_examples=50, deadline=None)
 def test_covariant_kernel_matches_composed_form_and_ratfunc(case):
+    # a fused entry is the composed pair itself; a fallback entry has the
+    # same value, over the power its own additions lifted to
     a, m, var = case
     got = _covariant(a, m, var)
     want = _composed(a, m, var)
-    for i in range(2):
-        for j in range(2):
-            assert _same_pair(got.entry(i, j), want.entry(i, j))
+    for (v, products), g, w in zip(
+        _kernel_parts(a, m), _entries_of(got), _entries_of(want)
+    ):
+        assert g == w
+        assert all(in_normal_form(c) for c in g.p.terms.values())
+        if _fused(v, products):
+            assert _same_pair(g, w)
     oa, om = (tuple(tuple(_oracle(v) for v in row) for row in x.rows) for x in (a, m))
     _assert_mat_equal(got, _oadd(_oderiv(om, var), _ocomm(oa, om)))
 
@@ -750,6 +772,240 @@ def test_covariant_cases_reach_every_branch(branch):
         lambda case: holds(*case),
         settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
     )
+
+
+# ----------------------------------------------------------------------
+# signed covariant sums and the self-dual part against the composed form
+# ----------------------------------------------------------------------
+
+_I = Gaussian(0, 1)
+# the suite's coefficients (+-1 and +-i of the gamma matrices and signs,
+# 1/2 of the self-dual part), zero, and a general Q(i) scalar
+_SUM_COEFS = (1, -1, _I, -_I, Fraction(1, 2), 0, Gaussian(Fraction(3, 2), -2))
+
+
+@st.composite
+def _sum_terms(draw):
+    """Terms (coef, A, M, var) of a covariant sum: covariant, a bare
+    derivative (A None) or a bare entry (A and var None).  A quarter of
+    the lists end with the negation of every term, so the sum cancels."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        coef = draw(st.sampled_from(_SUM_COEFS))
+        m = draw(_mats())
+        kind = draw(st.sampled_from(("covariant", "derivative", "entry")))
+        if kind == "entry":
+            terms.append((coef, None, m, None))
+        else:
+            a = draw(_mats()) if kind == "covariant" else None
+            terms.append((coef, a, m, draw(st.integers(0, 3))))
+    if draw(st.integers(0, 3)) == 0:
+        terms += [(-coef, a, m, var) for coef, a, m, var in terms]
+    return terms
+
+
+def _composed_terms(terms):
+    """The covariant sum on the Mat2 arithmetic, with the derivative and
+    commutator oracles: each term's d_var M + [A, M] (d_var M without A,
+    M itself without var) scaled by its coefficient, then added."""
+    acc = Mat2.zero()
+    for coef, a, m, var in terms:
+        if var is None:
+            part = m
+        else:
+            rows = m.rows
+            part = Mat2(tuple(tuple(_rho_derivative(v, var) for v in r) for r in rows))
+        if a is not None:
+            part = part + commutator(a, m)
+        acc = acc + part * coef
+    return acc
+
+
+def _sum_powers(terms):
+    """Per entry, row by row, the rho powers of the sum's nonzero parts
+    (a term with coefficient 0 has none): one power means a fused entry."""
+    powers = [set() for _ in range(4)]
+    for coef, a, m, var in terms:
+        if not coef:
+            continue
+        if a is not None:
+            for found, (v, products) in zip(powers, _kernel_parts(a, m)):
+                found.update(_part_powers(v, products))
+            continue
+        for found, v in zip(powers, _entries_of(m)):
+            if v:
+                found.add(v.k if var is None else (v.k + 1 if v.k else 0))
+    return powers
+
+
+def _assert_matches_composed(got, want, powers):
+    for found, g, w in zip(powers, _entries_of(got), _entries_of(want)):
+        assert g == w
+        assert all(in_normal_form(c) for c in g.p.terms.values())
+        if len(found) <= 1:
+            assert _same_pair(g, w)
+
+
+@given(_sum_terms())
+@settings(max_examples=60, deadline=None)
+def test_covariant_sum_matches_composed_form(terms):
+    _assert_matches_composed(
+        _covariant_sum(terms), _composed_terms(terms), _sum_powers(terms)
+    )
+
+
+def _has_coef(c):
+    # a term with coefficient c whose matrix is nonzero
+    return lambda terms: any(
+        coef == c and type(coef) is type(c) and m for coef, _, m, _ in terms
+    )
+
+
+def _sum_cancels(terms):
+    # nonzero parts whose sum is the zero matrix
+    return any(_composed_terms([t]) for t in terms) and not _covariant_sum(terms)
+
+
+_SUM_BRANCHES = {
+    "coef_one": _has_coef(1),
+    "coef_minus_one": _has_coef(-1),
+    "coef_i": _has_coef(_I),
+    "coef_minus_i": _has_coef(-_I),
+    "coef_half": _has_coef(Fraction(1, 2)),
+    "zero_coefficient": _has_coef(0),
+    "zero_matrix": lambda terms: any(coef and not m for coef, _, m, _ in terms),
+    "bare_derivative": lambda terms: any(
+        a is None and var is not None and m for _, a, m, var in terms
+    ),
+    "bare_entry": lambda terms: any(var is None and m for _, _, m, var in terms),
+    "cancels_to_zero": _sum_cancels,
+    "mixed_rho_powers": lambda terms: any(len(p) > 1 for p in _sum_powers(terms)),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_SUM_BRANCHES))
+def test_sum_terms_reach_every_branch(branch):
+    find(
+        _sum_terms(),
+        _SUM_BRANCHES[branch],
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
+
+
+def test_entry_unit_scalars_copy_nothing():
+    v = _RhoFrac(R4.gen(0).scale(_I) + R4.one(), 1)
+    assert v * 1 is v and 1 * v is v
+    for got in (v * -1, -1 * v):
+        assert _same_pair(got, _RhoFrac(v.p.scale(-1), 1))
+    m = Mat2(((v, 0), (0, -v)))
+    assert m * 1 == m and m * -1 == -m and not (m * -1 + m)
+
+
+_PAIRS = tuple(combinations(range(1, 5), 2))
+
+
+def _star_key(key):
+    comp, s = star_blade(_mask(*key))
+    return tuple(i + 1 for i in range(4) if comp >> i & 1), s
+
+
+def _old_sd_asd_split(f):
+    """The duality split as ``sd_asd_split`` computed it before
+    ``self_dual_part``: (F + *F) / 2 and (F - *F) / 2 on the Mat2
+    arithmetic, over the keys of F and *F."""
+    starred = two_form_star(f)
+    half = Fraction(1, 2)
+    plus, minus = {}, {}
+    for key in sorted(set(f) | set(starred)):
+        fk = f.get(key, Mat2.zero())
+        sk = starred.get(key, Mat2.zero())
+        plus[key] = (fk + sk) * half
+        minus[key] = (fk - sk) * half
+    return plus, minus
+
+
+@st.composite
+def _two_forms(draw):
+    """A matrix-valued 2-form on some of the six pairs; a third of them
+    are G - *G for a drawn G, so anti-self-dual."""
+    keys = draw(st.sets(st.sampled_from(_PAIRS), min_size=1))
+    f = {key: draw(_mats()) for key in sorted(keys)}
+    if draw(st.integers(0, 2)) == 0:
+        starred = two_form_star(f)
+        f = {key: f.get(key, Mat2.zero()) - starred[key] for key in sorted(starred)}
+    return f
+
+
+def _split_powers(f):
+    """Per key of the split, the powers of its nonzero parts, entry by
+    entry: F_key and the starred F_dual."""
+    powers = {}
+    for key, mat in f.items():
+        dual, _ = _star_key(key)
+        for target in (key, dual):
+            found = powers.setdefault(target, [set() for _ in range(4)])
+            for p, v in zip(found, _entries_of(mat)):
+                if v:
+                    p.add(v.k)
+    return powers
+
+
+@given(_two_forms())
+@settings(max_examples=40, deadline=None)
+def test_self_dual_part_matches_the_old_split(f):
+    want_plus, want_minus = _old_sd_asd_split(f)
+    powers = _split_powers(f)
+    plus = self_dual_part(f)
+    assert list(plus) == list(want_plus) == sorted(powers)
+    for key, m in plus.items():
+        _assert_matches_composed(m, want_plus[key], powers[key])
+    got_plus, got_minus = sd_asd_split(f)
+    assert list(got_plus) == list(got_minus) == list(want_minus)
+    for key, m in got_minus.items():
+        assert m == want_minus[key] and got_plus[key] == want_plus[key]
+    assert asd_check(f) == form_is_zero(want_plus)
+
+
+_SPLIT_BRANCHES = {
+    "anti_self_dual": lambda f: any(f.values()) and asd_check(f),
+    "dual_missing": lambda f: any(_star_key(key)[0] not in f for key in f),
+    "mixed_rho_powers": lambda f: any(
+        len(p) > 1 for found in _split_powers(f).values() for p in found
+    ),
+    "nonzero_minus": lambda f: bool(any(sd_asd_split(f)[1].values())),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_SPLIT_BRANCHES))
+def test_two_forms_reach_every_branch(branch):
+    find(
+        _two_forms(),
+        _SPLIT_BRANCHES[branch],
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
+
+
+def test_self_dual_part_is_built_once_per_connection(monkeypatch):
+    body = instanton._self_dual_of
+    built = []
+
+    def counting(f):
+        built.append(f)
+        return body(f)
+
+    monkeypatch.setattr(instanton, "_self_dual_of", counting)
+    conn = bpst_connection()
+    assert len(built) == 1
+    # a Connection hands out copies of the part it built for its
+    # anti-self-duality check; a 2-form dict is not cached
+    first = self_dual_part(conn)
+    first.clear()
+    again = self_dual_part(conn)
+    assert len(again) == 6 and form_is_zero(again)
+    assert asd_check(conn) and verify_curvature_dirac_solutions(conn)["passed"]
+    assert len(built) == 1
+    assert self_dual_part(curvature(conn)) == again
+    assert len(built) == 2
 
 
 # ----------------------------------------------------------------------
