@@ -355,7 +355,13 @@ class GammaRep:
         return mats
 
     def rep(self, w: Multivector):
-        """The represented matrix of a multivector."""
+        """The represented matrix of a multivector.  A single basis blade
+        with coefficient 1, as ``Multivector.vector`` and
+        ``Multivector.blade`` give, is its precomputed table matrix."""
+        if len(w.coeffs) == 1:
+            [(mask, c)] = w.coeffs.items()
+            if c == 1:
+                return self._blade_mats[mask]
         acc = _ZERO4
         for mask, c in w.coeffs.items():
             acc = _mat_add(acc, _mat_scale(c, self._blade_mats[mask]))
@@ -366,16 +372,8 @@ class GammaRep:
 
         Spinor entries may be any values multipliable by Gaussian
         coefficients (Gaussians themselves, or the p / rho^k entries of
-        the instanton module).  A single basis blade with coefficient 1,
-        as ``Multivector.vector`` and ``Multivector.blade`` give, reads
-        its precomputed matrix."""
-        m = None
-        if len(w.coeffs) == 1:
-            [(mask, c)] = w.coeffs.items()
-            if c == 1:
-                m = self._blade_mats[mask]
-        if m is None:
-            m = self.rep(w)
+        the instanton module)."""
+        m = self.rep(w)
         out = []
         for r in range(4):
             acc = None

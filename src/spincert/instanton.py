@@ -294,12 +294,14 @@ def _entry_sum(entries, products):
 
 def _composed_sum(entries, products):
     """The sum of ``_entry_sum`` on the entry arithmetic, which lifts
-    each part to the larger power of rho as it adds."""
+    each part to the larger power of rho as it adds.  The products are
+    summed first, so a single term gives d_var v + (x1 y1 - x2 y2): a
+    commutator that cancels leaves the derivative's own power."""
     acc = _RF0
-    for coef, v, var in entries:
-        acc = acc + (v if var is None else v.derivative(var)) * coef
     for coef, x, y in products:
         acc = acc + x * y * coef
+    for coef, v, var in entries:
+        acc = (v if var is None else v.derivative(var)) * coef + acc
     return acc
 
 

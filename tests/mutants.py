@@ -11,7 +11,7 @@ the fault.  The ``kernel_`` entries break the one-pass signed sums of
 covariant derivatives of ``instanton``, whose composed fallback gives
 right values on the slow path, so only a count of its work sees some
 faults; two more break its self-dual part and its unit scalars, and
-one the blade-table lookup of ``clifford.GammaRep.act``.  The last
+one the blade-table lookup of ``clifford.GammaRep.rep``.  The last
 entries break the curve code's build-once paths: the interned
 places, the unchecked divisor merge and scale, and the tuple list of
 reduced branch subsets.
@@ -222,12 +222,15 @@ MUTANTS = (
         ),
     ),
     (
-        # a scaled blade then acts as the blade itself
-        "act_table_ignores_coefficient",
+        # a scaled blade then is represented as the blade itself
+        "rep_table_ignores_coefficient",
         "clifford.py",
         "            if c == 1:\n",
         "            if True:\n",
-        ("tests/test_clifford.py::test_act_matches_rep_based_action",),
+        (
+            "tests/test_clifford.py::test_rep_matches_blade_sum",
+            "tests/test_clifford.py::test_act_matches_rep_based_action",
+        ),
     ),
     (
         "qi_constructor_returns_real_gaussian",

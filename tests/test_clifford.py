@@ -369,17 +369,35 @@ def test_act_matches_matrix_product():
 
 _REP = GammaRep()
 
-# single basis blades with coefficient 1, the table lookup of act, among
-# general multivectors, which act builds through rep
+# single basis blades with coefficient 1, the table lookup of rep, among
+# general multivectors, which rep builds as a scaled sum of blade matrices
 acting_multivectors = st.one_of(
     st.integers(min_value=0, max_value=NBLADES - 1).map(Multivector.blade),
     multivectors,
 )
 
 
+def _blade_sum(w):
+    """The matrix of w as the sum of c times each blade's table matrix,
+    with no table lookup for a unit blade."""
+    acc = [[0] * 4 for _ in range(4)]
+    for mask, c in w.coeffs.items():
+        m = _REP._blade_mats[mask]
+        for r in range(4):
+            for k in range(4):
+                acc[r][k] = acc[r][k] + c * m[r][k]
+    return acc
+
+
 def _rep_action(w, spinor):
-    m = _REP.rep(w)
+    m = _blade_sum(w)
     return tuple(sum((m[r][c] * spinor[c] for c in range(4)), 0) for r in range(4))
+
+
+@settings(max_examples=60)
+@given(acting_multivectors)
+def test_rep_matches_blade_sum(w):
+    assert [list(row) for row in _REP.rep(w)] == _blade_sum(w)
 
 
 @settings(max_examples=60)

@@ -702,18 +702,12 @@ def _part_powers(v, products):
 @given(_covariant_cases())
 @settings(max_examples=50, deadline=None)
 def test_covariant_kernel_matches_composed_form_and_ratfunc(case):
-    # a fused entry is the composed pair itself; a fallback entry has the
-    # same value, over the power its own additions lifted to
     a, m, var = case
     got = _covariant(a, m, var)
     want = _composed(a, m, var)
-    for (v, products), g, w in zip(
-        _kernel_parts(a, m), _entries_of(got), _entries_of(want)
-    ):
-        assert g == w
-        assert all(in_normal_form(c) for c in g.p.terms.values())
-        if _fused(v, products):
-            assert _same_pair(g, w)
+    for i in range(2):
+        for j in range(2):
+            assert _same_pair(got.entry(i, j), want.entry(i, j))
     oa, om = (tuple(tuple(_oracle(v) for v in row) for row in x.rows) for x in (a, m))
     _assert_mat_equal(got, _oadd(_oderiv(om, var), _ocomm(oa, om)))
 
