@@ -16,6 +16,11 @@ leading Laurent coefficient) is in the QQ normal form of
 denominator above 1.  A quotient of scalars goes through
 ``exact_quotient``, never a bare ``/``, which on two ints is a float.
 
+Orders and leading Laurent coefficients have one closed form,
+``FieldElem.leading_term``, read off root orders, cofactor values and
+the norm; ``FieldElem.valuation``, behind every pole bound and divisor,
+is its order.
+
 The split and infinity rows of the Riemann-Roch system read the first
 few coefficients of y in a local uniformizer from a checked truncated
 square root of a polynomial (``_sqrt_head``).  The exact local power
@@ -34,10 +39,11 @@ subset, the witness polynomial of the square-root classes.
 
 A curve builds each of its places once: its place methods hand out one
 interned ``Place`` per (kind, key), whose value hash is computed when it
-is built, so the dicts of the divisor code find it by identity.  The
-public ``Divisor`` constructor checks every coefficient; sums,
-differences, negations and multiples of divisors merge into one dict and
-are not checked again.
+is built, so the dicts of the divisor code find it by identity.  That
+table is the curve's one place cache; ``places_over`` evaluates f anew
+on each call and hands out the interned places.  The public ``Divisor``
+constructor checks every coefficient; sums, differences, negations and
+multiples of divisors merge into one dict and are not checked again.
 """
 
 from __future__ import annotations
@@ -345,28 +351,16 @@ def _divisors(n):
 
 
 def _root_order(p: UPoly, x0):
-    """(k, q, q(x0)) with p = (x - x0)^k q and q(x0) != 0; the zero
+    """(k, q(x0)) with p = (x - x0)^k q and q(x0) != 0; the zero
     polynomial has order infinity.  With x0 = r/s in lowest terms the
     root test is the integer Horner pass of ``_horner``, and a root is
     divided out exactly by s x - r: by Gauss's lemma that primitive
-    factor leaves an integer quotient, so q = s^k Q/den for the integer
-    quotient Q after k divisions."""
+    factor leaves an integer quotient Q, so q = s^k Q/den after k
+    divisions, and q(x0) is read off the homogenised value of Q."""
     if not p._num:
-        return inf, p, 0
-    k, num, h, sd = _strip_root(p._num, x0.numerator, x0.denominator)
-    if not k:
-        return 0, p, exact_quotient(h, p._den * sd)
-    sk = x0.denominator**k
-    value = exact_quotient(h * sk, p._den * sd)
-    return k, _normal([c * sk for c in num], p._den), value
-
-
-def _order(p: UPoly, x0):
-    """The order of x0 = r/s as a root of p, infinity for the zero
-    polynomial; ``_root_order`` without the cofactor and its value."""
-    if not p._num:
-        return inf
-    return _strip_root(p._num, x0.numerator, x0.denominator)[0]
+        return inf, 0
+    k, _, h, sd = _strip_root(p._num, x0.numerator, x0.denominator)
+    return k, exact_quotient(h * x0.denominator**k, p._den * sd)
 
 
 def _strip_root(num, r, s):
@@ -554,9 +548,9 @@ class HyperCurve:
 
     The curve alone builds its places: ``branch_place``,
     ``infinite_place``, ``split_place`` and ``places_over`` hand out one
-    ``Place`` per (kind, key), kept in ``_cache["places"]``, so the
-    dicts of the divisor code meet the same object again and compare it
-    by identity."""
+    ``Place`` per (kind, key), kept in ``_cache["places"]``, the one
+    place cache, so the dicts of the divisor code meet the same object
+    again and compare it by identity."""
 
     __slots__ = ("f", "genus", "roots", "lead_sqrt", "slopes", "_cache")
 
@@ -583,7 +577,6 @@ class HyperCurve:
             "canonical": None,
             "theta": {},
             "places": {},
-            "over": {},
         }
 
     @classmethod
@@ -630,26 +623,16 @@ class HyperCurve:
     def places_over(self, x0):
         """The rational places over a finite x-value: the branch place
         when f(x0) = 0, both split places when f(x0) is a nonzero
-        rational square, and () otherwise.  The tuple is built once per
-        x-value and kept in ``_cache["over"]``."""
+        rational square, and () otherwise.  Each call evaluates f once;
+        the places are the curve's interned ones."""
         x0 = _qq(x0)
-        over = self._cache["over"]
-        places = over.get(x0)
-        if places is None:
-            fx = self.f.eval(x0)
-            if fx == 0:
-                places = (self._place("branch", x0),)
-            else:
-                y0 = rational_sqrt(fx)
-                if y0 is None:
-                    places = ()
-                else:
-                    places = (
-                        self._place("split", (x0, y0)),
-                        self._place("split", (x0, -y0)),
-                    )
-            over[x0] = places
-        return places
+        fx = self.f.eval(x0)
+        if fx == 0:
+            return (self._place("branch", x0),)
+        y0 = rational_sqrt(fx)
+        if y0 is None:
+            return ()
+        return (self._place("split", (x0, y0)), self._place("split", (x0, -y0)))
 
     def all_standard_places(self):
         n = len(self.roots)
@@ -1004,12 +987,13 @@ class FieldElem:
         uses), c in the QQ normal form, in closed form from root orders,
         cofactor values and the norm N = a^2 - b^2 f; no series is built
         (Cantor, "Computing in the Jacobian of a hyperelliptic curve",
-        Math. Comp. 48 (1987)).  ord is
-        the order of x0 as a root and q the cofactor left after dividing
-        (x - x0)^ord out; a zero polynomial has infinite order and drops
-        out of the minima.  The numerator a + b y is treated below; den
-        contributes its own order and leading value, which are subtracted
-        and divided out.
+        Math. Comp. 48 (1987)).  This is the package's one order formula:
+        ``valuation`` returns v.  ord is the order of x0 as a root and q
+        the cofactor left after dividing (x - x0)^ord out, of which only
+        the value q(x0) is needed; a zero polynomial has infinite order
+        and drops out of the minima.  The numerator a + b y is treated
+        below; den contributes its own order and leading value, which are
+        subtracted and divided out.
 
         - Branch place x0 (uniformizer y, x - x0 = y^2/f'(x0) + O(y^4)):
           (x - x0)^k q leads with q(x0)/f'(x0)^k at order 2k, so a leads at
@@ -1033,9 +1017,7 @@ class FieldElem:
         a, b, den = self.a, self.b, self.den
         if place.kind == "branch":
             x0 = place.key
-            (ka, _, ca), (kb, _, cb), (kd, _, cd) = (
-                _root_order(p, x0) for p in (a, b, den)
-            )
+            (ka, ca), (kb, cb), (kd, cd) = (_root_order(p, x0) for p in (a, b, den))
             if 2 * ka < 2 * kb + 1:
                 v, k, lead = 2 * ka, ka, ca
             else:
@@ -1047,15 +1029,13 @@ class FieldElem:
             return v - 2 * kd, exact_quotient(lead, cd * slope ** (k - kd))
         if place.kind == "split":
             x0, y0 = place.key
-            (ka, _, ca), (kb, _, cb), (kd, _, cd) = (
-                _root_order(p, x0) for p in (a, b, den)
-            )
+            (ka, ca), (kb, cb), (kd, cd) = (_root_order(p, x0) for p in (a, b, den))
             k = min(ka, kb)
             ca = ca if ka == k else 0
             lead = ca + (cb * y0 if kb == k else 0)
             if not lead:
                 # ord N' = ord N - 2k, and a'(x0) = ca is nonzero here
-                kn, _, cn = _root_order(self.norm_pair()[0], x0)
+                kn, cn = _root_order(self.norm_pair()[0], x0)
                 k, lead = kn - k, exact_quotient(cn, 2 * ca)
             return k - kd, exact_quotient(lead, cd)
         da = a.degree if a else -inf
@@ -1070,25 +1050,7 @@ class FieldElem:
         return den.degree - top, exact_quotient(lead, den.lead())
 
     def valuation(self, place: Place) -> int:
-        """Order of h at a place: the order part of ``leading_term``,
-        read without its coefficient where no leading terms can cancel.
-        At a branch place it is min(2 ord a, 2 ord b + 1) - 2 ord den from
-        integer root orders alone; at infinity with deg a != deg b + g + 1
-        it is deg den - max(deg a, deg b + g + 1).  Split places, and
-        infinity with equal degrees, where the leading terms can cancel,
-        take the order from ``leading_term``."""
-        if not self:
-            raise ValueError("zero element has no valuation")
-        a, b, den = self.a, self.b, self.den
-        if place.kind == "branch":
-            x0 = place.key
-            v = min(2 * _order(a, x0), 2 * _order(b, x0) + 1)
-            return v - 2 * _order(den, x0)
-        if place.kind == "inf":
-            da = a.degree if a else -inf
-            db = b.degree + self.curve.genus + 1 if b else -inf
-            if da != db:
-                return den.degree - max(da, db)
+        """Order of h at a place: the order part of ``leading_term``."""
         return self.leading_term(place)[0]
 
     def __repr__(self):

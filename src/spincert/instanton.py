@@ -35,15 +35,17 @@ over terms of coef * (d_i M + [A_i, M]) with coef a Q(i) scalar.  The
 Dirac operator sums gamma_i[r][c] * theta_i[c], the exterior covariant
 derivative sums three terms with signs +, -, +, the curvature
 d_m A_n - d_n A_m + [A_m, A_n] is a sum with one bare derivative term,
-and the self-dual part (F + *F) / 2 is a two-term sum of bare entries.  Each output entry is built in one pass: the numerators of
-every derivative (d_i p * rho - 2k x_i p), every closed-form product and
-every bare entry are summed into one term dict at the common power of
-rho, each scaled as it is added (a coefficient 1 as is, -1 negated, any
-other value multiplied once per term), and the coefficients are brought
-to normal form once at the end.  So no derivative, product, commutator
-or scaled matrix is built on the way.  An entry whose nonzero parts sit
-at different powers of rho (none in the suite) is composed from the
-entry arithmetic instead.
+and the self-dual part (F + *F) / 2 is a two-term sum of bare entries.
+The curvature action on a spinor is a sum of products alone, F_mn times
+the entries of (e_m e_n) . psi.  Each output entry is built in one
+pass: the numerators of every derivative (d_i p * rho - 2k x_i p),
+every product and every bare entry are summed into one term dict at
+the common power of rho, each scaled as it is added (a coefficient 1
+as is, -1 negated, any other value multiplied once per term), and the
+coefficients are brought to normal form once at the end.  So no
+derivative, product, commutator or scaled matrix is built on the way.
+An entry whose nonzero parts sit at different powers of rho (none in
+the suite) is composed from the entry arithmetic instead.
 """
 
 from __future__ import annotations
@@ -711,16 +713,22 @@ class CoupledField:
 
 
 def curvature_acts(f: dict, psi) -> CoupledField:
-    """Clifford action of a matrix-valued 2-form on a scalar spinor."""
-    comps = [Mat2.zero() for _ in range(4)]
+    """Clifford action of a matrix-valued 2-form on a scalar spinor:
+    component r is the sum over the 2-form's components F_mn of
+    F_mn * phi[r], phi = (e_m e_n) . psi, and each of its entries is one
+    ``_entry_sum`` of the products F_mn[i][j] * phi[r]."""
     psi_t = tuple(_as_rf(v) for v in psi)
+    # products[r] lists the products of each entry of component r, row by row
+    products = [([], [], [], []) for _ in range(4)]
     for (m, n), mat in f.items():
-        blade = Multivector.blade(_pair_mask(m, n))
-        phi = GAMMA.act(blade, psi_t)
-        for r in range(4):
-            if phi[r]:
-                comps[r] = comps[r] + mat * phi[r]
-    return CoupledField(comps)
+        phi = GAMMA.act(Multivector.blade(_pair_mask(m, n)), psi_t)
+        (f00, f01), (f10, f11) = mat.rows
+        for v, lists in zip(phi, products):
+            if v:
+                for x, out in zip((f00, f01, f10, f11), lists):
+                    out.append((1, x, v))
+    sums = [[_entry_sum((), p) for p in lists] for lists in products]
+    return CoupledField(_mat2(((s00, s01), (s10, s11))) for s00, s01, s10, s11 in sums)
 
 
 def coupled_dirac(a, field: CoupledField) -> CoupledField:

@@ -12,9 +12,10 @@ covariant derivatives of ``instanton``, whose composed fallback gives
 right values on the slow path, so only a count of its work sees some
 faults; two more break its self-dual part and its unit scalars, and
 one the blade-table lookup of ``clifford.GammaRep.rep``.  The last
-entries break the curve code's build-once paths: the interned
-places, the unchecked divisor merge and scale, and the tuple list of
-reduced branch subsets.
+entries break the curve code's build-once paths and certificates: the
+interned places, the unchecked divisor merge and scale, the degree
+certificate of ``rational_divisor``, the re-check of ``_sqrt_head``,
+and the tuple list of reduced branch subsets.
 
     PYTHONPATH=src python tests/mutants.py
 
@@ -24,7 +25,8 @@ exit status is 1 when a mutant survives, and 2 when the named tests
 fail on the unmutated code.  A surviving mutant means a
 missing test: the answer is a new test, never an edited mutant.
 ``tests/test_mutants.py`` checks, in the tier-1 run, that every snippet
-still occurs exactly once in its file."""
+still occurs exactly once in its file and that every test a mutant
+names is defined in its test file."""
 
 import os
 import shutil
@@ -51,6 +53,17 @@ MUTANTS = (
         "return k - kd, exact_quotient(lead, cd)",
         "return k - kd, lead / cd",
         ("tests/test_hyperell.py::test_leading_term_matches_series_oracle",),
+    ),
+    (
+        # the conjugate's lead on the cancelling sheet is 2 lc(a)
+        "leading_term_inf_cancel_drops_2",
+        "hyperell.py",
+        "exact_quotient(n.lead(), 2 * a.lead())",
+        "exact_quotient(n.lead(), a.lead())",
+        (
+            "tests/test_hyperell.py::test_leading_term_rare_branches_frozen",
+            "tests/test_hyperell.py::test_leading_term_matches_series_oracle",
+        ),
     ),
     (
         "normalize_returns_fractions",
@@ -275,6 +288,23 @@ MUTANTS = (
         '            raise ValueError("divisor coefficients must be integers: %r" % (k,))\n',
         "",
         ("tests/test_hyperell.py::test_divisor_scale_rejects_non_integer_factors",),
+    ),
+    (
+        "rational_divisor_skips_degree_certificate",
+        "hyperell.py",
+        "    if div.degree + zeros != poles:\n",
+        "    if False:\n",
+        ("tests/test_hyperell.py::test_rational_divisor_certifies_its_degree",),
+    ),
+    (
+        # the recurrence alone never sees an s_0 that misses u_0
+        "sqrt_head_skips_recheck",
+        "hyperell.py",
+        "    for k in range(c):\n"
+        "        if sum(s[j] * s[k - j] for j in range(k + 1)) != u[k]:\n"
+        '            raise VerificationError("s^2 differs from u at t^%d" % k)\n',
+        "",
+        ("tests/test_hyperell.py::test_sqrt_head_frozen",),
     ),
     (
         "reduced_subsets_halves_drop_label_1",

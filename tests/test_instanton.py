@@ -267,19 +267,20 @@ def test_run_instanton_fuses_every_covariant_entry(monkeypatch, tmp_path):
     monkeypatch.setattr(instanton, "_self_dual_of", counting_self_dual)
     monkeypatch.setattr(MultiPoly, "scale", counting_scale)
     out = str(tmp_path / "r.json")
-    # covariant sums, four entries each: 6 per curvature and per
-    # self-dual part (one of each per connection, two connections), 4 per
-    # Dirac residual (four fields), and 4 per Bianchi or Yang-Mills
-    # residual (Bianchi, Yang-Mills and the control's)
+    # matrix sums, four entries each: 6 per curvature and per self-dual
+    # part (one of each per connection, two connections), 4 per Dirac
+    # residual and 4 per curvature action (four fields each), and 4 per
+    # Bianchi or Yang-Mills residual (Bianchi, Yang-Mills and the
+    # control's)
     assert cli.main(["run", "instanton", "--out", out]) == 0
-    assert len(entries) == 4 * (2 * 6 + 2 * 6 + 4 * 4 + 3 * 4)
+    assert len(entries) == 4 * (2 * 6 + 2 * 6 + 4 * 4 + 4 * 4 + 3 * 4)
     assert not fallbacks and len(self_dual) == 2 and len(scaled) <= 48
     # perturbed: the control is skipped, so Bianchi and Yang-Mills only
     entries.clear()
     self_dual.clear()
     scaled.clear()
     assert cli.main(["run", "instanton", "--perturb", "--out", out]) == 1
-    assert len(entries) == 4 * (2 * 6 + 2 * 6 + 4 * 4 + 2 * 4)
+    assert len(entries) == 4 * (2 * 6 + 2 * 6 + 4 * 4 + 4 * 4 + 2 * 4)
     assert not fallbacks and len(self_dual) == 2 and len(scaled) <= 48
 
     # the count sees a fallback: the off-diagonal entries of m are
@@ -975,6 +976,61 @@ def test_two_forms_reach_every_branch(branch):
     find(
         _two_forms(),
         _SPLIT_BRANCHES[branch],
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
+
+
+def _composed_action(f, psi):
+    """The curvature action as ``curvature_acts`` computed it before its
+    one-pass form: F_mn * phi[r] added to component r on the Mat2
+    arithmetic, key by key."""
+    comps = [Mat2.zero() for _ in range(4)]
+    for (m, n), mat in f.items():
+        phi = GAMMA.act(Multivector.blade(_mask(m, n)), psi)
+        for r in range(4):
+            if phi[r]:
+                comps[r] = comps[r] + mat * phi[r]
+    return comps
+
+
+def _action_powers(f, psi):
+    """Per component, entry by entry, the rho powers of the nonzero
+    products F_mn[i][j] * phi[r]: one power means a fused entry."""
+    powers = [[set() for _ in range(4)] for _ in range(4)]
+    for (m, n), mat in f.items():
+        phi = GAMMA.act(Multivector.blade(_mask(m, n)), psi)
+        for found, v in zip(powers, phi):
+            if v:
+                for p, x in zip(found, _entries_of(mat)):
+                    if x:
+                        p.add(x.k + v.k)
+    return powers
+
+
+@st.composite
+def _actions(draw):
+    """A trace-free 2-form, from _two_forms() with F11 = -F00, and a
+    spinor of four _entries()."""
+    f = {
+        key: Mat2(((m.entry(0, 0), m.entry(0, 1)), (m.entry(1, 0), -m.entry(0, 0))))
+        for key, m in draw(_two_forms()).items()
+    }
+    return f, tuple(draw(_entries()) for _ in range(4))
+
+
+@given(_actions())
+@settings(max_examples=25, deadline=None)
+def test_curvature_acts_matches_composed_form(case):
+    f, psi = case
+    got = curvature_acts(f, psi).components
+    for g, w, powers in zip(got, _composed_action(f, psi), _action_powers(f, psi)):
+        _assert_matches_composed(g, w, powers)
+
+
+def test_actions_reach_mixed_rho_powers():
+    find(
+        _actions(),
+        lambda case: any(len(p) > 1 for found in _action_powers(*case) for p in found),
         settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
     )
 
