@@ -46,6 +46,18 @@ coefficients are brought to normal form once at the end.  So no
 derivative, product, commutator or scaled matrix is built on the way.
 An entry whose nonzero parts sit at different powers of rho (none in
 the suite) is composed from the entry arithmetic instead.
+
+The connection, its curvature and the coupled fields are trace-free
+(valued in su(2) tensor C), so most sums need three entries, not four.
+When m11 is -m00 as a (p, k) pair for every M of a covariant sum, each
+part of the (1, 1) entry is the negation of the matching part of
+(0, 0): the bare entry and its derivative, since d_i negates termwise,
+and the commutator, since c11 = -c00.  So the sum builds (0, 0), (0, 1)
+and (1, 0) and reads (1, 1) as -(0, 0); the curvature action does the
+same when every F_mn is trace-free as a pair, and the rank of the
+produced Dirac solutions reads the three entries alone.  The test is on
+the pair, not the value: a matrix whose m11 is -m00 lifted to a higher
+power of rho, or any traceful one, takes the four-entry path.
 """
 
 from __future__ import annotations
@@ -407,6 +419,11 @@ def quaternion_units():
     return tuple(Mat2(q) for q in QUATERNION_UNITS)
 
 
+def _negates(y, x):
+    """Whether y is -x as a (p, k) pair."""
+    return y.k == x.k and y.p.terms == {e: -c for e, c in x.p.terms.items()}
+
+
 def _covariant_sum(terms) -> Mat2:
     """The sum of coef * (d_var M + [A, M]) over the terms (coef, A, M,
     var), with coef a Q(i) scalar in normal form; A is None for a bare
@@ -415,11 +432,15 @@ def _covariant_sum(terms) -> Mat2:
     Each entry is one ``_entry_sum``: the entries of every M with their
     derivatives, and the closed-form commutator products of the module
     docstring, the second of each pair with coef negated and c11 = -c00
-    read as a10 m01 - a01 m10.  A term with coef 0 adds nothing."""
-    entries = ([], [], [], [])
-    products = ([], [], [], [])
-    e00, e01, e10, e11 = entries
-    p00, p01, p10, p11 = products
+    read as a10 m01 - a01 m10.  Each distinct M gets its trace-free test,
+    and each distinct A and M of a commutator x00 - x11, once per call.
+    When every M is trace-free as a pair, (1, 1) is read as -(0, 0) and
+    three entries are summed.  A term with coef 0 adds nothing."""
+    e00, e01, e10, e11 = [], [], [], []
+    p00, p01, p10, p11 = [], [], [], []
+    tested = set()  # id(M) of every M tested for trace-freeness
+    diffs = {}  # id(X) -> x00 - x11, per distinct A and M of a commutator
+    trace_free = True
     for coef, a, m, var in terms:
         if not coef:
             continue
@@ -428,22 +449,26 @@ def _covariant_sum(terms) -> Mat2:
         e01.append((coef, m01, var))
         e10.append((coef, m10, var))
         e11.append((coef, m11, var))
+        if trace_free and id(m) not in tested:
+            tested.add(id(m))
+            trace_free = _negates(m11, m00)
         if a is None:
             continue
         (a00, a01), (a10, a11) = a.rows
-        da = a00 - a11
-        dm = m00 - m11
+        dm = diffs.get(id(m))
+        if dm is None:
+            dm = diffs[id(m)] = m00 - m11
+        da = diffs.get(id(a))
+        if da is None:
+            da = diffs[id(a)] = a00 - a11
         neg = -coef
         p00 += ((coef, a01, m10), (neg, a10, m01))
         p01 += ((coef, da, m01), (neg, a01, dm))
         p10 += ((coef, a10, dm), (neg, da, m10))
         p11 += ((coef, a10, m01), (neg, a01, m10))
-    return _mat2(
-        (
-            (_entry_sum(e00, p00), _entry_sum(e01, p01)),
-            (_entry_sum(e10, p10), _entry_sum(e11, p11)),
-        )
-    )
+    s00 = _entry_sum(e00, p00)
+    s11 = -s00 if trace_free else _entry_sum(e11, p11)
+    return _mat2(((s00, _entry_sum(e01, p01)), (_entry_sum(e10, p10), s11)))
 
 
 def traceless_part(m: Mat2) -> Mat2:
@@ -609,11 +634,11 @@ def _gamma_linear_column(col):
     return tuple(comps)
 
 
-def flat_dirac(components):
-    """Uncoupled Dirac value of a scalar-entried spinor field."""
+def flat_dirac(derivatives):
+    """Uncoupled Dirac value sum_i e_i . d_i psi of a scalar-entried
+    spinor field psi, from its four derivative spinors d_i psi."""
     acc = _zero_spinor()
-    for i in range(4):
-        di = tuple(v.derivative(i) for v in components)
+    for i, di in enumerate(derivatives):
         acc = _spinor_add(acc, GAMMA.act(Multivector.vector(i + 1), di))
     return acc
 
@@ -622,17 +647,16 @@ def twistor_residual(components):
     """The four defect fields grad_i psi + (1/4) e_i . (Dirac psi).
 
     All four vanish exactly iff the field solves the flat twistor
-    equation; affine fields of the matched chirality pattern do.
+    equation; affine fields of the matched chirality pattern do.  Each
+    d_i psi is computed once, for the Dirac value and for its defect.
     """
     comps = tuple(_as_rf(v) for v in components)
-    dirac = flat_dirac(comps)
-    quarter = Fraction(1, 4)
-    out = []
-    for i in range(4):
-        di = tuple(v.derivative(i) for v in comps)
-        corr = GAMMA.act(Multivector.vector(i + 1), tuple(v * quarter for v in dirac))
-        out.append(_spinor_add(di, corr))
-    return tuple(out)
+    derivatives = [tuple(v.derivative(i) for v in comps) for i in range(4)]
+    quarter_dirac = tuple(v * Fraction(1, 4) for v in flat_dirac(derivatives))
+    return tuple(
+        _spinor_add(di, GAMMA.act(Multivector.vector(i + 1), quarter_dirac))
+        for i, di in enumerate(derivatives)
+    )
 
 
 class TwistorSpinor:
@@ -665,8 +689,14 @@ class TwistorSpinor:
 def twistor_basis():
     """Four independent affine solutions valued in the chirality block
     the anti-self-dual 2-forms act on (two linear, two constant)."""
-    record = GAMMA.asd_action_record()
-    if record["acts_on"] == "S+":
+    return _twistor_family(GAMMA.asd_action_record()["acts_on"])
+
+
+def _twistor_family(acts_on):
+    """``twistor_basis`` for the block ``acts_on`` ("S+" or "S-") that
+    ``GAMMA.asd_action_record`` names, so a caller that already holds
+    the record does not compute it again."""
+    if acts_on == "S+":
         acted = GAMMA.positive_chirality_indices()
         other = GAMMA.negative_chirality_indices()
     else:
@@ -716,8 +746,10 @@ def curvature_acts(f: dict, psi) -> CoupledField:
     """Clifford action of a matrix-valued 2-form on a scalar spinor:
     component r is the sum over the 2-form's components F_mn of
     F_mn * phi[r], phi = (e_m e_n) . psi, and each of its entries is one
-    ``_entry_sum`` of the products F_mn[i][j] * phi[r]."""
+    ``_entry_sum`` of the products F_mn[i][j] * phi[r].  When every F_mn
+    is trace-free as a pair, (1, 1) is read as -(0, 0)."""
     psi_t = tuple(_as_rf(v) for v in psi)
+    trace_free = all(_negates(m.rows[1][1], m.rows[0][0]) for m in f.values())
     # products[r] lists the products of each entry of component r, row by row
     products = [([], [], [], []) for _ in range(4)]
     for (m, n), mat in f.items():
@@ -727,8 +759,12 @@ def curvature_acts(f: dict, psi) -> CoupledField:
             if v:
                 for x, out in zip((f00, f01, f10, f11), lists):
                     out.append((1, x, v))
-    sums = [[_entry_sum((), p) for p in lists] for lists in products]
-    return CoupledField(_mat2(((s00, s01), (s10, s11))) for s00, s01, s10, s11 in sums)
+    comps = []
+    for p00, p01, p10, p11 in products:
+        s00 = _entry_sum((), p00)
+        s11 = -s00 if trace_free else _entry_sum((), p11)
+        comps.append(_mat2(((s00, _entry_sum((), p01)), (_entry_sum((), p10), s11))))
+    return CoupledField(comps)
 
 
 def coupled_dirac(a, field: CoupledField) -> CoupledField:
@@ -758,20 +794,21 @@ _EVAL_POINTS = ((1, 2, -1, 3), (2, -1, 1, -2))
 
 
 def _field_row(field: CoupledField, rhos):
-    """The entries of every component at each evaluation point; rhos
-    holds the value of RHO at each point."""
+    """The (0, 0), (0, 1) and (1, 0) entries of every component at each
+    evaluation point; rhos holds the value of RHO at each point.  A
+    CoupledField is trace-free, so its (1, 1) entries are the negated
+    (0, 0) entries and add nothing to a rank."""
     row = []
     for point, rho in zip(_EVAL_POINTS, rhos):
         for m in field.components:
-            for i in range(2):
-                for j in range(2):
-                    row.append(m.entry(i, j).eval(point, rho))
+            (m00, m01), (m10, _) = m.rows
+            row += (m00.eval(point, rho), m01.eval(point, rho), m10.eval(point, rho))
     return row
 
 
 def independent_count(fields) -> int:
-    """Rank of the fields' values at the evaluation points; RHO is
-    evaluated once per point, not once per entry."""
+    """Rank of the fields' values at the evaluation points, three entries
+    per component; RHO is evaluated once per point, not once per entry."""
     rhos = [RHO.eval(point) for point in _EVAL_POINTS]
     return rank([_field_row(f, rhos) for f in fields])
 
@@ -789,9 +826,10 @@ def verify_curvature_dirac_solutions(a) -> dict:
     f = curvature(a)
     is_asd = asd_check(a if isinstance(a, Connection) else f)
     degenerate = form_is_zero(f)
+    acts_on = GAMMA.asd_action_record()["acts_on"]
     produced = []
     residual_zero = []
-    for psi in twistor_basis():
+    for psi in _twistor_family(acts_on):
         coupled = curvature_acts(f, psi.components)
         res = coupled_dirac(a, coupled)
         produced.append(coupled)
@@ -800,7 +838,7 @@ def verify_curvature_dirac_solutions(a) -> dict:
     return {
         "check": "curvature_dirac_solutions",
         "convention_record": {
-            "acts_on": GAMMA.asd_action_record()["acts_on"],
+            "acts_on": acts_on,
             "relabeled": False,
         },
         "connection_asd": is_asd,

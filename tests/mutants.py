@@ -10,8 +10,10 @@ Gaussian prints like an int, so only a test that looks at types can see
 the fault.  The ``kernel_`` entries break the one-pass signed sums of
 covariant derivatives of ``instanton``, whose composed fallback gives
 right values on the slow path, so only a count of its work sees some
-faults; two more break its self-dual part and its unit scalars, and
-one the blade-table lookup of ``clifford.GammaRep.rep``.  The last
+faults; three break its reading of a trace-free sum's (1, 1) entry as
+-(0, 0), one the three-entry rank rows, two more its self-dual part and
+its unit scalars, and one the blade-table lookup of
+``clifford.GammaRep.rep``.  The last
 entries break the curve code's build-once paths and certificates: the
 interned places, the unchecked divisor merge and scale, the degree
 certificate of ``rational_divisor``, the re-check of ``_sqrt_head``,
@@ -216,6 +218,55 @@ MUTANTS = (
         ),
     ),
     (
+        # a traceful M then has its (1, 1) entry read as -(0, 0)
+        "trace_free_sum_skips_trace_test",
+        "instanton.py",
+        "trace_free = _negates(m11, m00)",
+        "trace_free = True",
+        (
+            "tests/test_instanton.py"
+            "::test_covariant_kernel_matches_composed_form_and_ratfunc",
+            "tests/test_instanton.py::test_covariant_sum_matches_composed_form",
+            "tests/test_instanton.py::test_run_instanton_fuses_every_covariant_entry",
+        ),
+    ),
+    (
+        "trace_free_sum_drops_negation",
+        "instanton.py",
+        "s11 = -s00 if trace_free else _entry_sum(e11, p11)",
+        "s11 = s00 if trace_free else _entry_sum(e11, p11)",
+        (
+            "tests/test_instanton.py"
+            "::test_covariant_kernel_matches_composed_form_and_ratfunc",
+            "tests/test_instanton.py::test_bpst_matches_ratfunc_transcription",
+        ),
+    ),
+    (
+        # a 2-form that is trace-free in value alone then has each (1, 1)
+        # entry of its action read as -(0, 0): right in value, so only
+        # the pair comparison and the count see it
+        "trace_free_action_skips_trace_test",
+        "instanton.py",
+        "trace_free = all(_negates(m.rows[1][1], m.rows[0][0]) for m in f.values())",
+        "trace_free = True",
+        (
+            "tests/test_instanton.py::test_curvature_acts_matches_composed_form",
+            "tests/test_instanton.py::test_run_instanton_fuses_every_covariant_entry",
+        ),
+    ),
+    (
+        # the rank of the BPST fields stays 4 without the (0, 1) column,
+        # so only the oracle row and fields nonzero in few slots see it
+        "field_row_drops_an_entry",
+        "instanton.py",
+        "row += (m00.eval(point, rho), m01.eval(point, rho), m10.eval(point, rho))",
+        "row += (m00.eval(point, rho), m10.eval(point, rho))",
+        (
+            "tests/test_instanton.py::test_independent_count_matches_the_full_rank",
+            "tests/test_instanton.py::test_field_values_are_exact_and_in_normal_form",
+        ),
+    ),
+    (
         # the BPST curvature is anti-self-dual, so F + *F is zero with or
         # without the 1/2: only a 2-form that is not sees it
         "self_dual_drops_half",
@@ -294,7 +345,11 @@ MUTANTS = (
         "hyperell.py",
         "    if div.degree + zeros != poles:\n",
         "    if False:\n",
-        ("tests/test_hyperell.py::test_rational_divisor_certifies_its_degree",),
+        (
+            "tests/test_hyperell.py::test_rational_divisor_certifies_its_degree",
+            "tests/test_oddmoduli.py::TestOnePathSection"
+            "::test_lowered_branch_valuation_is_refused",
+        ),
     ),
     (
         # the recurrence alone never sees an s_0 that misses u_0

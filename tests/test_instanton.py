@@ -15,7 +15,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from spincert import VerificationError, cli, instanton
-from spincert.clifford import Multivector, star_blade
+from spincert.clifford import GammaRep, Multivector, star_blade
 from spincert.exactalg import Gaussian, MultiPoly, RatFunc, rank
 from spincert.instanton import (
     GAMMA,
@@ -36,6 +36,7 @@ from spincert.instanton import (
     curvature_acts,
     flat_dirac,
     form_is_zero,
+    independent_count,
     quaternion_units,
     sd_asd_split,
     self_dual_part,
@@ -267,20 +268,20 @@ def test_run_instanton_fuses_every_covariant_entry(monkeypatch, tmp_path):
     monkeypatch.setattr(instanton, "_self_dual_of", counting_self_dual)
     monkeypatch.setattr(MultiPoly, "scale", counting_scale)
     out = str(tmp_path / "r.json")
-    # matrix sums, four entries each: 6 per curvature and per self-dual
-    # part (one of each per connection, two connections), 4 per Dirac
-    # residual and 4 per curvature action (four fields each), and 4 per
-    # Bianchi or Yang-Mills residual (Bianchi, Yang-Mills and the
-    # control's)
+    # matrix sums, three entries each since every summed matrix is
+    # trace-free: 6 per curvature and per self-dual part (one of each per
+    # connection, two connections), 4 per Dirac residual and 4 per
+    # curvature action (four fields each), and 4 per Bianchi or
+    # Yang-Mills residual (Bianchi, Yang-Mills and the control's)
     assert cli.main(["run", "instanton", "--out", out]) == 0
-    assert len(entries) == 4 * (2 * 6 + 2 * 6 + 4 * 4 + 4 * 4 + 3 * 4)
+    assert len(entries) == 3 * (2 * 6 + 2 * 6 + 4 * 4 + 4 * 4 + 3 * 4) == 204
     assert not fallbacks and len(self_dual) == 2 and len(scaled) <= 48
     # perturbed: the control is skipped, so Bianchi and Yang-Mills only
     entries.clear()
     self_dual.clear()
     scaled.clear()
     assert cli.main(["run", "instanton", "--perturb", "--out", out]) == 1
-    assert len(entries) == 4 * (2 * 6 + 2 * 6 + 4 * 4 + 4 * 4 + 2 * 4)
+    assert len(entries) == 3 * (2 * 6 + 2 * 6 + 4 * 4 + 4 * 4 + 2 * 4) == 192
     assert not fallbacks and len(self_dual) == 2 and len(scaled) <= 48
 
     # the count sees a fallback: the off-diagonal entries of m are
@@ -288,6 +289,24 @@ def test_run_instanton_fuses_every_covariant_entry(monkeypatch, tmp_path):
     a = bpst_connection().components[0]
     _covariant(a, Mat2(((0, 1), (1, 0))), 0)
     assert len(fallbacks) == 2
+
+    # a traceful matrix takes four entry sums, a trace-free one three,
+    # whether it enters the sum as M or only as A
+    entries.clear()
+    traceful = Mat2(((R4.gen(0), 0), (0, R4.gen(1))))
+    _covariant(a, traceful, 0)
+    assert len(entries) == 4
+    entries.clear()
+    _covariant(traceful, a, 0)
+    assert len(entries) == 3
+    # trace-free in value but not as a pair: m11 is -m00 over rho^1
+    x1 = R4.gen(0)
+    lifted = Mat2(((x1, 0), (0, _RhoFrac(-x1 * RHO, 1))))
+    psi = twistor_basis()[0].components
+    for f, count in (({(1, 2): lifted}, 4 * 4), ({(1, 2): a}, 4 * 3)):
+        entries.clear()
+        curvature_acts(f, psi)
+        assert len(entries) == count
 
 
 def test_duality_split_of_zero():
@@ -310,12 +329,17 @@ def test_twistor_basis_properties():
     assert rank(rows) == 4
 
 
+def _derivatives(components):
+    """The four spinors d_i psi, i = 0..3."""
+    return [tuple(v.derivative(i) for v in components) for i in range(4)]
+
+
 def test_flat_dirac_of_linear_field_is_minus_four_constants():
     sols = twistor_basis()
     linear = [s for s in sols if any(s.psi1)]
     assert len(linear) == 2
     for s in linear:
-        d = flat_dirac(s.components)
+        d = flat_dirac(_derivatives(s.components))
         for r in range(4):
             want = Gaussian(-4) * s.psi1[r]
             assert not (d[r] - _RhoFrac(R4.const(want)))
@@ -328,6 +352,39 @@ def test_twistor_residual_rejects_quadratic_field():
     assert any(v for comp in res for v in comp)
     res0 = twistor_residual((zero, zero, zero, zero))
     assert not any(v for comp in res0 for v in comp)
+
+
+def test_twistor_residual_derives_each_component_once(monkeypatch, tmp_path):
+    # d_i psi feeds the Dirac value and the i-th defect alike: 16
+    # derivatives for four components, and the defects equal those of
+    # the Dirac value composed from flat_dirac
+    x1, x2 = R4.gen(0), R4.gen(1)
+    field = (_RhoFrac(x1 * x2), _RhoFrac(x2.scale(_I), 1), _RhoFrac(x1), _RhoFrac(x2))
+    derivatives = _derivatives(field)
+    quarter = tuple(v * Fraction(1, 4) for v in flat_dirac(derivatives))
+    want = [
+        [d + c for d, c in zip(di, GAMMA.act(Multivector.vector(i + 1), quarter))]
+        for i, di in enumerate(derivatives)
+    ]
+    derivative = _RhoFrac.derivative
+    taken = []
+    monkeypatch.setattr(
+        _RhoFrac, "derivative", lambda v, var: taken.append(var) or derivative(v, var)
+    )
+    got = twistor_residual(field)
+    assert len(taken) == 16
+    assert all(g == w for gs, ws in zip(got, want) for g, w in zip(gs, ws))
+    assert any(v for res in got for v in res)
+
+    # the convention record is read once by the CLI and once by the Dirac
+    # certificate, which hands it to the twistor family
+    record = GammaRep.asd_action_record
+    read = []
+    monkeypatch.setattr(
+        GammaRep, "asd_action_record", lambda self: read.append(self) or record(self)
+    )
+    assert cli.main(["run", "instanton", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(read) == 2
 
 
 def test_coupled_dirac_flat_cases():
@@ -559,12 +616,83 @@ def test_field_values_are_exact_and_in_normal_form(conn):
             _oracle(m.entry(i, j)).eval(point)
             for point in _EVAL_POINTS
             for m in field.components
-            for i in range(2)
-            for j in range(2)
+            for i, j in ((0, 0), (0, 1), (1, 0))
         ]
         assert row == want
         kinds.update(type(v) for v in row)
     assert kinds == {int, Fraction, Gaussian}
+
+
+def _full_row(field):
+    """All four entries of every component at each evaluation point: the
+    32-column row whose rank ``independent_count`` must equal."""
+    return [
+        m.entry(i, j).eval(point)
+        for point in _EVAL_POINTS
+        for m in field.components
+        for i in range(2)
+        for j in range(2)
+    ]
+
+
+@st.composite
+def _coupled_fields(draw):
+    """One to four CoupledFields, each nonzero in one to three of its
+    (component, entry) slots among (0, 0), (0, 1) and (1, 0), so a row
+    that drops or misreads one entry loses rank.  Each (1, 1) entry is
+    -(0, 0), as a pair or lifted to one more power of rho; half of the
+    lists end with a combination of two earlier fields, so their rank
+    falls short."""
+    slots = st.tuples(st.integers(0, 3), st.sampled_from(((0, 0), (0, 1), (1, 0))))
+
+    def field():
+        rows = [[[_RhoFrac(R4.zero())] * 2 for _ in range(2)] for _ in range(4)]
+        for r, (i, j) in draw(st.sets(slots, min_size=1, max_size=3)):
+            rows[r][i][j] = draw(_entries())
+        for m in rows:
+            m00 = m[0][0]
+            m[1][1] = _RhoFrac(-m00.p * RHO, m00.k + 1) if draw(st.booleans()) else -m00
+        return CoupledField(Mat2(m) for m in rows)
+
+    fields = [field() for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        c = draw(st.sampled_from((1, -1, Gaussian(0, 1), Fraction(3, 2))))
+        first, last = fields[0].components, fields[-1].components
+        fields.append(CoupledField(x + y * c for x, y in zip(first, last)))
+    return fields
+
+
+@given(_coupled_fields())
+@settings(max_examples=30, deadline=None)
+def test_independent_count_matches_the_full_rank(fields):
+    assert independent_count(fields) == rank([_full_row(f) for f in fields])
+
+
+_FIELD_BRANCHES = {
+    "rank_short": lambda fields: independent_count(fields) < len(fields),
+    "lifted_trace": lambda fields: any(
+        m.entry(1, 1).k != m.entry(0, 0).k for f in fields for m in f.components
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_FIELD_BRANCHES))
+def test_coupled_fields_reach_every_branch(branch):
+    find(
+        _coupled_fields(),
+        _FIELD_BRANCHES[branch],
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
+
+
+def test_independent_count_needs_both_points(conn, curv, monkeypatch):
+    # the four produced fields have rank 4 over both points, 2 at either
+    # point alone
+    fields = [curvature_acts(curv, psi.components) for psi in twistor_basis()]
+    assert independent_count(fields) == 4
+    for point in _EVAL_POINTS:
+        monkeypatch.setattr(instanton, "_EVAL_POINTS", (point,))
+        assert independent_count(fields) == 2
 
 
 _PAIR_POWERS = {
@@ -1010,11 +1138,15 @@ def _action_powers(f, psi):
 @st.composite
 def _actions(draw):
     """A trace-free 2-form, from _two_forms() with F11 = -F00, and a
-    spinor of four _entries()."""
-    f = {
-        key: Mat2(((m.entry(0, 0), m.entry(0, 1)), (m.entry(1, 0), -m.entry(0, 0))))
-        for key, m in draw(_two_forms()).items()
-    }
+    spinor of four _entries().  In a third of the forms each F11 is -F00
+    lifted to one more power of rho: trace-free in value but not as a
+    pair, so no (1, 1) entry is read off (0, 0)."""
+    lift = draw(st.integers(0, 2)) == 0
+    f = {}
+    for key, m in draw(_two_forms()).items():
+        m00 = m.entry(0, 0)
+        m11 = _RhoFrac(-m00.p * RHO, m00.k + 1) if lift else -m00
+        f[key] = Mat2(((m00, m.entry(0, 1)), (m.entry(1, 0), m11)))
     return f, tuple(draw(_entries()) for _ in range(4))
 
 
@@ -1031,6 +1163,14 @@ def test_actions_reach_mixed_rho_powers():
     find(
         _actions(),
         lambda case: any(len(p) > 1 for found in _action_powers(*case) for p in found),
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
+
+
+def test_actions_reach_lifted_trace():
+    find(
+        _actions(),
+        lambda case: any(m.entry(1, 1).k != m.entry(0, 0).k for m in case[0].values()),
         settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
     )
 
