@@ -48,16 +48,12 @@ An entry whose nonzero parts sit at different powers of rho (none in
 the suite) is composed from the entry arithmetic instead.
 
 The connection, its curvature and the coupled fields are trace-free
-(valued in su(2) tensor C), so most sums need three entries, not four.
-When m11 is -m00 as a (p, k) pair for every M of a covariant sum, each
-part of the (1, 1) entry is the negation of the matching part of
-(0, 0): the bare entry and its derivative, since d_i negates termwise,
-and the commutator, since c11 = -c00.  So the sum builds (0, 0), (0, 1)
-and (1, 0) and reads (1, 1) as -(0, 0); the curvature action does the
-same when every F_mn is trace-free as a pair, and the rank of the
-produced Dirac solutions reads the three entries alone.  The test is on
-the pair, not the value: a matrix whose m11 is -m00 lifted to a higher
-power of rho, or any traceful one, takes the four-entry path.
+(valued in su(2) tensor C), so every sum builds (0, 0), (0, 1) and
+(1, 0) and reads (1, 1) off the trace: m11 = tr M - m00 and c11 = -c00,
+so (1, 1) is T - (0, 0), T the same sum over tr M.  T sums only the
+traceful M (trace-free is the value test ``Mat2.trace()``), so (1, 1)
+is -(0, 0) for every sum a run makes, and the rank of the produced
+Dirac solutions reads the three entries alone.
 """
 
 from __future__ import annotations
@@ -419,28 +415,23 @@ def quaternion_units():
     return tuple(Mat2(q) for q in QUATERNION_UNITS)
 
 
-def _negates(y, x):
-    """Whether y is -x as a (p, k) pair."""
-    return y.k == x.k and y.p.terms == {e: -c for e, c in x.p.terms.items()}
-
-
 def _covariant_sum(terms) -> Mat2:
     """The sum of coef * (d_var M + [A, M]) over the terms (coef, A, M,
     var), with coef a Q(i) scalar in normal form; A is None for a bare
     derivative coef * d_var M, and A and var are both None for coef * M.
 
-    Each entry is one ``_entry_sum``: the entries of every M with their
-    derivatives, and the closed-form commutator products of the module
-    docstring, the second of each pair with coef negated and c11 = -c00
-    read as a10 m01 - a01 m10.  Each distinct M gets its trace-free test,
-    and each distinct A and M of a commutator x00 - x11, once per call.
-    When every M is trace-free as a pair, (1, 1) is read as -(0, 0) and
-    three entries are summed.  A term with coef 0 adds nothing."""
-    e00, e01, e10, e11 = [], [], [], []
-    p00, p01, p10, p11 = [], [], [], []
-    tested = set()  # id(M) of every M tested for trace-freeness
+    The (0, 0), (0, 1) and (1, 0) entries are one ``_entry_sum`` each:
+    the entries of every M with their derivatives, and the closed-form
+    commutator products of the module docstring, the second of each pair
+    with coef negated.  (1, 1) is T - (0, 0), T the sum of coef * d_var
+    tr M over the terms whose M is traceful, so -(0, 0) when none is.
+    Each distinct M's trace, and each distinct A's and M's x00 - x11 of
+    a commutator, is taken once per call.  A term with coef 0 adds
+    nothing."""
+    e00, e01, e10, traced = [], [], [], []
+    p00, p01, p10 = [], [], []
+    traces = {}  # id(M) -> tr M, per distinct M
     diffs = {}  # id(X) -> x00 - x11, per distinct A and M of a commutator
-    trace_free = True
     for coef, a, m, var in terms:
         if not coef:
             continue
@@ -448,10 +439,11 @@ def _covariant_sum(terms) -> Mat2:
         e00.append((coef, m00, var))
         e01.append((coef, m01, var))
         e10.append((coef, m10, var))
-        e11.append((coef, m11, var))
-        if trace_free and id(m) not in tested:
-            tested.add(id(m))
-            trace_free = _negates(m11, m00)
+        tr = traces.get(id(m))
+        if tr is None:
+            tr = traces[id(m)] = m.trace()
+        if tr:
+            traced.append((coef, tr, var))
         if a is None:
             continue
         (a00, a01), (a10, a11) = a.rows
@@ -465,9 +457,8 @@ def _covariant_sum(terms) -> Mat2:
         p00 += ((coef, a01, m10), (neg, a10, m01))
         p01 += ((coef, da, m01), (neg, a01, dm))
         p10 += ((coef, a10, dm), (neg, da, m10))
-        p11 += ((coef, a10, m01), (neg, a01, m10))
     s00 = _entry_sum(e00, p00)
-    s11 = -s00 if trace_free else _entry_sum(e11, p11)
+    s11 = _entry_sum(traced, ()) - s00 if traced else -s00
     return _mat2(((s00, _entry_sum(e01, p01)), (_entry_sum(e10, p10), s11)))
 
 
@@ -572,9 +563,14 @@ def self_dual_part(f) -> dict:
     return _self_dual_of(f)
 
 
-def sd_asd_split(f: dict):
-    """Pointwise duality split (F_plus, F_minus) with F = F_plus + F_minus."""
+def sd_asd_split(f):
+    """Pointwise duality split (F_plus, F_minus) with F = F_plus + F_minus,
+    of a matrix-valued 2-form or of the curvature of a
+    :class:`Connection`, whose cached self-dual part and curvature are
+    split."""
     plus = self_dual_part(f)
+    if isinstance(f, Connection):
+        f = curvature(f)
     return plus, {key: f.get(key, _M0) - m for key, m in plus.items()}
 
 
@@ -746,23 +742,26 @@ def curvature_acts(f: dict, psi) -> CoupledField:
     """Clifford action of a matrix-valued 2-form on a scalar spinor:
     component r is the sum over the 2-form's components F_mn of
     F_mn * phi[r], phi = (e_m e_n) . psi, and each of its entries is one
-    ``_entry_sum`` of the products F_mn[i][j] * phi[r].  When every F_mn
-    is trace-free as a pair, (1, 1) is read as -(0, 0)."""
+    ``_entry_sum`` of the products F_mn[i][j] * phi[r] for the (0, 0),
+    (0, 1) and (1, 0) entries.  (1, 1) is T - (0, 0), T the sum of
+    tr F_mn * phi[r] over the traceful F_mn, so -(0, 0) when none is."""
     psi_t = tuple(_as_rf(v) for v in psi)
-    trace_free = all(_negates(m.rows[1][1], m.rows[0][0]) for m in f.values())
-    # products[r] lists the products of each entry of component r, row by row
+    # products[r] lists the products of component r's (0, 0), (0, 1),
+    # (1, 0) entries and of its trace T
     products = [([], [], [], []) for _ in range(4)]
     for (m, n), mat in f.items():
         phi = GAMMA.act(Multivector.blade(_pair_mask(m, n)), psi_t)
-        (f00, f01), (f10, f11) = mat.rows
+        (f00, f01), (f10, _) = mat.rows
+        tr = mat.trace()
+        factors = (f00, f01, f10, tr) if tr else (f00, f01, f10)
         for v, lists in zip(phi, products):
             if v:
-                for x, out in zip((f00, f01, f10, f11), lists):
+                for x, out in zip(factors, lists):
                     out.append((1, x, v))
     comps = []
-    for p00, p01, p10, p11 in products:
+    for p00, p01, p10, traced in products:
         s00 = _entry_sum((), p00)
-        s11 = -s00 if trace_free else _entry_sum((), p11)
+        s11 = _entry_sum((), traced) - s00 if traced else -s00
         comps.append(_mat2(((s00, _entry_sum((), p01)), (_entry_sum((), p10), s11))))
     return CoupledField(comps)
 

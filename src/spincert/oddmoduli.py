@@ -174,7 +174,7 @@ class EmbeddedCurve:
         self.spin_cube_basis = tuple(spin_cube_basis)
         self.segre_functions = tuple(segre_functions)
         self.implicit = implicit
-        self._cache = {"points": {}, "sigma": None, "frame": None, "twist_base": None}
+        self._cache = {"points": {}, "frame": None, "twist_base": None}
 
 
 def _upoly_quotient(num: UPoly, den: UPoly) -> UPoly:
@@ -375,8 +375,6 @@ def involution_matrix(E: EmbeddedCurve):
     """The sheet involution on Segre coordinates: the Kronecker product
     of its action on the two section bases, certified pointwise at every
     distinguished place."""
-    if E._cache["sigma"] is not None:
-        return E._cache["sigma"]
     factor_actions = []
     for basis in (E.spin_cube_basis, E.canonical_basis):
         action = []
@@ -403,7 +401,6 @@ def involution_matrix(E: EmbeddedCurve):
         mv = tuple(sum(M[r][c] * v[c] for c in range(4)) for r in range(4))
         if not proportional(mv, w):
             raise VerificationError("involution matrix fails at %r" % (place,))
-    E._cache["sigma"] = M
     return M
 
 

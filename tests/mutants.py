@@ -10,8 +10,8 @@ Gaussian prints like an int, so only a test that looks at types can see
 the fault.  The ``kernel_`` entries break the one-pass signed sums of
 covariant derivatives of ``instanton``, whose composed fallback gives
 right values on the slow path, so only a count of its work sees some
-faults; three break its reading of a trace-free sum's (1, 1) entry as
--(0, 0), one the three-entry rank rows, two more its self-dual part and
+faults; three break its reading of the (1, 1) entry off the trace,
+one the three-entry rank rows, two more its self-dual part and
 its unit scalars, and one the blade-table lookup of
 ``clifford.GammaRep.rep``.  The last
 entries break the curve code's build-once paths and certificates: the
@@ -218,11 +218,12 @@ MUTANTS = (
         ),
     ),
     (
-        # a traceful M then has its (1, 1) entry read as -(0, 0)
+        # a traceful M then has its (1, 1) entry read as -(0, 0): wrong
+        # in value
         "trace_free_sum_skips_trace_test",
         "instanton.py",
-        "trace_free = _negates(m11, m00)",
-        "trace_free = True",
+        "s11 = _entry_sum(traced, ()) - s00 if traced else -s00",
+        "s11 = -s00",
         (
             "tests/test_instanton.py"
             "::test_covariant_kernel_matches_composed_form_and_ratfunc",
@@ -233,8 +234,8 @@ MUTANTS = (
     (
         "trace_free_sum_drops_negation",
         "instanton.py",
-        "s11 = -s00 if trace_free else _entry_sum(e11, p11)",
-        "s11 = s00 if trace_free else _entry_sum(e11, p11)",
+        "s11 = _entry_sum(traced, ()) - s00 if traced else -s00",
+        "s11 = _entry_sum(traced, ()) - s00 if traced else s00",
         (
             "tests/test_instanton.py"
             "::test_covariant_kernel_matches_composed_form_and_ratfunc",
@@ -242,17 +243,13 @@ MUTANTS = (
         ),
     ),
     (
-        # a 2-form that is trace-free in value alone then has each (1, 1)
-        # entry of its action read as -(0, 0): right in value, so only
-        # the pair comparison and the count see it
-        "trace_free_action_skips_trace_test",
+        # a traceful 2-form then has each (1, 1) entry of its action read
+        # as -(0, 0), so the produced field is trace-free in value
+        "trace_free_action_drops_trace_products",
         "instanton.py",
-        "trace_free = all(_negates(m.rows[1][1], m.rows[0][0]) for m in f.values())",
-        "trace_free = True",
-        (
-            "tests/test_instanton.py::test_curvature_acts_matches_composed_form",
-            "tests/test_instanton.py::test_run_instanton_fuses_every_covariant_entry",
-        ),
+        "factors = (f00, f01, f10, tr) if tr else (f00, f01, f10)",
+        "factors = (f00, f01, f10)",
+        ("tests/test_instanton.py::test_curvature_acts_rejects_traceful_forms",),
     ),
     (
         # the rank of the BPST fields stays 4 without the (0, 1) column,

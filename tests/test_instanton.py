@@ -161,6 +161,21 @@ def test_connection_rejects_traceful_components():
         Connection((bad,) * 4)
 
 
+def test_coupled_field_rejects_traceful_components():
+    good, bad = Mat2(((1, 0), (0, -1))), Mat2(((1, 0), (0, 0)))
+    assert CoupledField((good,) * 4)
+    with pytest.raises(ValueError):
+        CoupledField((good, good, bad, good))
+
+
+def test_curvature_acts_rejects_traceful_forms():
+    # tr (F_12 phi[r]) = tr F_12 * phi[r] is nonzero wherever phi[r] is
+    psi = twistor_basis()[0].components
+    traceful = Mat2(((R4.gen(0), 0), (0, R4.gen(1))))
+    with pytest.raises(ValueError):
+        curvature_acts({(1, 2): traceful}, psi)
+
+
 def test_curvature_zero_and_abelian_oracle():
     assert form_is_zero(curvature(ZERO_CONNECTION))
     h = R4.gen(1) * R4.gen(1)
@@ -290,8 +305,8 @@ def test_run_instanton_fuses_every_covariant_entry(monkeypatch, tmp_path):
     _covariant(a, Mat2(((0, 1), (1, 0))), 0)
     assert len(fallbacks) == 2
 
-    # a traceful matrix takes four entry sums, a trace-free one three,
-    # whether it enters the sum as M or only as A
+    # a traceful M takes four entry sums, three entries and its trace T,
+    # a trace-free one three, whether it enters the sum as M or only as A
     entries.clear()
     traceful = Mat2(((R4.gen(0), 0), (0, R4.gen(1))))
     _covariant(a, traceful, 0)
@@ -299,19 +314,32 @@ def test_run_instanton_fuses_every_covariant_entry(monkeypatch, tmp_path):
     entries.clear()
     _covariant(traceful, a, 0)
     assert len(entries) == 3
-    # trace-free in value but not as a pair: m11 is -m00 over rho^1
+    # trace-free in value but not as a pair (m11 is -m00 over rho^1):
+    # no T, so three entry sums per component, as for a pair
     x1 = R4.gen(0)
     lifted = Mat2(((x1, 0), (0, _RhoFrac(-x1 * RHO, 1))))
     psi = twistor_basis()[0].components
-    for f, count in (({(1, 2): lifted}, 4 * 4), ({(1, 2): a}, 4 * 3)):
+    for f in ({(1, 2): lifted}, {(1, 2): a}):
         entries.clear()
         curvature_acts(f, psi)
-        assert len(entries) == count
+        assert len(entries) == 4 * 3
 
 
 def test_duality_split_of_zero():
     plus, minus = sd_asd_split(curvature(ZERO_CONNECTION))
     assert form_is_zero(plus) and form_is_zero(minus)
+
+
+def test_duality_split_of_a_connection_splits_its_curvature(conn):
+    # the doubled BPST connection is not anti-self-dual, so both parts
+    # are nonzero
+    for a in (conn, Connection(m * 2 for m in conn.components)):
+        f = curvature(a)
+        plus, minus = sd_asd_split(a)
+        want_plus, want_minus = sd_asd_split(f)
+        assert plus == want_plus and minus == want_minus
+        assert all(plus[key] + minus[key] == m for key, m in f.items())
+    assert not form_is_zero(plus) and not form_is_zero(minus)
 
 
 def test_twistor_basis_properties():
@@ -833,10 +861,9 @@ def _part_powers(v, products):
 def test_covariant_kernel_matches_composed_form_and_ratfunc(case):
     a, m, var = case
     got = _covariant(a, m, var)
-    want = _composed(a, m, var)
-    for i in range(2):
-        for j in range(2):
-            assert _same_pair(got.entry(i, j), want.entry(i, j))
+    # one term: (0, 0), (0, 1) and (1, 0) are the oracle's pairs at any
+    # powers, since an entry with mixed powers is composed as the oracle is
+    _assert_matches_composed(got, _composed(a, m, var), [()] * 4, not m.trace())
     oa, om = (tuple(tuple(_oracle(v) for v in row) for row in x.rows) for x in (a, m))
     _assert_mat_equal(got, _oadd(_oderiv(om, var), _ocomm(oa, om)))
 
@@ -961,19 +988,31 @@ def _sum_powers(terms):
     return powers
 
 
-def _assert_matches_composed(got, want, powers):
-    for found, g, w in zip(powers, _entries_of(got), _entries_of(want)):
+def _assert_matches_composed(got, want, powers, trace_free):
+    """Every entry of got equals want's in value, in Q(i) normal form.
+    (0, 0), (0, 1) and (1, 0) are also want's (p, k) pair when their
+    parts sit at one power of rho (one set of powers per entry in
+    ``powers``).  (1, 1) is read off the trace, so when every summed
+    trace is zero (``trace_free``) it is -(0, 0) as a pair."""
+    entries, wants = _entries_of(got), _entries_of(want)
+    for g, w in zip(entries, wants):
         assert g == w
         assert all(in_normal_form(c) for c in g.p.terms.values())
+    for found, g, w in zip(powers[:3], entries, wants):
         if len(found) <= 1:
             assert _same_pair(g, w)
+    if trace_free:
+        assert _same_pair(entries[3], -entries[0])
 
 
 @given(_sum_terms())
 @settings(max_examples=60, deadline=None)
 def test_covariant_sum_matches_composed_form(terms):
     _assert_matches_composed(
-        _covariant_sum(terms), _composed_terms(terms), _sum_powers(terms)
+        _covariant_sum(terms),
+        _composed_terms(terms),
+        _sum_powers(terms),
+        not any(coef and m.trace() for coef, _, m, _ in terms),
     )
 
 
@@ -1080,8 +1119,9 @@ def test_self_dual_part_matches_the_old_split(f):
     powers = _split_powers(f)
     plus = self_dual_part(f)
     assert list(plus) == list(want_plus) == sorted(powers)
+    trace_free = not any(m.trace() for m in f.values())
     for key, m in plus.items():
-        _assert_matches_composed(m, want_plus[key], powers[key])
+        _assert_matches_composed(m, want_plus[key], powers[key], trace_free)
     got_plus, got_minus = sd_asd_split(f)
     assert list(got_plus) == list(got_minus) == list(want_minus)
     for key, m in got_minus.items():
@@ -1140,7 +1180,7 @@ def _actions(draw):
     """A trace-free 2-form, from _two_forms() with F11 = -F00, and a
     spinor of four _entries().  In a third of the forms each F11 is -F00
     lifted to one more power of rho: trace-free in value but not as a
-    pair, so no (1, 1) entry is read off (0, 0)."""
+    pair, and each (1, 1) entry is still -(0, 0) as a pair."""
     lift = draw(st.integers(0, 2)) == 0
     f = {}
     for key, m in draw(_two_forms()).items():
@@ -1155,8 +1195,9 @@ def _actions(draw):
 def test_curvature_acts_matches_composed_form(case):
     f, psi = case
     got = curvature_acts(f, psi).components
+    trace_free = not any(m.trace() for m in f.values())
     for g, w, powers in zip(got, _composed_action(f, psi), _action_powers(f, psi)):
-        _assert_matches_composed(g, w, powers)
+        _assert_matches_composed(g, w, powers, trace_free)
 
 
 def test_actions_reach_mixed_rho_powers():
