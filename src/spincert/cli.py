@@ -608,7 +608,10 @@ def load_curve_fixture(path) -> HyperCurve:
 def _csv_values(text, conv, what):
     """The values of a comma-separated list option, each read by conv.  A
     blank text is the empty tuple; an empty token, as in ``1,,3`` or
-    ``2,``, makes the list malformed rather than being skipped."""
+    ``2,``, makes the list malformed rather than being skipped.  Only
+    text is read: any other value is a TypeError."""
+    if not isinstance(text, str):
+        raise TypeError("a %s list is comma-separated text, not %r" % (what, text))
     tokens = [tok.strip() for tok in text.split(",")]
     if tokens == [""]:
         return ()
@@ -644,9 +647,9 @@ def run(
         if branch is not None
         else None
     )
-    if isinstance(m, str):
+    if m is not None:
         m = _csv_values(m, int, "degree")
-    if isinstance(g, str):
+    if g is not None:
         g = _csv_values(g, int, "genus")
     if m is not None and not m:
         raise ValueError("empty degree list")

@@ -23,16 +23,13 @@ rational input stays rational in type as well as in value.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import VerificationError
 from .exactalg import QI, Gaussian
+from .exactalg.scalars import _SCALARS
 
 DIM = 4
 NBLADES = 1 << DIM
 VOLUME_MASK = NBLADES - 1
-
-_SCALARS = (int, Fraction, Gaussian)
 
 
 def blade_indices(mask):

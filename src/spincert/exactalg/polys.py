@@ -32,9 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .scalars import Gaussian, exact_quotient, rational_normal
-
-_SCALARS = (int, Fraction, Gaussian)
+from .scalars import _SCALARS, exact_quotient, rational_normal
 
 
 class PolyRing:

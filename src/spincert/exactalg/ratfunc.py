@@ -10,12 +10,8 @@ of the cross-multiplied numerators, which is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .polys import MultiPoly
-from .scalars import Gaussian, exact_quotient
-
-_SCALARS = (int, Fraction, Gaussian)
+from .scalars import _SCALARS, exact_quotient
 
 
 class RatFunc:

@@ -184,6 +184,10 @@ class Gaussian:
 
 _new = object.__new__
 
+# the types a scalar of either normal form has, for the isinstance tests
+# of polynomial, rational function, entry and multivector arithmetic
+_SCALARS = (int, Fraction, Gaussian)
+
 
 def _qi(a, b, d):
     """The Q(i) scalar (a + b*i)/d, for a triple already in normal form,

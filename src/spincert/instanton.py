@@ -45,7 +45,8 @@ as is, -1 negated, any other value multiplied once per term), and the
 coefficients are brought to normal form once at the end.  So no
 derivative, product, commutator or scaled matrix is built on the way.
 An entry whose nonzero parts sit at different powers of rho (none in
-the suite) is composed from the entry arithmetic instead.
+the suite) gets one term dict per power, and the lower sums are lifted
+to the highest power that does not cancel.
 
 The connection, its curvature and the coupled fields are trace-free
 (valued in su(2) tensor C), so every sum builds (0, 0), (0, 1) and
@@ -53,7 +54,9 @@ The connection, its curvature and the coupled fields are trace-free
 so (1, 1) is T - (0, 0), T the same sum over tr M.  T sums only the
 traceful M (trace-free is the value test ``Mat2.trace()``), so (1, 1)
 is -(0, 0) for every sum a run makes, and the rank of the produced
-Dirac solutions reads the three entries alone.
+Dirac solutions reads the three entries alone.  Every function that
+takes a connection takes a ``Connection``, whose four components have
+passed those checks.
 """
 
 from __future__ import annotations
@@ -62,16 +65,20 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import VerificationError
-from .clifford import QUATERNION_UNITS, GammaRep, Multivector, star_blade
-from .exactalg import Gaussian, MultiPoly, PolyRing, QI, rank
-from .exactalg.scalars import exact_quotient
+from .clifford import (
+    QUATERNION_UNITS,
+    GammaRep,
+    Multivector,
+    blade_indices,
+    star_blade,
+)
+from .exactalg import MultiPoly, PolyRing, QI, rank
+from .exactalg.scalars import _SCALARS, exact_quotient
 
 R4 = PolyRing(QI, ("x1", "x2", "x3", "x4"))
 RHO = R4.one() + sum((R4.gen(i) * R4.gen(i) for i in range(4)), R4.zero())
 
 GAMMA = GammaRep()
-
-_SCALARS = (int, Fraction, Gaussian)
 
 
 class _RhoFrac:
@@ -274,45 +281,36 @@ def _entry_sum(entries, products):
     when var is None) over ``entries`` (coef, v, var) and of coef * x * y
     over ``products`` (coef, x, y), in one pass.
 
-    Every nonzero part (a derivative over rho^(k+1), or rho^0 when v has
-    k = 0, a bare entry over its own rho^k, and a product over the sum of
-    its factors' powers) must sit at the same power; the scaled
-    numerators are then summed into one term dict.  Parts at different
-    powers go to ``_composed_sum``."""
-    powers = {
-        (v.k + 1 if v.k else 0) if var is not None else v.k
-        for _, v, var in entries
-        if v.p.terms
-    }
-    powers.update(x.k + y.k for _, x, y in products if x.p.terms and y.p.terms)
-    if not powers:
-        return _RF0
-    if len(powers) > 1:
-        return _composed_sum(entries, products)
-    out = {}
+    Each nonzero part sits at a power of rho: a derivative over
+    rho^(k+1), or rho^0 when v has k = 0, a bare entry over its own
+    rho^k, and a product over the sum of its factors' powers.  The
+    scaled numerators are summed into one term dict per power.  When
+    the parts sit at more than one power, a power whose sum is zero is
+    dropped and each lower sum is lifted to the highest power left, so
+    the entry is the (p, k) pair at the highest power whose own parts do
+    not cancel."""
+    sums = {}  # power of rho -> term dict of the parts over it
     for coef, v, var in entries:
         if v.p.terms:
+            power = (v.k + 1 if v.k else 0) if var is not None else v.k
+            out = sums.setdefault(power, {})
             if var is None:
                 _add_scaled(out, v.p, coef)
             else:
                 _add_derivative(out, v.p, v.k, var, coef)
     for coef, x, y in products:
         if x.p.terms and y.p.terms:
-            _add_product(out, x.p, y.p, coef)
-    return _RhoFrac(_poly(out), powers.pop())
-
-
-def _composed_sum(entries, products):
-    """The sum of ``_entry_sum`` on the entry arithmetic, which lifts
-    each part to the larger power of rho as it adds.  The products are
-    summed first, so a single term gives d_var v + (x1 y1 - x2 y2): a
-    commutator that cancels leaves the derivative's own power."""
-    acc = _RF0
-    for coef, x, y in products:
-        acc = acc + x * y * coef
-    for coef, v, var in entries:
-        acc = (v if var is None else v.derivative(var)) * coef + acc
-    return acc
+            _add_product(sums.setdefault(x.k + y.k, {}), x.p, y.p, coef)
+    if not sums:
+        return _RF0
+    if len(sums) == 1:
+        [(power, out)] = sums.items()
+        return _RhoFrac(_poly(out), power)
+    polys = {k: _poly(out) for k, out in sums.items()}
+    polys = {k: p for k, p in polys.items() if p.terms}
+    top = max(polys, default=0)
+    total = sum((p * RHO ** (top - k) for k, p in polys.items()), R4.zero())
+    return _RhoFrac(total, top)
 
 
 def _as_rf(v):
@@ -352,9 +350,6 @@ class Mat2:
     @classmethod
     def identity(cls):
         return _M1
-
-    def entry(self, i, j):
-        return self.rows[i][j]
 
     def __bool__(self):
         return any(v for row in self.rows for v in row)
@@ -488,27 +483,19 @@ class Connection:
         self._cache = {}
 
 
-def _components(a):
-    if isinstance(a, Connection):
-        return a.components
-    comps = tuple(a)
-    if len(comps) != 4:
-        raise ValueError("expected four components")
-    return comps
-
-
-def curvature(a) -> dict:
+def curvature(a: Connection) -> dict:
     """F_{mu nu} = d_mu A_nu - d_nu A_mu + [A_mu, A_nu], keys (mu, nu).
 
-    A :class:`Connection` builds its curvature once and every call hands
-    out a fresh dict of the same (immutable) matrices; a bare component
-    tuple is computed on each call."""
-    if isinstance(a, Connection):
-        F = a._cache.get("curvature")
-        if F is None:
-            F = a._cache["curvature"] = _curvature_of(a.components)
-        return dict(F)
-    return _curvature_of(_components(a))
+    The connection builds its curvature once and every call hands out a
+    fresh dict of the same (immutable) matrices.  Anything but a
+    :class:`Connection` is a TypeError, so every curvature comes from
+    components that passed its checks."""
+    if not isinstance(a, Connection):
+        raise TypeError("expected a Connection, not %s" % type(a).__name__)
+    F = a._cache.get("curvature")
+    if F is None:
+        F = a._cache["curvature"] = _curvature_of(a.components)
+    return dict(F)
 
 
 def _curvature_of(comps) -> dict:
@@ -525,16 +512,11 @@ def _pair_mask(m, n):
     return (1 << (m - 1)) | (1 << (n - 1))
 
 
-def _mask_pair(mask):
-    idx = tuple(i + 1 for i in range(4) if mask >> i & 1)
-    return idx
-
-
 def two_form_star(f: dict) -> dict:
     out = {}
     for (m, n), mat in f.items():
         comp, s = star_blade(_pair_mask(m, n))
-        out[_mask_pair(comp)] = mat * s
+        out[blade_indices(comp)] = mat * s
     for key in f:
         out.setdefault(key, Mat2.zero())
     return out
@@ -547,7 +529,7 @@ def _self_dual_of(f: dict) -> dict:
     terms = {key: [(half, None, mat, None)] for key, mat in f.items()}
     for (m, n), mat in f.items():
         comp, s = star_blade(_pair_mask(m, n))
-        terms.setdefault(_mask_pair(comp), []).append((half * s, None, mat, None))
+        terms.setdefault(blade_indices(comp), []).append((half * s, None, mat, None))
     return {key: _covariant_sum(terms[key]) for key in sorted(terms)}
 
 
@@ -766,9 +748,9 @@ def curvature_acts(f: dict, psi) -> CoupledField:
     return CoupledField(comps)
 
 
-def coupled_dirac(a, field: CoupledField) -> CoupledField:
+def coupled_dirac(a: Connection, field: CoupledField) -> CoupledField:
     """Sum over directions of e_i . (d_i Psi + [A_i, Psi])."""
-    comps = _components(a)
+    comps = a.components
     psi = field.components
     gamma = GAMMA.gamma
     # out[r] = sum over i and c of gamma_i[r][c] * (d_i psi_c + [A_i, psi_c])
@@ -812,7 +794,7 @@ def independent_count(fields) -> int:
     return rank([_field_row(f, rhos) for f in fields])
 
 
-def verify_curvature_dirac_solutions(a) -> dict:
+def verify_curvature_dirac_solutions(a: Connection) -> dict:
     """Act the curvature on the affine family and certify that every
     produced field solves the coupled Dirac equation, with the count of
     independent solutions.
@@ -823,7 +805,7 @@ def verify_curvature_dirac_solutions(a) -> dict:
     coordinates are used as given.
     """
     f = curvature(a)
-    is_asd = asd_check(a if isinstance(a, Connection) else f)
+    is_asd = asd_check(a)
     degenerate = form_is_zero(f)
     acts_on = GAMMA.asd_action_record()["acts_on"]
     produced = []
@@ -850,10 +832,10 @@ def verify_curvature_dirac_solutions(a) -> dict:
     }
 
 
-def exterior_covariant_derivative(a, g2: dict) -> dict:
+def exterior_covariant_derivative(a: Connection, g2: dict) -> dict:
     """Coupled exterior derivative of a matrix-valued 2-form; keys are
     ascending coordinate triples."""
-    comps = _components(a)
+    comps = a.components
 
     def term(coef, i, m, n):
         # coef * (d_i G_mn + [A_i, G_mn]), with G_mn = -G_nm
@@ -871,13 +853,13 @@ def exterior_covariant_derivative(a, g2: dict) -> dict:
     return out
 
 
-def yang_mills_residual(a) -> dict:
+def yang_mills_residual(a: Connection) -> dict:
     """Components of the coupled derivative of the dualized curvature;
     identically zero exactly for Yang-Mills fields."""
     return exterior_covariant_derivative(a, two_form_star(curvature(a)))
 
 
-def bianchi_residual(a) -> dict:
+def bianchi_residual(a: Connection) -> dict:
     """Coupled derivative of the curvature itself; zero for every
     connection, so a nonzero value flags an arithmetic bug."""
     return exterior_covariant_derivative(a, curvature(a))

@@ -8,12 +8,12 @@ ints is a float that compares equal to the exact value
 (``0.5 == Fraction(1, 2)``), and an integral Fraction or a real
 Gaussian prints like an int, so only a test that looks at types can see
 the fault.  The ``kernel_`` entries break the one-pass signed sums of
-covariant derivatives of ``instanton``, whose composed fallback gives
-right values on the slow path, so only a count of its work sees some
-faults; three break its reading of the (1, 1) entry off the trace,
-one the three-entry rank rows, two more its self-dual part and
-its unit scalars, and one the blade-table lookup of
-``clifford.GammaRep.rep``.  The last
+covariant derivatives of ``instanton``: the power of rho each part is
+grouped at, the drop of a power whose parts cancel, the lift of a lower
+power's sum, the normal form and the scaling; three break its reading
+of the (1, 1) entry off the trace, one the three-entry rank rows, two
+more its self-dual part and its unit scalars, and one the blade-table
+lookup of ``clifford.GammaRep.rep``.  The last
 entries break the curve code's build-once paths and certificates: the
 interned places, the unchecked divisor merge and scale, the degree
 certificate of ``rational_divisor``, the re-check of ``_sqrt_head``,
@@ -139,8 +139,8 @@ MUTANTS = (
         ),
     ),
     (
-        # the suite's entries then fall back to the composed form, which
-        # is right but slow, so only the work count sees it there
+        # a derivative's numerator is then summed over rho^k, not
+        # rho^(k+1), so the suite's Dirac residuals are no longer zero
         "kernel_power_k_for_k_plus_1",
         "instanton.py",
         "(v.k + 1 if v.k else 0) if var is not None else v.k",
@@ -173,15 +173,43 @@ MUTANTS = (
         ),
     ),
     (
-        # the power check of the fallback removed
+        # every product is then summed at the power of the first part
+        # grouped, whatever its own power
         "kernel_fuses_unequal_powers",
         "instanton.py",
-        "if len(powers) > 1:",
-        "if False:",
+        "_add_product(sums.setdefault(x.k + y.k, {}), x.p, y.p, coef)",
+        "_add_product("
+        "sums.setdefault(next(iter(sums), x.k + y.k), {}), x.p, y.p, coef)",
         (
             "tests/test_instanton.py"
             "::test_covariant_kernel_matches_composed_form_and_ratfunc",
             "tests/test_instanton.py::test_covariant_sum_matches_composed_form",
+            "tests/test_instanton.py"
+            "::test_mixed_power_entry_takes_its_highest_uncancelled_power",
+        ),
+    ),
+    (
+        # a power whose parts cancel then still sets the power of the
+        # entry: the right value, at the pair the entry arithmetic gave
+        "kernel_keeps_cancelled_power",
+        "instanton.py",
+        "polys = {k: p for k, p in polys.items() if p.terms}",
+        "polys = {k: p for k, p in polys.items()}",
+        (
+            "tests/test_instanton.py"
+            "::test_mixed_power_entry_takes_its_highest_uncancelled_power",
+        ),
+    ),
+    (
+        # the sums at lower powers of rho are then added unlifted; no
+        # suite entry has parts at two powers
+        "kernel_skips_lift",
+        "instanton.py",
+        "p * RHO ** (top - k)",
+        "p",
+        (
+            "tests/test_instanton.py"
+            "::test_mixed_power_entry_takes_its_highest_uncancelled_power",
         ),
     ),
     (

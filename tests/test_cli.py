@@ -99,7 +99,7 @@ class TestRun:
         json.dumps(report)
 
     def test_reports_are_json_serializable(self):
-        _, report = run("theta", g=(1, 2))
+        _, report = run("theta", g="1,2")
         json.dumps(report)
 
 
@@ -280,7 +280,7 @@ class TestFlags:
         }
 
     def test_repsl2_degree_selection(self):
-        code, report = run("repsl2", m=(1,))
+        code, report = run("repsl2", m="1")
         assert code == 0
         names = [c["name"] for c in report["suites"][0]["checks"]]
         assert names == [
@@ -428,9 +428,17 @@ class TestMain:
 
     def test_empty_lists_rejected_by_run(self):
         with pytest.raises(ValueError):
-            run("repsl2", m=())
+            run("repsl2", m="")
         with pytest.raises(ValueError):
-            run("theta", g=())
+            run("theta", g="")
+
+    @pytest.mark.parametrize("option", ["m", "g"])
+    @pytest.mark.parametrize("value", [(True,), (1,)], ids=repr)
+    def test_list_options_take_text_only(self, option, value):
+        # a bool is an int, so a tuple (True,) used to run the m = 1 or
+        # g = 1 checks and report [true]
+        with pytest.raises(TypeError):
+            run("repsl2" if option == "m" else "theta", **{option: value})
 
     def test_omitted_lists_run_the_defaults(self, capsys):
         assert main(["run", "repsl2"]) == 0

@@ -240,7 +240,7 @@ def test_run_instanton_builds_each_curvature_once(monkeypatch, tmp_path):
     assert len(built) == 2 and built[0] is not built[1]
 
     # a Connection hands out copies of the curvature it built for its
-    # anti-self-duality check; a bare component tuple is not cached
+    # anti-self-duality check; a bare component tuple is no connection
     built.clear()
     conn = bpst_connection()
     first = curvature(conn)
@@ -248,27 +248,36 @@ def test_run_instanton_builds_each_curvature_once(monkeypatch, tmp_path):
     again = curvature(conn)
     assert len(again) == 6 and asd_check(again)
     assert len(built) == 1
-    curvature(conn.components)
-    curvature(conn.components)
-    assert len(built) == 3
+    with pytest.raises(TypeError):
+        curvature(conn.components)
+    assert len(built) == 1
+
+
+def _entry_sum_powers(entries, products):
+    """The rho powers of the nonzero parts of one ``_entry_sum`` call: a
+    derivative over rho^(k+1) (rho^0 at k = 0), a bare entry over its own
+    rho^k and a product over the sum of its factors' powers."""
+    powers = {
+        (v.k + 1 if v.k else 0) if var is not None else v.k
+        for _, v, var in entries
+        if v
+    }
+    return powers | {x.k + y.k for _, x, y in products if x and y}
 
 
 def test_run_instanton_fuses_every_covariant_entry(monkeypatch, tmp_path):
-    # an entry whose parts sit at different powers of rho falls back to
-    # _composed_sum; a fused entry scales no polynomial on the way
+    # every entry a run sums has its parts at one power of rho, so it is
+    # one term dict; a fused entry scales no polynomial on the way
     entry_sum = instanton._entry_sum
-    composed_sum = instanton._composed_sum
     self_dual_of = instanton._self_dual_of
     scale = MultiPoly.scale
-    entries, fallbacks, self_dual, scaled = [], [], [], []
+    entries, mixed, self_dual, scaled = [], [], [], []
 
     def counting_entry(*args):
         entries.append(args)
+        if len(_entry_sum_powers(*args)) > 1:
+            mixed.append(args)
         return entry_sum(*args)
-
-    def counting_fallback(*args):
-        fallbacks.append(args)
-        return composed_sum(*args)
 
     def counting_self_dual(f):
         self_dual.append(f)
@@ -279,7 +288,6 @@ def test_run_instanton_fuses_every_covariant_entry(monkeypatch, tmp_path):
         return scale(self, c)
 
     monkeypatch.setattr(instanton, "_entry_sum", counting_entry)
-    monkeypatch.setattr(instanton, "_composed_sum", counting_fallback)
     monkeypatch.setattr(instanton, "_self_dual_of", counting_self_dual)
     monkeypatch.setattr(MultiPoly, "scale", counting_scale)
     out = str(tmp_path / "r.json")
@@ -290,20 +298,20 @@ def test_run_instanton_fuses_every_covariant_entry(monkeypatch, tmp_path):
     # Yang-Mills residual (Bianchi, Yang-Mills and the control's)
     assert cli.main(["run", "instanton", "--out", out]) == 0
     assert len(entries) == 3 * (2 * 6 + 2 * 6 + 4 * 4 + 4 * 4 + 3 * 4) == 204
-    assert not fallbacks and len(self_dual) == 2 and len(scaled) <= 48
+    assert not mixed and len(self_dual) == 2 and len(scaled) <= 48
     # perturbed: the control is skipped, so Bianchi and Yang-Mills only
     entries.clear()
     self_dual.clear()
     scaled.clear()
     assert cli.main(["run", "instanton", "--perturb", "--out", out]) == 1
     assert len(entries) == 3 * (2 * 6 + 2 * 6 + 4 * 4 + 4 * 4 + 2 * 4) == 192
-    assert not fallbacks and len(self_dual) == 2 and len(scaled) <= 48
+    assert not mixed and len(self_dual) == 2 and len(scaled) <= 48
 
-    # the count sees a fallback: the off-diagonal entries of m are
+    # the count sees mixed powers: the off-diagonal entries of m are
     # constants over rho^0, and their products with da sit over rho^1
     a = bpst_connection().components[0]
     _covariant(a, Mat2(((0, 1), (1, 0))), 0)
-    assert len(fallbacks) == 2
+    assert len(mixed) == 2
 
     # a traceful M takes four entry sums, three entries and its trace T,
     # a trace-free one three, whether it enters the sum as M or only as A
@@ -641,7 +649,7 @@ def test_field_values_are_exact_and_in_normal_form(conn):
         row = _field_row(field, rhos)
         assert all(in_normal_form(v) for v in row)
         want = [
-            _oracle(m.entry(i, j)).eval(point)
+            _oracle(m.rows[i][j]).eval(point)
             for point in _EVAL_POINTS
             for m in field.components
             for i, j in ((0, 0), (0, 1), (1, 0))
@@ -655,7 +663,7 @@ def _full_row(field):
     """All four entries of every component at each evaluation point: the
     32-column row whose rank ``independent_count`` must equal."""
     return [
-        m.entry(i, j).eval(point)
+        m.rows[i][j].eval(point)
         for point in _EVAL_POINTS
         for m in field.components
         for i in range(2)
@@ -699,7 +707,7 @@ def test_independent_count_matches_the_full_rank(fields):
 _FIELD_BRANCHES = {
     "rank_short": lambda fields: independent_count(fields) < len(fields),
     "lifted_trace": lambda fields: any(
-        m.entry(1, 1).k != m.entry(0, 0).k for f in fields for m in f.components
+        m.rows[1][1].k != m.rows[0][0].k for f in fields for m in f.components
     ),
 }
 
@@ -861,9 +869,9 @@ def _part_powers(v, products):
 def test_covariant_kernel_matches_composed_form_and_ratfunc(case):
     a, m, var = case
     got = _covariant(a, m, var)
-    # one term: (0, 0), (0, 1) and (1, 0) are the oracle's pairs at any
-    # powers, since an entry with mixed powers is composed as the oracle is
-    _assert_matches_composed(got, _composed(a, m, var), [()] * 4, not m.trace())
+    _assert_matches_composed(
+        got, _composed(a, m, var), _sum_parts(((1, a, m, var),)), not m.trace()
+    )
     oa, om = (tuple(tuple(_oracle(v) for v in row) for row in x.rows) for x in (a, m))
     _assert_mat_equal(got, _oadd(_oderiv(om, var), _ocomm(oa, om)))
 
@@ -877,8 +885,38 @@ def test_covariant_kernel_stores_integral_coefficients_as_ints():
     for v in (_RhoFrac(x1 * x1 * half), _RhoFrac(x1 * x1 * half + half, 1)):
         got = _covariant(ZERO_CONNECTION.components[0], Mat2(((v, 0), (0, -v))), 0)
         want = _rho_derivative(v, 0)
-        assert _same_pair(got.entry(0, 0), want) and _same_pair(got.entry(1, 1), -want)
+        assert _same_pair(got.rows[0][0], want) and _same_pair(got.rows[1][1], -want)
         assert all(type(c) is int for c in want.p.terms.values())
+
+
+def test_mixed_power_entry_takes_its_highest_uncancelled_power():
+    # products over rho^1 and rho^2 whose rho^2 products cancel: the
+    # entry is x1 x2 over rho^1, where the entry arithmetic lifts it to
+    # x1 x2 rho over rho^2 before the cancellation; the value is the same
+    x1, x2, x3, x4 = (R4.gen(i) for i in range(4))
+    low = (1, _RhoFrac(x1, 1), _RhoFrac(x2))
+    high = (1, _RhoFrac(x3, 1), _RhoFrac(x4, 1))
+    cancelling = (low, high, (-1,) + high[1:])
+    got = instanton._entry_sum((), cancelling)
+    composed = _composed_products(cancelling)
+    assert _same_pair(got, _RhoFrac(x1 * x2, 1))
+    assert _same_pair(composed, _RhoFrac(x1 * x2 * RHO, 2))
+    assert got == composed
+    # with nothing cancelled the rho^1 sum is lifted to rho^2
+    got = instanton._entry_sum((), (low, high))
+    assert _same_pair(got, _RhoFrac(x1 * x2 * RHO + x3 * x4, 2))
+    assert got == _composed_products((low, high))
+    # and where both powers cancel the entry is zero over rho^0
+    assert _same_pair(instanton._entry_sum((), cancelling[1:]), _RhoFrac(R4.zero()))
+
+
+def _composed_products(products):
+    """The sum of coef * x * y on the entry arithmetic, which lifts each
+    partial sum to the larger power of rho as it adds."""
+    acc = _RhoFrac(R4.zero())
+    for coef, x, y in products:
+        acc = acc + x * y * coef
+    return acc
 
 
 def _fused(v, products):
@@ -971,36 +1009,63 @@ def _composed_terms(terms):
     return acc
 
 
-def _sum_powers(terms):
-    """Per entry, row by row, the rho powers of the sum's nonzero parts
-    (a term with coefficient 0 has none): one power means a fused entry."""
-    powers = [set() for _ in range(4)]
+def _sum_parts(terms):
+    """Per entry, row by row, the parts of the sum as the kernel groups
+    them, each a (power of rho, scaled value) pair: the derivative of a
+    nonzero entry of M over rho^(k+1) (rho^0 at k = 0), a bare entry
+    over its own rho^k, and the two commutator products with no zero
+    factor over the sum of their factors' powers, the second one
+    subtracted.  A term with coefficient 0 has none."""
+    parts = [[] for _ in range(4)]
     for coef, a, m, var in terms:
         if not coef:
             continue
-        if a is not None:
-            for found, (v, products) in zip(powers, _kernel_parts(a, m)):
-                found.update(_part_powers(v, products))
+        for found, v in zip(parts, _entries_of(m)):
+            if v and var is None:
+                found.append((v.k, v * coef))
+            elif v:
+                found.append((v.k + 1 if v.k else 0, _rho_derivative(v, var) * coef))
+        if a is None:
             continue
-        for found, v in zip(powers, _entries_of(m)):
-            if v:
-                found.add(v.k if var is None else (v.k + 1 if v.k else 0))
-    return powers
+        for found, (_, ((x1, y1), (x2, y2))) in zip(parts, _kernel_parts(a, m)):
+            if x1 and y1:
+                found.append((x1.k + y1.k, x1 * y1 * coef))
+            if x2 and y2:
+                found.append((x2.k + y2.k, x2 * y2 * -coef))
+    return parts
 
 
-def _assert_matches_composed(got, want, powers, trace_free):
+def _mixed(parts):
+    # the parts of one entry sit at more than one power of rho
+    return len({power for power, _ in parts}) > 1
+
+
+def _rule_power(parts):
+    """The power of rho the pair rule gives an entry with these parts:
+    the highest power whose own parts do not sum to zero, 0 if none."""
+    sums = {}
+    for power, v in parts:
+        sums[power] = sums[power] + v if power in sums else v
+    return max((power for power, total in sums.items() if total), default=0)
+
+
+def _assert_matches_composed(got, want, parts, trace_free):
     """Every entry of got equals want's in value, in Q(i) normal form.
     (0, 0), (0, 1) and (1, 0) are also want's (p, k) pair when their
-    parts sit at one power of rho (one set of powers per entry in
-    ``powers``).  (1, 1) is read off the trace, so when every summed
-    trace is zero (``trace_free``) it is -(0, 0) as a pair."""
+    parts (one list per entry in ``parts``) sit at one power of rho, and
+    follow the pair rule when they do not: the value over the highest
+    power whose parts do not cancel.  (1, 1) is read off the trace, so
+    when every summed trace is zero (``trace_free``) it is -(0, 0) as a
+    pair."""
     entries, wants = _entries_of(got), _entries_of(want)
     for g, w in zip(entries, wants):
         assert g == w
         assert all(in_normal_form(c) for c in g.p.terms.values())
-    for found, g, w in zip(powers[:3], entries, wants):
-        if len(found) <= 1:
+    for found, g, w in zip(parts[:3], entries, wants):
+        if not _mixed(found):
             assert _same_pair(g, w)
+        else:
+            assert g.k == (_rule_power(found) if g else 0)
     if trace_free:
         assert _same_pair(entries[3], -entries[0])
 
@@ -1011,7 +1076,7 @@ def test_covariant_sum_matches_composed_form(terms):
     _assert_matches_composed(
         _covariant_sum(terms),
         _composed_terms(terms),
-        _sum_powers(terms),
+        _sum_parts(terms),
         not any(coef and m.trace() for coef, _, m, _ in terms),
     )
 
@@ -1041,7 +1106,7 @@ _SUM_BRANCHES = {
     ),
     "bare_entry": lambda terms: any(var is None and m for _, _, m, var in terms),
     "cancels_to_zero": _sum_cancels,
-    "mixed_rho_powers": lambda terms: any(len(p) > 1 for p in _sum_powers(terms)),
+    "mixed_rho_powers": lambda terms: any(_mixed(p) for p in _sum_parts(terms)),
 }
 
 
@@ -1098,30 +1163,28 @@ def _two_forms(draw):
     return f
 
 
-def _split_powers(f):
-    """Per key of the split, the powers of its nonzero parts, entry by
-    entry: F_key and the starred F_dual."""
-    powers = {}
+def _split_parts(f):
+    """Per key of the split, entry by entry, the parts of (F + *F) / 2:
+    F_key / 2 and the starred s * F_dual / 2."""
+    half = Fraction(1, 2)
+    terms = {}
     for key, mat in f.items():
-        dual, _ = _star_key(key)
-        for target in (key, dual):
-            found = powers.setdefault(target, [set() for _ in range(4)])
-            for p, v in zip(found, _entries_of(mat)):
-                if v:
-                    p.add(v.k)
-    return powers
+        dual, s = _star_key(key)
+        terms.setdefault(key, []).append((half, None, mat, None))
+        terms.setdefault(dual, []).append((half * s, None, mat, None))
+    return {key: _sum_parts(t) for key, t in terms.items()}
 
 
 @given(_two_forms())
 @settings(max_examples=40, deadline=None)
 def test_self_dual_part_matches_the_old_split(f):
     want_plus, want_minus = _old_sd_asd_split(f)
-    powers = _split_powers(f)
+    parts = _split_parts(f)
     plus = self_dual_part(f)
-    assert list(plus) == list(want_plus) == sorted(powers)
+    assert list(plus) == list(want_plus) == sorted(parts)
     trace_free = not any(m.trace() for m in f.values())
     for key, m in plus.items():
-        _assert_matches_composed(m, want_plus[key], powers[key], trace_free)
+        _assert_matches_composed(m, want_plus[key], parts[key], trace_free)
     got_plus, got_minus = sd_asd_split(f)
     assert list(got_plus) == list(got_minus) == list(want_minus)
     for key, m in got_minus.items():
@@ -1133,7 +1196,7 @@ _SPLIT_BRANCHES = {
     "anti_self_dual": lambda f: any(f.values()) and asd_check(f),
     "dual_missing": lambda f: any(_star_key(key)[0] not in f for key in f),
     "mixed_rho_powers": lambda f: any(
-        len(p) > 1 for found in _split_powers(f).values() for p in found
+        _mixed(p) for found in _split_parts(f).values() for p in found
     ),
     "nonzero_minus": lambda f: bool(any(sd_asd_split(f)[1].values())),
 }
@@ -1161,18 +1224,18 @@ def _composed_action(f, psi):
     return comps
 
 
-def _action_powers(f, psi):
-    """Per component, entry by entry, the rho powers of the nonzero
-    products F_mn[i][j] * phi[r]: one power means a fused entry."""
-    powers = [[set() for _ in range(4)] for _ in range(4)]
+def _action_parts(f, psi):
+    """Per component, entry by entry, the parts of the action: each
+    nonzero product F_mn[i][j] * phi[r] with its power of rho."""
+    parts = [[[] for _ in range(4)] for _ in range(4)]
     for (m, n), mat in f.items():
         phi = GAMMA.act(Multivector.blade(_mask(m, n)), psi)
-        for found, v in zip(powers, phi):
+        for found, v in zip(parts, phi):
             if v:
                 for p, x in zip(found, _entries_of(mat)):
                     if x:
-                        p.add(x.k + v.k)
-    return powers
+                        p.append((x.k + v.k, x * v))
+    return parts
 
 
 @st.composite
@@ -1184,9 +1247,9 @@ def _actions(draw):
     lift = draw(st.integers(0, 2)) == 0
     f = {}
     for key, m in draw(_two_forms()).items():
-        m00 = m.entry(0, 0)
+        m00 = m.rows[0][0]
         m11 = _RhoFrac(-m00.p * RHO, m00.k + 1) if lift else -m00
-        f[key] = Mat2(((m00, m.entry(0, 1)), (m.entry(1, 0), m11)))
+        f[key] = Mat2(((m00, m.rows[0][1]), (m.rows[1][0], m11)))
     return f, tuple(draw(_entries()) for _ in range(4))
 
 
@@ -1196,14 +1259,14 @@ def test_curvature_acts_matches_composed_form(case):
     f, psi = case
     got = curvature_acts(f, psi).components
     trace_free = not any(m.trace() for m in f.values())
-    for g, w, powers in zip(got, _composed_action(f, psi), _action_powers(f, psi)):
-        _assert_matches_composed(g, w, powers, trace_free)
+    for g, w, parts in zip(got, _composed_action(f, psi), _action_parts(f, psi)):
+        _assert_matches_composed(g, w, parts, trace_free)
 
 
 def test_actions_reach_mixed_rho_powers():
     find(
         _actions(),
-        lambda case: any(len(p) > 1 for found in _action_powers(*case) for p in found),
+        lambda case: any(_mixed(p) for found in _action_parts(*case) for p in found),
         settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
     )
 
@@ -1211,7 +1274,7 @@ def test_actions_reach_mixed_rho_powers():
 def test_actions_reach_lifted_trace():
     find(
         _actions(),
-        lambda case: any(m.entry(1, 1).k != m.entry(0, 0).k for m in case[0].values()),
+        lambda case: any(m.rows[1][1].k != m.rows[0][0].k for m in case[0].values()),
         settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
     )
 
@@ -1357,7 +1420,7 @@ def _ocoupled_dirac(comps, field):
 def _assert_mat_equal(got: Mat2, want):
     for i in range(2):
         for j in range(2):
-            assert _equals_oracle(got.entry(i, j), want[i][j])
+            assert _equals_oracle(got.rows[i][j], want[i][j])
 
 
 def _nonzero(mats):

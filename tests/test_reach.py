@@ -90,13 +90,6 @@ ALLOWLIST = {
         "shifts f to a split place for _rr_system; no suite input has split "
         "support, the row oracle tests it"
     ),
-    "instanton.py:_composed_sum": (
-        "the fallback for an entry whose parts sit at different powers of "
-        "rho, which no suite run has; the differential tests reach it"
-    ),
-    "instanton.py:Mat2.entry": (
-        "tests read single entries with it; the runs unpack whole rows"
-    ),
     "instanton.py:twistor_basis": (
         "the public affine family; the Dirac certificate builds it with "
         "_twistor_family from the convention record it already holds"
