@@ -6,7 +6,7 @@ Every value class in spincert, here and in the geometry modules, is
 immutable by convention, as ``fractions.Fraction`` is.  Its attributes
 are bound only in ``__init__``, or on a fresh ``object.__new__``
 instance inside the helper that builds it (``MultiPoly._raw``,
-``scalars._qi``, ``hyperell._upoly``, ``instanton._mat2``), and no
+``scalars._qi``, ``hyperell._upoly``), and no
 method rebinds them.  A lazy cache is an entry in a dict that
 ``__init__`` binds, such as ``HyperCurve._cache``.  No class guards
 itself with ``__setattr__``; ``tests/test_immutability.py`` checks the

@@ -3,13 +3,15 @@
 solutions by Clifford-acting its curvature on the flat affine spinor
 family.
 
-Everything here is symbolic over the Gaussian rationals: connections and
-curvatures are 2x2 trace-free matrices whose entries are functions of
-the four coordinates, and every verification is exact.  Every
-denominator that occurs is a power of rho = 1 + |x|^2, so an entry is
-stored as a pair (p, k) meaning p / rho^k with p in Q(i)[x1..x4].  Sums
-lift both numerators to the larger power, products add the powers, and
-the derivative is
+Everything here is symbolic over the Gaussian rationals, and every
+verification is exact.  The connection, its curvature and the coupled
+fields are trace-free 2x2 matrices (valued in su(2) tensor C), whose
+entries are functions of the four coordinates; each is stored as the
+triple (a, b, c) of its matrix [[a, b], [c, -a]] (class ``Su2``), so
+the (1, 1) entry is -a by type.  Every denominator that occurs is a
+power of rho = 1 + |x|^2, so an entry is stored as a pair (p, k)
+meaning p / rho^k with p in Q(i)[x1..x4].  Sums lift both numerators to
+the larger power, products add the powers, and the derivative is
 
     d_i (p / rho^k) = (d_i p * rho - k * p * d_i rho) / rho^(k+1),
 
@@ -21,13 +23,13 @@ quotient p(x) / rho(x)^k, a Q(i) scalar in the normal form of
 split, spin representation) are imported from the clifford module and
 never re-chosen here.
 
-The entries commute, so the commutator c = [a, b] of two 2x2 matrices
-is read off the closed form, with da = a00 - a11 and db = b00 - b11:
+The entries commute, so the commutator of two triples A = (a, b, c) and
+M = (m, n, o) is read off the closed form
 
-    c00 = a01 b10 - b01 a10        c01 = b01 da - a01 db
-    c10 = a10 db - b10 da          c11 = -c00
+    [A, M] = (b o - n c, 2 (a n - b m), 2 (c m - a o))
 
-which takes six entry products where a * b - b * a takes sixteen.
+which takes six entry products where A * M - M * A on 2x2 matrices
+takes sixteen.
 
 The curvature, the Bianchi and Yang-Mills residuals, the Dirac residual
 and the duality split are signed sums of covariant derivatives: sums
@@ -37,26 +39,26 @@ derivative sums three terms with signs +, -, +, the curvature
 d_m A_n - d_n A_m + [A_m, A_n] is a sum with one bare derivative term,
 and the self-dual part (F + *F) / 2 is a two-term sum of bare entries.
 The curvature action on a spinor is a sum of products alone, F_mn times
-the entries of (e_m e_n) . psi.  Each output entry is built in one
-pass: the numerators of every derivative (d_i p * rho - 2k x_i p),
-every product and every bare entry are summed into one term dict at
-the common power of rho, each scaled as it is added (a coefficient 1
-as is, -1 negated, any other value multiplied once per term), and the
-coefficients are brought to normal form once at the end.  So no
-derivative, product, commutator or scaled matrix is built on the way.
-An entry whose nonzero parts sit at different powers of rho (none in
-the suite) gets one term dict per power, and the lower sums are lifted
-to the highest power that does not cancel.
+the entries of (e_m e_n) . psi.  Each of the three entries of a sum is
+built in one pass: the numerators of every derivative (d_i p * rho - 2k
+x_i p), every product and every bare entry are summed into one term
+dict at the common power of rho, each scaled as it is added (a
+coefficient 1 as is, -1 negated, any other value multiplied once per
+term), and the coefficients are brought to normal form once at the end.
+So no derivative, product, commutator or scaled matrix is built on the
+way.  An entry whose nonzero parts sit at different powers of rho (none
+in the suite) gets one term dict per power, and the lower sums are
+lifted to the highest power that does not cancel.
 
-The connection, its curvature and the coupled fields are trace-free
-(valued in su(2) tensor C), so every sum builds (0, 0), (0, 1) and
-(1, 0) and reads (1, 1) off the trace: m11 = tr M - m00 and c11 = -c00,
-so (1, 1) is T - (0, 0), T the same sum over tr M.  T sums only the
-traceful M (trace-free is the value test ``Mat2.trace()``), so (1, 1)
-is -(0, 0) for every sum a run makes, and the rank of the produced
-Dirac solutions reads the three entries alone.  Every function that
-takes a connection takes a ``Connection``, whose four components have
-passed those checks.
+A coupled field is a section of S+ tensor E or of S- tensor E: a
+``CoupledField`` holds the two components of one chirality block and
+names it.  The curvature action keeps a spinor's block, since e_m e_n is
+even, and refuses a spinor with a nonzero component outside the block
+it is said to lie in.  The coupled Dirac operator maps a field to the
+other block, so it sums gamma_i[r][c] only for c in the field's block
+and r in the other one.  The general 2x2 matrix ``Mat2`` is left only
+for the construction of the BPST connection, whose x qbar needs a
+general product; ``traceless_part`` maps it to a triple.
 """
 
 from __future__ import annotations
@@ -79,6 +81,13 @@ R4 = PolyRing(QI, ("x1", "x2", "x3", "x4"))
 RHO = R4.one() + sum((R4.gen(i) * R4.gen(i) for i in range(4)), R4.zero())
 
 GAMMA = GammaRep()
+
+# the spinor indices of each chirality block, and the other block
+BLOCKS = {
+    "S+": GAMMA.positive_chirality_indices(),
+    "S-": GAMMA.negative_chirality_indices(),
+}
+_OTHER = {"S+": "S-", "S-": "S+"}
 
 
 class _RhoFrac:
@@ -158,7 +167,8 @@ class _RhoFrac:
     def __eq__(self, other):
         try:
             other = _as_rf(other)
-        except TypeError:
+        except (TypeError, ValueError):
+            # not an entry, or a polynomial of another ring
             return NotImplemented
         return not (self - other)
 
@@ -325,15 +335,56 @@ def _as_rf(v):
     raise TypeError("cannot use %r as a matrix entry" % (v,))
 
 
-def _mat2(rows):
-    """The Mat2 of a 2x2 tuple grid whose entries are already _RhoFrac."""
-    m = object.__new__(Mat2)
-    m.rows = rows
-    return m
+class Su2:
+    """The trace-free matrix [[a, b], [c, -a]] of p / rho^k entries,
+    stored as its triple (a, b, c): a value in su(2) tensor C.  Sums,
+    differences and scalar multiples (by a Q(i) scalar or an entry) are
+    taken entry by entry."""
+
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a, b, c):
+        self.a, self.b, self.c = _as_rf(a), _as_rf(b), _as_rf(c)
+
+    def __bool__(self):
+        return bool(self.a or self.b or self.c)
+
+    def __add__(self, other):
+        if type(other) is not Su2:
+            return NotImplemented
+        return Su2(self.a + other.a, self.b + other.b, self.c + other.c)
+
+    def __neg__(self):
+        return Su2(-self.a, -self.b, -self.c)
+
+    def __sub__(self, other):
+        if type(other) is not Su2:
+            return NotImplemented
+        return Su2(self.a - other.a, self.b - other.b, self.c - other.c)
+
+    def __mul__(self, other):
+        if not isinstance(other, _SCALARS):
+            try:
+                other = _as_rf(other)
+            except TypeError:
+                return NotImplemented
+        return Su2(self.a * other, self.b * other, self.c * other)
+
+    def __eq__(self, other):
+        if type(other) is not Su2:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.c == other.c
+
+    def __repr__(self):
+        return "Su2(%r, %r, %r)" % (self.a, self.b, self.c)
+
+
+_SU0 = Su2(0, 0, 0)
 
 
 class Mat2:
-    """A 2x2 matrix of p / rho^k entries in the four coordinates."""
+    """A 2x2 matrix of p / rho^k entries, for the general products that
+    build the BPST connection."""
 
     __slots__ = ("rows",)
 
@@ -343,43 +394,18 @@ class Mat2:
             raise ValueError("expected a 2x2 entry grid")
         self.rows = rr
 
-    @classmethod
-    def zero(cls):
-        return _M0
-
-    @classmethod
-    def identity(cls):
-        return _M1
-
-    def __bool__(self):
-        return any(v for row in self.rows for v in row)
-
-    def trace(self):
-        return self.rows[0][0] + self.rows[1][1]
-
     def __add__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
         (a, b), (c, d) = self.rows
         (e, f), (g, h) = other.rows
-        return _mat2(((a + e, b + f), (c + g, d + h)))
-
-    def __neg__(self):
-        (a, b), (c, d) = self.rows
-        return _mat2(((-a, -b), (-c, -d)))
-
-    def __sub__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        (a, b), (c, d) = self.rows
-        (e, f), (g, h) = other.rows
-        return _mat2(((a - e, b - f), (c - g, d - h)))
+        return Mat2(((a + e, b + f), (c + g, d + h)))
 
     def __mul__(self, other):
         if isinstance(other, Mat2):
             (a, b), (c, d) = self.rows
             (e, f), (g, h) = other.rows
-            return _mat2(
+            return Mat2(
                 ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
             )
         if not isinstance(other, _SCALARS):
@@ -387,21 +413,7 @@ class Mat2:
                 other = _as_rf(other)
             except TypeError:
                 return NotImplemented
-        return _mat2(tuple(tuple(v * other for v in row) for row in self.rows))
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return all(
-            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
-
-    def __repr__(self):
-        return "Mat2(%s)" % (self.rows,)
-
-
-_M0 = Mat2(((0, 0), (0, 0)))
-_M1 = Mat2(((1, 0), (0, 1)))
+        return Mat2(tuple(tuple(v * other for v in row) for row in self.rows))
 
 
 def quaternion_units():
@@ -410,59 +422,40 @@ def quaternion_units():
     return tuple(Mat2(q) for q in QUATERNION_UNITS)
 
 
-def _covariant_sum(terms) -> Mat2:
+def traceless_part(m: Mat2) -> Su2:
+    """m - (tr m / 2) * 1 as a triple: ((m00 - m11) / 2, m01, m10)."""
+    (m00, m01), (m10, m11) = m.rows
+    return Su2((m00 - m11) * Fraction(1, 2), m01, m10)
+
+
+def _covariant_sum(terms) -> Su2:
     """The sum of coef * (d_var M + [A, M]) over the terms (coef, A, M,
     var), with coef a Q(i) scalar in normal form; A is None for a bare
     derivative coef * d_var M, and A and var are both None for coef * M.
 
-    The (0, 0), (0, 1) and (1, 0) entries are one ``_entry_sum`` each:
-    the entries of every M with their derivatives, and the closed-form
-    commutator products of the module docstring, the second of each pair
-    with coef negated.  (1, 1) is T - (0, 0), T the sum of coef * d_var
-    tr M over the terms whose M is traceful, so -(0, 0) when none is.
-    Each distinct M's trace, and each distinct A's and M's x00 - x11 of
-    a commutator, is taken once per call.  A term with coef 0 adds
-    nothing."""
-    e00, e01, e10, traced = [], [], [], []
-    p00, p01, p10 = [], [], []
-    traces = {}  # id(M) -> tr M, per distinct M
-    diffs = {}  # id(X) -> x00 - x11, per distinct A and M of a commutator
+    Each entry of the triple is one ``_entry_sum``: the entries of every
+    M with their derivatives, and the closed-form commutator products of
+    the module docstring, the second of each pair negated.  A term with
+    coef 0 adds nothing."""
+    ea, eb, ec = [], [], []
+    pa, pb, pc = [], [], []
     for coef, a, m, var in terms:
         if not coef:
             continue
-        (m00, m01), (m10, m11) = m.rows
-        e00.append((coef, m00, var))
-        e01.append((coef, m01, var))
-        e10.append((coef, m10, var))
-        tr = traces.get(id(m))
-        if tr is None:
-            tr = traces[id(m)] = m.trace()
-        if tr:
-            traced.append((coef, tr, var))
+        ea.append((coef, m.a, var))
+        eb.append((coef, m.b, var))
+        ec.append((coef, m.c, var))
         if a is None:
             continue
-        (a00, a01), (a10, a11) = a.rows
-        dm = diffs.get(id(m))
-        if dm is None:
-            dm = diffs[id(m)] = m00 - m11
-        da = diffs.get(id(a))
-        if da is None:
-            da = diffs[id(a)] = a00 - a11
-        neg = -coef
-        p00 += ((coef, a01, m10), (neg, a10, m01))
-        p01 += ((coef, da, m01), (neg, a01, dm))
-        p10 += ((coef, a10, dm), (neg, da, m10))
-    s00 = _entry_sum(e00, p00)
-    s11 = _entry_sum(traced, ()) - s00 if traced else -s00
-    return _mat2(((s00, _entry_sum(e01, p01)), (_entry_sum(e10, p10), s11)))
-
-
-def traceless_part(m: Mat2) -> Mat2:
-    return m - Mat2.identity() * (m.trace() * Fraction(1, 2))
+        two = 2 * coef
+        pa += ((coef, a.b, m.c), (-coef, m.b, a.c))
+        pb += ((two, a.a, m.b), (-two, a.b, m.a))
+        pc += ((two, a.c, m.a), (-two, a.a, m.c))
+    return Su2(_entry_sum(ea, pa), _entry_sum(eb, pb), _entry_sum(ec, pc))
 
 
 class Connection:
-    """Four trace-free matrix components; an exact gauge potential.
+    """Four su(2) components (``Su2`` triples); an exact gauge potential.
 
     The connection is immutable, so its curvature and the self-dual part
     of that curvature are built on the first call of :func:`curvature`
@@ -474,11 +467,8 @@ class Connection:
         comps = tuple(components)
         if len(comps) != 4:
             raise ValueError("a connection has four components")
-        for m in comps:
-            if not isinstance(m, Mat2):
-                raise TypeError("components must be Mat2")
-            if m.trace():
-                raise ValueError("connection components must be trace-free")
+        if not all(isinstance(m, Su2) for m in comps):
+            raise TypeError("connection components must be Su2 triples")
         self.components = comps
         self._cache = {}
 
@@ -487,7 +477,7 @@ def curvature(a: Connection) -> dict:
     """F_{mu nu} = d_mu A_nu - d_nu A_mu + [A_mu, A_nu], keys (mu, nu).
 
     The connection builds its curvature once and every call hands out a
-    fresh dict of the same (immutable) matrices.  Anything but a
+    fresh dict of the same (immutable) triples.  Anything but a
     :class:`Connection` is a TypeError, so every curvature comes from
     components that passed its checks."""
     if not isinstance(a, Connection):
@@ -518,7 +508,7 @@ def two_form_star(f: dict) -> dict:
         comp, s = star_blade(_pair_mask(m, n))
         out[blade_indices(comp)] = mat * s
     for key in f:
-        out.setdefault(key, Mat2.zero())
+        out.setdefault(key, _SU0)
     return out
 
 
@@ -534,9 +524,9 @@ def _self_dual_of(f: dict) -> dict:
 
 
 def self_dual_part(f) -> dict:
-    """The self-dual part (F + *F) / 2 of a matrix-valued 2-form, or of
+    """The self-dual part (F + *F) / 2 of an su(2)-valued 2-form, or of
     the curvature of a :class:`Connection`.  A Connection builds it once
-    and every call hands out a fresh dict of the same matrices."""
+    and every call hands out a fresh dict of the same triples."""
     if isinstance(f, Connection):
         plus = f._cache.get("self_dual")
         if plus is None:
@@ -547,13 +537,13 @@ def self_dual_part(f) -> dict:
 
 def sd_asd_split(f):
     """Pointwise duality split (F_plus, F_minus) with F = F_plus + F_minus,
-    of a matrix-valued 2-form or of the curvature of a
+    of an su(2)-valued 2-form or of the curvature of a
     :class:`Connection`, whose cached self-dual part and curvature are
     split."""
     plus = self_dual_part(f)
     if isinstance(f, Connection):
         f = curvature(f)
-    return plus, {key: f.get(key, _M0) - m for key, m in plus.items()}
+    return plus, {key: f.get(key, _SU0) - m for key, m in plus.items()}
 
 
 def form_is_zero(f: dict) -> bool:
@@ -573,11 +563,8 @@ def bpst_connection() -> Connection:
     fixed conventions.
     """
     mi, mj, mk, m1 = quaternion_units()
-    units = (mi, mj, mk, m1)
-    conj_units = (-mi, -mj, -mk, m1)
-    x = Mat2.zero()
-    for i, q in enumerate(units):
-        x = x + q * R4.gen(i)
+    x = mi * R4.gen(0) + mj * R4.gen(1) + mk * R4.gen(2) + m1 * R4.gen(3)
+    conj_units = (mi * -1, mj * -1, mk * -1, m1)
     inv_rho = _RhoFrac(R4.one(), 1)
     comps = tuple(traceless_part(x * qc) * inv_rho for qc in conj_units)
     conn = Connection(comps)
@@ -673,25 +660,18 @@ def twistor_basis():
 def _twistor_family(acts_on):
     """``twistor_basis`` for the block ``acts_on`` ("S+" or "S-") that
     ``GAMMA.asd_action_record`` names, so a caller that already holds
-    the record does not compute it again."""
-    if acts_on == "S+":
-        acted = GAMMA.positive_chirality_indices()
-        other = GAMMA.negative_chirality_indices()
-    else:
-        acted = GAMMA.negative_chirality_indices()
-        other = GAMMA.positive_chirality_indices()
+    the record does not compute it again.  The linear solutions are x .
+    psi1 with psi1 in the other block, the constant ones a basis spinor
+    of ``acts_on``; ``curvature_acts`` refuses any of them that has a
+    nonzero component outside ``acts_on``."""
     zero4 = (0,) * 4
     sols = []
-    for col in other:
+    for col in BLOCKS[_OTHER[acts_on]]:
         psi1 = tuple(1 if r == col else 0 for r in range(4))
         sols.append(TwistorSpinor(psi1, zero4))
-    for col in acted:
+    for col in BLOCKS[acts_on]:
         psi2 = tuple(1 if r == col else 0 for r in range(4))
         sols.append(TwistorSpinor(zero4, psi2))
-    for s in sols:
-        for idx in other:
-            if s.components[idx]:
-                raise VerificationError("family leaks outside its chirality block")
     return tuple(sols)
 
 
@@ -701,69 +681,75 @@ def _twistor_family(acts_on):
 
 
 class CoupledField:
-    """Spinor with trace-free matrix entries: a section of S tensor End0."""
+    """A section of S+ tensor E or S- tensor E: the two su(2) components
+    (``Su2`` triples) of the chirality block ``block`` ("S+" or "S-"),
+    in the order of ``BLOCKS[block]``."""
 
-    __slots__ = ("components",)
+    __slots__ = ("block", "components")
 
-    def __init__(self, components):
+    def __init__(self, block, components):
         comps = tuple(components)
-        if len(comps) != 4:
-            raise ValueError("a coupled field has four spinor components")
-        for m in comps:
-            if not isinstance(m, Mat2):
-                raise TypeError("components must be Mat2")
-            if m.trace():
-                raise ValueError("matrix factor must be trace-free")
+        if block not in BLOCKS:
+            raise ValueError("a coupled field lives in S+ or S-, not %r" % (block,))
+        if len(comps) != 2:
+            raise ValueError("a coupled field has two components in its block")
+        if not all(isinstance(m, Su2) for m in comps):
+            raise TypeError("coupled field components must be Su2 triples")
+        self.block = block
         self.components = comps
 
     def __bool__(self):
         return any(self.components)
 
 
-def curvature_acts(f: dict, psi) -> CoupledField:
-    """Clifford action of a matrix-valued 2-form on a scalar spinor:
-    component r is the sum over the 2-form's components F_mn of
-    F_mn * phi[r], phi = (e_m e_n) . psi, and each of its entries is one
-    ``_entry_sum`` of the products F_mn[i][j] * phi[r] for the (0, 0),
-    (0, 1) and (1, 0) entries.  (1, 1) is T - (0, 0), T the sum of
-    tr F_mn * phi[r] over the traceful F_mn, so -(0, 0) when none is."""
+def curvature_acts(f: dict, psi, block) -> CoupledField:
+    """Clifford action of an su(2)-valued 2-form on a scalar spinor psi
+    that lies in the chirality block ``block``: the field on that block
+    whose component r is the sum over the 2-form's components F_mn of
+    F_mn * phi[r], phi = (e_m e_n) . psi.  Each of its three entries is
+    one ``_entry_sum`` of the products of F_mn's entry with phi[r].  A
+    psi with a nonzero component outside ``block`` is a
+    VerificationError."""
     psi_t = tuple(_as_rf(v) for v in psi)
-    # products[r] lists the products of component r's (0, 0), (0, 1),
-    # (1, 0) entries and of its trace T
-    products = [([], [], [], []) for _ in range(4)]
+    if any(psi_t[r] for r in BLOCKS[_OTHER[block]]):
+        raise VerificationError("spinor leaks outside its chirality block")
+    rows = BLOCKS[block]
+    # products[i] lists the products of the a, b and c entries of the
+    # i-th component of the block
+    products = [([], [], []) for _ in rows]
     for (m, n), mat in f.items():
         phi = GAMMA.act(Multivector.blade(_pair_mask(m, n)), psi_t)
-        (f00, f01), (f10, _) = mat.rows
-        tr = mat.trace()
-        factors = (f00, f01, f10, tr) if tr else (f00, f01, f10)
-        for v, lists in zip(phi, products):
+        for r, lists in zip(rows, products):
+            v = phi[r]
             if v:
-                for x, out in zip(factors, lists):
+                for x, out in zip((mat.a, mat.b, mat.c), lists):
                     out.append((1, x, v))
-    comps = []
-    for p00, p01, p10, traced in products:
-        s00 = _entry_sum((), p00)
-        s11 = _entry_sum((), traced) - s00 if traced else -s00
-        comps.append(_mat2(((s00, _entry_sum((), p01)), (_entry_sum((), p10), s11))))
-    return CoupledField(comps)
+    return CoupledField(
+        block, (Su2(*(_entry_sum((), p) for p in lists)) for lists in products)
+    )
 
 
 def coupled_dirac(a: Connection, field: CoupledField) -> CoupledField:
-    """Sum over directions of e_i . (d_i Psi + [A_i, Psi])."""
+    """Sum over directions of e_i . (d_i Psi + [A_i, Psi]): the field on
+    the other chirality block, since each e_i swaps the blocks."""
     comps = a.components
-    psi = field.components
+    cols = BLOCKS[field.block]
+    block = _OTHER[field.block]
     gamma = GAMMA.gamma
     # out[r] = sum over i and c of gamma_i[r][c] * (d_i psi_c + [A_i, psi_c])
     return CoupledField(
-        _covariant_sum(
-            [
-                (gamma[i][r][c], comps[i], psi[c], i)
-                for i in range(4)
-                for c in range(4)
-                if gamma[i][r][c]
-            ]
-        )
-        for r in range(4)
+        block,
+        (
+            _covariant_sum(
+                [
+                    (gamma[i][r][c], comps[i], psi, i)
+                    for i in range(4)
+                    for c, psi in zip(cols, field.components)
+                    if gamma[i][r][c]
+                ]
+            )
+            for r in BLOCKS[block]
+        ),
     )
 
 
@@ -775,21 +761,22 @@ _EVAL_POINTS = ((1, 2, -1, 3), (2, -1, 1, -2))
 
 
 def _field_row(field: CoupledField, rhos):
-    """The (0, 0), (0, 1) and (1, 0) entries of every component at each
-    evaluation point; rhos holds the value of RHO at each point.  A
-    CoupledField is trace-free, so its (1, 1) entries are the negated
-    (0, 0) entries and add nothing to a rank."""
+    """The a, b and c entries of both components at each evaluation
+    point; rhos holds the value of RHO at each point.  The (1, 1) entry
+    of a component is -a, so it adds nothing to a rank."""
     row = []
     for point, rho in zip(_EVAL_POINTS, rhos):
         for m in field.components:
-            (m00, m01), (m10, _) = m.rows
-            row += (m00.eval(point, rho), m01.eval(point, rho), m10.eval(point, rho))
+            row += (m.a.eval(point, rho), m.b.eval(point, rho), m.c.eval(point, rho))
     return row
 
 
 def independent_count(fields) -> int:
     """Rank of the fields' values at the evaluation points, three entries
-    per component; RHO is evaluated once per point, not once per entry."""
+    per component; RHO is evaluated once per point, not once per entry.
+    The fields must share one chirality block."""
+    if len({f.block for f in fields}) > 1:
+        raise ValueError("the fields lie in different chirality blocks")
     rhos = [RHO.eval(point) for point in _EVAL_POINTS]
     return rank([_field_row(f, rhos) for f in fields])
 
@@ -811,7 +798,7 @@ def verify_curvature_dirac_solutions(a: Connection) -> dict:
     produced = []
     residual_zero = []
     for psi in _twistor_family(acts_on):
-        coupled = curvature_acts(f, psi.components)
+        coupled = curvature_acts(f, psi.components, acts_on)
         res = coupled_dirac(a, coupled)
         produced.append(coupled)
         residual_zero.append(not res)
@@ -833,7 +820,7 @@ def verify_curvature_dirac_solutions(a: Connection) -> dict:
 
 
 def exterior_covariant_derivative(a: Connection, g2: dict) -> dict:
-    """Coupled exterior derivative of a matrix-valued 2-form; keys are
+    """Coupled exterior derivative of an su(2)-valued 2-form; keys are
     ascending coordinate triples."""
     comps = a.components
 
@@ -843,7 +830,7 @@ def exterior_covariant_derivative(a: Connection, g2: dict) -> dict:
             return coef, comps[i - 1], g2[(m, n)], i - 1
         if (n, m) in g2:
             return -coef, comps[i - 1], g2[(n, m)], i - 1
-        return 0, None, _M0, None
+        return 0, None, _SU0, None
 
     out = {}
     for lam, mu, nu in combinations((1, 2, 3, 4), 3):

@@ -10,31 +10,34 @@ Gaussian prints like an int, so only a test that looks at types can see
 the fault.  The ``kernel_`` entries break the one-pass signed sums of
 covariant derivatives of ``instanton``: the power of rho each part is
 grouped at, the drop of a power whose parts cancel, the lift of a lower
-power's sum, the normal form and the scaling; three break its reading
-of the (1, 1) entry off the trace, one the three-entry rank rows, two
-more its self-dual part and its unit scalars, and one the blade-table
-lookup of ``clifford.GammaRep.rep``.  The last
-entries break the curve code's build-once paths and certificates: the
-interned places, the unchecked divisor merge and scale, the degree
-certificate of ``rational_divisor``, the re-check of ``_sqrt_head``,
-and the tuple list of reduced branch subsets.
+power's sum, the normal form, the scaling and the closed-form
+commutator of su(2) triples.  Others break the map of a 2x2 matrix to
+its triple, the three-entry rank rows, the self-dual part, the unit
+scalars, the chirality blocks of the Dirac operator and of the
+curvature action, and the blade-table lookup of
+``clifford.GammaRep.rep``.  The last entries break the curve code's
+build-once paths and certificates: the interned places, the unchecked
+divisor merge and scale, the degree certificate of
+``rational_divisor``, the re-check of ``_sqrt_head``, and the tuple
+list of reduced branch subsets.
 
     PYTHONPATH=src python tests/mutants.py
 
 applies each mutant to a temporary copy of ``src`` and ``tests``, runs
-its tests there with pytest, and prints ``killed`` or ``survived``; the
-exit status is 1 when a mutant survives, and 2 when the named tests
-fail on the unmutated code.  A surviving mutant means a
-missing test: the answer is a new test, never an edited mutant.
-``tests/test_mutants.py`` checks, in the tier-1 run, that every snippet
-still occurs exactly once in its file and that every test a mutant
-names is defined in its test file."""
+its tests there with pytest, and prints ``killed`` or ``survived`` with
+the seconds that copy and test run took; the exit status is 1 when a
+mutant survives, and 2 when the named tests fail on the unmutated code.
+A surviving mutant means a missing test: the answer is a new test,
+never an edited mutant.  ``tests/test_mutants.py`` checks, in the
+tier-1 run, that every snippet still occurs exactly once in its file
+and that every test a mutant names is defined in its test file."""
 
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -162,10 +165,11 @@ MUTANTS = (
         ),
     ),
     (
+        # the a entry of [A, M] = (b o - n c, ...) is then b o + n c
         "kernel_adds_second_product",
         "instanton.py",
-        "neg = -coef",
-        "neg = coef",
+        "pa += ((coef, a.b, m.c), (-coef, m.b, a.c))",
+        "pa += ((coef, a.b, m.c), (coef, m.b, a.c))",
         (
             "tests/test_instanton.py"
             "::test_covariant_kernel_matches_composed_form_and_ratfunc",
@@ -246,24 +250,12 @@ MUTANTS = (
         ),
     ),
     (
-        # a traceful M then has its (1, 1) entry read as -(0, 0): wrong
-        # in value
-        "trace_free_sum_skips_trace_test",
+        # x00 - x11 of a triple is 2a: without the 2 the (0, 1) and
+        # (1, 0) commutator entries are halved
+        "kernel_commutator_drops_double",
         "instanton.py",
-        "s11 = _entry_sum(traced, ()) - s00 if traced else -s00",
-        "s11 = -s00",
-        (
-            "tests/test_instanton.py"
-            "::test_covariant_kernel_matches_composed_form_and_ratfunc",
-            "tests/test_instanton.py::test_covariant_sum_matches_composed_form",
-            "tests/test_instanton.py::test_run_instanton_fuses_every_covariant_entry",
-        ),
-    ),
-    (
-        "trace_free_sum_drops_negation",
-        "instanton.py",
-        "s11 = _entry_sum(traced, ()) - s00 if traced else -s00",
-        "s11 = _entry_sum(traced, ()) - s00 if traced else s00",
+        "two = 2 * coef",
+        "two = coef",
         (
             "tests/test_instanton.py"
             "::test_covariant_kernel_matches_composed_form_and_ratfunc",
@@ -271,24 +263,52 @@ MUTANTS = (
         ),
     ),
     (
-        # a traceful 2-form then has each (1, 1) entry of its action read
-        # as -(0, 0), so the produced field is trace-free in value
-        "trace_free_action_drops_trace_products",
+        # the Mat2 -> triple map then keeps m00 - m11, twice the traceless
+        # (0, 0) entry, so the BPST connection is no longer its own
+        "trace_free_part_drops_half",
         "instanton.py",
-        "factors = (f00, f01, f10, tr) if tr else (f00, f01, f10)",
-        "factors = (f00, f01, f10)",
-        ("tests/test_instanton.py::test_curvature_acts_rejects_traceful_forms",),
+        "(m00 - m11) * Fraction(1, 2)",
+        "(m00 - m11)",
+        (
+            "tests/test_instanton.py::test_bpst_components_frozen",
+            "tests/test_instanton.py::test_bpst_matches_ratfunc_transcription",
+        ),
     ),
     (
-        # the rank of the BPST fields stays 4 without the (0, 1) column,
-        # so only the oracle row and fields nonzero in few slots see it
+        # the rank of the BPST fields stays 4 without the b column, so
+        # only the oracle row and fields nonzero in few slots see it
         "field_row_drops_an_entry",
         "instanton.py",
-        "row += (m00.eval(point, rho), m01.eval(point, rho), m10.eval(point, rho))",
-        "row += (m00.eval(point, rho), m10.eval(point, rho))",
+        "row += (m.a.eval(point, rho), m.b.eval(point, rho), m.c.eval(point, rho))",
+        "row += (m.a.eval(point, rho), m.c.eval(point, rho))",
         (
             "tests/test_instanton.py::test_independent_count_matches_the_full_rank",
             "tests/test_instanton.py::test_field_values_are_exact_and_in_normal_form",
+        ),
+    ),
+    (
+        # the Dirac operator then sums gamma_i[r][c] over c in the block
+        # it maps to, where gamma_i is zero, so every Dirac value is zero
+        "dirac_sums_the_wrong_block",
+        "instanton.py",
+        "cols = BLOCKS[field.block]",
+        "cols = BLOCKS[_OTHER[field.block]]",
+        (
+            "tests/test_instanton.py::test_coupled_dirac_flat_cases",
+            "tests/test_instanton.py::test_bpst_matches_ratfunc_transcription",
+        ),
+    ),
+    (
+        # a spinor with entries in both blocks then acts as its part in
+        # the named block
+        "action_skips_leak_check",
+        "instanton.py",
+        "if any(psi_t[r] for r in BLOCKS[_OTHER[block]]):",
+        "if False:",
+        (
+            "tests/test_instanton.py"
+            "::test_curvature_acts_refuses_spinors_outside_the_block",
+            "tests/test_instanton.py::test_curvature_acts_matches_composed_form",
         ),
     ),
     (
@@ -445,9 +465,12 @@ def main():
         return 2
     survived = 0
     for mutant in MUTANTS:
+        start = time.perf_counter()
         killed = failed(mutant[4], mutant)
+        seconds = time.perf_counter() - start
         survived += not killed
-        print("%-36s %s" % (mutant[0], "killed" if killed else "survived"), flush=True)
+        verdict = "killed" if killed else "survived"
+        print("%-42s %-8s %6.1f s" % (mutant[0], verdict, seconds), flush=True)
     return 1 if survived else 0
 
 

@@ -112,6 +112,10 @@ _MESSAGE = "a src error message formats it"
 _SHOWN = "hypothesis prints drawn values with it when a property test fails"
 _TEST_EQ = "tests compare values with it; no run does"
 _HASH = "tests hash equal values alike, or keep them in sets"
+_SU2 = (
+    "su(2) arithmetic: sd_asd_split takes F - F_plus with it, and tests "
+    "compose triples with it; a run builds every triple with the kernel"
+)
 
 DUNDER_ALLOWLIST = {
     # only RatFunc.__pow__ calls it
@@ -161,12 +165,12 @@ DUNDER_ALLOWLIST = {
     "oddmoduli.py:PointTriple.__repr__": _MESSAGE,
     "exactalg/polys.py:MultiPoly.__repr__": _SHOWN,
     "hyperell.py:Divisor.__repr__": _SHOWN,
-    "instanton.py:Mat2.__repr__": _SHOWN,
+    "instanton.py:Su2.__repr__": _SHOWN,
     "instanton.py:_RhoFrac.__repr__": _SHOWN,
     "oddmoduli.py:PlaneP3.__repr__": _SHOWN,
     "repsl2.py:BinaryForm.__repr__": _SHOWN,
     "clifford.py:Multivector.__eq__": _TEST_EQ,
-    "instanton.py:Mat2.__eq__": _TEST_EQ,
+    "instanton.py:Su2.__eq__": _TEST_EQ,
     "instanton.py:_RhoFrac.__eq__": _TEST_EQ,
     "oddmoduli.py:PlaneP3.__eq__": _TEST_EQ,
     "repsl2.py:BinaryForm.__eq__": _TEST_EQ,
@@ -180,6 +184,13 @@ DUNDER_ALLOWLIST = {
     "exactalg/scalars.py:Gaussian.__hash__": _HASH,
     "hyperell.py:UPoly.__hash__": _HASH,
     "thetachar.py:CharClass.__hash__": _HASH,
+    "instanton.py:_RhoFrac.__neg__": (
+        "entry negation for Su2.__neg__, for __sub__ across powers of rho "
+        "and for tests; a run negates through the -1 scalar fast path"
+    ),
+    "instanton.py:Su2.__add__": _SU2,
+    "instanton.py:Su2.__neg__": _SU2,
+    "instanton.py:Su2.__sub__": _SU2,
     "hyperell.py:FieldElem.__neg__": (
         "tests write functions such as -y with it, and the zero test checks x - x"
     ),

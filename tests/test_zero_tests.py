@@ -3,7 +3,7 @@ exactly when x equals the zero of its class, on zero, on sums that
 cancel (``x - x`` and ``(x + y) - y``, which often reach zero through a
 different, unreduced representation) and on nonzero draws.  Equality is
 each class's own exact ``==``; a coupled field, which defines none, is
-compared by its matrix components."""
+compared by its block and its su(2) components."""
 
 from fractions import Fraction
 
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from spincert.clifford import NBLADES, Multivector
 from spincert.exactalg import QQ, Gaussian, MultiPoly, PolyRing, RatFunc
 from spincert.hyperell import FieldElem, UPoly, standard_curve
-from spincert.instanton import R4, RHO, CoupledField, Mat2, _RhoFrac
+from spincert.instanton import R4, RHO, CoupledField, Su2, _RhoFrac
 
 RXY = PolyRing(QQ, ("x", "y"))
 CURVE = standard_curve()
@@ -43,32 +43,22 @@ def rho_fracs(draw):
     return _RhoFrac(p, draw(st.integers(0, 2)))
 
 
-def _mat2(entries):
-    a, b, c, d = entries
-    return Mat2(((a, b), (c, d)))
-
-
-def _traceless(entries):
-    a, b, c = entries
-    return Mat2(((a, b), (c, -a)))
-
-
+su2s = st.lists(rho_fracs(), min_size=3, max_size=3).map(lambda e: Su2(*e))
+ZERO = Su2(0, 0, 0)
 # most coupled-field components are zero, which keeps the draws cheap
-traceless_or_zero = st.one_of(
-    st.just(Mat2.zero()),
-    st.lists(rho_fracs(), min_size=3, max_size=3).map(_traceless),
-)
+su2s_or_zero = st.one_of(st.just(ZERO), su2s)
 
 
 def _sub(u, v):
     if isinstance(u, CoupledField):
-        return CoupledField(tuple(m - n for m, n in zip(u.components, v.components)))
+        pairs = zip(u.components, v.components)
+        return CoupledField(u.block, tuple(m - n for m, n in pairs))
     return u - v
 
 
 def _ne(u, v):
     if isinstance(u, CoupledField):
-        return u.components != v.components
+        return (u.block, u.components) != (v.block, v.components)
     return u != v
 
 
@@ -92,10 +82,12 @@ CASES = {
         Multivector(),
     ),
     "_RhoFrac": (rho_fracs(), _RhoFrac(R4.zero())),
-    "Mat2": (st.lists(rho_fracs(), min_size=4, max_size=4).map(_mat2), Mat2.zero()),
+    "Su2": (su2s, ZERO),
     "CoupledField": (
-        st.lists(traceless_or_zero, min_size=4, max_size=4).map(CoupledField),
-        CoupledField((Mat2.zero(),) * 4),
+        st.lists(su2s_or_zero, min_size=2, max_size=2).map(
+            lambda comps: CoupledField("S+", comps)
+        ),
+        CoupledField("S+", (ZERO, ZERO)),
     ),
 }
 
@@ -119,7 +111,7 @@ def test_bool_is_the_zero_test(name, data):
 def test_nonzero_draws_are_truthy():
     # one fixed nonzero value per class, so a class that is always falsy fails
     entry = _RhoFrac(R4.gen(0), 1)
-    diag = Mat2(((entry, 0), (0, -entry)))
+    diag = Su2(entry, 0, 0)
     for x in (
         Gaussian(0, Fraction(1, 2)),
         RXY.gen(1),
@@ -129,6 +121,6 @@ def test_nonzero_draws_are_truthy():
         Multivector.vector(2),
         entry,
         diag,
-        CoupledField((Mat2.zero(), diag, Mat2.zero(), Mat2.zero())),
+        CoupledField("S-", (ZERO, diag)),
     ):
         assert x, x
