@@ -46,11 +46,10 @@ from .clifford import (
     two_form,
     vector_basis,
 )
-from .exactalg import PolyRing, QQ
+from .exactalg import PolyRing, QQ, UPoly
 from .hyperell import (
     Divisor,
     HyperCurve,
-    UPoly,
     canonical_divisor,
     h0_all_theta,
     rr_space,

@@ -25,6 +25,7 @@ from .exactalg import (
     MultiPoly,
     PolyRing,
     QQ,
+    UPoly,
     nullspace,
     proportional,
     rational_content,
@@ -35,7 +36,6 @@ from .hyperell import (
     FieldElem,
     HyperCurve,
     Place,
-    UPoly,
     branch_product,
     canonical_divisor,
     divisor_of,

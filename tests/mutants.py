@@ -19,7 +19,8 @@ curvature action, and the blade-table lookup of
 build-once paths and certificates: the interned places, the unchecked
 divisor merge and scale, the degree certificate of
 ``rational_divisor``, the re-check of ``_sqrt_head``, and the tuple
-list of reduced branch subsets.
+list of reduced branch subsets; the very last let ``exactalg.UPoly``
+take a bool for a scalar.
 
     PYTHONPATH=src python tests/mutants.py
 
@@ -28,9 +29,14 @@ its tests there with pytest, and prints ``killed`` or ``survived`` with
 the seconds that copy and test run took; the exit status is 1 when a
 mutant survives, and 2 when the named tests fail on the unmutated code.
 A surviving mutant means a missing test: the answer is a new test,
-never an edited mutant.  ``tests/test_mutants.py`` checks, in the
-tier-1 run, that every snippet still occurs exactly once in its file
-and that every test a mutant names is defined in its test file."""
+never an edited mutant.  The tests run in the order named, stopping at
+the first failure, so each mutant names its fastest killing test first,
+and a property test that kills a mutant carries the killing input as an
+``@example``: the kill then comes on that example, not after hypothesis
+has searched for a counterexample and shrunk it.
+``tests/test_mutants.py`` checks, in the tier-1 run, that every snippet
+still occurs exactly once in its file and that every test a mutant
+names is defined in its test file."""
 
 import os
 import shutil
@@ -186,10 +192,10 @@ MUTANTS = (
         "sums.setdefault(next(iter(sums), x.k + y.k), {}), x.p, y.p, coef)",
         (
             "tests/test_instanton.py"
+            "::test_mixed_power_entry_takes_its_highest_uncancelled_power",
+            "tests/test_instanton.py"
             "::test_covariant_kernel_matches_composed_form_and_ratfunc",
             "tests/test_instanton.py::test_covariant_sum_matches_composed_form",
-            "tests/test_instanton.py"
-            "::test_mixed_power_entry_takes_its_highest_uncancelled_power",
         ),
     ),
     (
@@ -222,8 +228,8 @@ MUTANTS = (
         "return [(e, -c) for e, c in p.terms.items()]",
         "return p.terms.items()",
         (
-            "tests/test_instanton.py::test_covariant_sum_matches_composed_form",
             "tests/test_instanton.py::test_bpst_matches_ratfunc_transcription",
+            "tests/test_instanton.py::test_covariant_sum_matches_composed_form",
         ),
     ),
     (
@@ -234,8 +240,8 @@ MUTANTS = (
         "return [(e, c * coef) for e, c in p.terms.items()]",
         "return p.terms.items()",
         (
-            "tests/test_instanton.py::test_covariant_sum_matches_composed_form",
             "tests/test_instanton.py::test_bpst_matches_ratfunc_transcription",
+            "tests/test_instanton.py::test_covariant_sum_matches_composed_form",
         ),
     ),
     (
@@ -415,6 +421,32 @@ MUTANTS = (
             "tests/test_thetachar.py"
             "::test_reduced_subset_tuples_match_the_frozenset_oracle",
         ),
+    ),
+    (
+        # True is then the coefficient 1, and a UPoly equals True
+        "upoly_accepts_bool_coefficient",
+        "exactalg/upoly.py",
+        "if type(c) is bool or not isinstance(c, (int, Fraction)):",
+        "if not isinstance(c, (int, Fraction)):",
+        (
+            "tests/test_hyperell.py::test_upoly_constructor_refuses_bool",
+            "tests/test_hyperell.py::test_upoly_equality_refuses_bool",
+        ),
+    ),
+    (
+        "upoly_scales_by_bool",
+        "exactalg/upoly.py",
+        "                if type(other) is bool:\n"
+        '                    raise TypeError("expected a rational scalar, got %r" % (other,))\n',
+        "",
+        ("tests/test_hyperell.py::test_upoly_scalar_product_refuses_bool",),
+    ),
+    (
+        "upoly_evaluates_at_bool",
+        "exactalg/upoly.py",
+        "        x = _qq(x)\n",
+        "",
+        ("tests/test_hyperell.py::test_upoly_eval_refuses_bool",),
     ),
 )
 

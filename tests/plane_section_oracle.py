@@ -7,7 +7,8 @@ the rational part is effective and of degree at most 5."""
 from types import SimpleNamespace
 
 from spincert import VerificationError
-from spincert.hyperell import Divisor, FieldElem, Place, UPoly, divisor_of
+from spincert.exactalg import UPoly
+from spincert.hyperell import Divisor, FieldElem, Place, divisor_of
 from spincert.oddmoduli import EmbeddedCurve, PlaneP3, _image_record
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from spincert.hyperell import Divisor, HyperCurve, UPoly, _ceil_div, _group_divisor
+from spincert.exactalg import UPoly
+from spincert.hyperell import Divisor, HyperCurve, _ceil_div, _group_divisor
 
 
 def _rr_system(curve: HyperCurve, divisor: Divisor):

@@ -18,7 +18,7 @@ from spincert.cli import (
     main,
     run,
 )
-from spincert.hyperell import UPoly
+from spincert.exactalg import UPoly
 
 
 def _strip_times(obj):

@@ -28,29 +28,26 @@ import divisor_oracle
 import rr_system_oracle
 import upoly_oracle
 from spincert import VerificationError, hyperell
-from spincert.exactalg import Gaussian
+from spincert.exactalg import Gaussian, UPoly
 from spincert.exactalg.scalars import rational_normal
+from spincert.exactalg.upoly import _root_order, _strip_root, rational_sqrt
 from spincert.cli import load_curve_fixture, main
 from spincert.hyperell import (
     _group_divisor,
-    _root_order,
     _rr_system,
     _sqrt_head,
-    _strip_root,
     _verify_membership,
     Divisor,
     FieldElem,
     HyperCurve,
     LSeries,
     Place,
-    UPoly,
     branch_product,
     canonical_divisor,
     divisor_of,
     h0_all_theta,
     poly_at_series,
     rational_divisor,
-    rational_sqrt,
     rr_space,
     spin_power_divisor,
     standard_curve,
@@ -343,6 +340,43 @@ def test_rational_sqrt():
     assert rational_sqrt(0) == 0
     assert rational_sqrt(2) is None
     assert rational_sqrt(-4) is None
+
+
+# a bool is no scalar: each entry point of UPoly refuses one, as _qq,
+# rational_sqrt and QQ.coerce do
+
+
+def test_upoly_constructor_refuses_bool():
+    for coeffs in ((True, 2), (1, False), (Fraction(1, 2), True)):
+        with pytest.raises(TypeError):
+            UPoly(coeffs)
+    with pytest.raises(TypeError):
+        UPoly.const(False)
+    assert UPoly((1, 2)).coeffs == (1, 2)
+
+
+def test_upoly_scalar_product_refuses_bool():
+    for p in (UPoly((1, 2)), UPoly((Fraction(1, 2), 1)), UPoly()):
+        for b in (True, False):
+            with pytest.raises(TypeError):
+                p * b
+    assert UPoly((1, 2)) * 1 == UPoly((1, 2))
+
+
+def test_upoly_equality_refuses_bool():
+    for p in (UPoly((1,)), UPoly(), UPoly((1, 2))):
+        for b in (True, False):
+            with pytest.raises(TypeError):
+                p == b
+    assert UPoly((1,)) == 1 and UPoly() == 0
+
+
+def test_upoly_eval_refuses_bool():
+    for p in (UPoly((1, 2)), UPoly()):
+        for b in (True, False):
+            with pytest.raises(TypeError):
+                p.eval(b)
+    assert UPoly((1, 2)).eval(1) == 3
 
 
 # ----------------------------------------------------------------------

@@ -1099,7 +1099,21 @@ def _assert_matches_composed(got, want, parts):
             assert g.k == (_rule_power(found) if g else 0)
 
 
+# one bare entry each: negated, times i, and over rho^1, where it stays
+# (a derivative of it would sit over rho^2)
+_SUM_NEGATED = [(-1, None, Su2(_x(1), 0, 0), None)]
+_SUM_TIMES_I = [(_I, None, Su2(_x(1), 0, 0), None)]
+_SUM_BARE_OVER_RHO = [(1, None, Su2(_RhoFrac(_X1, 1), 0, 0), None)]
+# the a entry's derivative d_1 x1 = 1 sits over rho^0 and its product
+# (x3 / rho) x2 over rho^1: two powers, each summed on its own
+_SUM_TWO_POWERS = [(1, Su2(0, _RhoFrac(_X3, 1), 0), Su2(_x(1), 0, _x(2)), 0)]
+
+
 @given(_sum_terms())
+@example(_SUM_NEGATED)
+@example(_SUM_TIMES_I)
+@example(_SUM_BARE_OVER_RHO)
+@example(_SUM_TWO_POWERS)
 @settings(max_examples=60, deadline=None)
 def test_covariant_sum_matches_composed_form(terms):
     got = _covariant_sum(terms)
@@ -1197,7 +1211,14 @@ def _split_parts(f):
     return {key: _sum_parts(t) for key, t in terms.items()}
 
 
+# F_12 = x1 / rho alone is not anti-self-dual: its self-dual part is
+# x1 / (2 rho) at (1, 2) and +-x1 / (2 rho) at (3, 4), each a bare entry
+# over rho^1
+_SPLIT_ONE_KEY = {(1, 2): Su2(_RhoFrac(_X1, 1), 0, 0)}
+
+
 @given(_two_forms())
+@example(_SPLIT_ONE_KEY)
 @settings(max_examples=40, deadline=None)
 def test_self_dual_part_matches_the_old_split(f):
     want_plus, want_minus = _old_sd_asd_split(f)

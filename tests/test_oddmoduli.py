@@ -13,11 +13,10 @@ from hypothesis import Phase, find, given, settings, strategies as st
 
 import plane_section_oracle
 from spincert import VerificationError
-from spincert.exactalg import MultiPoly, nullspace
+from spincert.exactalg import MultiPoly, UPoly, nullspace
 from spincert.hyperell import (
     FieldElem,
     HyperCurve,
-    UPoly,
     rr_space,
     standard_curve,
     theta_divisor,

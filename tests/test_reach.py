@@ -161,7 +161,7 @@ DUNDER_ALLOWLIST = {
     "exactalg/scalars.py:Gaussian.__repr__": _MESSAGE,
     "hyperell.py:FieldElem.__repr__": _MESSAGE,
     "hyperell.py:Place.__repr__": _MESSAGE,
-    "hyperell.py:UPoly.__repr__": _MESSAGE,
+    "exactalg/upoly.py:UPoly.__repr__": _MESSAGE,
     "oddmoduli.py:PointTriple.__repr__": _MESSAGE,
     "exactalg/polys.py:MultiPoly.__repr__": _SHOWN,
     "hyperell.py:Divisor.__repr__": _SHOWN,
@@ -182,7 +182,7 @@ DUNDER_ALLOWLIST = {
     "exactalg/polys.py:MultiPoly.__hash__": _HASH,
     "exactalg/polys.py:PolyRing.__hash__": _HASH,
     "exactalg/scalars.py:Gaussian.__hash__": _HASH,
-    "hyperell.py:UPoly.__hash__": _HASH,
+    "exactalg/upoly.py:UPoly.__hash__": _HASH,
     "thetachar.py:CharClass.__hash__": _HASH,
     "instanton.py:_RhoFrac.__neg__": (
         "entry negation for Su2.__neg__, for __sub__ across powers of rho "

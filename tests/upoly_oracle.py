@@ -1,6 +1,6 @@
-"""The Fraction-tuple dense polynomial that ``spincert.hyperell`` used
-before it stored a ``UPoly`` as integer numerators over one common
-denominator, kept unchanged (with its ``_root_order`` and the helpers
+"""The Fraction-tuple dense polynomial that ``spincert`` used before it
+stored a ``UPoly`` (now ``spincert.exactalg.upoly``) as integer
+numerators over one common denominator, kept unchanged (with its ``_root_order`` and the helpers
 they call) as the oracle for the differential tests in
 ``test_hyperell.py``: every coefficient is a ``fractions.Fraction`` and
 every operation goes through Fraction arithmetic, so it shares no code
