@@ -20,11 +20,16 @@ The --perturb flag injects a deliberately broken input into the suites
 that define a negative control (a rescaled connection component, a
 flipped quadratic-form sign) so the failure path and the counterexample
 reporting stay exercised end to end.
+
+Importing this module runs no suite module.  Each is bound lazily and
+runs when a runner first reads one of its names, so a run executes the
+modules of the suites it runs and no others.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 import time
@@ -35,72 +40,31 @@ from types import SimpleNamespace
 import random
 
 from . import VerificationError
-from .clifford import (
-    GammaRep,
-    asd_basis,
-    decomposition_defect,
-    hodge_star,
-    identity_decomposition,
-    identity_sandwich,
-    sd_basis,
-    two_form,
-    vector_basis,
-)
 from .exactalg import PolyRing, QQ, UPoly
-from .hyperell import (
-    Divisor,
-    HyperCurve,
-    canonical_divisor,
-    h0_all_theta,
-    rr_space,
-    spin_power_divisor,
-    standard_curve,
-    theta_complement_witness,
-)
-from .instanton import (
-    GAMMA,
-    Connection,
-    bpst_connection,
-    self_dual_part,
-    verify_curvature_dirac_solutions,
-    yang_mills_residual,
-    bianchi_residual,
-)
-from .nrmoduli import (
-    BranchConfig,
-    build_r_table,
-    h_consistency,
-    kernel_at_branch,
-    signed_permutation_record,
-    standard_branch_config,
-    transcription_crosscheck,
-    verify_distinguished_covector,
-)
-from .oddmoduli import (
-    PointTriple,
-    bidegree_relation_count,
-    embed,
-    even_theta_obstruction,
-    involution_matrix,
-    quadric_congruence_scale,
-    riemann_hurwitz,
-    triple_plane_report,
-)
-from .repsl2 import (
-    BinaryForm,
-    equivariance_check,
-    invariance_check,
-    isotropy_check_m3,
-    moment_map,
-    quadratic_matrix_det,
-)
-from .thetachar import (
-    GENUS_RANGE,
-    CharClass,
-    arf_model_crosscheck,
-    enumerate_chars,
-    parity_counts,
-)
+
+
+def _lazy(name):
+    """The submodule ``name`` of this package, registered in
+    ``sys.modules`` and bound on the package as an import would, but run
+    only when one of its attributes is first read."""
+    fullname = "%s.%s" % (__package__, name)
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        vars(sys.modules[__package__])[name] = module
+        importlib.util.LazyLoader(spec.loader).exec_module(module)
+    return module
+
+
+clifford = _lazy("clifford")
+hyperell = _lazy("hyperell")
+instanton = _lazy("instanton")
+nrmoduli = _lazy("nrmoduli")
+oddmoduli = _lazy("oddmoduli")
+repsl2 = _lazy("repsl2")
+thetachar = _lazy("thetachar")
 
 SUITES = ("clifford", "instanton", "nr", "odd", "parity", "repsl2", "theta")
 DEFAULT_SEED = 1729
@@ -197,10 +161,11 @@ def _suite_block(name, conventions, named_checks):
 
 
 def run_clifford(opts):
-    gamma = GammaRep()
+    gamma = clifford.GammaRep()
     pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    star = clifford.hodge_star
     star_square = not any(
-        hodge_star(hodge_star(two_form(i, j))) - two_form(i, j) for i, j in pairs
+        star(star(clifford.two_form(i, j))) - clifford.two_form(i, j) for i, j in pairs
     )
     conventions = {
         "generator_square": -1,
@@ -211,22 +176,22 @@ def run_clifford(opts):
 
     def grade_decomposition():
         count = 0
-        for e in vector_basis():
-            for w in asd_basis():
-                identity_decomposition(e, w)
+        for e in clifford.vector_basis():
+            for w in clifford.asd_basis():
+                clifford.identity_decomposition(e, w)
                 count += 1
         return {"pairs": count, "passed": count == 12}
 
     def generator_sandwich():
-        for w in asd_basis():
-            identity_sandwich(w)
+        for w in clifford.asd_basis():
+            clifford.identity_sandwich(w)
         return {"forms": 3, "passed": True}
 
     def selfdual_control():
         zero_defects = []
-        for e in vector_basis():
-            for w in sd_basis():
-                if not decomposition_defect(e, w):
+        for e in clifford.vector_basis():
+            for w in clifford.sd_basis():
+                if not clifford.decomposition_defect(e, w):
                     zero_defects.append([str(e), str(w)])
         return {
             "pairs": 12,
@@ -249,7 +214,7 @@ def _perturbed_connection(conn):
     """The negative control: ``conn`` with its first component doubled."""
     comps = list(conn.components)
     comps[0] = comps[0] * Fraction(2)
-    return Connection(comps)
+    return instanton.Connection(comps)
 
 
 def _nonzero_form_keys(f):
@@ -259,8 +224,8 @@ def _nonzero_form_keys(f):
 def run_instanton(opts):
     # the instanton module's own spin representation: the conventions it
     # certifies with
-    gamma_record = GAMMA.asd_action_record()
-    conn = bpst_connection()
+    gamma_record = instanton.GAMMA.asd_action_record()
+    conn = instanton.bpst_connection()
     if opts.perturb:
         conn = _perturbed_connection(conn)
     conventions = {
@@ -269,26 +234,26 @@ def run_instanton(opts):
     }
 
     def anti_self_dual():
-        bad = _nonzero_form_keys(self_dual_part(conn))
+        bad = _nonzero_form_keys(instanton.self_dual_part(conn))
         return {"self_dual_part_components": bad, "passed": not bad}
 
     def bianchi():
-        bad = _nonzero_form_keys(bianchi_residual(conn))
+        bad = _nonzero_form_keys(instanton.bianchi_residual(conn))
         return {"nonzero_components": bad, "passed": not bad}
 
     def yang_mills():
-        bad = _nonzero_form_keys(yang_mills_residual(conn))
+        bad = _nonzero_form_keys(instanton.yang_mills_residual(conn))
         return {"nonzero_components": bad, "passed": not bad}
 
     def dirac_solutions():
-        return verify_curvature_dirac_solutions(conn)
+        return instanton.verify_curvature_dirac_solutions(conn)
 
     def perturbed_control():
         if opts.perturb:
             return {"_skipped": True, "reason": "whole suite already perturbed"}
         bad_conn = _perturbed_connection(conn)
-        sd_keys = _nonzero_form_keys(self_dual_part(bad_conn))
-        ym_keys = _nonzero_form_keys(yang_mills_residual(bad_conn))
+        sd_keys = _nonzero_form_keys(instanton.self_dual_part(bad_conn))
+        ym_keys = _nonzero_form_keys(instanton.yang_mills_residual(bad_conn))
         return {
             "self_dual_part_components": sd_keys,
             "yang_mills_components": ym_keys,
@@ -312,22 +277,27 @@ def run_repsl2(opts):
     degrees = opts.m or (1, 3, 5)
     checks = []
     for m in degrees:
-        checks.append(("pairing_invariance_m%d" % m, lambda m=m: invariance_check(m)))
         checks.append(
-            ("contraction_equivariance_m%d" % m, lambda m=m: equivariance_check(m))
+            ("pairing_invariance_m%d" % m, lambda m=m: repsl2.invariance_check(m))
+        )
+        checks.append(
+            (
+                "contraction_equivariance_m%d" % m,
+                lambda m=m: repsl2.equivariance_check(m),
+            )
         )
     if 1 in degrees:
 
         def nilpotency():
             ring = PolyRing(QQ, ("a0", "a1"))
-            u = BinaryForm((ring.gen(0), ring.gen(1)))
-            d = quadratic_matrix_det(moment_map(u, u))
+            u = repsl2.BinaryForm((ring.gen(0), ring.gen(1)))
+            d = repsl2.quadratic_matrix_det(repsl2.moment_map(u, u))
             return {"det_is_zero": d == ring.zero(), "passed": d == ring.zero()}
 
         checks.append(("nilpotency_m1", nilpotency))
     if 3 in degrees:
         checks.append(
-            ("isotropy_m3", lambda: {"passed": isotropy_check_m3()})
+            ("isotropy_m3", lambda: {"passed": repsl2.isotropy_check_m3()})
         )
     return _suite_block("repsl2", {"degrees": list(degrees)}, checks)
 
@@ -338,7 +308,7 @@ def run_theta(opts):
     for g in genera:
 
         def counts(g=g):
-            odd, even = parity_counts(g)
+            odd, even = thetachar.parity_counts(g)
             want_odd = 2 ** (g - 1) * (2**g - 1)
             want_even = 2 ** (g - 1) * (2**g + 1)
             return {
@@ -356,22 +326,22 @@ def run_theta(opts):
                     "_skipped": True,
                     "reason": "quadratic-form sweep grows as 16^g",
                 }
-            return {"passed": arf_model_crosscheck(g)}
+            return {"passed": thetachar.arf_model_crosscheck(g)}
 
         checks.append(("arf_crosscheck_g%d" % g, arf))
     return _suite_block("theta", {"genera": list(genera)}, checks)
 
 
 def run_parity(opts):
-    curve = opts.fixture_curve or standard_curve()
+    curve = opts.fixture_curve or hyperell.standard_curve()
     conventions = {"curve": [str(c) for c in curve.f.coeffs]}
 
     def three_way():
-        sweep = h0_all_theta(curve)
+        sweep = hyperell.h0_all_theta(curve)
         table = sweep["table"]
         mismatches = []
         odd_members = []
-        for cls in enumerate_chars(2):
+        for cls in thetachar.enumerate_chars(2):
             if table[cls.members] != cls.parity_bit:
                 mismatches.append(sorted(cls.members))
             if table[cls.members] == 1:
@@ -390,11 +360,12 @@ def run_parity(opts):
 
     def rr_dimensions():
         tset = (1, 2, 3)
+        rr, spin = hyperell.rr_space, hyperell.spin_power_divisor
         dims = {
-            "trivial": rr_space(curve, Divisor()).dimension,
-            "canonical": rr_space(curve, canonical_divisor(curve)).dimension,
-            "spin_cube": rr_space(curve, spin_power_divisor(curve, tset, 3)).dimension,
-            "spin_fifth": rr_space(curve, spin_power_divisor(curve, tset, 5)).dimension,
+            "trivial": rr(curve, hyperell.Divisor()).dimension,
+            "canonical": rr(curve, hyperell.canonical_divisor(curve)).dimension,
+            "spin_cube": rr(curve, spin(curve, tset, 3)).dimension,
+            "spin_fifth": rr(curve, spin(curve, tset, 5)).dimension,
         }
         want = {"trivial": 1, "canonical": 2, "spin_cube": 2, "spin_fifth": 4}
         return {"dimensions": dims, "expected": want, "passed": dims == want}
@@ -402,8 +373,8 @@ def run_parity(opts):
     def complement_witnesses():
         # theta_complement_witness raises unless div(h) = theta(T) - theta(T^c)
         certified = []
-        for cls in enumerate_chars(2):
-            theta_complement_witness(curve, cls.members)
+        for cls in thetachar.enumerate_chars(2):
+            hyperell.theta_complement_witness(curve, cls.members)
             certified.append(sorted(cls.members))
         return {"certified": certified, "passed": len(certified) == 16}
 
@@ -419,8 +390,8 @@ def run_parity(opts):
 
 
 def run_nr(opts):
-    config = opts.branch_config or standard_branch_config()
-    table = build_r_table()
+    config = opts.branch_config or nrmoduli.standard_branch_config()
+    table = nrmoduli.build_r_table()
     used = table.perturbed(1, 4) if opts.perturb else table
     conventions = {
         "branch_points": [str(config.point(i)) for i in range(1, 7)],
@@ -428,19 +399,19 @@ def run_nr(opts):
     }
 
     def crosscheck():
-        return transcription_crosscheck()
+        return nrmoduli.transcription_crosscheck()
 
     def consistency():
-        ok = h_consistency(config, table=used)
+        ok = nrmoduli.h_consistency(config, table=used)
         return {"consistent": ok, "passed": ok}
 
     def covector():
-        return verify_distinguished_covector(used)
+        return nrmoduli.verify_distinguished_covector(used)
 
     def kernels():
         out = {}
         for i in range(1, 7):
-            rec = kernel_at_branch(i, used)
+            rec = nrmoduli.kernel_at_branch(i, used)
             entry = {
                 "dimension": rec["dimension"],
                 "generator": list(rec["generator"]),
@@ -451,7 +422,7 @@ def run_nr(opts):
         return {"kernels": out, "passed": True}
 
     def symmetry():
-        return {"record": signed_permutation_record(used), "passed": True}
+        return {"record": nrmoduli.signed_permutation_record(used), "passed": True}
 
     return _suite_block(
         "nr",
@@ -467,9 +438,9 @@ def run_nr(opts):
 
 
 def run_odd(opts):
-    curve = opts.fixture_curve or standard_curve()
-    theta = CharClass(2, (1, 2, 3))
-    E = embed(curve, theta)
+    curve = opts.fixture_curve or hyperell.standard_curve()
+    theta = thetachar.CharClass(2, (1, 2, 3))
+    E = oddmoduli.embed(curve, theta)
     conventions = {
         "curve": [str(c) for c in curve.f.coeffs],
         "theta_members": sorted(theta.members),
@@ -478,7 +449,10 @@ def run_odd(opts):
     }
 
     def embedding():
-        relations = [bidegree_relation_count(E, 2, 2), bidegree_relation_count(E, 1, 3)]
+        relations = [
+            oddmoduli.bidegree_relation_count(E, 2, 2),
+            oddmoduli.bidegree_relation_count(E, 1, 3),
+        ]
         return {
             "canonical_dim": len(E.canonical_basis),
             "spin_cube_dim": len(E.spin_cube_basis),
@@ -488,8 +462,8 @@ def run_odd(opts):
         }
 
     def involution():
-        M = involution_matrix(E)
-        scale = quadric_congruence_scale(M)
+        M = oddmoduli.involution_matrix(E)
+        scale = oddmoduli.quadric_congruence_scale(M)
         return {
             "matrix": [[str(c) for c in row] for row in M],
             "quadric_scale": str(scale),
@@ -497,7 +471,7 @@ def run_odd(opts):
         }
 
     def obstruction():
-        return {"passed": even_theta_obstruction(E)}
+        return {"passed": oddmoduli.even_theta_obstruction(E)}
 
     def triples():
         rng = random.Random(opts.seed)
@@ -517,8 +491,8 @@ def run_odd(opts):
         certified = {}  # a repeated draw reuses its triple's report
         for idx in chosen + engineered:
             if idx not in certified:
-                triple = PointTriple(tuple(places[i] for i in idx))
-                certified[idx] = triple_plane_report(E, triple)
+                triple = oddmoduli.PointTriple(tuple(places[i] for i in idx))
+                certified[idx] = oddmoduli.triple_plane_report(E, triple)
             rep = certified[idx]
             counts["collinear" if rep["collinear"] else "plane"] += 1
             reports.append(rep)
@@ -540,8 +514,8 @@ def run_odd(opts):
 
     def covering_genus():
         values = {
-            "branched_double_cover": riemann_hurwitz(2, 2, 4),
-            "unramified_double_cover": riemann_hurwitz(2, 2, 0),
+            "branched_double_cover": oddmoduli.riemann_hurwitz(2, 2, 4),
+            "unramified_double_cover": oddmoduli.riemann_hurwitz(2, 2, 0),
         }
         return {
             "values": values,
@@ -581,7 +555,7 @@ _RUNNERS = {
 # ----------------------------------------------------------------------
 
 
-def load_curve_fixture(path) -> HyperCurve:
+def load_curve_fixture(path) -> hyperell.HyperCurve:
     """Two-line fixture: declared genus, then ascending exact rational
     coefficients of the defining sextic."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -593,7 +567,7 @@ def load_curve_fixture(path) -> HyperCurve:
         coeffs = tuple(Fraction(tok) for tok in lines[1].split())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError("malformed fixture: %s" % exc) from None
-    curve = HyperCurve(UPoly(coeffs))
+    curve = hyperell.HyperCurve(UPoly(coeffs))
     if curve.genus != genus:
         raise ValueError(
             "declared genus %d but the polynomial gives genus %d"
@@ -642,7 +616,7 @@ def run(
     # a given but empty value is an error, not a request for the default
     fixture_curve = load_curve_fixture(curve) if curve is not None else None
     branch_config = (
-        BranchConfig(_csv_values(branch, Fraction, "branch"))
+        nrmoduli.BranchConfig(_csv_values(branch, Fraction, "branch"))
         if branch is not None
         else None
     )
@@ -661,10 +635,12 @@ def run(
         raise ValueError("repeated genus: %r" % (g,))
     if any(d < 1 or d % 2 == 0 for d in m or ()):
         raise ValueError("degrees must be odd and positive: %r" % (m,))
-    if any(x not in GENUS_RANGE for x in g or ()):
-        raise ValueError(
-            "genera must lie in %d..%d: %r" % (GENUS_RANGE[0], GENUS_RANGE[-1], g)
-        )
+    if g is not None:
+        genus_range = thetachar.GENUS_RANGE
+        if any(x not in genus_range for x in g):
+            raise ValueError(
+                "genera must lie in %d..%d: %r" % (genus_range[0], genus_range[-1], g)
+            )
     if triples < 0:
         raise ValueError("triple count must be non-negative: %d" % triples)
     opts = SimpleNamespace(

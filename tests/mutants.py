@@ -19,8 +19,9 @@ curvature action, and the blade-table lookup of
 build-once paths and certificates: the interned places, the unchecked
 divisor merge and scale, the degree certificate of
 ``rational_divisor``, the re-check of ``_sqrt_head``, and the tuple
-list of reduced branch subsets; the very last let ``exactalg.UPoly``
-take a bool for a scalar.
+list of reduced branch subsets; then three let ``exactalg.UPoly``
+take a bool for a scalar, and the last makes ``cli`` run every suite
+module when it loads.
 
     PYTHONPATH=src python tests/mutants.py
 
@@ -447,6 +448,17 @@ MUTANTS = (
         "        x = _qq(x)\n",
         "",
         ("tests/test_hyperell.py::test_upoly_eval_refuses_bool",),
+    ),
+    (
+        # the module then runs at once, though it is still bound by name
+        "lazy_module_runs_eagerly",
+        "cli.py",
+        "importlib.util.LazyLoader(spec.loader).exec_module(module)",
+        "spec.loader.exec_module(module)",
+        (
+            "tests/test_cli.py::TestLazySuites"
+            "::test_run_instanton_runs_no_other_suite_module",
+        ),
     ),
 )
 

@@ -4,12 +4,17 @@ negative controls through --perturb, and fixture handling."""
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from spincert import VerificationError, cli
+from spincert import VerificationError, cli, oddmoduli, thetachar
 from spincert.cli import (
     DEFAULT_SEED,
     SUITES,
@@ -81,7 +86,11 @@ class TestRun:
         def broken(g):
             raise AssertionError("broken count at genus %d" % g)
 
-        monkeypatch.setattr(cli, "parity_counts", broken)
+        # broken as cli sees it: arf_model_crosscheck, inside thetachar,
+        # still counts with the real parity_counts
+        seen = SimpleNamespace(**vars(thetachar))
+        seen.parity_counts = broken
+        monkeypatch.setattr(cli, "thetachar", seen)
         code, report = run("theta", g="1,2")
         assert code == 1
         assert report["status"] == "fail"
@@ -113,7 +122,7 @@ class TestSetupGuard:
         def broken(curve, theta):
             raise exc_type("embedding broke")
 
-        monkeypatch.setattr(cli, "embed", broken)
+        monkeypatch.setattr(oddmoduli, "embed", broken)
 
     @pytest.mark.parametrize(
         "exc_type", [VerificationError, ArithmeticError, ValueError]
@@ -143,6 +152,66 @@ class TestSetupGuard:
         statuses = {block["suite"]: block["status"] for block in report["suites"]}
         assert statuses == {s: "error" if s == "odd" else "pass" for s in SUITES}
         json.dumps(report)
+
+
+class TestLazySuites:
+    """``cli`` binds the suite modules lazily: a run executes the modules
+    of the suites it runs and no others.  A module that is registered
+    but has not run is still a lazy subclass of ``ModuleType``, and
+    ``type`` reads that without running it."""
+
+    CHILD = """
+import contextlib, io, json, sys, types
+from spincert.cli import main
+
+def modules():
+    return {
+        name: type(module) is types.ModuleType
+        for name, module in sys.modules.items()
+        if name.startswith("spincert.")
+    }
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["run", "instanton"])]
+    instanton = modules()
+    codes.append(main(["run", "all", "--triples", "1"]))
+print(json.dumps({"codes": codes, "instanton": instanton, "all": modules()}))
+"""
+
+    @pytest.fixture(scope="class")
+    def child(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        out = subprocess.run(
+            [sys.executable, "-c", self.CHILD],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        return json.loads(out.stdout)
+
+    def test_run_instanton_runs_no_other_suite_module(self, child):
+        assert child["codes"] == [0, 0]
+        ran = child["instanton"]
+        for name in ("hyperell", "oddmoduli", "nrmoduli", "repsl2", "thetachar"):
+            assert ran["spincert." + name] is False, name
+        # only nrmoduli imports it, and nrmoduli has not run
+        assert ran.get("spincert._rtable_alt") is not True
+        for name in ("cli", "instanton", "clifford", "exactalg", "exactalg.polys"):
+            assert ran["spincert." + name] is True, name
+
+    def test_run_all_runs_every_module(self, child):
+        root = Path(cli.__file__).resolve().parent
+        modules = {
+            ".".join(("spincert",) + path.relative_to(root).with_suffix("").parts)
+            for path in root.rglob("*.py")
+            if path.name != "__init__.py"
+        }
+        assert modules <= set(child["all"])
+        assert [name for name in sorted(modules) if not child["all"][name]] == []
 
 
 class TestNegativeControls:

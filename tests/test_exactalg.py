@@ -150,6 +150,10 @@ def _power(x, n):
 
 
 @given(gaussian_pairs(), st.integers(-3, 3), small_fractions(), st.integers(0, 5))
+# zero: the Q(i) constructor must give the int 0, not a real Gaussian
+@example(((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))), 0, Fraction(0), 0)
+# 2 * i/2: the int-by-Gaussian product must cancel the 2, giving i
+@example(((Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(-1, 2))), 2, 0, 0)
 @settings(max_examples=300, deadline=None)
 def test_gaussian_matches_fraction_pair_oracle(pair, k, q, n):
     (xr, xi), (yr, yi) = pair
@@ -432,9 +436,14 @@ def _qq_results(p, q, c):
     return out
 
 
+_ONE_PLUS_HALF_Y = {(0, 0): 1, (0, 1): Fraction(1, 2)}
+
+
 @given(qq_cases())
 # 1 divided by 1: a bare / in exact_div makes the float 1.0
 @example(({(0, 0): 1}, {(0, 0): 1}, 0, (0, 0)))
+# (1 + y/2)^2: the y coefficient 1/2 + 1/2 must be stored as the int 1
+@example((_ONE_PLUS_HALF_Y, _ONE_PLUS_HALF_Y, 0, (0, 0)))
 @settings(max_examples=200, deadline=None)
 def test_qq_arithmetic_matches_fraction_oracle(case):
     pt, qt, c, point = case
@@ -586,11 +595,15 @@ def test_poly_derivation_property(p, q):
 
 
 @given(polys(), polys())
+# x divided by 1: a bare / in exact_div makes the coefficient 1.0
+@example(RXY.gen(0), RXY.const(1))
 @settings(max_examples=40, deadline=None)
 def test_exact_div_of_product(p, q):
     if not q:
         return
-    assert (p * q).exact_div(q) == p
+    quotient = (p * q).exact_div(q)
+    # the text tells a float coefficient 1.0 from the int 1, which == does not
+    assert quotient == p and quotient.to_str() == p.to_str()
 
 
 def test_exact_div_reports_failure():

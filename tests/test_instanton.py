@@ -652,7 +652,13 @@ def _entry_pairs(draw):
     return (b, a) if draw(st.booleans()) else (a, b)
 
 
+# i rho / rho and i: the derivative of an entry over rho^1 carries a
+# -2 x_var term of the rho power
+_ENTRIES_I_RHO_OVER_RHO = ((_RhoFrac(RHO.scale(_I), 1), _RhoFrac(R4.const(_I), 0)), 0)
+
+
 @given(_entry_pairs(), st.integers(0, 3))
+@example(*_ENTRIES_I_RHO_OVER_RHO)
 @settings(max_examples=50, deadline=None)
 def test_rho_entries_match_ratfunc_oracle(pair, var):
     a, b = pair
@@ -749,7 +755,14 @@ def _coupled_fields(draw):
     return fields
 
 
+# one field nonzero in a b entry alone: a row that skips b has rank 0
+_FIELD_B_ONLY = [
+    CoupledField("S+", (Su2(_RF0, _RhoFrac(R4.const(1)), _RF0), Su2(_RF0, _RF0, _RF0)))
+]
+
+
 @given(_coupled_fields())
+@example(_FIELD_B_ONLY)
 @settings(max_examples=30, deadline=None)
 def test_independent_count_matches_the_full_rank(fields):
     assert independent_count(fields) == rank([_full_row(f) for f in fields])

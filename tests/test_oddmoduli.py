@@ -597,7 +597,7 @@ class TestTripleSweepDedup:
             calls.append(triple.labels())
             return triple_plane_report(E, triple)
 
-        monkeypatch.setattr(cli, "triple_plane_report", counting)
+        monkeypatch.setattr(oddmoduli, "triple_plane_report", counting)
         code, report = cli.run("odd", seed=seed, triples=triples)
         assert code == 0
         checks = {c["name"]: c for c in report["suites"][0]["checks"]}

@@ -6,14 +6,18 @@ reaches fails here, and so does an allowlisted function that a run now
 reaches, which keeps the lists true.
 
 The runs are the three golden reports, both ``--perturb`` runs and two
-bad-argument runs, made in process under ``sys.setprofile``.
+bad-argument runs, made in process under ``sys.setprofile``, and the
+``import spincert.cli`` that starts every command-line run, profiled
+alike in a fresh interpreter.
 
 A function is keyed by its file and the line of its first decorator (or
 of ``def`` when it has none), which is the line CPython records as the
-code object's ``co_firstlineno``.  The package is imported before the
-profile starts, so a function that only module import calls counts as
-unreached.  A class-level alias such as ``__rmul__ = __mul__`` shares
-its target's code object, so the profiler cannot tell a call through it
+code object's ``co_firstlineno``.  Every module of the package is run
+before the profile starts, so a function that only a module's import
+calls counts as unreached; the import of ``cli`` is the exception, and
+it runs no suite module, since ``cli`` binds those lazily.  A
+class-level alias such as ``__rmul__ = __mul__`` shares its target's
+code object, so the profiler cannot tell a call through it
 from a call of the target; for the runs each alias is rebound to a
 counting wrapper, keyed ``path:Class.__rmul__``, and put back after.
 The module runs without pytest, so
@@ -26,7 +30,9 @@ import contextlib
 import functools
 import importlib
 import io
+import json
 import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -228,13 +234,19 @@ def _functions():
     return out
 
 
+def _module_name(rel):
+    """The module of a file path relative to SRC."""
+    name = "spincert." + rel[: -len(".py")].replace("/", ".")
+    return name[: -len(".__init__")] if name.endswith(".__init__") else name
+
+
 def _aliases():
     """{"path:Class.__rop__": (module, class name, attribute)} for every
     class-level ``__rop__ = __op__`` alias of a method under SRC."""
     out = {}
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
-        module = "spincert." + rel[: -len(".py")].replace("/", ".")
+        module = _module_name(rel)
         for cls in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(cls, ast.ClassDef):
                 continue
@@ -251,6 +263,35 @@ def _aliases():
     return out
 
 
+# the calls that importing cli makes, as (file, first line) pairs
+_IMPORT_CLI = """
+import json, sys
+seen = set()
+def profile(frame, event, arg):
+    if event == "call":
+        seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(profile)
+import spincert.cli
+sys.setprofile(None)
+print(json.dumps(sorted(seen)))
+"""
+
+
+def _import_calls():
+    env = dict(os.environ)
+    src = str(SRC.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CLI],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    return {tuple(pair) for pair in json.loads(out.stdout)}
+
+
 def _counting(fn, name, seen):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -263,9 +304,13 @@ def _counting(fn, name, seen):
 def unreached():
     """Names of the functions and aliases under SRC that none of RUNS
     calls."""
-    seen = set()
+    seen = _import_calls()
     seen_aliases = set()
     aliases = []
+    # run the modules that cli bound lazily, so that no import runs
+    # under the profile
+    for path in sorted(SRC.rglob("*.py")):
+        vars(importlib.import_module(_module_name(path.relative_to(SRC).as_posix())))
     for name, (module, cls_name, attr) in _aliases().items():
         cls = getattr(importlib.import_module(module), cls_name)
         aliases.append((name, cls, attr, vars(cls)[attr]))
