@@ -22,7 +22,10 @@ real coefficients of Q(i) polynomials (most of them) run on native ints.
 Arithmetic works on the ints directly: a product is four integer
 products reduced by one gcd, which is skipped when the denominator is
 1, a sum of equal denominators adds the numerators, and a quotient
-multiplies by the conjugate over the integer norm.  An int operand of a
+multiplies by the conjugate over the integer norm.  Those three end in
+one helper, ``_reduced``, which divides any integer triple by its gcd
+and hands out the normal form; the term sums of ``instanton`` add
+unreduced triples and end there too.  An int operand of a
 sum or product takes a shorter path.  No Fraction is built on the way
 but for a real result with a denominator.  Every operation is exact;
 nothing here ever rounds.
@@ -114,16 +117,7 @@ class Gaussian:
             if t is None:
                 return NotImplemented
             a2, b2, d2 = t
-        a = a1 * a2 - b1 * b2
-        b = a1 * b2 + b1 * a2
-        d *= d2
-        if d != 1:
-            g = gcd(a, b, d)
-            if g != 1:
-                a //= g
-                b //= g
-                d //= g
-        return _qi(a, b, d)
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d * d2)
 
     __rmul__ = __mul__
 
@@ -204,6 +198,21 @@ def _qi(a, b, d):
     return Fraction(a, d)
 
 
+def _reduced(a, b, d):
+    """The Q(i) scalar (a + b*i)/d, for any integer triple with d > 0, in
+    the Q(i) normal form: the triple is divided by gcd(a, b, d), which is
+    skipped when d is 1, and handed to ``_qi``.  Gaussian sums, quotients
+    and products by a non-int factor end here, and so do the term sums of
+    the ``instanton`` kernel, which add unreduced triples."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _qi(a, b, d)
+
+
 def _triple(v):
     """The normal-form triple (a, b, d) of a Q(i) scalar: a Gaussian, an
     int or a Fraction; None for anything else, a bool among them, which
@@ -222,20 +231,8 @@ def _triple(v):
 def _sum(a1, b1, d1, a2, b2, d2):
     """(a1 + b1*i)/d1 + (a2 + b2*i)/d2 in the Q(i) normal form."""
     if d1 == d2:
-        a = a1 + a2
-        b = b1 + b2
-        d = d1
-    else:
-        a = a1 * d2 + a2 * d1
-        b = b1 * d2 + b2 * d1
-        d = d1 * d2
-    if d != 1:
-        g = gcd(a, b, d)
-        if g != 1:
-            a //= g
-            b //= g
-            d //= g
-    return _qi(a, b, d)
+        return _reduced(a1 + a2, b1 + b2, d1)
+    return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
 
 def _quotient(a1, b1, d1, a2, b2, d2):
@@ -244,16 +241,7 @@ def _quotient(a1, b1, d1, a2, b2, d2):
     if not n:
         raise ZeroDivisionError("division by zero Gaussian rational")
     # multiply by the conjugate d2 * (a2 - b2*i) over the integer norm
-    a = (a1 * a2 + b1 * b2) * d2
-    b = (b1 * a2 - a1 * b2) * d2
-    d = d1 * n
-    if d != 1:
-        g = gcd(a, b, d)
-        if g != 1:
-            a //= g
-            b //= g
-            d //= g
-    return _qi(a, b, d)
+    return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, d1 * n)
 
 
 def rational_normal(v):

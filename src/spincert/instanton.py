@@ -44,11 +44,21 @@ built in one pass: the numerators of every derivative (d_i p * rho - 2k
 x_i p), every product and every bare entry are summed into one term
 dict at the common power of rho, each scaled as it is added (a
 coefficient 1 as is, -1 negated, any other value multiplied once per
-term), and the coefficients are brought to normal form once at the end.
-So no derivative, product, commutator or scaled matrix is built on the
-way.  An entry whose nonzero parts sit at different powers of rho (none
-in the suite) gets one term dict per power, and the lower sums are
-lifted to the highest power that does not cancel.
+term).  The sums run on ints: an entry's coefficients are read once, by
+the first sum that meets it, as integer triples (a, b, d), meaning
+(a + b*i)/d, and the term dict holds each coefficient as an unreduced
+triple.
+A scaled term or a product of two terms multiplies triples (four integer
+products), numerators over equal denominators are added, and over
+different ones both are cross-multiplied.  Each surviving triple is
+reduced once, with one gcd, to the Q(i) normal form, through
+``scalars._reduced``.  So no derivative, product, commutator, scaled
+matrix or Gaussian scalar is built on the way: a ``run instanton`` makes
+392 Gaussian products, none of them in a term sum, where summing
+Gaussian objects made 1,740.  An entry whose nonzero parts sit at
+different powers of rho (none in the suite) gets one term dict per
+power, and the lower sums are lifted to the highest power that does not
+cancel.
 
 A coupled field is a section of S+ tensor E or of S- tensor E: a
 ``CoupledField`` holds the two components of one chirality block and
@@ -75,7 +85,7 @@ from .clifford import (
     star_blade,
 )
 from .exactalg import MultiPoly, PolyRing, QI, rank
-from .exactalg.scalars import _SCALARS, exact_quotient
+from .exactalg.scalars import _SCALARS, _reduced, _triple, exact_quotient
 
 R4 = PolyRing(QI, ("x1", "x2", "x3", "x4"))
 RHO = R4.one() + sum((R4.gen(i) * R4.gen(i) for i in range(4)), R4.zero())
@@ -94,13 +104,16 @@ class _RhoFrac:
     """The entry p / rho^k, k >= 0; zero is stored with k = 0.
 
     The pair is not reduced (p may be a multiple of rho), so equality is
-    a zero test on the difference."""
+    a zero test on the difference.  The private cache dict keeps the
+    terms of p as integer triples once a sum has read them
+    (``_triples``)."""
 
-    __slots__ = ("p", "k")
+    __slots__ = ("p", "k", "_cache")
 
     def __init__(self, p, k=0):
         self.p = p
         self.k = k if p.terms else 0
+        self._cache = {}
 
     def __bool__(self):
         return bool(self.p.terms)
@@ -176,7 +189,7 @@ class _RhoFrac:
         if not self.k:
             return _RhoFrac(self.p.derivative(var))
         out = {}
-        _add_derivative(out, self.p, self.k, var, 1)
+        _add_derivative(out, self, var, 1)
         return _RhoFrac(_poly(out), self.k + 1)
 
     def eval(self, point, rho=None):
@@ -204,38 +217,72 @@ _RF0 = _RhoFrac(R4.zero())
 _UNITS = tuple(tuple(int(j == i) for j in range(4)) for i in range(4))
 
 
-def _scaled_terms(p, coef):
-    """The (exponent, coefficient) pairs of coef * p: p's own for a
-    coefficient 1, negated for -1, each multiplied once otherwise."""
+def _triples(v):
+    """The terms of the entry v's numerator as (exponent, (a, b, d))
+    pairs, each coefficient (a + b*i)/d read through ``scalars._triple``
+    on the first call and kept in the entry's cache."""
+    t = v._cache.get("triples")
+    if t is None:
+        t = v._cache["triples"] = [(e, _triple(c)) for e, c in v.p.terms.items()]
+    return t
+
+
+def _scaled_terms(v, coef):
+    """The (exponent, triple) pairs of coef * v's numerator: its own for
+    a coefficient 1, negated for -1, each multiplied once otherwise and
+    left unreduced.  A coefficient that is no Q(i) scalar, a bool among
+    them, is a TypeError."""
+    terms = _triples(v)
     if type(coef) is int:
         if coef == 1:
-            return p.terms.items()
+            return terms
         if coef == -1:
-            return [(e, -c) for e, c in p.terms.items()]
-    return [(e, c * coef) for e, c in p.terms.items()]
+            return [(e, (-a, -b, d)) for e, (a, b, d) in terms]
+    t = _triple(coef)
+    if t is None:
+        raise TypeError("cannot scale an entry by %r" % (coef,))
+    ca, cb, cd = t
+    return [(e, (a * ca - b * cb, a * cb + b * ca, d * cd)) for e, (a, b, d) in terms]
 
 
-def _add_scaled(out, p, coef):
-    """Add coef * p to the term dict ``out``."""
+def _cross_add(acc, a, b, d):
+    """Add (a + b*i)/d to the triple acc when the denominators differ:
+    both numerators cross-multiplied over the product of the
+    denominators."""
+    a1, b1, d1 = acc
+    acc[:] = a1 * d + a * d1, b1 * d + b * d1, d1 * d
+
+
+def _add_scaled(out, v, coef):
+    """Add coef times the numerator of the entry v to the term dict
+    ``out``."""
     get = out.get
-    for e, c in _scaled_terms(p, coef):
+    for e, (a, b, d) in _scaled_terms(v, coef):
         acc = get(e)
-        out[e] = c if acc is None else acc + c
+        if acc is None:
+            out[e] = [a, b, d]
+        elif acc[2] == d:
+            acc[0] += a
+            acc[1] += b
+        else:
+            _cross_add(acc, a, b, d)
 
 
-def _add_derivative(out, p, k, var, coef):
-    """Add coef times the numerator of d_var (p / rho^k) to the term dict
-    ``out``: d_var p * rho - 2k * x_var * p over rho^(k+1) when k > 0
-    (d_var rho is 2 x_var), d_var p over rho^0 when k = 0.  Coefficients
-    are summed as they come; ``_poly`` brings them to normal form."""
+def _add_derivative(out, v, var, coef):
+    """Add coef times the numerator of d_var v, v = p / rho^k, to the term
+    dict ``out``: d_var p * rho - 2k * x_var * p over rho^(k+1) when
+    k > 0 (d_var rho is 2 x_var), d_var p over rho^0 when k = 0.
+    Coefficients are summed as unreduced triples; ``_poly`` reduces
+    them."""
     u0, u1, u2, u3 = _UNITS[var]
+    k = v.k
     minus_2k = -2 * k
     get = out.get
-    for e, c in _scaled_terms(p, coef):
+    for e, (a, b, d) in _scaled_terms(v, coef):
         e0, e1, e2, e3 = e
         n = e[var]
         if n:
-            cn = c * n
+            an, bn = a * n, b * n
             b0, b1, b2, b3 = e0 - u0, e1 - u1, e2 - u2, e3 - u3
             if k:
                 # times rho = 1 + x1^2 + x2^2 + x3^2 + x4^2
@@ -250,39 +297,56 @@ def _add_derivative(out, p, k, var, coef):
                 shifted = ((b0, b1, b2, b3),)
             for f in shifted:
                 acc = get(f)
-                out[f] = cn if acc is None else acc + cn
+                if acc is None:
+                    out[f] = [an, bn, d]
+                elif acc[2] == d:
+                    acc[0] += an
+                    acc[1] += bn
+                else:
+                    _cross_add(acc, an, bn, d)
         if k:
             f = (e0 + u0, e1 + u1, e2 + u2, e3 + u3)
-            t = c * minus_2k
+            a *= minus_2k
+            b *= minus_2k
             acc = get(f)
-            out[f] = t if acc is None else acc + t
+            if acc is None:
+                out[f] = [a, b, d]
+            elif acc[2] == d:
+                acc[0] += a
+                acc[1] += b
+            else:
+                _cross_add(acc, a, b, d)
 
 
 def _add_product(out, x, y, coef):
-    """Add coef times the numerator product x * y to the term dict
-    ``out``, exponents added as 4-tuples; coef scales each term of x
+    """Add coef times the product of the numerators of the entries x and
+    y to the term dict ``out``, exponents added as 4-tuples and
+    coefficient triples multiplied unreduced; coef scales each term of x
     once."""
-    y_terms = y.terms.items()
+    y_terms = _triples(y)
     get = out.get
-    for (a0, a1, a2, a3), c1 in _scaled_terms(x, coef):
-        for (e0, e1, e2, e3), c2 in y_terms:
+    for (a0, a1, a2, a3), (xa, xb, xd) in _scaled_terms(x, coef):
+        for (e0, e1, e2, e3), (ya, yb, yd) in y_terms:
             f = (a0 + e0, a1 + e1, a2 + e2, a3 + e3)
-            t = c1 * c2
+            a = xa * ya - xb * yb
+            b = xa * yb + xb * ya
+            d = xd * yd
             acc = get(f)
-            out[f] = t if acc is None else acc + t
+            if acc is None:
+                out[f] = [a, b, d]
+            elif acc[2] == d:
+                acc[0] += a
+                acc[1] += b
+            else:
+                _cross_add(acc, a, b, d)
 
 
 def _poly(out):
-    """The polynomial of a term dict whose coefficients were summed
-    unnormalised: zero sums dropped, an integral Fraction stored as its
-    numerator."""
+    """The polynomial of a term dict of unreduced coefficient triples:
+    zero sums dropped, each other triple reduced once to the Q(i) normal
+    form by ``scalars._reduced``."""
     return MultiPoly._raw(
-        R4,
-        {
-            e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-            for e, c in out.items()
-            if c
-        },
+        R4, {e: _reduced(*t) for e, t in out.items() if t[0] or t[1]}
     )
 
 
@@ -305,12 +369,12 @@ def _entry_sum(entries, products):
             power = (v.k + 1 if v.k else 0) if var is not None else v.k
             out = sums.setdefault(power, {})
             if var is None:
-                _add_scaled(out, v.p, coef)
+                _add_scaled(out, v, coef)
             else:
-                _add_derivative(out, v.p, v.k, var, coef)
+                _add_derivative(out, v, var, coef)
     for coef, x, y in products:
         if x.p.terms and y.p.terms:
-            _add_product(sums.setdefault(x.k + y.k, {}), x.p, y.p, coef)
+            _add_product(sums.setdefault(x.k + y.k, {}), x, y, coef)
     if not sums:
         return _RF0
     if len(sums) == 1:

@@ -10,8 +10,9 @@ Gaussian prints like an int, so only a test that looks at types can see
 the fault.  The ``kernel_`` entries break the one-pass signed sums of
 covariant derivatives of ``instanton``: the power of rho each part is
 grouped at, the drop of a power whose parts cancel, the lift of a lower
-power's sum, the normal form, the scaling and the closed-form
-commutator of su(2) triples.  Others break the map of a 2x2 matrix to
+power's sum, the normal form, the scaling, the sum of coefficient
+triples over different denominators and the closed-form commutator of
+su(2) triples.  Others break the map of a 2x2 matrix to
 its triple, the three-entry rank rows, the self-dual part, the unit
 scalars, the chirality blocks of the Dirac operator and of the
 curvature action, and the blade-table lookup of
@@ -23,13 +24,14 @@ list of reduced branch subsets; then three let ``exactalg.UPoly``
 take a bool for a scalar, and the last makes ``cli`` run every suite
 module when it loads.
 
-    PYTHONPATH=src python tests/mutants.py
+    PYTHONPATH=src python tests/mutants.py [NAME...]
 
-applies each mutant to a temporary copy of ``src`` and ``tests``, runs
-its tests there with pytest, and prints ``killed`` or ``survived`` with
-the seconds that copy and test run took; the exit status is 1 when a
-mutant survives, and 2 when the named tests fail on the unmutated code.
-A surviving mutant means a missing test: the answer is a new test,
+applies each mutant, or only the mutants named, to a temporary copy of
+``src`` and ``tests``, runs its tests there with pytest, and prints
+``killed`` or ``survived`` with the seconds that copy and test run
+took; the exit status is 1 when a mutant survives, and 2 when a name is
+not in the ledger or the named tests fail on the unmutated code.  A
+surviving mutant means a missing test: the answer is a new test,
 never an edited mutant.  The tests run in the order named, stopping at
 the first failure, so each mutant names its fastest killing test first,
 and a property test that kills a mutant carries the killing input as an
@@ -164,8 +166,9 @@ MUTANTS = (
     (
         "kernel_skips_normal_form",
         "instanton.py",
-        "e: c.numerator if type(c) is Fraction and c.denominator == 1 else c",
-        "e: c",
+        "{e: _reduced(*t) for e, t in out.items() if t[0] or t[1]}",
+        "{e: Fraction(t[0], t[2]) if not t[1] else _reduced(*t)"
+        " for e, t in out.items() if t[0] or t[1]}",
         (
             "tests/test_instanton.py"
             "::test_covariant_kernel_stores_integral_coefficients_as_ints",
@@ -188,9 +191,8 @@ MUTANTS = (
         # grouped, whatever its own power
         "kernel_fuses_unequal_powers",
         "instanton.py",
-        "_add_product(sums.setdefault(x.k + y.k, {}), x.p, y.p, coef)",
-        "_add_product("
-        "sums.setdefault(next(iter(sums), x.k + y.k), {}), x.p, y.p, coef)",
+        "_add_product(sums.setdefault(x.k + y.k, {}), x, y, coef)",
+        "_add_product(sums.setdefault(next(iter(sums), x.k + y.k), {}), x, y, coef)",
         (
             "tests/test_instanton.py"
             "::test_mixed_power_entry_takes_its_highest_uncancelled_power",
@@ -226,8 +228,8 @@ MUTANTS = (
     (
         "kernel_minus_one_as_one",
         "instanton.py",
-        "return [(e, -c) for e, c in p.terms.items()]",
-        "return p.terms.items()",
+        "return [(e, (-a, -b, d)) for e, (a, b, d) in terms]",
+        "return terms",
         (
             "tests/test_instanton.py::test_bpst_matches_ratfunc_transcription",
             "tests/test_instanton.py::test_covariant_sum_matches_composed_form",
@@ -238,11 +240,25 @@ MUTANTS = (
         # treats +-i as 1 in the Dirac sum
         "kernel_skips_scalar_multiply",
         "instanton.py",
-        "return [(e, c * coef) for e, c in p.terms.items()]",
-        "return p.terms.items()",
+        "return [(e, (a * ca - b * cb, a * cb + b * ca, d * cd))"
+        " for e, (a, b, d) in terms]",
+        "return terms",
         (
             "tests/test_instanton.py::test_bpst_matches_ratfunc_transcription",
             "tests/test_instanton.py::test_covariant_sum_matches_composed_form",
+        ),
+    ),
+    (
+        # numerators over different denominators are then added as if
+        # over the first one, so x1 + x1 / 2 sums to 2 x1
+        "kernel_sums_unequal_denominators_as_equal",
+        "instanton.py",
+        "acc[:] = a1 * d + a * d1, b1 * d + b * d1, d1 * d",
+        "acc[:] = a1 + a, b1 + b, d1",
+        (
+            "tests/test_instanton.py::test_covariant_sum_matches_composed_form",
+            "tests/test_instanton.py"
+            "::test_covariant_kernel_matches_composed_form_and_ratfunc",
         ),
     ),
     (
@@ -500,15 +516,22 @@ def failed(tests, mutant=None):
     return child.returncode == 1
 
 
-def main():
+def main(argv=None):
+    # the mutants named on the command line, in ledger order, or all
+    names = set(sys.argv[1:] if argv is None else argv)
+    unknown = names - {mutant[0] for mutant in MUTANTS}
+    if unknown:
+        print("unknown mutant: %s" % ", ".join(sorted(unknown)))
+        return 2
+    mutants = [mutant for mutant in MUTANTS if not names or mutant[0] in names]
     # every named test must pass on the unmutated code, or a kill means
     # nothing
-    named = sorted({test for mutant in MUTANTS for test in mutant[4]})
+    named = sorted({test for mutant in mutants for test in mutant[4]})
     if failed(named):
         print("the ledger's tests fail on the unmutated code")
         return 2
     survived = 0
-    for mutant in MUTANTS:
+    for mutant in mutants:
         start = time.perf_counter()
         killed = failed(mutant[4], mutant)
         seconds = time.perf_counter() - start

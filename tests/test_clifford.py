@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 from gaussian_oracle import parts
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from spincert import VerificationError
@@ -396,6 +396,8 @@ def _rep_action(w, spinor):
 
 @settings(max_examples=60)
 @given(acting_multivectors)
+# i times the scalar blade: a single blade whose coefficient is not 1
+@example(Multivector({0: Gaussian(0, 1)}))
 def test_rep_matches_blade_sum(w):
     assert [list(row) for row in _REP.rep(w)] == _blade_sum(w)
 

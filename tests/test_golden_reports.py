@@ -49,6 +49,9 @@ RUNS = [
         0,
     ),
     ("run_parity_halves", ["run", "parity", "--curve", HALVES], 0),
+    ("run_instanton", ["run", "instanton"], 0),
+    # the negative control: its lists of nonzero components are pinned
+    ("run_instanton_perturb", ["run", "instanton", "--perturb"], 1),
 ]
 
 
@@ -112,7 +115,6 @@ def test_run_builds_no_local_series(name, argv, code, tmp_path, monkeypatch):
 
 SHAPE_RUNS = RUNS + [
     ("run_nr_perturb", ["run", "nr", "--perturb"], 1),
-    ("run_instanton_perturb", ["run", "instanton", "--perturb"], 1),
     ("run_all_perturb", ["run", "all", "--perturb"], 1),
 ]
 STATUSES = {"pass", "fail", "skipped", "error"}

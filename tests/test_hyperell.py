@@ -607,9 +607,33 @@ def test_valuation_matches_series_oracle(oracle_places, name, data):
         assert h.valuation(place) == _series_valuation(h, place), place
 
 
+class _Replay:
+    """A stand-in for the ``st.data()`` object in an ``@example``: its
+    draws hand out the given values in turn, whatever the strategy, and
+    start over after the last, so the example draws the same element on
+    every parametrized curve."""
+
+    def __init__(self, *values):
+        self.values = values
+        self.drawn = 0
+
+    def draw(self, strategy, label=None):
+        value = self.values[self.drawn % len(self.values)]
+        self.drawn += 1
+        return value
+
+
+# the element y, in the draws of _draw_element: a = 0, b = 1, den = 1,
+# no powers of x - x0, no sheet canceller and x0 = 0.  Its leading
+# coefficients at the branch places of genus3 and at the split places of
+# split are quotients of ints, which a bare / would make floats
+_LEAD_Y = _Replay(UPoly(), UPoly((1,)), UPoly((1,)), 0, 0, 0, False, 0)
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
+@example(data=_LEAD_Y)
 def test_leading_term_matches_series_oracle(oracle_places, name, data):
     # the series to precision v + 1 must be exactly lead * t^v
     places = oracle_places[name]

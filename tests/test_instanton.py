@@ -10,6 +10,7 @@ those 2x2 entry grids from the triples themselves."""
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from gaussian_oracle import in_normal_form, parts
@@ -202,6 +203,12 @@ def test_entry_scaling_rejects_bools_before_the_zero_shortcut(v):
             entry * v
         with pytest.raises(TypeError):
             v * entry
+    # the one-pass sums read each coefficient through scalars._triple
+    x = _x(1)
+    sums = (([(v, x, None)], []), ([(v, x, 0)], []), ([], [(v, x, x)]))
+    for entries, products in sums:
+        with pytest.raises(TypeError):
+            instanton._entry_sum(entries, products)
 
 
 def test_connection_takes_su2_triples():
@@ -943,6 +950,31 @@ def test_covariant_kernel_stores_integral_coefficients_as_ints():
         assert all(type(c) is int for c in want.p.terms.values())
 
 
+def test_kernel_sums_gaussian_coefficients_as_integer_triples(monkeypatch):
+    # the kernel multiplies and adds coefficient triples of ints, so no
+    # Gaussian operator runs while it sums Gaussian-coefficient entries
+    # and products, the BPST curvature build among them
+    comps = bpst_connection().components
+    a, b = comps[0], comps[1]
+    assert any(type(c) is Gaussian for c in a.b.p.terms.values())
+    # derivatives and products of entries over rho^1 sit over rho^2, so
+    # no sum is lifted from a lower power by polynomial arithmetic
+    minus_i = -_I
+    entries = ((_I, a.b, 0), (Fraction(1, 2), a.a, 2))
+    products = ((minus_i, a.b, b.c), (Fraction(3, 2), a.c, b.b))
+    calls = []
+    for name in "__mul__ __rmul__ __add__ __radd__ __sub__ __rsub__ __neg__".split():
+        op = getattr(Gaussian, name)
+        counted = lambda *args, op=op, name=name: calls.append(name) or op(*args)
+        monkeypatch.setattr(Gaussian, name, counted)
+    got = instanton._entry_sum(entries, products)
+    bare = instanton._entry_sum(((minus_i, b.c, None),), ())
+    curvature = instanton._curvature_of(comps)
+    assert calls == []
+    monkeypatch.undo()
+    assert got and bare == b.c * minus_i and any(curvature.values())
+
+
 def test_mixed_power_entry_takes_its_highest_uncancelled_power():
     # products over rho^1 and rho^2 whose rho^2 products cancel: the
     # entry is x1 x2 over rho^1, where the entry arithmetic lifts it to
@@ -1120,6 +1152,12 @@ _SUM_BARE_OVER_RHO = [(1, None, Su2(_RhoFrac(_X1, 1), 0, 0), None)]
 # the a entry's derivative d_1 x1 = 1 sits over rho^0 and its product
 # (x3 / rho) x2 over rho^1: two powers, each summed on its own
 _SUM_TWO_POWERS = [(1, Su2(0, _RhoFrac(_X3, 1), 0), Su2(_x(1), 0, _x(2)), 0)]
+# x1 + x1 / 2: the kernel adds the coefficient triples (1, 0, 1) and
+# (1, 0, 2), whose denominators differ, by cross-multiplying
+_SUM_UNEQUAL_DENOMINATORS = [
+    (1, None, Su2(_x(1), 0, 0), None),
+    (Fraction(1, 2), None, Su2(_x(1), 0, 0), None),
+]
 
 
 @given(_sum_terms())
@@ -1127,6 +1165,7 @@ _SUM_TWO_POWERS = [(1, Su2(0, _RhoFrac(_X3, 1), 0), Su2(_x(1), 0, _x(2)), 0)]
 @example(_SUM_TIMES_I)
 @example(_SUM_BARE_OVER_RHO)
 @example(_SUM_TWO_POWERS)
+@example(_SUM_UNEQUAL_DENOMINATORS)
 @settings(max_examples=60, deadline=None)
 def test_covariant_sum_matches_composed_form(terms):
     got = _covariant_sum(terms)
@@ -1146,6 +1185,13 @@ def _sum_cancels(terms):
     return parts and not _covariant_sum(terms)
 
 
+def _sums_unequal_denominators(terms):
+    # the kernel adds two coefficient triples over different denominators
+    with mock.patch.object(instanton, "_cross_add", wraps=instanton._cross_add) as spy:
+        _covariant_sum(terms)
+    return spy.called
+
+
 _SUM_BRANCHES = {
     "coef_one": _has_coef(1),
     "coef_minus_one": _has_coef(-1),
@@ -1160,6 +1206,7 @@ _SUM_BRANCHES = {
     "bare_entry": lambda terms: any(var is None and m for _, _, m, var in terms),
     "cancels_to_zero": _sum_cancels,
     "mixed_rho_powers": lambda terms: any(_mixed(p) for p in _sum_parts(terms)),
+    "unequal_denominators": _sums_unequal_denominators,
 }
 
 

@@ -3,13 +3,14 @@ snippet that occurs exactly once in its file, and tests that are
 defined in their test files, so the ledger keeps breaking the code it
 was written for and a deleted or renamed test fails here, not only when
 the ledger runs.  The ledger itself runs with
-``PYTHONPATH=src python tests/mutants.py``."""
+``PYTHONPATH=src python tests/mutants.py``, or with mutant names after
+it to run only those."""
 
 import ast
 
 import pytest
 
-from mutants import MUTANTS, PACKAGE, ROOT
+from mutants import MUTANTS, PACKAGE, ROOT, main
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m[0] for m in MUTANTS])
@@ -42,3 +43,28 @@ def test_named_tests_are_defined(mutant):
         # a parametrized node id names its function before the brackets
         names[-1] = names[-1].split("[")[0]
         assert names and _defined(ROOT / path, names), test
+
+
+def _fake_runs(monkeypatch):
+    """Record the mutant of each ledger run instead of running pytest:
+    the named tests pass on the unmutated code and kill every mutant."""
+    runs = []
+    monkeypatch.setattr(
+        "mutants.failed",
+        lambda tests, mutant=None: runs.append(mutant) or mutant is not None,
+    )
+    return runs
+
+
+def test_named_mutants_run_alone_in_ledger_order(monkeypatch):
+    runs = _fake_runs(monkeypatch)
+    first, last = MUTANTS[0], MUTANTS[-1]
+    assert main([last[0], first[0]]) == 0
+    assert runs == [None, first, last]
+
+
+def test_unknown_mutant_name_exits_2_before_any_run(monkeypatch, capsys):
+    runs = _fake_runs(monkeypatch)
+    assert main([MUTANTS[0][0], "no_such_mutant"]) == 2
+    assert runs == []
+    assert "no_such_mutant" in capsys.readouterr().out

@@ -100,6 +100,10 @@ ALLOWLIST = {
         "the public affine family; the Dirac certificate builds it with "
         "_twistor_family from the convention record it already holds"
     ),
+    "instanton.py:_cross_add": (
+        "adds two coefficient triples over different denominators; no suite "
+        "sum meets two, and the kernel's differential test reaches it"
+    ),
     "instanton.py:sd_asd_split": (
         "the public duality split that acceptance criterion 2 reads; runs "
         "need only its self-dual part"
