@@ -314,6 +314,11 @@ QUATERNION_UNITS = (
     ((1, 0), (0, 1)),
 )
 
+# the conjugate units -i, -j, -k, 1, in the order of QUATERNION_UNITS
+QUATERNION_CONJUGATES = tuple(
+    tuple(tuple(-x for x in row) for row in q) for q in QUATERNION_UNITS[:3]
+) + (QUATERNION_UNITS[3],)
+
 
 class GammaRep:
     """Exact 4x4 matrices over the Gaussian rationals representing the
@@ -323,12 +328,8 @@ class GammaRep:
     S+ and the negative block S-."""
 
     def __init__(self):
-        mi, mj, mk, m1 = QUATERNION_UNITS
-        conj = tuple(
-            tuple(tuple(-x for x in row) for row in q) for q in (mi, mj, mk)
-        ) + (m1,)
         gammas = []
-        for q, qc in zip(QUATERNION_UNITS, conj):
+        for q, qc in zip(QUATERNION_UNITS, QUATERNION_CONJUGATES):
             gm = [[0] * 4 for _ in range(4)]
             for r in range(2):
                 for c in range(2):

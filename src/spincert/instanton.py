@@ -66,9 +66,11 @@ names it.  The curvature action keeps a spinor's block, since e_m e_n is
 even, and refuses a spinor with a nonzero component outside the block
 it is said to lie in.  The coupled Dirac operator maps a field to the
 other block, so it sums gamma_i[r][c] only for c in the field's block
-and r in the other one.  The general 2x2 matrix ``Mat2`` is left only
-for the construction of the BPST connection, whose x qbar needs a
-general product; ``traceless_part`` maps it to a triple.
+and r in the other one.  The BPST connection is built in closed form:
+Im(x qbar_mu) is linear in x, so each of its components is 1/rho times a
+triple of linear forms, whose coefficients are the trace-free parts of
+the constant products of the quaternion units, and no general 2x2
+matrix is built.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ from itertools import combinations
 
 from . import VerificationError
 from .clifford import (
+    QUATERNION_CONJUGATES,
     QUATERNION_UNITS,
     GammaRep,
     Multivector,
@@ -446,52 +449,6 @@ class Su2:
 _SU0 = Su2(0, 0, 0)
 
 
-class Mat2:
-    """A 2x2 matrix of p / rho^k entries, for the general products that
-    build the BPST connection."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rr = tuple(tuple(_as_rf(v) for v in row) for row in rows)
-        if len(rr) != 2 or any(len(r) != 2 for r in rr):
-            raise ValueError("expected a 2x2 entry grid")
-        self.rows = rr
-
-    def __add__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        (a, b), (c, d) = self.rows
-        (e, f), (g, h) = other.rows
-        return Mat2(((a + e, b + f), (c + g, d + h)))
-
-    def __mul__(self, other):
-        if isinstance(other, Mat2):
-            (a, b), (c, d) = self.rows
-            (e, f), (g, h) = other.rows
-            return Mat2(
-                ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-            )
-        if not isinstance(other, _SCALARS):
-            try:
-                other = _as_rf(other)
-            except TypeError:
-                return NotImplemented
-        return Mat2(tuple(tuple(v * other for v in row) for row in self.rows))
-
-
-def quaternion_units():
-    """The matrix images of i, j, k, 1 used throughout this module: the
-    clifford module's ``QUATERNION_UNITS`` as p / rho^0 entries."""
-    return tuple(Mat2(q) for q in QUATERNION_UNITS)
-
-
-def traceless_part(m: Mat2) -> Su2:
-    """m - (tr m / 2) * 1 as a triple: ((m00 - m11) / 2, m01, m10)."""
-    (m00, m01), (m10, m11) = m.rows
-    return Su2((m00 - m11) * Fraction(1, 2), m01, m10)
-
-
 def _covariant_sum(terms) -> Su2:
     """The sum of coef * (d_var M + [A, M]) over the terms (coef, A, M,
     var), with coef a Q(i) scalar in normal form; A is None for a bare
@@ -623,14 +580,25 @@ def asd_check(f) -> bool:
 def bpst_connection() -> Connection:
     """The quaternionic charge-one connection Im(X qbar_mu)/(1+|x|^2).
 
-    The curvature is computed and must come out anti-self-dual under the
-    fixed conventions.
+    X = x1 i + x2 j + x3 k + x4 is linear, so the component A_mu is
+    (1/rho) sum_nu x_nu tau(Q_nu Qbar_mu): Q_nu runs over
+    ``clifford.QUATERNION_UNITS``, Qbar_mu over their conjugates, and tau
+    maps a constant 2x2 product m to its trace-free triple
+    ((m00 - m11) / 2, m01, m10).  Each entry is one linear numerator over
+    rho.  The curvature is computed and must come out anti-self-dual
+    under the fixed conventions.
     """
-    mi, mj, mk, m1 = quaternion_units()
-    x = mi * R4.gen(0) + mj * R4.gen(1) + mk * R4.gen(2) + m1 * R4.gen(3)
-    conj_units = (mi * -1, mj * -1, mk * -1, m1)
-    inv_rho = _RhoFrac(R4.one(), 1)
-    comps = tuple(traceless_part(x * qc) * inv_rho for qc in conj_units)
+    comps = []
+    for qc in QUATERNION_CONJUGATES:
+        terms = ({}, {}, {})  # exponent of x_nu -> coefficient, per entry
+        for e, q in zip(_UNITS, QUATERNION_UNITS):
+            (m00, m01), (m10, m11) = (
+                (r0 * qc[0][0] + r1 * qc[1][0], r0 * qc[0][1] + r1 * qc[1][1])
+                for r0, r1 in q
+            )
+            for out, c in zip(terms, ((m00 - m11) * Fraction(1, 2), m01, m10)):
+                out[e] = c
+        comps.append(Su2(*(_RhoFrac(MultiPoly(R4, t), 1) for t in terms)))
     conn = Connection(comps)
     if not asd_check(conn):
         raise VerificationError("curvature is not anti-self-dual")

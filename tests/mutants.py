@@ -12,10 +12,10 @@ covariant derivatives of ``instanton``: the power of rho each part is
 grouped at, the drop of a power whose parts cancel, the lift of a lower
 power's sum, the normal form, the scaling, the sum of coefficient
 triples over different denominators and the closed-form commutator of
-su(2) triples.  Others break the map of a 2x2 matrix to
-its triple, the three-entry rank rows, the self-dual part, the unit
-scalars, the chirality blocks of the Dirac operator and of the
-curvature action, and the blade-table lookup of
+su(2) triples.  Others break the halving in the closed-form trace-free
+part of the BPST connection, the three-entry rank rows, the self-dual
+part, the unit scalars, the chirality blocks of the Dirac operator and
+of the curvature action, and the blade-table lookup of
 ``clifford.GammaRep.rep``.  The last entries break the curve code's
 build-once paths and certificates: the interned places, the unchecked
 divisor merge and scale, the degree certificate of
@@ -286,8 +286,9 @@ MUTANTS = (
         ),
     ),
     (
-        # the Mat2 -> triple map then keeps m00 - m11, twice the traceless
-        # (0, 0) entry, so the BPST connection is no longer its own
+        # the closed form of the BPST connection then keeps m00 - m11,
+        # twice the trace-free (0, 0) coefficient, so the connection is no
+        # longer its own
         "trace_free_part_drops_half",
         "instanton.py",
         "(m00 - m11) * Fraction(1, 2)",

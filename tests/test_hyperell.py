@@ -539,23 +539,30 @@ ORACLE_CURVES = {
 }
 
 
-@pytest.fixture(scope="module")
-def oracle_places():
+class _OraclePlaces(dict):
     """Per oracle curve: the branch places over the smallest and largest
     root (one of them over x = 0), both infinite places and the split
-    places.  Their local series are computed once at precision 64, which
-    covers every expansion the oracle makes for the elements drawn
-    below, so no drawn example pays for growing the cache."""
-    out = {}
-    for name, (roots, points) in ORACLE_CURVES.items():
+    places.  A curve's places are built, and their local series computed
+    at precision 64, the first time a test asks for that curve, so a test
+    of one curve pays for no other.  Precision 64 covers every expansion
+    the oracle makes for the elements drawn below, so no drawn example
+    pays for growing the cache."""
+
+    def __missing__(self, name):
+        roots, points = ORACLE_CURVES[name]
         c = HyperCurve.from_roots(roots)
         places = [c.branch_place(1), c.branch_place(len(c.roots))]
         places += [c.infinite_place(1), c.infinite_place(-1)]
         places += [c.split_place(x0, y0) for x0, y0 in points]
         for place in places:
             place.local_series(64)
-        out[name] = places
-    return out
+        self[name] = places
+        return places
+
+
+@pytest.fixture(scope="module")
+def oracle_places():
+    return _OraclePlaces()
 
 
 def _sheet_cancellers(places):

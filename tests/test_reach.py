@@ -5,10 +5,11 @@ with the reason it stays, in ``ALLOWLIST`` for ordinary functions and in
 reaches fails here, and so does an allowlisted function that a run now
 reaches, which keeps the lists true.
 
-The runs are the three golden reports, both ``--perturb`` runs and two
-bad-argument runs, made in process under ``sys.setprofile``, and the
-``import spincert.cli`` that starts every command-line run, profiled
-alike in a fresh interpreter.
+The runs are every golden invocation of ``test_golden_reports.RUNS``
+(the ``run instanton --perturb`` control among them), ``run nr
+--perturb`` and two bad-argument runs, made in process under
+``sys.setprofile``, and the ``import spincert.cli`` that starts every
+command-line run, profiled alike in a fresh interpreter.
 
 A function is keyed by its file and the line of its first decorator (or
 of ``def`` when it has none), which is the line CPython records as the
@@ -37,26 +38,22 @@ import sys
 import threading
 from pathlib import Path
 
+import test_golden_reports
+
 import spincert
 from spincert.cli import main
 
 SRC = Path(spincert.__file__).resolve().parent
-GOLDEN = Path(__file__).resolve().parent / "golden"
-FIXTURE = str(GOLDEN / "curve_roots_0_1_2_3_4_-14.txt")
 
-RUNS = (
-    (["run", "all", "--seed", "1729"], 0),
-    (["run", "odd", "--curve", FIXTURE, "--seed", "3", "--triples", "2"], 0),
-    (["run", "parity", "--curve", FIXTURE], 0),
+RUNS = tuple((argv, code) for _, argv, code in test_golden_reports.RUNS) + (
     (["run", "nr", "--perturb"], 1),
-    (["run", "instanton", "--perturb"], 1),
     (["run", "theta", "--g", "0"], 2),
     (["run", "repsl2", "--m", "2"], 2),
 )
 
 _SERIES = (
     "series or RatFunc code: the benchmark tracer binds its names, so it "
-    "stays in src until ROADMAP item 2 moves it to the tests"
+    "stays in src until ROADMAP item 4 moves it to the tests"
 )
 
 ALLOWLIST = {
@@ -189,6 +186,11 @@ DUNDER_ALLOWLIST = {
         "value equality of places on distinct but equal curves; a run meets "
         "only the interned place of its curve, which dicts find by identity"
     ),
+    "exactalg/polys.py:PolyRing.__eq__": (
+        "the ring check of MultiPoly operands and of instanton entries: a "
+        "run's polynomials share their ring object, which MultiPoly._check "
+        "finds by identity, and only tests hand an entry a bare MultiPoly"
+    ),
     "exactalg/polys.py:MultiPoly.__hash__": _HASH,
     "exactalg/polys.py:PolyRing.__hash__": _HASH,
     "exactalg/scalars.py:Gaussian.__hash__": _HASH,
@@ -197,6 +199,10 @@ DUNDER_ALLOWLIST = {
     "instanton.py:_RhoFrac.__neg__": (
         "entry negation for Su2.__neg__, for __sub__ across powers of rho "
         "and for tests; a run negates through the -1 scalar fast path"
+    ),
+    "instanton.py:_RhoFrac.__sub__": (
+        "entry difference for Su2.__sub__ and _RhoFrac.__eq__, which tests "
+        "compare with; a run subtracts through the kernel's -1 coefficients"
     ),
     "instanton.py:Su2.__add__": _SU2,
     "instanton.py:Su2.__neg__": _SU2,
