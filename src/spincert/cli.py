@@ -69,7 +69,6 @@ thetachar = _lazy("thetachar")
 SUITES = ("clifford", "instanton", "nr", "odd", "parity", "repsl2", "theta")
 DEFAULT_SEED = 1729
 DEFAULT_TRIPLES = 20
-ARF_GENUS_LIMIT = 4
 
 
 def _jsonable(value):
@@ -321,7 +320,7 @@ def run_theta(opts):
         checks.append(("parity_counts_g%d" % g, counts))
 
         def arf(g=g):
-            if g > ARF_GENUS_LIMIT:
+            if g > thetachar.ARF_GENUS_LIMIT:
                 return {
                     "_skipped": True,
                     "reason": "quadratic-form sweep grows as 16^g",

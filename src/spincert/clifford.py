@@ -325,7 +325,9 @@ class GammaRep:
     generator action on spinors, built from quaternion multiplication
     blocks.  The chirality operator (the represented volume blade) is
     diagonal with entries +1, +1, -1, -1: the positive block is called
-    S+ and the negative block S-."""
+    S+ and the negative block S-.  The class applies no matrix to a
+    spinor: the instanton module reads the entries of ``gamma`` and of
+    ``rep`` as the coefficients of its entry sums."""
 
     def __init__(self):
         gammas = []
@@ -364,27 +366,6 @@ class GammaRep:
         for mask, c in w.coeffs.items():
             acc = _mat_add(acc, _mat_scale(c, self._blade_mats[mask]))
         return acc
-
-    def act(self, w: Multivector, spinor):
-        """Apply a represented multivector to a length-4 spinor.
-
-        Spinor entries may be any values multipliable by Gaussian
-        coefficients (Gaussians themselves, or the p / rho^k entries of
-        the instanton module)."""
-        m = self.rep(w)
-        out = []
-        for r in range(4):
-            acc = None
-            for c in range(4):
-                coef = m[r][c]
-                if not coef:
-                    continue
-                t = coef * spinor[c]
-                acc = t if acc is None else acc + t
-            if acc is None:
-                acc = 0 * spinor[0]
-            out.append(acc)
-        return tuple(out)
 
     def chirality_signs(self):
         diag = [self.gamma5[k][k] for k in range(4)]

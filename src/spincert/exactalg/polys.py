@@ -253,16 +253,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def scale(self, c):
-        """c times the polynomial for a scalar c, without building the
-        constant polynomial c."""
-        c = self.ring.field.coerce(c)
-        if not c:
-            return MultiPoly._raw(self.ring, {})
-        return MultiPoly._raw(
-            self.ring, {e: rational_normal(v * c) for e, v in self.terms.items()}
-        )
-
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")

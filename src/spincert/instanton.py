@@ -10,8 +10,8 @@ entries are functions of the four coordinates; each is stored as the
 triple (a, b, c) of its matrix [[a, b], [c, -a]] (class ``Su2``), so
 the (1, 1) entry is -a by type.  Every denominator that occurs is a
 power of rho = 1 + |x|^2, so an entry is stored as a pair (p, k)
-meaning p / rho^k with p in Q(i)[x1..x4].  Sums lift both numerators to
-the larger power, products add the powers, and the derivative is
+meaning p / rho^k with p in Q(i)[x1..x4].  Sums lift the numerators to
+the largest power, products add the powers, and the derivative is
 
     d_i (p / rho^k) = (d_i p * rho - k * p * d_i rho) / rho^(k+1),
 
@@ -38,27 +38,32 @@ Dirac operator sums gamma_i[r][c] * theta_i[c], the exterior covariant
 derivative sums three terms with signs +, -, +, the curvature
 d_m A_n - d_n A_m + [A_m, A_n] is a sum with one bare derivative term,
 and the self-dual part (F + *F) / 2 is a two-term sum of bare entries.
-The curvature action on a spinor is a sum of products alone, F_mn times
-the entries of (e_m e_n) . psi.  Each of the three entries of a sum is
-built in one pass: the numerators of every derivative (d_i p * rho - 2k
-x_i p), every product and every bare entry are summed into one term
-dict at the common power of rho, each scaled as it is added (a
-coefficient 1 as is, -1 negated, any other value multiplied once per
-term).  The sums run on ints: an entry's coefficients are read once, by
-the first sum that meets it, as integer triples (a, b, d), meaning
-(a + b*i)/d, and the term dict holds each coefficient as an unreduced
-triple.
-A scaled term or a product of two terms multiplies triples (four integer
-products), numerators over equal denominators are added, and over
-different ones both are cross-multiplied.  Each surviving triple is
+The curvature action on a spinor is a sum of products alone: F_mn times
+psi[c], scaled by the entry [r][c] of the matrix of e_m e_n.  On a
+spinor of entries, the flat Dirac value sums gamma_i[r][c] * d_i psi[c],
+each entry of the twistor residual sums d_i psi[r] and gamma_i[r][c] / 4
+times the Dirac value's entry c, and the affine spinor x . psi1 + psi2
+sums gamma_mu[r][c] * psi1[c] * x_mu and psi2[r].  The entry type's own
+sum, difference, product and derivative are sums of one or two parts.
+Each of these entries is built in one pass, by ``_entry_sum``: the
+numerators of every derivative (d_i p * rho - 2k x_i p), every product
+and every bare entry are summed into one term dict at the common power
+of rho, each scaled as it is added (a coefficient 1 as is, -1 negated,
+any other value multiplied once per term).  The sums run on ints: an
+entry's coefficients are read once, by the first sum that meets it, as
+integer triples (a, b, d), meaning (a + b*i)/d, and the term dict holds
+each coefficient as an unreduced triple.  A scaled term or a product
+of two terms multiplies triples (four integer products), numerators
+over equal denominators are added, and over different ones both are
+cross-multiplied.  Each surviving triple is
 reduced once, with one gcd, to the Q(i) normal form, through
 ``scalars._reduced``.  So no derivative, product, commutator, scaled
 matrix or Gaussian scalar is built on the way: a ``run instanton`` makes
-392 Gaussian products, none of them in a term sum, where summing
-Gaussian objects made 1,740.  An entry whose nonzero parts sit at
-different powers of rho (none in the suite) gets one term dict per
-power, and the lower sums are lifted to the highest power that does not
-cancel.
+257 Gaussian products, none of them in a term sum, and no polynomial
+product, where summing Gaussian objects made 1,740.  An entry whose
+nonzero parts sit at different powers of rho (none in the suite) gets
+one term dict per power, and the lower sums are lifted to the highest
+power that does not cancel.
 
 A coupled field is a section of S+ tensor E or of S- tensor E: a
 ``CoupledField`` holds the two components of one chirality block and
@@ -107,8 +112,9 @@ class _RhoFrac:
     """The entry p / rho^k, k >= 0; zero is stored with k = 0.
 
     The pair is not reduced (p may be a multiple of rho), so equality is
-    a zero test on the difference.  The private cache dict keeps the
-    terms of p as integer triples once a sum has read them
+    a zero test on the difference.  The sum, difference, product and
+    derivative are each one ``_entry_sum``.  The private cache dict keeps
+    the terms of p as integer triples once a sum has read them
     (``_triples``)."""
 
     __slots__ = ("p", "k", "_cache")
@@ -127,18 +133,7 @@ class _RhoFrac:
                 other = _as_rf(other)
             except TypeError:
                 return NotImplemented
-        p, q = self.p, other.p
-        if not p.terms:
-            return other
-        if not q.terms:
-            return self
-        k, j = self.k, other.k
-        if k < j:
-            p = p * RHO ** (j - k)
-            k = j
-        elif j < k:
-            q = q * RHO ** (k - j)
-        return _RhoFrac(p + q, k)
+        return _entry_sum(((1, self, None), (1, other, None)), ())
 
     def __neg__(self):
         return _RhoFrac(-self.p, self.k)
@@ -149,34 +144,21 @@ class _RhoFrac:
                 other = _as_rf(other)
             except TypeError:
                 return NotImplemented
-        if self.k == other.k:
-            return _RhoFrac(self.p - other.p, self.k)
-        return self + (-other)
+        return _entry_sum(((1, self, None), (-1, other, None)), ())
 
     def __mul__(self, other):
-        p = self.p
-        if type(other) is _RhoFrac:
-            if not p.terms or not other.p.terms:
-                return _RF0
-            return _RhoFrac(p * other.p, self.k + other.k)
-        if type(other) is int:
-            # the unit scalars of the gamma and star signs copy nothing
-            if other == 1:
-                return self
-            if other == -1:
-                return _RhoFrac(-p, self.k)
-        if isinstance(other, _SCALARS):
-            if type(other) is bool:
-                # before the zero short-cut, so False fails like True
-                return NotImplemented
-            if not p.terms or not other:
-                return _RF0
-            return _RhoFrac(p.scale(other), self.k)
-        try:
-            other = _as_rf(other)
-        except TypeError:
+        # a bool is refused before any sum, so False fails like True
+        if type(other) is bool:
             return NotImplemented
-        return self * other
+        if isinstance(other, _SCALARS):
+            entries, products = ((other, self, None),), ()
+        else:
+            try:
+                other = _as_rf(other)
+            except TypeError:
+                return NotImplemented
+            entries, products = (), ((1, self, other),)
+        return _entry_sum(entries, products)
 
     __rmul__ = __mul__
 
@@ -189,11 +171,7 @@ class _RhoFrac:
         return not (self - other)
 
     def derivative(self, var):
-        if not self.k:
-            return _RhoFrac(self.p.derivative(var))
-        out = {}
-        _add_derivative(out, self, var, 1)
-        return _RhoFrac(_poly(out), self.k + 1)
+        return _entry_sum(((1, self, var),), ())
 
     def eval(self, point, rho=None):
         """p(point) / rho(point)^k; ``rho`` is the value of RHO at the
@@ -610,92 +588,99 @@ def bpst_connection() -> Connection:
 # ----------------------------------------------------------------------
 
 
-def _zero_spinor():
-    return (_RF0,) * 4
-
-
-def _spinor_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _gamma_linear_column(col):
-    """The affine spinor x . (basis spinor), entries linear polynomials."""
-    comps = []
-    for r in range(4):
-        p = R4.zero()
-        for mu in range(4):
-            g = GAMMA.gamma[mu][r][col]
-            if g:
-                p = p + R4.gen(mu) * g
-        comps.append(_RhoFrac(p))
-    return tuple(comps)
+# the coordinates x1..x4 and the constant 1, as entries
+_COORDS = tuple(_RhoFrac(R4.gen(i)) for i in range(4))
+_ONE = _RhoFrac(R4.one())
 
 
 def flat_dirac(derivatives):
-    """Uncoupled Dirac value sum_i e_i . d_i psi of a scalar-entried
-    spinor field psi, from its four derivative spinors d_i psi."""
-    acc = _zero_spinor()
-    for i, di in enumerate(derivatives):
-        acc = _spinor_add(acc, GAMMA.act(Multivector.vector(i + 1), di))
-    return acc
+    """Uncoupled Dirac value sum_i e_i . d_i psi of a spinor field psi of
+    entries, from its four derivative spinors d_i psi: entry r is one
+    ``_entry_sum`` of gamma_i[r][c] * d_i psi[c]."""
+    gamma = GAMMA.gamma
+    return tuple(
+        _entry_sum(
+            [
+                (gamma[i][r][c], di[c], None)
+                for i, di in enumerate(derivatives)
+                for c in range(4)
+                if gamma[i][r][c]
+            ],
+            (),
+        )
+        for r in range(4)
+    )
 
 
 def twistor_residual(components):
     """The four defect fields grad_i psi + (1/4) e_i . (Dirac psi).
 
     All four vanish exactly iff the field solves the flat twistor
-    equation; affine fields of the matched chirality pattern do.  Each
-    d_i psi is computed once, for the Dirac value and for its defect.
+    equation; affine fields of the matched chirality pattern do.  Entry r
+    of the i-th defect is one ``_entry_sum`` of d_i psi[r] and of the
+    Dirac value's entries c scaled by gamma_i[r][c] / 4.  Each d_i psi is
+    computed once, for the Dirac value and for its defect.
     """
     comps = tuple(_as_rf(v) for v in components)
     derivatives = [tuple(v.derivative(i) for v in comps) for i in range(4)]
-    quarter_dirac = tuple(v * Fraction(1, 4) for v in flat_dirac(derivatives))
+    dirac = flat_dirac(derivatives)
+    quarter = Fraction(1, 4)
+    gamma = GAMMA.gamma
     return tuple(
-        _spinor_add(di, GAMMA.act(Multivector.vector(i + 1), quarter_dirac))
+        tuple(
+            _entry_sum(
+                [(1, di[r], None)]
+                + [
+                    (quarter * gamma[i][r][c], dirac[c], None)
+                    for c in range(4)
+                    if gamma[i][r][c]
+                ],
+                (),
+            )
+            for r in range(4)
+        )
         for i, di in enumerate(derivatives)
     )
 
 
 class TwistorSpinor:
     """An affine solution x . psi1 + psi2 of the flat twistor equation,
-    valued in a single chirality block."""
+    valued in a single chirality block.  psi1 and psi2 are spinors of Q(i)
+    scalars; component r is one ``_entry_sum``: the sum of gamma_mu[r][c]
+    * psi1[c] * x_mu over mu and c, plus psi2[r]."""
 
     __slots__ = ("psi1", "psi2", "components")
 
     def __init__(self, psi1, psi2):
         p1 = tuple(0 if v is None else v for v in psi1)
         p2 = tuple(0 if v is None else v for v in psi2)
-        field = _zero_spinor()
-        for col in range(4):
-            if p1[col]:
-                lin = _gamma_linear_column(col)
-                field = _spinor_add(field, tuple(v * p1[col] for v in lin))
-            if p2[col]:
-                const_part = tuple(
-                    _as_rf(p2[col]) if r == col else _RF0 for r in range(4)
-                )
-                field = _spinor_add(field, const_part)
+        gamma = GAMMA.gamma
+        field = []
+        for r in range(4):
+            entries = [
+                (gamma[mu][r][c] * p1[c], x, None)
+                for mu, x in enumerate(_COORDS)
+                for c in range(4)
+                if gamma[mu][r][c] and p1[c]
+            ]
+            if p2[r]:
+                entries.append((p2[r], _ONE, None))
+            field.append(_entry_sum(entries, ()))
         self.psi1 = p1
         self.psi2 = p2
-        self.components = field
-        for res in twistor_residual(field):
+        self.components = tuple(field)
+        for res in twistor_residual(self.components):
             if any(res):
                 raise VerificationError("affine field fails the twistor equation")
 
 
-def twistor_basis():
+def twistor_basis(acts_on):
     """Four independent affine solutions valued in the chirality block
-    the anti-self-dual 2-forms act on (two linear, two constant)."""
-    return _twistor_family(GAMMA.asd_action_record()["acts_on"])
-
-
-def _twistor_family(acts_on):
-    """``twistor_basis`` for the block ``acts_on`` ("S+" or "S-") that
-    ``GAMMA.asd_action_record`` names, so a caller that already holds
-    the record does not compute it again.  The linear solutions are x .
-    psi1 with psi1 in the other block, the constant ones a basis spinor
-    of ``acts_on``; ``curvature_acts`` refuses any of them that has a
-    nonzero component outside ``acts_on``."""
+    ``acts_on`` ("S+" or "S-"), the block the anti-self-dual 2-forms act
+    on as ``GAMMA.asd_action_record`` names it: two linear ones, x . psi1
+    with psi1 a basis spinor of the other block, and two constant ones, a
+    basis spinor of ``acts_on``.  ``curvature_acts`` refuses any of them
+    that has a nonzero component outside ``acts_on``."""
     zero4 = (0,) * 4
     sols = []
     for col in BLOCKS[_OTHER[acts_on]]:
@@ -737,11 +722,12 @@ class CoupledField:
 def curvature_acts(f: dict, psi, block) -> CoupledField:
     """Clifford action of an su(2)-valued 2-form on a scalar spinor psi
     that lies in the chirality block ``block``: the field on that block
-    whose component r is the sum over the 2-form's components F_mn of
-    F_mn * phi[r], phi = (e_m e_n) . psi.  Each of its three entries is
-    one ``_entry_sum`` of the products of F_mn's entry with phi[r].  A
-    psi with a nonzero component outside ``block`` is a
-    VerificationError."""
+    whose component r is the sum over the 2-form's components F_mn and
+    the block's rows c of B_mn[r][c] * F_mn * psi[c], with B_mn the
+    matrix of e_m e_n.  Each of its three entries is one ``_entry_sum``
+    of the products of F_mn's entry with psi[c], each scaled by its
+    blade matrix entry.  A psi with a nonzero component outside
+    ``block`` is a VerificationError."""
     psi_t = tuple(_as_rf(v) for v in psi)
     if any(psi_t[r] for r in BLOCKS[_OTHER[block]]):
         raise VerificationError("spinor leaks outside its chirality block")
@@ -750,12 +736,13 @@ def curvature_acts(f: dict, psi, block) -> CoupledField:
     # i-th component of the block
     products = [([], [], []) for _ in rows]
     for (m, n), mat in f.items():
-        phi = GAMMA.act(Multivector.blade(_pair_mask(m, n)), psi_t)
+        blade = GAMMA.rep(Multivector.blade(_pair_mask(m, n)))
         for r, lists in zip(rows, products):
-            v = phi[r]
-            if v:
-                for x, out in zip((mat.a, mat.b, mat.c), lists):
-                    out.append((1, x, v))
+            for c in rows:
+                coef, v = blade[r][c], psi_t[c]
+                if coef and v:
+                    for x, out in zip((mat.a, mat.b, mat.c), lists):
+                        out.append((coef, x, v))
     return CoupledField(
         block, (Su2(*(_entry_sum((), p) for p in lists)) for lists in products)
     )
@@ -829,7 +816,7 @@ def verify_curvature_dirac_solutions(a: Connection) -> dict:
     acts_on = GAMMA.asd_action_record()["acts_on"]
     produced = []
     residual_zero = []
-    for psi in _twistor_family(acts_on):
+    for psi in twistor_basis(acts_on):
         coupled = curvature_acts(f, psi.components, acts_on)
         res = coupled_dirac(a, coupled)
         produced.append(coupled)

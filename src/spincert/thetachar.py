@@ -18,6 +18,8 @@ from itertools import chain, combinations, product
 from . import VerificationError
 
 GENUS_RANGE = range(1, 7)
+# the largest genus whose quadratic-form sweep, over 16^g forms, is run
+ARF_GENUS_LIMIT = 4
 
 
 class CharClass:
@@ -176,8 +178,10 @@ def arf_model_crosscheck(g: int) -> bool:
     """Certifies that the subset model and the quadratic-form model
     agree on (odd, even) counts, and that both equal the closed form.
     Raises on any mismatch."""
-    if g > 4:
-        raise ValueError("crosscheck enumeration supported for g <= 4")
+    if g > ARF_GENUS_LIMIT:
+        raise ValueError(
+            "crosscheck enumeration supported for g <= %d" % ARF_GENUS_LIMIT
+        )
     subset_counts = parity_counts(g)
     quad_counts = quad_form_counts(g)
     closed = (

@@ -143,12 +143,6 @@ class FractionPoly:
                     out[e] = s
         return FractionPoly._raw(self.ring, out)
 
-    def scale(self, c):
-        c = self.ring.field.coerce(c)
-        if not c:
-            return FractionPoly._raw(self.ring, {})
-        return FractionPoly._raw(self.ring, {e: v * c for e, v in self.terms.items()})
-
     def exact_div(self, divisor):
         """Return self / divisor when the division is exact, else None."""
         divisor = self._check(divisor)

@@ -14,8 +14,9 @@ power's sum, the normal form, the scaling, the sum of coefficient
 triples over different denominators and the closed-form commutator of
 su(2) triples.  Others break the halving in the closed-form trace-free
 part of the BPST connection, the three-entry rank rows, the self-dual
-part, the unit scalars, the chirality blocks of the Dirac operator and
-of the curvature action, and the blade-table lookup of
+part, the chirality blocks of the Dirac operator and of the curvature
+action, the blade matrix coefficients of the curvature action, the
+quarter of the twistor residual, and the blade-table lookup of
 ``clifford.GammaRep.rep``.  The last entries break the curve code's
 build-once paths and certificates: the interned places, the unchecked
 divisor merge and scale, the degree certificate of
@@ -345,13 +346,29 @@ MUTANTS = (
         ("tests/test_instanton.py::test_self_dual_part_matches_the_old_split",),
     ),
     (
-        "unit_scalar_minus_one_as_one",
+        # every product of the curvature action then takes the blade
+        # matrix entry as 1, so the produced fields are no longer the
+        # Clifford action and fail the coupled Dirac equation
+        "action_blade_coefficient_as_one",
         "instanton.py",
-        "                return _RhoFrac(-p, self.k)\n",
-        "                return self\n",
+        "out.append((coef, x, v))",
+        "out.append((1, x, v))",
         (
-            "tests/test_instanton.py::test_entry_unit_scalars_copy_nothing",
-            "tests/test_instanton.py::test_bpst_matches_ratfunc_transcription",
+            "tests/test_instanton.py::test_main_verification_passes",
+            "tests/test_instanton.py::test_curvature_acts_matches_composed_form",
+        ),
+    ),
+    (
+        # the defect is then d_i psi + e_i . (Dirac psi), which no affine
+        # field of the family zeroes, so building the family raises
+        "twistor_residual_drops_quarter",
+        "instanton.py",
+        "quarter = Fraction(1, 4)",
+        "quarter = 1",
+        (
+            "tests/test_instanton.py::test_twistor_basis_properties",
+            "tests/test_instanton.py"
+            "::test_flat_dirac_and_twistor_residual_match_composed_action",
         ),
     ),
     (
@@ -360,10 +377,7 @@ MUTANTS = (
         "clifford.py",
         "            if c == 1:\n",
         "            if True:\n",
-        (
-            "tests/test_clifford.py::test_rep_matches_blade_sum",
-            "tests/test_clifford.py::test_act_matches_rep_based_action",
-        ),
+        ("tests/test_clifford.py::test_rep_matches_blade_sum",),
     ),
     (
         "qi_constructor_returns_real_gaussian",

@@ -348,6 +348,18 @@ class TestFlags:
             "arf_crosscheck_g6": "skipped",
         }
 
+    def test_arf_genus_limit_boundary(self):
+        # one limit, in thetachar: run theta crosschecks the limit and
+        # skips the genus above it, which thetachar refuses
+        limit = thetachar.ARF_GENUS_LIMIT
+        code, report = run("theta", g="%d,%d" % (limit, limit + 1))
+        assert code == 0
+        block = report["suites"][0]
+        assert _check(block, "arf_crosscheck_g%d" % limit)["status"] == "pass"
+        assert _check(block, "arf_crosscheck_g%d" % (limit + 1))["status"] == "skipped"
+        with pytest.raises(ValueError):
+            thetachar.arf_model_crosscheck(limit + 1)
+
     def test_repsl2_degree_selection(self):
         code, report = run("repsl2", m="1")
         assert code == 0

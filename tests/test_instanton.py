@@ -5,17 +5,21 @@ checked against RatFunc as an independent oracle, and the one-pass
 signed sums of covariant derivatives on su(2) triples, with the
 self-dual part and the curvature action, against the composed 2x2
 matrix arithmetic they replaced and against RatFunc.  The tests build
-those 2x2 entry grids from the triples themselves."""
+those 2x2 entry grids from the triples themselves, on the entry
+arithmetic of ``rho_oracle``, which shares no code with the kernel."""
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import add
 from unittest import mock
 
 import pytest
 from gaussian_oracle import in_normal_form, parts
 from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
+from rho_oracle import RhoPair
+from test_clifford import _rep_action
 
 from spincert import VerificationError, cli, instanton
 from spincert.clifford import (
@@ -89,20 +93,22 @@ def _x(i):
 ZERO_CONNECTION = Connection((ZERO,) * 4)
 
 # ----------------------------------------------------------------------
-# 2x2 entry grids, for entries of either type
+# 2x2 entry grids, of oracle pairs, RatFuncs or Q(i) scalars
 # ----------------------------------------------------------------------
 
 
 def _grid(t):
-    """The entry grid [[a, b], [c, -a]] of the triple t."""
-    return ((t.a, t.b), (t.c, -t.a))
+    """The grid [[a, b], [c, -a]] of the triple t, of oracle pairs."""
+    a, b, c = (RhoPair.of(v) for v in (t.a, t.b, t.c))
+    return ((a, b), (c, -a))
 
 
 def _triple(grid):
-    """The Su2 of a grid that is trace-free in value."""
+    """The Su2 of a grid that is trace-free in value; oracle pairs become
+    entries again."""
     (g00, g01), (g10, g11) = grid
-    assert g11 == -g00
-    return Su2(g00, g01, g10)
+    assert not (g00 + g11)
+    return Su2(*(v.entry() if type(v) is RhoPair else v for v in (g00, g01, g10)))
 
 
 TI, TJ, TK = (_triple(m) for m in (MI, MJ, MK))
@@ -138,8 +144,8 @@ def _closed_comm(a, b):
     return ((c00, b01 * da - a01 * db), (a10 * db - b10 * da, -c00))
 
 
-def _gderiv(a, i, derivative=lambda v, i: v.derivative(i)):
-    return tuple(tuple(derivative(x, i) for x in row) for row in a)
+def _gderiv(a, i):
+    return tuple(tuple(x.derivative(i) for x in row) for row in a)
 
 
 def _gnonzero(a):
@@ -234,7 +240,7 @@ def test_coupled_field_holds_one_chirality_block():
 def test_curvature_acts_refuses_spinors_outside_the_block(curv):
     # the family lies in ACTS_ON: named as the other block, or with an
     # entry added outside it, a member leaks
-    sols = twistor_basis()
+    sols = twistor_basis(ACTS_ON)
     other = _OTHER[ACTS_ON]
     assert curvature_acts(curv, sols[0].components, ACTS_ON).block == ACTS_ON
     with pytest.raises(VerificationError, match="leaks"):
@@ -331,11 +337,10 @@ def _entry_sum_powers(entries, products):
 
 def test_run_instanton_fuses_every_covariant_entry(monkeypatch, tmp_path):
     # every entry a run sums has its parts at one power of rho, so it is
-    # one term dict; a fused entry scales no polynomial on the way
+    # one term dict
     entry_sum = instanton._entry_sum
     self_dual_of = instanton._self_dual_of
-    scale = MultiPoly.scale
-    entries, mixed, self_dual, scaled = [], [], [], []
+    entries, mixed, self_dual = [], [], []
 
     def counting_entry(*args):
         entries.append(args)
@@ -347,30 +352,31 @@ def test_run_instanton_fuses_every_covariant_entry(monkeypatch, tmp_path):
         self_dual.append(f)
         return self_dual_of(f)
 
-    def counting_scale(self, c):
-        scaled.append(c)
-        return scale(self, c)
-
     monkeypatch.setattr(instanton, "_entry_sum", counting_entry)
     monkeypatch.setattr(instanton, "_self_dual_of", counting_self_dual)
-    monkeypatch.setattr(MultiPoly, "scale", counting_scale)
     out = str(tmp_path / "r.json")
-    # sums of triples, three entries each: 6 per curvature and per
-    # self-dual part (one of each per connection, two connections), 2 per
-    # Dirac residual and 2 per curvature action (the two components of a
-    # chirality block, four fields each, none outside the block), and 4
+    # covariant sums of triples, three entries each: 6 per curvature and
+    # per self-dual part (one of each per connection, two connections), 2
+    # per Dirac residual and 2 per curvature action (the two components of
+    # a chirality block, four fields each, none outside the block), and 4
     # per Bianchi or Yang-Mills residual (Bianchi, Yang-Mills and the
-    # control's)
+    # control's): 156.  Entry products by a scalar: 3 to double the
+    # control's first component and 18 per starred curvature (six keys,
+    # one per Yang-Mills residual): 39.  The twistor family, built once:
+    # per member 4 components, 16 derivatives, 4 Dirac entries and 16
+    # defect entries, 40 each: 160
     assert cli.main(["run", "instanton", "--out", out]) == 0
-    assert len(entries) == 3 * (2 * 6 + 2 * 6 + 4 * 2 + 4 * 2 + 3 * 4) == 156
-    assert not mixed and len(self_dual) == 2 and len(scaled) <= 48
-    # perturbed: the control is skipped, so Bianchi and Yang-Mills only
+    covariant = 3 * (2 * 6 + 2 * 6 + 4 * 2 + 4 * 2 + 3 * 4)
+    assert len(entries) == covariant + (3 + 2 * 18) + 4 * 40 == 355
+    assert not mixed and len(self_dual) == 2
+    # perturbed: the control is skipped, so Bianchi and Yang-Mills only,
+    # and one starred curvature
     entries.clear()
     self_dual.clear()
-    scaled.clear()
     assert cli.main(["run", "instanton", "--perturb", "--out", out]) == 1
-    assert len(entries) == 3 * (2 * 6 + 2 * 6 + 4 * 2 + 4 * 2 + 2 * 4) == 144
-    assert not mixed and len(self_dual) == 2 and len(scaled) <= 48
+    covariant = 3 * (2 * 6 + 2 * 6 + 4 * 2 + 4 * 2 + 2 * 4)
+    assert len(entries) == covariant + (3 + 18) + 4 * 40 == 325
+    assert not mixed and len(self_dual) == 2
 
     # the count sees mixed powers: the b and c entries of m are constants
     # over rho^0, and their products with a's a entry sit over rho^1
@@ -379,8 +385,9 @@ def test_run_instanton_fuses_every_covariant_entry(monkeypatch, tmp_path):
     assert len(mixed) == 2
     # a curvature action sums the three entries of the two components of
     # the spinor's block, and a Dirac value those of the other block
+    psi = twistor_basis(ACTS_ON)[0].components
     entries.clear()
-    field = curvature_acts({(1, 2): a}, twistor_basis()[0].components, ACTS_ON)
+    field = curvature_acts({(1, 2): a}, psi, ACTS_ON)
     assert len(entries) == 2 * 3
     coupled_dirac(ZERO_CONNECTION, field)
     assert len(entries) == 2 * 2 * 3
@@ -404,7 +411,7 @@ def test_duality_split_of_a_connection_splits_its_curvature(conn):
 
 
 def test_twistor_basis_properties():
-    sols = twistor_basis()
+    sols = twistor_basis(ACTS_ON)
     assert len(sols) == 4
     for s in sols:
         for res in twistor_residual(s.components):
@@ -424,7 +431,7 @@ def _derivatives(components):
 
 
 def test_flat_dirac_of_linear_field_is_minus_four_constants():
-    sols = twistor_basis()
+    sols = twistor_basis(ACTS_ON)
     linear = [s for s in sols if any(s.psi1)]
     assert len(linear) == 2
     for s in linear:
@@ -447,11 +454,11 @@ def test_twistor_residual_derives_each_component_once(monkeypatch, tmp_path):
     # derivatives for four components, and the defects equal those of
     # the Dirac value composed from flat_dirac
     x1, x2 = R4.gen(0), R4.gen(1)
-    field = (_RhoFrac(x1 * x2), _RhoFrac(x2.scale(_I), 1), _RhoFrac(x1), _RhoFrac(x2))
+    field = (_RhoFrac(x1 * x2), _RhoFrac(x2 * _I, 1), _RhoFrac(x1), _RhoFrac(x2))
     derivatives = _derivatives(field)
     quarter = tuple(v * Fraction(1, 4) for v in flat_dirac(derivatives))
     want = [
-        [d + c for d, c in zip(di, GAMMA.act(Multivector.vector(i + 1), quarter))]
+        [d + c for d, c in zip(di, _rep_action(Multivector.vector(i + 1), quarter))]
         for i, di in enumerate(derivatives)
     ]
     derivative = _RhoFrac.derivative
@@ -482,7 +489,7 @@ def test_coupled_dirac_flat_cases():
     out = coupled_dirac(ZERO_CONNECTION, CoupledField(ACTS_ON, (DIAG, DIAG)))
     assert not out and out.block == _OTHER[ACTS_ON]
 
-    lin = next(s for s in twistor_basis() if any(s.psi1))
+    lin = next(s for s in twistor_basis(ACTS_ON) if any(s.psi1))
     acted = BLOCKS[ACTS_ON]
     tensored = CoupledField(ACTS_ON, (DIAG * lin.components[r] for r in acted))
     got = coupled_dirac(ZERO_CONNECTION, tensored)
@@ -491,7 +498,7 @@ def test_coupled_dirac_flat_cases():
 
 
 def test_coupled_dirac_linear_in_field(conn, curv):
-    sols = twistor_basis()
+    sols = twistor_basis(ACTS_ON)
     psi = curvature_acts(curv, sols[0].components, ACTS_ON)
     phi = curvature_acts(curv, sols[2].components, ACTS_ON)
     c = Gaussian(Fraction(3, 2), Fraction(-1, 3))
@@ -547,7 +554,7 @@ def test_gauge_covariance_with_constant_unitary(conn, curv):
     product = _gmul(g, ginv)
     assert all(product[i][j] == int(i == j) for i in range(2) for j in range(2))
 
-    sols = twistor_basis()
+    sols = twistor_basis(ACTS_ON)
     psi = curvature_acts(curv, sols[1].components, ACTS_ON)
     gauged = Connection(_conjugated(g, m, ginv) for m in conn.components)
     field = CoupledField(ACTS_ON, (_conjugated(g, m, ginv) for m in psi.components))
@@ -560,7 +567,7 @@ def test_curvature_action_lands_in_active_chirality_block(curv):
     # on the full spinor the composed action is zero outside the block
     # of the family, so the field of that block's two components is all
     # of it
-    for s in twistor_basis():
+    for s in twistor_basis(ACTS_ON):
         coupled = curvature_acts(curv, s.components, ACTS_ON)
         assert coupled.block == ACTS_ON and coupled
         full = _composed_action(curv, s.components)
@@ -587,14 +594,10 @@ def _oracle(v):
 
 
 def _rho_derivative(v, var):
-    """d_var (p / rho^k) composed from polynomial products, as the entry
-    type computed it before its one-pass form: (d p * rho - p * 2k x_var)
-    / rho^(k+1), or d p when k = 0."""
-    dp = v.p.derivative(var)
-    if not v.k:
-        return _RhoFrac(dp)
-    k_d_rho = R4.gen(var).scale(2 * v.k)  # d_i rho = 2 x_i
-    return _RhoFrac(dp * RHO - v.p * k_d_rho, v.k + 1)
+    """d_var (p / rho^k) of the entry v composed from polynomial
+    products, as the oracle pair (d p * rho - p * 2k x_var) / rho^(k+1),
+    or d p when k = 0."""
+    return RhoPair.of(v).derivative(var)
 
 
 def _same_pair(got, want):
@@ -662,7 +665,7 @@ def _entry_pairs(draw):
 
 # i rho / rho and i: the derivative of an entry over rho^1 carries a
 # -2 x_var term of the rho power
-_ENTRIES_I_RHO_OVER_RHO = ((_RhoFrac(RHO.scale(_I), 1), _RhoFrac(R4.const(_I), 0)), 0)
+_ENTRIES_I_RHO_OVER_RHO = ((_RhoFrac(RHO * _I, 1), _RhoFrac(R4.const(_I), 0)), 0)
 
 
 @given(_entry_pairs(), st.integers(0, 3))
@@ -695,6 +698,70 @@ def test_rho_entries_match_ratfunc_oracle(pair, var):
         assert a.eval(_RHO_ROOT) == oa.eval(_RHO_ROOT)
 
 
+# ----------------------------------------------------------------------
+# the flat Dirac value and twistor residual against the composed action
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def _spinor_fields(draw):
+    """A spinor of four _entries(), some of them forced to zero."""
+    psi = [draw(_entries()) for _ in range(4)]
+    for r in draw(st.lists(st.integers(0, 3), max_size=2)):
+        psi[r] = _RF0
+    return tuple(psi)
+
+
+def _composed_dirac(derivatives):
+    """sum_i e_i . d_i psi, each term the test-side Clifford action."""
+    actions = [
+        _rep_action(Multivector.vector(i + 1), di) for i, di in enumerate(derivatives)
+    ]
+    return tuple(reduce(add, column) for column in zip(*actions))
+
+
+# i x2 / rho^2 in one row and x1 / rho in another: Gaussian and real
+# coefficients over two different powers of rho
+_SPINOR_GAUSSIAN_OVER_RHO = (
+    _RhoFrac(R4.gen(1) * _I, 2),
+    _RF0,
+    _RhoFrac(R4.gen(0), 1),
+    _RhoFrac(R4.const(Gaussian(1, -1))),
+)
+
+
+@given(_spinor_fields())
+@example(_SPINOR_GAUSSIAN_OVER_RHO)
+@settings(max_examples=20, deadline=None)
+def test_flat_dirac_and_twistor_residual_match_composed_action(psi):
+    # on oracle pairs: the Dirac value sum_i e_i . d_i psi, and each
+    # defect d_i psi + (1/4) e_i . (Dirac psi)
+    derivatives = [[_rho_derivative(v, i) for v in psi] for i in range(4)]
+    dirac = _composed_dirac(derivatives)
+    got = flat_dirac(_derivatives(psi))
+    assert all(_equals_oracle(g, _oracle(w)) for g, w in zip(got, dirac))
+    quarter = tuple(v * Fraction(1, 4) for v in dirac)
+    for i, (res, di) in enumerate(zip(twistor_residual(psi), derivatives)):
+        action = _rep_action(Multivector.vector(i + 1), quarter)
+        want = [_oracle(d + c) for d, c in zip(di, action)]
+        assert all(_equals_oracle(g, w) for g, w in zip(res, want))
+        assert all(in_normal_form(c) for g in res for c in g.p.terms.values())
+
+
+_SPINOR_BRANCHES = {
+    "entry_over_rho": lambda psi: any(v and v.k for v in psi),
+    "gaussian_coefficient": lambda psi: any(
+        type(c) is Gaussian for v in psi for c in v.p.terms.values()
+    ),
+    "zero_entry": lambda psi: any(psi) and not all(psi),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_SPINOR_BRANCHES))
+def test_spinor_fields_reach_every_branch(branch):
+    _reaches(_spinor_fields(), _SPINOR_BRANCHES[branch])
+
+
 def test_equality_with_a_polynomial_of_another_ring_is_false():
     # such a polynomial is no entry: == gives way to the other operand,
     # and the comparison is False, not a ValueError
@@ -713,7 +780,7 @@ def test_field_values_are_exact_and_in_normal_form(conn):
     rhos = [RHO.eval(point) for point in _EVAL_POINTS]
     assert rhos == [16, 11]
     kinds = set()
-    for psi in twistor_basis():
+    for psi in twistor_basis(ACTS_ON):
         field = curvature_acts(f, psi.components, ACTS_ON)
         row = _field_row(field, rhos)
         assert all(in_normal_form(v) for v in row)
@@ -735,8 +802,7 @@ def _full_row(field):
         v.eval(point)
         for point in _EVAL_POINTS
         for m in field.components
-        for row in _grid(m)
-        for v in row
+        for v in (m.a, m.b, m.c, -m.a)
     ]
 
 
@@ -810,7 +876,9 @@ def test_independent_count_refuses_fields_of_two_blocks():
 def test_independent_count_needs_both_points(conn, curv, monkeypatch):
     # the four produced fields have rank 4 over both points, 2 at either
     # point alone
-    fields = [curvature_acts(curv, psi.components, ACTS_ON) for psi in twistor_basis()]
+    fields = [
+        curvature_acts(curv, psi.components, ACTS_ON) for psi in twistor_basis(ACTS_ON)
+    ]
     assert independent_count(fields) == 4
     for point in _EVAL_POINTS:
         monkeypatch.setattr(instanton, "_EVAL_POINTS", (point,))
@@ -987,21 +1055,21 @@ def test_mixed_power_entry_takes_its_highest_uncancelled_power():
     composed = _composed_products(cancelling)
     assert _same_pair(got, _RhoFrac(_X1 * _X2, 1))
     assert _same_pair(composed, _RhoFrac(_X1 * _X2 * RHO, 2))
-    assert got == composed
+    assert got == composed.entry()
     # with nothing cancelled the rho^1 sum is lifted to rho^2
     got = instanton._entry_sum((), (low, high))
     assert _same_pair(got, _RhoFrac(_X1 * _X2 * RHO + _X3 * _X4, 2))
-    assert got == _composed_products((low, high))
+    assert got == _composed_products((low, high)).entry()
     # and where both powers cancel the entry is zero over rho^0
     assert _same_pair(instanton._entry_sum((), cancelling[1:]), _RF0)
 
 
 def _composed_products(products):
-    """The sum of coef * x * y on the entry arithmetic, which lifts each
-    partial sum to the larger power of rho as it adds."""
-    acc = _RF0
+    """The sum of coef * x * y on the oracle pairs, which lift each
+    partial sum to the larger power of rho as they add."""
+    acc = RhoPair(R4.zero())
     for coef, x, y in products:
-        acc = acc + x * y * coef
+        acc = acc + RhoPair.of(x) * RhoPair.of(y) * coef
     return acc
 
 
@@ -1083,7 +1151,7 @@ def _composed_terms(terms):
     acc = _grid(ZERO)
     for coef, a, m, var in terms:
         g = _grid(m)
-        part = g if var is None else _gderiv(g, var, _rho_derivative)
+        part = g if var is None else _gderiv(g, var)
         if a is not None:
             part = _gadd(part, _closed_comm(_grid(a), g))
         acc = _gadd(acc, _gscale(part, coef))
@@ -1103,7 +1171,7 @@ def _sum_parts(terms):
             continue
         for found, v in zip(parts, (m.a, m.b, m.c)):
             if v and var is None:
-                found.append((v.k, v * coef))
+                found.append((v.k, RhoPair.of(v) * coef))
             elif v:
                 found.append((v.k + 1 if v.k else 0, _rho_derivative(v, var) * coef))
         if a is None:
@@ -1111,7 +1179,8 @@ def _sum_parts(terms):
         for found, (_, products) in zip(parts, _kernel_parts(a, m)):
             for s, x, y in products:
                 if x and y:
-                    found.append((x.k + y.k, x * y * (s * coef)))
+                    pair = RhoPair.of(x) * RhoPair.of(y) * (s * coef)
+                    found.append((x.k + y.k, pair))
     return parts
 
 
@@ -1216,11 +1285,12 @@ def test_sum_terms_reach_every_branch(branch):
     _reaches(_sum_terms(), _SUM_BRANCHES[branch])
 
 
-def test_entry_unit_scalars_copy_nothing():
-    v = _RhoFrac(R4.gen(0).scale(_I) + R4.one(), 1)
-    assert v * 1 is v and 1 * v is v
+def test_entry_unit_scalars_keep_the_pair():
+    v = _RhoFrac(R4.gen(0) * _I + R4.one(), 1)
+    for got in (v * 1, 1 * v):
+        assert _same_pair(got, v)
     for got in (v * -1, -1 * v):
-        assert _same_pair(got, _RhoFrac(v.p.scale(-1), 1))
+        assert _same_pair(got, _RhoFrac(v.p * -1, 1))
     m = Su2(v, v, 0)
     assert m * 1 == m and m * -1 == -m and not (m * -1 + m)
 
@@ -1316,7 +1386,7 @@ def _act(f, psi, zero):
     row r, key by key, from the zero grid ``zero``."""
     out = [zero] * 4
     for (m, n), mat in f.items():
-        phi = GAMMA.act(Multivector.blade(_pair_mask(m, n)), psi)
+        phi = _rep_action(Multivector.blade(_pair_mask(m, n)), psi)
         for r in range(4):
             if phi[r]:
                 out[r] = _gadd(out[r], _gscale(mat, phi[r]))
@@ -1324,21 +1394,24 @@ def _act(f, psi, zero):
 
 
 def _composed_action(f, psi):
-    return _act({key: _grid(m) for key, m in f.items()}, psi, _grid(ZERO))
+    pairs = tuple(RhoPair.of(v) for v in psi)
+    return _act({key: _grid(m) for key, m in f.items()}, pairs, _grid(ZERO))
 
 
 def _action_parts(f, psi):
-    """Per spinor row, entry by entry (a, b, c), the parts of the
-    action: each nonzero product F_mn entry * phi[r] with its power of
-    rho."""
+    """Per spinor row r, entry by entry (a, b, c), the parts of the
+    action: each nonzero product of an F_mn entry with psi[c], scaled by
+    the entry [r][c] of the matrix of e_m e_n, with its power of rho."""
     parts = [[[] for _ in range(3)] for _ in range(4)]
     for (m, n), mat in f.items():
-        phi = GAMMA.act(Multivector.blade(_pair_mask(m, n)), psi)
-        for found, v in zip(parts, phi):
-            if v:
-                for p, x in zip(found, (mat.a, mat.b, mat.c)):
-                    if x:
-                        p.append((x.k + v.k, x * v))
+        blade = GAMMA.rep(Multivector.blade(_pair_mask(m, n)))
+        for r, found in enumerate(parts):
+            for c, v in enumerate(psi):
+                if blade[r][c] and v:
+                    for p, x in zip(found, (mat.a, mat.b, mat.c)):
+                        if x:
+                            pair = RhoPair.of(x) * RhoPair.of(v) * blade[r][c]
+                            p.append((x.k + v.k, pair))
     return parts
 
 
@@ -1530,7 +1603,7 @@ def test_bpst_matches_ratfunc_transcription(conn, scale_first):
         _assert_mat_equal(m, oym[key])
 
     dirac_values = []
-    for s in twistor_basis():
+    for s in twistor_basis(ACTS_ON):
         field = curvature_acts(f, s.components, ACTS_ON)
         ofield = _act(of, tuple(_oracle(v) for v in s.components), _ogrid(ZERO))
         _assert_field_equal(field, ofield)

@@ -449,25 +449,25 @@ def candidate_inputs(draw):
     from another, or four random linear forms."""
     w = draw(st.permutations(range(4)))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=4, max_size=4))
-    gen = [Q_RING.gen(w[a]).scale(signs[a]) for a in range(4)]
+    gen = [Q_RING.gen(w[a]) * signs[a] for a in range(4)]
     kind = draw(st.sampled_from(("plain", "scaled", "probe_shift", "copied", "random")))
     if kind == "scaled":
         k = draw(st.integers(0, 3))
-        factor = Q_RING.gen(k).scale(draw(_small_ints)) + Q_RING.const(
+        factor = Q_RING.gen(k) * draw(_small_ints) + Q_RING.const(
             draw(st.fractions(-20, 20, max_denominator=4).filter(bool))
         )
         gen = [g * factor for g in gen]
     elif kind == "probe_shift":
         a, k = draw(st.integers(0, 3)), draw(st.integers(0, 3))
         shift = Q_RING.gen(k) - Q_RING.const(_PROBE[k])
-        gen[a] = gen[a] + shift.scale(draw(_small_ints.filter(bool)))
+        gen[a] = gen[a] + shift * draw(_small_ints.filter(bool))
     elif kind == "copied":
         a, b = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
-        gen[a] = gen[b].scale(draw(st.sampled_from((1, -1, 2))))
+        gen[a] = gen[b] * draw(st.sampled_from((1, -1, 2)))
     elif kind == "random":
         gen = [
             sum(
-                (Q_RING.gen(k).scale(draw(_small_ints)) for k in range(4)),
+                (Q_RING.gen(k) * draw(_small_ints) for k in range(4)),
                 Q_RING.const(draw(_small_ints)),
             )
             for _ in range(4)

@@ -64,6 +64,14 @@ ALLOWLIST = {
     # only RatFunc calls these two
     "exactalg/polys.py:MultiPoly.constant_value": _SERIES,
     "exactalg/polys.py:MultiPoly.is_constant": _SERIES,
+    "exactalg/polys.py:MultiPoly.derivative": (
+        "only RatFunc.derivative and the tests' entry oracle call it; an "
+        "instanton entry is differentiated by the one-pass entry sum"
+    ),
+    "exactalg/scalars.py:GaussianField.one": (
+        "PolyRing.gen builds a generator over Q(i) with it; instanton builds "
+        "all of its generators when it loads, before any run"
+    ),
     "exactalg/ratfunc.py:RatFunc._coerce": _SERIES,
     "exactalg/ratfunc.py:RatFunc.as_poly": _SERIES,
     "exactalg/ratfunc.py:RatFunc.derivative": _SERIES,
@@ -92,14 +100,6 @@ ALLOWLIST = {
     "hyperell.py:_taylor": (
         "shifts f to a split place for _rr_system; no suite input has split "
         "support, the row oracle tests it"
-    ),
-    "instanton.py:twistor_basis": (
-        "the public affine family; the Dirac certificate builds it with "
-        "_twistor_family from the convention record it already holds"
-    ),
-    "instanton.py:_cross_add": (
-        "adds two coefficient triples over different denominators; no suite "
-        "sum meets two, and the kernel's differential test reaches it"
     ),
     "instanton.py:sd_asd_split": (
         "the public duality split that acceptance criterion 2 reads; runs "
@@ -197,8 +197,15 @@ DUNDER_ALLOWLIST = {
     "exactalg/upoly.py:UPoly.__hash__": _HASH,
     "thetachar.py:CharClass.__hash__": _HASH,
     "instanton.py:_RhoFrac.__neg__": (
-        "entry negation for Su2.__neg__, for __sub__ across powers of rho "
-        "and for tests; a run negates through the -1 scalar fast path"
+        "entry negation for Su2.__neg__ and for tests; a run negates "
+        "through the kernel's -1 coefficients"
+    ),
+    "instanton.py:_RhoFrac.__add__": (
+        "tests compose entries with it; a run adds through the kernel"
+    ),
+    "instanton.py:_RhoFrac.__rmul__": (
+        "tests compose entries with it; a run writes every entry product "
+        "with the entry on the left"
     ),
     "instanton.py:_RhoFrac.__sub__": (
         "entry difference for Su2.__sub__ and _RhoFrac.__eq__, which tests "
